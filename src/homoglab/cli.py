@@ -19,7 +19,8 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -43,12 +44,6 @@ EXIT_OK = 0
 EXIT_REPLAY_MISMATCH = 1
 EXIT_SOLVER_FAILURE = 2
 EXIT_CONFIG_ERROR = 3
-
-EXPERIMENTS = (
-    "oned", "cell", "ahom", "corrector", "twoscale",
-    "growth", "sg", "semigroup", "green", "meyers", "birkhoff",
-)
-
 
 class ConfigError(ValueError):
     pass
@@ -203,21 +198,52 @@ def profile_from_config(p: dict) -> "oned_mod.Profile1D":
 
 
 # ---------------------------------------------------------------------------
-# runners: each returns {filename: text}
+# experiment table: one row per experiment, its parameters and its runner
 # ---------------------------------------------------------------------------
 
 
-def _require(cfg: ExperimentConfig, *what: str) -> None:
-    for item in what:
-        if item == "ensemble" and cfg.ensemble is None:
-            raise ConfigError(f"{cfg.experiment}: --ensemble is required")
-        if item == "box" and cfg.box is None:
-            raise ConfigError(f"{cfg.experiment}: --L (and --d) are required")
+@dataclass(frozen=True)
+class Param:
+    """One experiment parameter: ``--name`` (``_`` -> ``-``) on the command
+    line, ``name`` in the config's params, typed and defaulted only here."""
+
+    type: type
+    default: object = None
+    nargs: str | None = None
+
+    def typed(self, value):
+        if value is None:
+            return None
+        return [self.type(v) for v in value] if self.nargs else self.type(value)
 
 
-def _run_oned(cfg: ExperimentConfig, map_fn) -> dict[str, str]:
-    from dataclasses import replace
+@dataclass(frozen=True)
+class Experiment:
+    """``run(cfg, params, map_fn)`` returns {filename: text}; ``params`` holds
+    every parameter of the row, typed, with defaults filled in."""
 
+    run: Callable
+    params: dict[str, Param]
+    needs_ensemble: bool = True
+
+
+def _json_out(cfg: ExperimentConfig, body: dict, **extra) -> dict[str, str]:
+    """The JSON envelope: the result, the seed, any extra fields, the config."""
+    return {cfg.out: _json_text({**body, "seed": cfg.ensemble.master_seed, **extra,
+                                 "config": cfg.to_json()})}
+
+
+def _statistic(compute: Callable) -> Callable:
+    """Runner for a statistics experiment: ``compute(cfg, params, map_fn)``
+    returns the report's JSON, enveloped with seed, box, n and config."""
+
+    def run_statistic(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, str]:
+        return _json_out(cfg, compute(cfg, p, map_fn), box=cfg.box.to_json(), n=p["samples"])
+
+    return run_statistic
+
+
+def _run_oned(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, str]:
     profile, eps_list = profile_from_config(cfg.params)
     sup = oned_mod.sup_error_check(profile, eps_list)
     rows = []
@@ -229,42 +255,22 @@ def _run_oned(cfg: ExperimentConfig, map_fn) -> dict[str, str]:
         ["eps", "sup_error", "h1_twoscale_error", "bound_rhs", "ratio"], rows)}
 
 
-def _run_cell(cfg: ExperimentConfig, map_fn) -> dict[str, str]:
-    _require(cfg, "ensemble", "box")
-    idx = int(cfg.params.get("sample", 0))
-    a = sample(cfg.ensemble, cfg.box, SampleId(idx))
-    t = ahom_cell(a, cfg.solver)
-    props = verify_ahom_properties(t, lam=cfg.ensemble.lam)
-    return {cfg.out: _json_text({
-        **t.to_json(),
-        "sample": idx,
-        "seed": cfg.ensemble.master_seed,
-        "properties": props.to_json(),
-        "config": cfg.to_json(),
-    })}
+def _run_cell(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, str]:
+    t = ahom_cell(sample(cfg.ensemble, cfg.box, SampleId(p["sample"])), cfg.solver)
+    return _json_out(cfg, t.to_json(), sample=p["sample"],
+                     properties=verify_ahom_properties(t, lam=cfg.ensemble.lam).to_json())
 
 
-def _run_ahom(cfg: ExperimentConfig, map_fn) -> dict[str, str]:
-    _require(cfg, "ensemble", "box")
-    n = int(cfg.params.get("samples", 16))
+def _run_ahom(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, str]:
     with collecting_reports() as collector:
-        t = ahom_rve(cfg.ensemble, cfg.box, n, cfg.solver, map_fn=map_fn)
-    props = verify_ahom_properties(t, lam=cfg.ensemble.lam)
-    return {cfg.out: _json_text({
-        **t.to_json(),
-        "seed": cfg.ensemble.master_seed,
-        "properties": props.to_json(),
-        "solver_reports": collector.summary(),
-        "config": cfg.to_json(),
-    })}
+        t = ahom_rve(cfg.ensemble, cfg.box, p["samples"], cfg.solver, map_fn=map_fn)
+    return _json_out(cfg, t.to_json(), solver_reports=collector.summary(),
+                     properties=verify_ahom_properties(t, lam=cfg.ensemble.lam).to_json())
 
 
-def _run_corrector(cfg: ExperimentConfig, map_fn) -> dict[str, str]:
-    _require(cfg, "ensemble", "box")
-    idx = int(cfg.params.get("sample", 0))
-    direction = int(cfg.params.get("dir", 0))
-    a = sample(cfg.ensemble, cfg.box, SampleId(idx))
-    cs = corrector_set(a, direction, cfg.solver)
+def _run_corrector(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, str]:
+    a = sample(cfg.ensemble, cfg.box, SampleId(p["sample"]))
+    cs = corrector_set(a, p["dir"], cfg.solver)
     box = cs.phi.box
     coords = box.coordinate_arrays()
     header = (["site"] + [f"x{k+1}" for k in range(box.d)] + ["phi"]
@@ -277,8 +283,8 @@ def _run_corrector(cfg: ExperimentConfig, map_fn) -> dict[str, str]:
         row += [cs.sigma.values[i, j, k] for j in range(box.d) for k in range(j + 1, box.d)]
         rows.append(row)
     meta = {
-        "direction": direction,
-        "sample": idx,
+        "direction": p["dir"],
+        "sample": p["sample"],
         "seed": cfg.ensemble.master_seed,
         "ahom_row": [float(v) for v in cs.ahom_row],
         "solver_reports": [r.to_json() for r in cs.reports],
@@ -287,118 +293,74 @@ def _run_corrector(cfg: ExperimentConfig, map_fn) -> dict[str, str]:
             cfg.out + ".meta.json": _json_text(meta)}
 
 
-def _run_twoscale(cfg: ExperimentConfig, map_fn) -> dict[str, str]:
-    _require(cfg, "ensemble", "box")
-    n = int(cfg.params.get("samples", 50))
-    alpha = float(cfg.params.get("alpha", 0.1))
-    reports = two_scale_experiment(cfg.ensemble, cfg.box, alpha, n,
+def _run_twoscale(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, str]:
+    reports = two_scale_experiment(cfg.ensemble, cfg.box, p["alpha"], p["samples"],
                                    cfg=cfg.solver, map_fn=map_fn)
     rows = [[r.sample, r.lhs, r.rhs_phi, r.rhs_sigma, r.ratio] for r in reports]
     return {cfg.out: _csv_text(["sample", "lhs", "rhs_phi", "rhs_sigma", "ratio"], rows)}
 
 
-def _run_growth(cfg: ExperimentConfig, map_fn) -> dict[str, str]:
-    _require(cfg, "ensemble", "box")
-    radii = [int(r) for r in cfg.params.get("radii", [4, 8, 16, 32])]
-    p = int(cfg.params.get("p", 1))
-    n = int(cfg.params.get("samples", 100))
-    fit = corrector_growth(cfg.ensemble, cfg.box, radii, p=p, n=n,
-                           cfg=cfg.solver, map_fn=map_fn)
-    return {cfg.out: _json_text({
-        **fit.to_json(),
-        "seed": cfg.ensemble.master_seed,
-        "box": cfg.box.to_json(),
-        "n": n,
-        "config": cfg.to_json(),
-    })}
-
-
-def _run_sg(cfg: ExperimentConfig, map_fn) -> dict[str, str]:
-    _require(cfg, "ensemble", "box")
-    n = int(cfg.params.get("samples", 500))
-    reports = sg_check(cfg.ensemble, cfg.box, n, map_fn=map_fn)
-    return {cfg.out: _json_text({
-        "reports": [r.to_json() for r in reports],
-        "seed": cfg.ensemble.master_seed,
-        "box": cfg.box.to_json(),
-        "n": n,
-        "config": cfg.to_json(),
-    })}
-
-
-def _run_semigroup(cfg: ExperimentConfig, map_fn) -> dict[str, str]:
-    _require(cfg, "ensemble", "box")
-    n = int(cfg.params.get("samples", 500))
-    t_grid = [float(t) for t in cfg.params.get("t_grid", [1, 4, 16, 64])]
-    rep = semigroup_decay(cfg.ensemble, cfg.box, t_grid, n=n, map_fn=map_fn)
-    return {cfg.out: _json_text({
-        **rep.to_json(),
-        "seed": cfg.ensemble.master_seed,
-        "box": cfg.box.to_json(),
-        "n": n,
-        "config": cfg.to_json(),
-    })}
-
-
-def _run_green(cfg: ExperimentConfig, map_fn) -> dict[str, str]:
-    _require(cfg, "ensemble", "box")
-    n = int(cfg.params.get("samples", 20))
-    radii = cfg.params.get("radii")
-    radii = [int(r) for r in radii] if radii else None
-    rep = green_decay(cfg.ensemble, cfg.box, n, radii=radii,
-                      cfg=cfg.solver, map_fn=map_fn)
-    return {cfg.out: _json_text({
-        **rep.to_json(),
-        "seed": cfg.ensemble.master_seed,
-        "box": cfg.box.to_json(),
-        "n": n,
-        "config": cfg.to_json(),
-    })}
-
-
-def _run_meyers(cfg: ExperimentConfig, map_fn) -> dict[str, str]:
-    _require(cfg, "ensemble", "box")
-    n = int(cfg.params.get("samples", 50))
-    q = float(cfg.params.get("q", 1.1))
-    alpha_w = float(cfg.params.get("alpha_w", 0.1))
-    rep = meyers_probe(cfg.ensemble, cfg.box, n=n, q=q, alpha_w=alpha_w,
-                       cfg=cfg.solver, map_fn=map_fn)
-    return {cfg.out: _json_text({
-        **rep.to_json(),
-        "seed": cfg.ensemble.master_seed,
-        "box": cfg.box.to_json(),
-        "n": n,
-        "config": cfg.to_json(),
-    })}
-
-
-def _run_birkhoff(cfg: ExperimentConfig, map_fn) -> dict[str, str]:
-    _require(cfg, "ensemble", "box")
-    n = int(cfg.params.get("samples", 200))
-    R_list = [int(R) for R in cfg.params.get("R_list", [4, 8, 16, 32])]
-    rep = birkhoff_rate(cfg.ensemble, cfg.box, R_list, n=n, map_fn=map_fn)
-    return {cfg.out: _json_text({
-        **rep.to_json(),
-        "seed": cfg.ensemble.master_seed,
-        "box": cfg.box.to_json(),
-        "n": n,
-        "config": cfg.to_json(),
-    })}
-
-
-_RUNNERS = {
-    "oned": _run_oned,
-    "cell": _run_cell,
-    "ahom": _run_ahom,
-    "corrector": _run_corrector,
-    "twoscale": _run_twoscale,
-    "growth": _run_growth,
-    "sg": _run_sg,
-    "semigroup": _run_semigroup,
-    "green": _run_green,
-    "meyers": _run_meyers,
-    "birkhoff": _run_birkhoff,
+# Rows call the library through this module's globals at call time, so code
+# that rebinds a name such as ``cli.corrector_set`` reaches the runner.
+# Every experiment accepts ``--samples``; oned, cell and corrector ignore it.
+EXPERIMENTS: dict[str, Experiment] = {
+    "oned": Experiment(_run_oned, {"samples": Param(int)}, needs_ensemble=False),
+    "cell": Experiment(_run_cell, {"samples": Param(int), "sample": Param(int, 0)}),
+    "ahom": Experiment(_run_ahom, {"samples": Param(int, 16)}),
+    "corrector": Experiment(
+        _run_corrector,
+        {"samples": Param(int), "dir": Param(int, 0), "sample": Param(int, 0)}),
+    "twoscale": Experiment(
+        _run_twoscale, {"samples": Param(int, 50), "alpha": Param(float, 0.1)}),
+    "growth": Experiment(
+        _statistic(lambda cfg, p, map_fn: corrector_growth(
+            cfg.ensemble, cfg.box, p["radii"], p=p["p"], n=p["samples"],
+            cfg=cfg.solver, map_fn=map_fn).to_json()),
+        {"samples": Param(int, 100), "radii": Param(int, [4, 8, 16, 32], "+"),
+         "p": Param(int, 1)}),
+    "sg": Experiment(
+        _statistic(lambda cfg, p, map_fn: {"reports": [
+            r.to_json() for r in sg_check(cfg.ensemble, cfg.box, p["samples"],
+                                          map_fn=map_fn)]}),
+        {"samples": Param(int, 500)}),
+    "semigroup": Experiment(
+        _statistic(lambda cfg, p, map_fn: semigroup_decay(
+            cfg.ensemble, cfg.box, p["t_grid"], n=p["samples"],
+            map_fn=map_fn).to_json()),
+        {"samples": Param(int, 500), "t_grid": Param(float, [1, 4, 16, 64], "+")}),
+    "green": Experiment(
+        _statistic(lambda cfg, p, map_fn: green_decay(
+            cfg.ensemble, cfg.box, p["samples"], radii=p["radii"] or None,
+            cfg=cfg.solver, map_fn=map_fn).to_json()),
+        {"samples": Param(int, 20), "radii": Param(int, None, "+")}),
+    "meyers": Experiment(
+        _statistic(lambda cfg, p, map_fn: meyers_probe(
+            cfg.ensemble, cfg.box, n=p["samples"], q=p["q"], alpha_w=p["alpha_w"],
+            cfg=cfg.solver, map_fn=map_fn).to_json()),
+        {"samples": Param(int, 50), "q": Param(float, 1.1), "alpha_w": Param(float, 0.1)}),
+    "birkhoff": Experiment(
+        _statistic(lambda cfg, p, map_fn: birkhoff_rate(
+            cfg.ensemble, cfg.box, p["R_list"], n=p["samples"],
+            map_fn=map_fn).to_json()),
+        {"samples": Param(int, 200), "R_list": Param(int, [4, 8, 16, 32], "+")}),
 }
+
+
+def _typed_params(cfg: ExperimentConfig) -> dict:
+    """The experiment's parameters, typed, with defaults for the unset ones.
+
+    Runs before any computation, so a bad parameter is a config error.
+    """
+    exp = EXPERIMENTS[cfg.experiment]
+    if exp.needs_ensemble and cfg.ensemble is None:
+        raise ConfigError(f"{cfg.experiment}: --ensemble is required")
+    if exp.needs_ensemble and cfg.box is None:
+        raise ConfigError(f"{cfg.experiment}: --L (and --d) are required")
+    try:
+        return {name: param.typed(cfg.params.get(name, param.default))
+                for name, param in exp.params.items()}
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{cfg.experiment}: bad parameter: {exc}") from exc
 
 
 def run(cfg: ExperimentConfig, threads: int = 1, write: bool = True) -> dict:
@@ -409,11 +371,12 @@ def run(cfg: ExperimentConfig, threads: int = 1, write: bool = True) -> dict:
     """
     config_json = cfg.to_json()
     config_blob = json.dumps(config_json, sort_keys=True).encode()
+    params = _typed_params(cfg)
     map_fn, pool = _map_fn(threads)
     t0 = time.monotonic()
     try:
         with collecting_reports() as collector:
-            outputs = _RUNNERS[cfg.experiment](cfg, map_fn)
+            outputs = EXPERIMENTS[cfg.experiment].run(cfg, params, map_fn)
     finally:
         if pool is not None:
             pool.shutdown()
@@ -490,13 +453,20 @@ def _numeric_deviation(old: str, new: str) -> float:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with the config-error code, not argparse's 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="full experiment config JSON (flags override)")
+    p.add_argument("--config", help="full experiment config JSON (given flags override)")
     p.add_argument("--ensemble", help="ensemble spec JSON file")
     p.add_argument("--L", type=int, help="box side length")
     p.add_argument("--d", type=int, default=2, help="box dimension (default 2)")
     p.add_argument("--seed", type=int, help="override the ensemble master seed")
-    p.add_argument("--samples", type=int, help="Monte Carlo sample count")
     p.add_argument("--threads", type=int,
                    default=int(os.environ.get("HOMOGLAB_THREADS", "1")))
     p.add_argument("--tol", type=float, help="CG relative residual target")
@@ -509,46 +479,22 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="homoglab",
         description="homogenization laboratory on periodic lattice boxes",
     )
     ap.add_argument("--version", action="version", version=f"homoglab {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in EXPERIMENTS:
+    for name, exp in EXPERIMENTS.items():
         p = sub.add_parser(name)
         _add_common(p)
-        if name == "corrector":
-            p.add_argument("--dir", type=int, default=0, help="corrector direction")
-            p.add_argument("--sample", type=int, default=0)
-        if name == "cell":
-            p.add_argument("--sample", type=int, default=0)
-        if name == "twoscale":
-            p.add_argument("--alpha", type=float, default=0.1)
-        if name == "growth":
-            p.add_argument("--radii", type=int, nargs="+")
-            p.add_argument("--p", type=int, default=1)
-        if name == "green":
-            p.add_argument("--radii", type=int, nargs="+")
-        if name == "semigroup":
-            p.add_argument("--t-grid", type=float, nargs="+", dest="t_grid")
-        if name == "meyers":
-            p.add_argument("--q", type=float, default=1.1)
-            p.add_argument("--alpha-w", type=float, default=0.1, dest="alpha_w")
-        if name == "birkhoff":
-            p.add_argument("--R-list", type=int, nargs="+", dest="R_list")
+        for key, param in exp.params.items():
+            p.add_argument("--" + key.replace("_", "-"), type=param.type, nargs=param.nargs)
     rp = sub.add_parser("replay")
     rp.add_argument("manifest", help="manifest JSON produced by a previous run")
     rp.add_argument("--threads", type=int,
                     default=int(os.environ.get("HOMOGLAB_THREADS", "1")))
     return ap
-
-
-_PARAM_FLAGS = {
-    "samples": "samples", "alpha": "alpha", "radii": "radii", "p": "p",
-    "t_grid": "t_grid", "q": "q", "alpha_w": "alpha_w", "R_list": "R_list",
-    "dir": "dir", "sample": "sample",
-}
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -576,10 +522,9 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         "preconditioner": args.precond if args.precond else cfg.solver.preconditioner,
     }
     cfg.solver = SolverConfig(**solver_kwargs)
-    for attr, key in _PARAM_FLAGS.items():
-        val = getattr(args, attr, None)
-        if val is not None:
-            cfg.params[key] = val
+    for key in EXPERIMENTS[args.command].params:
+        if getattr(args, key) is not None:
+            cfg.params[key] = getattr(args, key)
     if args.out:
         cfg.out = args.out
     return cfg

@@ -16,9 +16,10 @@ of q is replaced by the per-sample box average of the flux; the
 substitution is what makes q exactly mean free (and the sigma equation
 solvable) and vanishes in the large-box limit.
 
-Variational facts asserted on every solve: the box mean of grad phi is
-zero exactly, mean|grad phi + xi|^2 <= |xi|^2 / lam^2 and
-mean|grad phi|^2 <= (1 - lam^2)/lam^2 * |xi|^2.
+Variational facts of every solve: the box mean of grad phi is zero
+exactly, mean|grad phi + xi|^2 <= |xi|^2 / lam^2 and
+mean|grad phi|^2 <= (1 - lam^2)/lam^2 * |xi|^2; a solve that breaks either
+bound raises SolverError.
 """
 
 from __future__ import annotations
@@ -35,12 +36,14 @@ from .lattice import (
     ScalarField,
     SkewField,
     VectorField,
+    _div_star_arr,
     div_star,
     grad,
 )
 from .elliptic import (
     SolveReport,
     SolverConfig,
+    SolverError,
     cg_solve,
     laplacian_op,
     solve_shifted,
@@ -98,14 +101,14 @@ def _energy_checks(a: CoefficientField, phi: ScalarField, xi: np.ndarray) -> Non
     m_shifted = float(np.mean(np.sum((g + xi) ** 2, axis=1)))
     m_grad = float(np.mean(np.sum(g**2, axis=1)))
     slack = 1e-9 * max(xi_norm2, 1.0)
-    assert m_shifted <= xi_norm2 / lam**2 + slack, (
-        f"corrector energy bound violated: mean|grad phi + xi|^2 = {m_shifted} "
-        f"> |xi|^2/lam^2 = {xi_norm2 / lam**2}"
-    )
-    assert m_grad <= (1.0 - lam**2) / lam**2 * xi_norm2 + slack, (
-        f"corrector energy bound violated: mean|grad phi|^2 = {m_grad} "
-        f"> (1-lam^2)/lam^2 |xi|^2 = {(1.0 - lam**2) / lam**2 * xi_norm2}"
-    )
+    if not m_shifted <= xi_norm2 / lam**2 + slack:
+        raise SolverError(
+            f"corrector energy bound violated: mean|grad phi + xi|^2 = {m_shifted} "
+            f"> |xi|^2/lam^2 = {xi_norm2 / lam**2}")
+    if not m_grad <= (1.0 - lam**2) / lam**2 * xi_norm2 + slack:
+        raise SolverError(
+            f"corrector energy bound violated: mean|grad phi|^2 = {m_grad} "
+            f"> (1-lam^2)/lam^2 |xi|^2 = {(1.0 - lam**2) / lam**2 * xi_norm2}")
 
 
 def solve_corrector(a: CoefficientField, xi, cfg: SolverConfig = SolverConfig()
@@ -187,11 +190,8 @@ def div_star_skew(sigma: SkewField) -> VectorField:
     box = sigma.box
     out = np.zeros((box.n_sites, box.d))
     for j in range(box.d):
-        acc = np.zeros(box.shape)
-        for k in range(box.d):
-            g = sigma.values[:, j, k].reshape(box.shape, order="F")
-            acc += np.roll(g, 1, axis=k) - g
-        out[:, j] = acc.ravel(order="F")
+        comps = [sigma.values[:, j, k].reshape(box.shape, order="F") for k in range(box.d)]
+        out[:, j] = _div_star_arr(comps).ravel(order="F")
     return VectorField(box, out)
 
 
@@ -215,9 +215,8 @@ def solve_modified_corrector(a: CoefficientField, xi, T: float,
     g = grad(phi_T).values
     energy = float(np.mean(phi_T.values**2 / T + np.sum(g**2, axis=1)))
     bound = (2.0 / lam + 4.0 / lam**2) * xi_norm2
-    assert energy <= bound + 1e-9 * max(1.0, xi_norm2), (
-        f"massive corrector energy {energy} exceeds a priori bound {bound}"
-    )
+    if not energy <= bound + 1e-9 * max(1.0, xi_norm2):
+        raise SolverError(f"massive corrector energy {energy} exceeds a priori bound {bound}")
     return phi_T, rep
 
 
@@ -262,10 +261,7 @@ def ahom_rve(spec: EnsembleSpec, box: BoxSpec, n_samples: int,
         raise ValueError("n_samples must be >= 2")
 
     def one(i: int) -> np.ndarray:
-        try:
-            return ahom_cell(sample(spec, box, SampleId(i)), cfg).matrix
-        except Exception as exc:
-            raise RuntimeError(f"cell problem failed for sample {i}") from exc
+        return ahom_cell(sample(spec, box, SampleId(i)), cfg).matrix
 
     mats = np.stack(list(map_fn(one, range(n_samples))))
     mean = mats.mean(axis=0)

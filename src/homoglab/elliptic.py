@@ -30,6 +30,7 @@ from .lattice import (
     VectorField,
     apply_elliptic_grid,
     div_star,
+    neighbours,
 )
 
 __all__ = [
@@ -366,15 +367,12 @@ def elliptic_matrix(a: CoefficientField) -> np.ndarray:
     is assembled from the coefficient table without going through the
     operator, so it doubles as an independent cross-check of apply_elliptic.
     """
-    box = a.box
-    n, d = box.n_sites, box.d
+    n = a.box.n_sites
+    fwd, _ = neighbours(a.box)
     A = np.zeros((n, n))
-    coords = box.coordinate_arrays()
     idx = np.arange(n)
-    for i in range(d):
-        fwd = coords.copy()
-        fwd[:, i] = (fwd[:, i] + 1) % box.L
-        j = np.array([box.index_of(c) for c in fwd])
+    for i in range(a.box.d):
+        j = fwd[:, i]
         ai = a.diag[:, i]
         # edge x -> x+e_i with conductance a_i(x) contributes the usual
         # graph-Laplacian pattern

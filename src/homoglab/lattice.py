@@ -22,6 +22,7 @@ product, which is the summation-by-parts identity the solvers rely on.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass
 
@@ -40,6 +41,7 @@ __all__ = [
     "mean",
     "inner",
     "norm_l2",
+    "neighbours",
     "shift",
     "torus_coordinates",
     "torus_radii",
@@ -225,6 +227,21 @@ class CoefficientField:
 def _require_same_box(a, b):
     if a.box != b.box:
         raise BoxMismatchError(f"box mismatch: {a.box} vs {b.box}")
+
+
+@functools.lru_cache(maxsize=16)
+def neighbours(box: BoxSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Site-index tables ``(fwd, bwd)``, each (N, d): x + e_i and x - e_i.
+
+    Cached per box and read-only, so every caller and thread shares them.
+    """
+    g = np.arange(box.n_sites).reshape(box.shape, order="F")
+    tables = []
+    for step in (-1, 1):
+        t = np.stack([np.roll(g, step, axis=i).ravel(order="F") for i in range(box.d)], axis=1)
+        t.flags.writeable = False
+        tables.append(t)
+    return tables[0], tables[1]
 
 
 def shift(u: ScalarField, offset) -> ScalarField:

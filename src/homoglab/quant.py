@@ -27,12 +27,16 @@ from .lattice import (
     CoefficientField,
     ScalarField,
     grad,
+    neighbours,
     torus_radii,
 )
 from .elliptic import (
     SolverConfig,
+    SolverError,
+    elliptic_matrix,
     green,
     heat_kernel,
+    laplacian_symbol,
     solve_elliptic,
     laplacian_op,
 )
@@ -209,41 +213,14 @@ class CellAhomEntry:
     def __init__(self, row: int = 0, col: int = 0):
         self.row = row
         self.col = col
-        self._cache_box: BoxSpec | None = None
 
     def support(self, box: BoxSpec) -> list[int]:
         return list(range(box.n_sites))
 
-    def _prepare(self, box: BoxSpec) -> None:
-        if self._cache_box == box:
-            return
-        n, d = box.n_sites, box.d
-        coords = box.coordinate_arrays()
-        nbr = np.empty((n, d), dtype=np.intp)
-        prv = np.empty((n, d), dtype=np.intp)
-        for i in range(d):
-            step = coords.copy()
-            step[:, i] = (step[:, i] + 1) % box.L
-            nbr[:, i] = [box.index_of(c) for c in step]
-            step = coords.copy()
-            step[:, i] = (step[:, i] - 1) % box.L
-            prv[:, i] = [box.index_of(c) for c in step]
-        self._cache_box = box
-        self._nbr, self._prv = nbr, prv
-
     def __call__(self, a: CoefficientField) -> float:
-        box = a.box
-        self._prepare(box)
-        n, d = box.n_sites, box.d
-        nbr, prv = self._nbr, self._prv
-        idx = np.arange(n)
-        A = np.zeros((n, n))
-        for i in range(d):
-            ai = a.diag[:, i]
-            np.add.at(A, (idx, idx), ai)
-            np.add.at(A, (nbr[:, i], nbr[:, i]), ai)
-            np.add.at(A, (idx, nbr[:, i]), -ai)
-            np.add.at(A, (nbr[:, i], idx), -ai)
+        n = a.box.n_sites
+        nbr, prv = neighbours(a.box)
+        A = elliptic_matrix(a)
         col = self.col
         acol = a.diag[:, col]
         rhs = acol - acol[prv[:, col]]  # -div*(a e_col)
@@ -484,7 +461,8 @@ def semigroup_decay(spec: EnsembleSpec, box: BoxSpec, t_grid: Sequence[float],
     for t in t_grid:
         p = heat_kernel(float(t), box)
         mass = float(p.values.sum())
-        assert abs(mass - 1.0) <= 1e-12, f"heat kernel mass {mass} != 1"
+        if not abs(mass - 1.0) <= 1e-12:
+            raise SolverError(f"heat kernel mass {mass} != 1")
         kernels.append(p.values)
     mean_zeta = spec.marginal_mean()
 
@@ -667,23 +645,10 @@ def smooth_random_field(box: BoxSpec, rng: np.random.Generator,
                         smoothing_time: float = 2.0) -> ScalarField:
     """Mean-zero heat-smoothed white noise; the stock right-hand side h."""
     noise = rng.normal(size=box.shape)
-    ph = np.exp(-smoothing_time * _lap_symbol_cached(box))
+    ph = np.exp(-smoothing_time * laplacian_symbol(box))
     out = np.fft.ifftn(np.fft.fftn(noise) * ph).real
     out -= out.mean()
     return ScalarField.from_grid(box, out)
-
-
-_lap_symbols: dict[BoxSpec, np.ndarray] = {}
-
-
-def _lap_symbol_cached(box: BoxSpec) -> np.ndarray:
-    sym = _lap_symbols.get(box)
-    if sym is None:
-        from .elliptic import laplacian_symbol
-
-        sym = laplacian_symbol(box)
-        _lap_symbols[box] = sym
-    return sym
 
 
 def meyers_probe(spec: EnsembleSpec, box: BoxSpec, n: int = 50, q: float = 1.1,

@@ -30,13 +30,12 @@ from typing import Callable
 import numpy as np
 
 from .correctors import CorrectorSet, corrector_set
-from .elliptic import SolveReport, SolverConfig, solve_shifted
+from .elliptic import SolverConfig, solve_shifted
 from .ensembles import EnsembleSpec, SampleId, sample
 from .lattice import BoxSpec, CoefficientField, ScalarField, grad
 
 __all__ = [
     "TwoScaleReport",
-    "solve_heterogeneous",
     "solve_homogenized",
     "remainder",
     "two_scale_experiment",
@@ -63,14 +62,6 @@ class TwoScaleReport:
             "rhs_sigma": self.rhs_sigma,
             "ratio": self.ratio,
         }
-
-
-def solve_heterogeneous(a: CoefficientField, alpha: float, f: ScalarField,
-                        cfg: SolverConfig = SolverConfig()) -> tuple[ScalarField, SolveReport]:
-    """alpha u + div*(a grad u) = f; strictly positive operator, unique solution."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    return solve_shifted(a, alpha, f, cfg)
 
 
 def constant_symbol(A: np.ndarray, box: BoxSpec) -> np.ndarray:
@@ -177,7 +168,7 @@ def two_scale_report(a: CoefficientField, alpha: float, f: ScalarField,
         sets = [corrector_set(a, i, cfg) for i in range(d)]
     A = np.stack([s.ahom_row for s in sets], axis=1)  # column i = a_hom e_i
 
-    u, _ = solve_heterogeneous(a, alpha, f, cfg)
+    u, _ = solve_shifted(a, alpha, f, cfg)
     u0 = solve_homogenized(A, alpha, f)
     phis = [s.phi for s in sets]
     Z = remainder(u, u0, phis)

@@ -7,7 +7,10 @@ from homoglab.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
     EXIT_REPLAY_MISMATCH,
+    EXIT_SOLVER_FAILURE,
     ExperimentConfig,
+    build_parser,
+    config_from_args,
     main,
     replay,
 )
@@ -100,6 +103,30 @@ class TestDispatchAndErrors:
         assert code == EXIT_OK
         rep = json.loads(open(out).read())
         assert rep["properties"]["ellipticity_pass"]
+
+    def test_ahom_solver_failure_exits_2(self, ensemble_file, tmp_path):
+        out = str(tmp_path / "ahom.json")
+        code = main(["ahom", "--ensemble", ensemble_file, "--L", "8", "--samples", "2",
+                     "--max-iter", "2", "--out", out])
+        assert code == EXIT_SOLVER_FAILURE
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("argv", [
+        ["growth", "--p", "notanint"],
+        ["growth", "--no-such-flag", "1"],
+        ["teleport"],
+        [],
+    ])
+    def test_usage_error_exits_3(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG_ERROR
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["sg", "--help"]])
+    def test_help_and_version_exit_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_OK
 
     def test_corrector_writes_csv_and_meta(self, ensemble_file, tmp_path):
         out = str(tmp_path / "set.csv")
@@ -195,3 +222,75 @@ class TestConfigRoundTrip:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(Exception):
             ExperimentConfig.from_json({"experiment": "teleport", "params": {}})
+
+
+COMMON_OPTIONS = {
+    "-h": (None, 0), "--help": (None, 0), "--config": (None, None),
+    "--ensemble": (None, None), "--L": (int, None), "--d": (int, None),
+    "--seed": (int, None), "--samples": (int, None), "--threads": (int, None),
+    "--tol": (float, None), "--max-iter": (int, None), "--precond": (None, None),
+    "--out": (None, None), "--gnuplot-script": (None, 0),
+}
+EXPERIMENT_OPTIONS = {
+    "oned": {},
+    "cell": {"--sample": (int, None)},
+    "ahom": {},
+    "corrector": {"--dir": (int, None), "--sample": (int, None)},
+    "twoscale": {"--alpha": (float, None)},
+    "growth": {"--radii": (int, "+"), "--p": (int, None)},
+    "sg": {},
+    "semigroup": {"--t-grid": (float, "+")},
+    "green": {"--radii": (int, "+")},
+    "meyers": {"--q": (float, None), "--alpha-w": (float, None)},
+    "birkhoff": {"--R-list": (int, "+")},
+}
+
+
+class TestExperimentTable:
+    def test_every_subcommand_keeps_its_options(self):
+        import argparse
+
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == [*EXPERIMENT_OPTIONS, "replay"]
+        for name, extra in EXPERIMENT_OPTIONS.items():
+            options = {opt: (action.type, action.nargs)
+                       for action in sub.choices[name]._actions
+                       for opt in action.option_strings}
+            assert options == {**COMMON_OPTIONS, **extra}, name
+
+    @pytest.mark.parametrize("experiment,params", [
+        ("growth", {"p": 2}),
+        ("meyers", {"q": 1.2, "alpha_w": 0.0}),
+        ("twoscale", {"alpha": 0.3}),
+        ("corrector", {"dir": 1, "sample": 3}),
+        ("cell", {"sample": 2}),
+    ])
+    def test_config_params_survive_omitted_flags(self, experiment, params,
+                                                 ensemble_file, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": experiment, "params": params}))
+        args = build_parser().parse_args([experiment, "--config", str(path),
+                                          "--ensemble", ensemble_file, "--L", "8"])
+        assert config_from_args(args).params == params
+
+    def test_given_flag_overrides_config_param(self, ensemble_file, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "meyers",
+                                    "params": {"q": 1.2, "alpha_w": 0.0}}))
+        out = str(tmp_path / "meyers.json")
+        code = main(["meyers", "--config", str(path), "--ensemble", ensemble_file,
+                     "--L", "8", "--samples", "2", "--alpha-w", "0.05", "--out", out])
+        assert code == EXIT_OK
+        rep = json.loads(open(out).read())
+        assert (rep["q"], rep["alpha_w"]) == (1.2, 0.05)
+        assert rep["config"]["params"] == {"q": 1.2, "alpha_w": 0.05, "samples": 2}
+
+    def test_bad_config_param_is_config_error(self, ensemble_file, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "growth", "params": {"p": "two"}}))
+        out = str(tmp_path / "growth.json")
+        code = main(["growth", "--config", str(path), "--ensemble", ensemble_file,
+                     "--L", "16", "--out", out])
+        assert code == EXIT_CONFIG_ERROR
+        assert not os.path.exists(out)

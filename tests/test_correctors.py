@@ -4,14 +4,16 @@ import pytest
 from homoglab.lattice import (
     BoxSpec,
     CoefficientField,
+    ScalarField,
     VectorField,
     div_star,
     grad,
     mean,
 )
-from homoglab.elliptic import SolverConfig
+from homoglab.elliptic import SolverConfig, SolverError
 from homoglab.ensembles import SampleId, constant, sample, two_point
 from homoglab.correctors import (
+    _energy_checks,
     ahom_cell,
     ahom_rve,
     corrector_set,
@@ -68,6 +70,14 @@ class TestCorrector:
             g = grad(phi).values
             m_grad = float(np.mean(np.sum(g**2, axis=1)))
             assert m_grad <= (1 - lam**2) / lam**2 + 1e-9
+
+    def test_energy_bound_violation_raises(self, rng):
+        # an explicit exception, not an assert that python -O would strip
+        box = BoxSpec(2, 8)
+        a = random_coefficients(box, rng)
+        phi = ScalarField(box, 100.0 * rng.normal(size=box.n_sites))
+        with pytest.raises(SolverError, match="energy bound violated"):
+            _energy_checks(a, phi, np.array([1.0, 0.0]))
 
     def test_linear_in_direction(self, rng):
         box = BoxSpec(2, 8)

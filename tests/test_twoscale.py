@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from homoglab.lattice import BoxSpec, CoefficientField, ScalarField, grad, inner
-from homoglab.elliptic import SolverConfig
+from homoglab.elliptic import SolverConfig, solve_shifted
 from homoglab.ensembles import SampleId, constant, sample, two_point
 from homoglab.correctors import corrector_set
 from homoglab.twoscale import (
     default_forcing,
     growth_weight,
     remainder,
-    solve_heterogeneous,
     solve_homogenized,
     two_scale_experiment,
     two_scale_report,
@@ -24,7 +23,7 @@ class TestSolveHeterogeneous:
     def test_zero_forcing(self, rng):
         box = BoxSpec(2, 8)
         a = random_coefficients(box, rng)
-        u, _ = solve_heterogeneous(a, 0.5, ScalarField.zeros(box))
+        u, _ = solve_shifted(a, 0.5, ScalarField.zeros(box))
         assert np.all(u.values == 0.0)
 
     def test_eigenmode_identity_for_constant_coefficients(self):
@@ -36,7 +35,7 @@ class TestSolveHeterogeneous:
         coords = box.coordinate_arrays()
         mode = ScalarField(box, np.cos(2 * np.pi * coords[:, 0] / box.L))
         mu = c * 4.0 * np.sin(np.pi / box.L) ** 2
-        u, _ = solve_heterogeneous(a, alpha, mode, SolverConfig(tol=1e-12))
+        u, _ = solve_shifted(a, alpha, mode, SolverConfig(tol=1e-12))
         assert np.max(np.abs(u.values - mode.values / (alpha + mu))) < 1e-9
 
     def test_energy_identity(self, rng):
@@ -44,7 +43,7 @@ class TestSolveHeterogeneous:
         a = random_coefficients(box, rng)
         f = ScalarField(box, rng.normal(size=box.n_sites))
         alpha = 0.2
-        u, _ = solve_heterogeneous(a, alpha, f, SolverConfig(tol=1e-12))
+        u, _ = solve_shifted(a, alpha, f, SolverConfig(tol=1e-12))
         g = grad(u).values
         lhs = alpha * float(np.sum(u.values**2)) + float(np.sum(g * (a.diag * g)))
         rhs = inner(f, u)
@@ -54,7 +53,7 @@ class TestSolveHeterogeneous:
         box = BoxSpec(2, 4)
         a = random_coefficients(box, rng)
         with pytest.raises(ValueError):
-            solve_heterogeneous(a, 0.0, ScalarField.zeros(box))
+            solve_shifted(a, 0.0, ScalarField.zeros(box))
 
 
 class TestSolveHomogenized:
