@@ -465,7 +465,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="full experiment config JSON (given flags override)")
     p.add_argument("--ensemble", help="ensemble spec JSON file")
     p.add_argument("--L", type=int, help="box side length")
-    p.add_argument("--d", type=int, default=2, help="box dimension (default 2)")
+    p.add_argument("--d", type=int, help="box dimension (default: the config's, else 2)")
     p.add_argument("--seed", type=int, help="override the ensemble master seed")
     p.add_argument("--threads", type=int,
                    default=int(os.environ.get("HOMOGLAB_THREADS", "1")))
@@ -513,8 +513,10 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError("--seed needs an ensemble")
         cfg.ensemble = EnsembleSpec(cfg.ensemble.kind, cfg.ensemble.params,
                                     cfg.ensemble.lam, args.seed)
-    if args.L is not None:
-        cfg.box = BoxSpec(d=args.d, L=args.L)
+    d = args.d if args.d is not None else (cfg.box.d if cfg.box else 2)
+    L = args.L if args.L is not None else (cfg.box.L if cfg.box else None)
+    if L is not None:
+        cfg.box = BoxSpec(d=d, L=L)
     solver_kwargs = {
         "tol": args.tol if args.tol is not None else cfg.solver.tol,
         "max_iter": args.max_iter if args.max_iter is not None else cfg.solver.max_iter,

@@ -6,8 +6,8 @@ Per coefficient sample on a periodic box:
 * flux             q = a (grad phi + xi) minus its box average, so q has
                    exactly zero mean and div* q = 0 to solver tolerance;
 * flux corrector   sigma_{jk}, skew symmetric, solving the Poisson equation
-                   div* grad sigma_{jk} = grad_k q_j - grad_j q_k with
-                   div* sigma = q to combined tolerance;
+                   div* grad sigma_{jk} = grad_k q_j - grad_j q_k exactly
+                   by FFT, with div* sigma = q to the corrector's tolerance;
 * homogenized row  the box average of a (grad phi_i + e_i), which is the
                    column a_hom e_i of the cell-problem matrix.
 
@@ -37,6 +37,7 @@ from .lattice import (
     SkewField,
     VectorField,
     _div_star_arr,
+    _grad_arr,
     div_star,
     grad,
 )
@@ -44,14 +45,12 @@ from .elliptic import (
     SolveReport,
     SolverConfig,
     SolverError,
-    cg_solve,
-    laplacian_op,
+    solve_elliptic,
     solve_shifted,
     _checked,
-    _elliptic_op,
-    _precond_for,
-    _spectral_inverse,
+    _fix_gauge,
 )
+from .spectral import inverse
 
 __all__ = [
     "CorrectorSet",
@@ -122,17 +121,9 @@ def solve_corrector(a: CoefficientField, xi, cfg: SolverConfig = SolverConfig()
     if xi.shape != (a.box.d,) or not np.any(xi):
         raise ValueError(f"direction must be a nonzero vector of length {a.box.d}")
     rhs = div_star(VectorField(a.box, -a.diag * xi))
-    phi, rep = _solve_singular_elliptic(a, rhs, cfg)
+    phi, rep = solve_elliptic(a, rhs, cfg)
     _energy_checks(a, phi, xi)
     return phi, rep
-
-
-def _solve_singular_elliptic(a, rhs, cfg):
-    return _checked(
-        cg_solve(_elliptic_op(a), rhs, cfg, singular=True,
-                 precond=_precond_for(a, 0.0, cfg)),
-        "corrector solve",
-    )
 
 
 def flux(a: CoefficientField, phi: ScalarField, xi) -> VectorField:
@@ -152,10 +143,12 @@ def solve_flux_corrector(q: VectorField, cfg: SolverConfig = SolverConfig()
                          ) -> tuple[SkewField, list[SolveReport]]:
     """Skew-symmetric sigma with div* grad sigma_{jk} = grad_k q_j - grad_j q_k.
 
-    Solves the constant-coefficient Poisson problem for each pair j < k and
-    mirrors with the sign flip; in d=1 there are no pairs and sigma = 0.
-    Requires mean-zero q (raises otherwise).  The divergence identity
-    div* sigma = q then holds to combined solver tolerance.
+    Solves the Poisson problem of each pair j < k exactly by FFT and mirrors
+    with the sign flip; in d=1 there are no pairs and sigma = 0.  Requires
+    mean-zero q (raises otherwise); div* sigma = q then holds to the
+    tolerance of the solve that produced q.  A pair's report has 0
+    iterations and the measured residual; it is no CG solve, so it is not
+    added to the active report collector.
     """
     box = q.box
     means = q.values.mean(axis=0)
@@ -164,21 +157,17 @@ def solve_flux_corrector(q: VectorField, cfg: SolverConfig = SolverConfig()
     d = box.d
     sigma = np.zeros((box.n_sites, d, d))
     reports: list[SolveReport] = []
-    if d == 1:
-        return SkewField(box, sigma), reports
-    precond = (_spectral_inverse(box, 0.0, 1.0)
-               if cfg.preconditioner == "spectral" else None)
-    op = laplacian_op(box)
+    poisson = inverse(box, 0.0)
     for j in range(d):
         for k in range(j + 1, d):
-            gj = q.grid(j)
-            gk = q.grid(k)
-            rhs = (np.roll(gj, -1, axis=k) - gj) - (np.roll(gk, -1, axis=j) - gk)
-            s, rep = _checked(
-                cg_solve(op, ScalarField.from_grid(box, rhs), cfg,
-                         singular=True, precond=precond),
-                f"flux corrector ({j},{k})",
-            )
+            rhs = _grad_arr(q.grid(j), k) - _grad_arr(q.grid(k), j)
+            s = poisson(rhs)
+            _fix_gauge(s, cfg)
+            residual = rhs - _div_star_arr([_grad_arr(s, i) for i in range(d)])
+            bnorm = float(np.linalg.norm(rhs))
+            rel = float(np.linalg.norm(residual)) / bnorm if bnorm else 0.0
+            s, rep = _checked((ScalarField.from_grid(box, s), SolveReport(0, rel, rel <= cfg.tol)),
+                              f"flux corrector ({j},{k})")
             reports.append(rep)
             sigma[:, j, k] = s.values
             sigma[:, k, j] = -s.values

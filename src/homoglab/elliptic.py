@@ -10,9 +10,10 @@ singular problems are solved on the mean-zero subspace (the right-hand
 side's mean is subtracted and reported).  Strictly positive operators
 (massive term ``shift > 0``) need no projection.
 
-An optional constant-coefficient spectral preconditioner (FFT inverse of
-``shift + mean(a) * div* grad``) is available; it changes iteration counts,
-never results beyond the residual tolerance.
+Everything on the Fourier side comes from ``spectral``: the optional
+preconditioner (``spectral.inverse`` of ``shift + mean(a) * div* grad``),
+which changes iteration counts, never results beyond the residual
+tolerance, and the heat kernel (``spectral.smooth`` of a Dirac).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .lattice import (
     div_star,
     neighbours,
 )
+from .spectral import inverse, smooth, symbol
 
 __all__ = [
     "SolverConfig",
@@ -44,7 +46,6 @@ __all__ = [
     "green",
     "heat_kernel",
     "heat_kernel_diagonal",
-    "laplacian_symbol",
     "elliptic_matrix",
 ]
 
@@ -148,38 +149,6 @@ def collecting_reports():
         _active_collector = previous
 
 
-def laplacian_symbol(box: BoxSpec) -> np.ndarray:
-    """Eigenvalues of div* grad on the FFT grid: sum_i 4 sin^2(pi k_i / L)."""
-    L = box.L
-    k = np.arange(L)
-    one_d = 4.0 * np.sin(np.pi * k / L) ** 2
-    sym = np.zeros(box.shape)
-    for axis in range(box.d):
-        shape = [1] * box.d
-        shape[axis] = L
-        sym = sym + one_d.reshape(shape)
-    return sym
-
-
-def _spectral_inverse(box: BoxSpec, shift: float, scale: float):
-    """Apply (shift + scale * div* grad)^-1 via FFT; zero mode dropped when shift=0."""
-    sym = shift + scale * laplacian_symbol(box)
-    zero = (0,) * box.d
-    singular = shift == 0.0
-    if singular:
-        sym = sym.copy()
-        sym[zero] = 1.0
-
-    def apply(r: np.ndarray) -> np.ndarray:
-        rh = np.fft.fftn(r)
-        rh /= sym
-        if singular:
-            rh[zero] = 0.0
-        return np.fft.ifftn(rh).real
-
-    return apply
-
-
 def cg_solve(operator, rhs: ScalarField, cfg: SolverConfig = SolverConfig(),
              *, singular: bool = True, precond=None) -> tuple[ScalarField, SolveReport]:
     """Conjugate gradient for an SPD lattice operator.
@@ -234,20 +203,25 @@ def cg_solve(operator, rhs: ScalarField, cfg: SolverConfig = SolverConfig(),
     rel = float(np.linalg.norm(b - operator(x))) / bnorm
     converged = rel <= cfg.tol
     if singular:
-        x -= x.mean()
-        if cfg.anchor == "site-zero":
-            x -= x.ravel(order="F")[0]
+        _fix_gauge(x, cfg)
     rep = SolveReport(it, rel, converged, removed)
     if _active_collector is not None:
         _active_collector.add(rep)
     return ScalarField.from_grid(box, x), rep
 
 
+def _fix_gauge(x: np.ndarray, cfg: SolverConfig) -> None:
+    """Pick the representative of a solution defined up to a constant, in place."""
+    x -= x.mean()
+    if cfg.anchor == "site-zero":
+        x -= x.ravel(order="F")[0]
+
+
 def _checked(result: tuple[ScalarField, SolveReport], what: str) -> tuple[ScalarField, SolveReport]:
     u, rep = result
     if not rep.converged:
         raise SolverError(
-            f"{what}: CG did not converge in {rep.iterations} iterations "
+            f"{what}: not converged after {rep.iterations} iterations "
             f"(residual {rep.final_relative_residual:.3e})",
             rep,
         )
@@ -266,22 +240,10 @@ def _elliptic_op(a: CoefficientField, shift: float = 0.0):
     return op
 
 
-def laplacian_op(box: BoxSpec):
-    """Matrix-free div* grad on grid arrays."""
-
-    def op(u: np.ndarray) -> np.ndarray:
-        out = 2 * box.d * u
-        for axis in range(box.d):
-            out -= np.roll(u, -1, axis=axis) + np.roll(u, 1, axis=axis)
-        return out
-
-    return op
-
-
 def _precond_for(a: CoefficientField, shift: float, cfg: SolverConfig):
     if cfg.preconditioner != "spectral":
         return None
-    return _spectral_inverse(a.box, shift, float(a.diag.mean()))
+    return inverse(a.box, shift, float(a.diag.mean()) * np.eye(a.box.d))
 
 
 def solve_elliptic(a: CoefficientField, rhs: ScalarField,
@@ -349,15 +311,14 @@ def heat_kernel(t: float, box: BoxSpec) -> ScalarField:
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    ph = np.exp(-t * laplacian_symbol(box))
-    p = np.fft.ifftn(ph).real
+    p = smooth(ScalarField.delta(box).grid(), t)
     np.clip(p, 0.0, None, out=p)  # wrap sum of nonnegatives; clip FFT rounding dust
     return ScalarField.from_grid(box, p)
 
 
 def heat_kernel_diagonal(t: float, box: BoxSpec) -> float:
     """p(t, 0) without materializing the full kernel."""
-    return float(np.mean(np.exp(-t * laplacian_symbol(box))))
+    return float(np.mean(np.exp(-t * symbol(box))))
 
 
 def elliptic_matrix(a: CoefficientField) -> np.ndarray:

@@ -26,6 +26,7 @@ from .lattice import (
     BoxSpec,
     CoefficientField,
     ScalarField,
+    div_star,
     grad,
     neighbours,
     torus_radii,
@@ -36,10 +37,9 @@ from .elliptic import (
     elliptic_matrix,
     green,
     heat_kernel,
-    laplacian_symbol,
     solve_elliptic,
-    laplacian_op,
 )
+from .spectral import smooth
 from .correctors import solve_corrector
 
 __all__ = [
@@ -546,6 +546,9 @@ def green_decay(spec: EnsembleSpec, box: BoxSpec, n: int,
     if radii is None:
         radii = [r for r in (2, 3, 4, 5, 6, 8, 12, 16) if r <= box.L // 8]
     radii = np.asarray(sorted(radii), dtype=np.int64)
+    if radii.size == 0:
+        raise ValueError(f"no radii: the default radii r <= L/8 need L >= 16, got "
+                         f"L={box.L}; give them with --radii")
     if radii[-1] > box.L // 4:
         raise ValueError("radii must stay within the periodization window L/4")
     shells = _shell_masks(box, radii)
@@ -609,13 +612,11 @@ def meyers_ratio(a: CoefficientField, h: ScalarField, q: float = 1.1,
         raise ValueError("q must lie in [1, 1.25]")
     if alpha_w < 0:
         raise ValueError("alpha_w must be >= 0")
-    box = a.box
-    lap = laplacian_op(box)
-    rhs = ScalarField.from_grid(box, lap(h.grid()))
-    v, _ = solve_elliptic(a, rhs, cfg)
-    w = (torus_radii(box) + 1.0) ** alpha_w
+    grad_h = grad(h)
+    v, _ = solve_elliptic(a, div_star(grad_h), cfg)
+    w = (torus_radii(a.box) + 1.0) ** alpha_w
     gv = np.sum(grad(v).values**2, axis=1)
-    gh = np.sum(grad(h).values**2, axis=1)
+    gh = np.sum(grad_h.values**2, axis=1)
     num = float(np.sum(gv**q * w))
     den = float(np.sum(gh**q * w))
     if den == 0:
@@ -644,9 +645,7 @@ class MeyersProbeReport:
 def smooth_random_field(box: BoxSpec, rng: np.random.Generator,
                         smoothing_time: float = 2.0) -> ScalarField:
     """Mean-zero heat-smoothed white noise; the stock right-hand side h."""
-    noise = rng.normal(size=box.shape)
-    ph = np.exp(-smoothing_time * laplacian_symbol(box))
-    out = np.fft.ifftn(np.fft.fftn(noise) * ph).real
+    out = smooth(rng.normal(size=box.shape), smoothing_time)
     out -= out.mean()
     return ScalarField.from_grid(box, out)
 

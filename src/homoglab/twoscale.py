@@ -33,6 +33,7 @@ from .correctors import CorrectorSet, corrector_set
 from .elliptic import SolverConfig, solve_shifted
 from .ensembles import EnsembleSpec, SampleId, sample
 from .lattice import BoxSpec, CoefficientField, ScalarField, grad
+from .spectral import inverse
 
 __all__ = [
     "TwoScaleReport",
@@ -64,31 +65,6 @@ class TwoScaleReport:
         }
 
 
-def constant_symbol(A: np.ndarray, box: BoxSpec) -> np.ndarray:
-    """Fourier symbol of div*(A grad .) for a constant symmetric matrix A.
-
-    With m_i(k) = exp(2 pi i k_i / L) - 1 the symbol is conj(m)^T A m,
-    which is real for symmetric A and >= lam_min(A) |m|^2.
-    """
-    L, d = box.L, box.d
-    A = np.asarray(A, dtype=np.float64)
-    k = np.arange(L)
-    m1 = np.exp(2j * np.pi * k / L) - 1.0
-    ms = []
-    for axis in range(d):
-        shape = [1] * d
-        shape[axis] = L
-        ms.append(m1.reshape(shape))
-    sym = np.zeros((L,) * d, dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            if A[i, j] != 0.0:
-                sym = sym + A[i, j] * np.conj(ms[i]) * ms[j]
-    out = sym.real
-    out[out < 0] = 0.0  # rounding dust on the nonnegative symbol
-    return out
-
-
 def solve_homogenized(A: np.ndarray, alpha: float, f: ScalarField) -> ScalarField:
     """alpha u_0 + div*(A grad u_0) = f, solved exactly in Fourier space.
 
@@ -101,11 +77,7 @@ def solve_homogenized(A: np.ndarray, alpha: float, f: ScalarField) -> ScalarFiel
     A = 0.5 * (A + A.T)
     if np.any(np.linalg.eigvalsh(A) <= 0):
         raise ValueError("homogenized matrix must be positive definite")
-    box = f.box
-    sym = alpha + constant_symbol(A, box)
-    fh = np.fft.fftn(f.grid())
-    u = np.fft.ifftn(fh / sym).real
-    return ScalarField.from_grid(box, u)
+    return ScalarField.from_grid(f.box, inverse(f.box, alpha, A)(f.grid()))
 
 
 def remainder(u: ScalarField, u0: ScalarField, phis: list[ScalarField]) -> ScalarField:

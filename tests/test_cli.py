@@ -111,6 +111,15 @@ class TestDispatchAndErrors:
         assert code == EXIT_SOLVER_FAILURE
         assert not os.path.exists(out)
 
+    def test_green_box_too_small_for_default_radii_exits_3(self, ensemble_file, tmp_path,
+                                                              capsys):
+        out = str(tmp_path / "green.json")
+        code = main(["green", "--ensemble", ensemble_file, "--L", "8", "--samples", "2",
+                     "--out", out])
+        assert code == EXIT_CONFIG_ERROR
+        assert "--radii" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["ens.json"]
+
     @pytest.mark.parametrize("argv", [
         ["growth", "--p", "notanint"],
         ["growth", "--no-such-flag", "1"],
@@ -273,6 +282,24 @@ class TestExperimentTable:
         args = build_parser().parse_args([experiment, "--config", str(path),
                                           "--ensemble", ensemble_file, "--L", "8"])
         assert config_from_args(args).params == params
+
+    @pytest.mark.parametrize("flags,box", [
+        (["--L", "6"], {"d": 3, "L": 6}),
+        (["--d", "2"], {"d": 2, "L": 4}),
+        ([], {"d": 3, "L": 4}),
+    ])
+    def test_box_flags_override_only_what_they_name(self, flags, box, ensemble_file,
+                                                    tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "sg", "params": {},
+                                    "box": {"d": 3, "L": 4}}))
+        args = build_parser().parse_args(["sg", "--config", str(path),
+                                          "--ensemble", ensemble_file, *flags])
+        assert config_from_args(args).box.to_json() == box
+
+    def test_d_defaults_to_2_without_a_config_box(self, ensemble_file):
+        args = build_parser().parse_args(["sg", "--ensemble", ensemble_file, "--L", "6"])
+        assert config_from_args(args).box.to_json() == {"d": 2, "L": 6}
 
     def test_given_flag_overrides_config_param(self, ensemble_file, tmp_path):
         path = tmp_path / "cfg.json"

@@ -157,10 +157,9 @@ class TestFluxCorrector:
         q = flux(a, phi, xi)
         sigma, _ = solve_flux_corrector(q, SolverConfig(tol=1e-12))
 
-        from homoglab.elliptic import laplacian_op
-        from homoglab.lattice import ScalarField as SF
+        from homoglab.lattice import apply_constant
 
-        lap = operator_matrix(lambda u: SF.from_grid(box, laplacian_op(box)(u.grid())), box)
+        lap = operator_matrix(lambda u: apply_constant(np.eye(2), u), box)
         g1 = q.grid(0)
         g2 = q.grid(1)
         rhs = ((np.roll(g1, -1, axis=1) - g1) - (np.roll(g2, -1, axis=0) - g2)).ravel(order="F")
