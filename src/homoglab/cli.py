@@ -103,17 +103,16 @@ def _sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    return str(v)
+def _column_text(column):
+    values = np.asarray(column)
+    fmt = "{:.17g}".format if values.dtype.kind == "f" else str
+    return map(fmt, values.tolist())
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _csv_text(header: list[str], columns: list) -> str:
+    """CSV of equal-length columns: floats in 17 significant digits, else str."""
+    rows = zip(*map(_column_text, columns))
+    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
 
 def _json_text(obj) -> str:
@@ -252,7 +251,7 @@ def _run_oned(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, str]:
         k = int(np.argmin(np.abs(sup.eps - eps)))
         rows.append([eps, sup.sup_errors[k], ts.error, ts.bound_statement, ts.ratio_statement])
     return {cfg.out: _csv_text(
-        ["eps", "sup_error", "h1_twoscale_error", "bound_rhs", "ratio"], rows)}
+        ["eps", "sup_error", "h1_twoscale_error", "bound_rhs", "ratio"], list(zip(*rows)))}
 
 
 def _run_cell(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, str]:
@@ -272,16 +271,12 @@ def _run_corrector(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, str]:
     a = sample(cfg.ensemble, cfg.box, SampleId(p["sample"]))
     cs = corrector_set(a, p["dir"], cfg.solver)
     box = cs.phi.box
-    coords = box.coordinate_arrays()
+    pairs = [(j, k) for j in range(box.d) for k in range(j + 1, box.d)]
     header = (["site"] + [f"x{k+1}" for k in range(box.d)] + ["phi"]
               + [f"q_{j+1}" for j in range(box.d)]
-              + [f"sigma_{j+1}{k+1}" for j in range(box.d) for k in range(j + 1, box.d)])
-    rows = []
-    for i in range(box.n_sites):
-        row = [i, *coords[i], cs.phi.values[i]]
-        row += list(cs.q.values[i])
-        row += [cs.sigma.values[i, j, k] for j in range(box.d) for k in range(j + 1, box.d)]
-        rows.append(row)
+              + [f"sigma_{j+1}{k+1}" for j, k in pairs])
+    columns = [np.arange(box.n_sites), *box.coordinate_arrays().T, cs.phi.values,
+               *cs.q.values.T, *(cs.sigma.values[:, j, k] for j, k in pairs)]
     meta = {
         "direction": p["dir"],
         "sample": p["sample"],
@@ -289,15 +284,15 @@ def _run_corrector(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, str]:
         "ahom_row": [float(v) for v in cs.ahom_row],
         "solver_reports": [r.to_json() for r in cs.reports],
     }
-    return {cfg.out: _csv_text(header, rows),
+    return {cfg.out: _csv_text(header, columns),
             cfg.out + ".meta.json": _json_text(meta)}
 
 
 def _run_twoscale(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, str]:
     reports = two_scale_experiment(cfg.ensemble, cfg.box, p["alpha"], p["samples"],
                                    cfg=cfg.solver, map_fn=map_fn)
-    rows = [[r.sample, r.lhs, r.rhs_phi, r.rhs_sigma, r.ratio] for r in reports]
-    return {cfg.out: _csv_text(["sample", "lhs", "rhs_phi", "rhs_sigma", "ratio"], rows)}
+    header = ["sample", "lhs", "rhs_phi", "rhs_sigma", "ratio"]
+    return {cfg.out: _csv_text(header, [[getattr(r, k) for r in reports] for k in header])}
 
 
 # Rows call the library through this module's globals at call time, so code

@@ -32,6 +32,7 @@ __all__ = [
     "EnsembleSpec",
     "SampleId",
     "sample",
+    "site_assignments",
     "site_variants",
     "spatial_average_observable",
     "two_point",
@@ -256,6 +257,20 @@ def sample(spec: EnsembleSpec, box: BoxSpec, sid: SampleId) -> CoefficientField:
     return CoefficientField(box, diag, lam=spec.lam)
 
 
+def site_assignments(spec: EnsembleSpec, d: int) -> np.ndarray:
+    """(2**d, d) array of the diagonal values one site can take.
+
+    Rows enumerate the (alpha, beta) combinations in ``itertools.product``
+    order, the order of :func:`site_variants`.  Two-point kinds only.
+    """
+    if not spec.is_two_point:
+        raise EnsembleError(
+            f"site variants require a two-point kind, got {spec.kind!r}"
+        )
+    alpha, beta = float(spec.params["alpha"]), float(spec.params["beta"])
+    return np.array(list(itertools.product((alpha, beta), repeat=d)))
+
+
 def site_variants(spec: EnsembleSpec, a: CoefficientField, site: int) -> list[CoefficientField]:
     """All coefficient fields agreeing with ``a`` off ``site``.
 
@@ -263,14 +278,8 @@ def site_variants(spec: EnsembleSpec, a: CoefficientField, site: int) -> list[Co
     diagonal assignments at the site for the two-point kinds.  Continuous
     laws raise, signalling the caller to fall back to inner Monte Carlo.
     """
-    if not spec.is_two_point:
-        raise EnsembleError(
-            f"site_variants requires a two-point kind, got {spec.kind!r}"
-        )
-    alpha, beta = float(spec.params["alpha"]), float(spec.params["beta"])
-    d = a.box.d
     out = []
-    for combo in itertools.product((alpha, beta), repeat=d):
+    for combo in site_assignments(spec, a.box.d):
         diag = a.diag.copy()
         diag[site] = combo
         out.append(CoefficientField(a.box, diag, lam=a.lam))

@@ -2,6 +2,11 @@
 
 Monte Carlo estimators for the concentration and decay properties of the
 random-coefficient model: spectral-gap ratios at rho = 1 for i.i.d. fields,
+Var f <= sum_x E[(d_x f)^2] with the vertical derivative d_x f of
+Gloria & Otto (Ann. Probab. 39, 2011), evaluated exactly over the site
+variants (for the cell entry of a_hom, resampling one site is a rank-d
+update of the cell matrix, so one Cholesky factorization per sample
+serves every site and variant through Sherman-Morrison-Woodbury),
 corrector moment growth in |x| (logarithmic in d=2, plateau in d>=3),
 heat-semigroup decay of averaged observables, quenched and annealed
 Green's-function decay, a weighted-norm stability probe for the elliptic
@@ -21,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .ensembles import EnsembleSpec, SampleId, sample, site_variants
+from .ensembles import EnsembleSpec, SampleId, sample, site_assignments, site_variants
 from .lattice import (
     BoxSpec,
     CoefficientField,
@@ -177,6 +182,10 @@ class SingleSiteEntry:
     def __call__(self, a: CoefficientField) -> float:
         return float(a.diag[self.site, self.component])
 
+    def variant_values(self, a: CoefficientField, values: np.ndarray) -> np.ndarray:
+        """f at every site variant, (1, V), for the (V, d) site values."""
+        return values[None, :, self.component].copy()
+
 
 class BoxAverageEntry:
     """f(a) = average of a_component over the centered R-sub-box."""
@@ -199,13 +208,19 @@ class BoxAverageEntry:
     def __call__(self, a: CoefficientField) -> float:
         return float(a.diag[self._sites(a.box), self.component].mean())
 
+    def variant_values(self, a: CoefficientField, values: np.ndarray) -> np.ndarray:
+        """f at every site variant, (len(support), V), for the (V, d) site values."""
+        held = a.diag[self._sites(a.box), self.component]
+        return held.mean() + (values[None, :, self.component] - held[:, None]) / held.size
+
 
 class CellAhomEntry:
     """f(a) = entry (row, col) of the periodic cell homogenized matrix.
 
     A genuinely nonlinear functional of the whole box.  Small boxes only:
-    the cell problem is solved directly with a dense Cholesky factorization
-    (site 0 pinned; the extracted entry is gauge independent).
+    the cell problem is solved directly through the dense pinned inverse
+    (site 0 pinned; the extracted entry is gauge independent), which also
+    gives every single-site variant in closed form (:meth:`variant_values`).
     """
 
     name = "ahom-entry"
@@ -217,20 +232,72 @@ class CellAhomEntry:
     def support(self, box: BoxSpec) -> list[int]:
         return list(range(box.n_sites))
 
-    def __call__(self, a: CoefficientField) -> float:
+    def _solve(self, a: CoefficientField):
+        """Pinned inverse G and the edge differences of phi_row, phi_col.
+
+        G inverts the cell matrix div*(a grad .) with site 0 pinned (row and
+        column 0 are zero) from one dense Cholesky factorization.
+        phi_k = G (-div*(a e_k)) is the cell corrector in direction k; the
+        returned tables hold b_{x,i}^T phi_k = phi_k(x+e_i) - phi_k(x), (N, d).
+        """
+        fwd, bwd = neighbours(a.box)
         n = a.box.n_sites
-        nbr, prv = neighbours(a.box)
-        A = elliptic_matrix(a)
-        col = self.col
-        acol = a.diag[:, col]
-        rhs = acol - acol[prv[:, col]]  # -div*(a e_col)
-        phi = np.zeros(n)
-        phi[1:] = scipy.linalg.solve(A[1:, 1:], rhs[1:], assume_a="pos")
+        G = np.zeros((n, n))
+        G[1:, 1:] = scipy.linalg.cho_solve(
+            scipy.linalg.cho_factor(elliptic_matrix(a)[1:, 1:]), np.eye(n - 1))
+
+        def edges(k: int) -> np.ndarray:
+            ak = a.diag[:, k]
+            phi = G @ (ak - ak[bwd[:, k]])  # -div*(a e_k)
+            return phi[fwd] - phi[:, None]
+
+        t_col = edges(self.col)
+        t_row = t_col if self.row == self.col else edges(self.row)
+        return G, t_row, t_col
+
+    def _entry(self, a: CoefficientField, t_col: np.ndarray) -> float:
         arow = a.diag[:, self.row]
-        entry = float(np.mean(arow * (phi[nbr[:, self.row]] - phi)))
+        entry = float(np.mean(arow * t_col[:, self.row]))
         if self.row == self.col:
             entry += float(np.mean(arow))
         return entry
+
+    def __call__(self, a: CoefficientField) -> float:
+        _, _, t_col = self._solve(a)
+        return self._entry(a, t_col)
+
+    def variant_values(self, a: CoefficientField, values: np.ndarray) -> np.ndarray:
+        """f at every site variant, (N, V), for the (V, d) site values.
+
+        Setting the diagonal at site x to ``values[v]`` moves a_i(x) by
+        delta_i and the cell matrix by the rank-d update U D U^T, with
+        U = [b_{x,1} .. b_{x,d}], b_{x,i} = e_{x+e_i} - e_x, D = diag(delta);
+        the right-hand side -div*(a e_col) moves by -delta_col b_{x,col}.
+        Sherman-Morrison-Woodbury on the one pinned inverse G gives
+
+            phi' = G r' - G U (I + D U^T G U)^{-1} D U^T G r',
+
+        and only the projections of phi' on c = sum_x a_row(x) b_{x,row} and
+        on U enter the entry, so each variant costs one d x d solve.
+        """
+        n = a.box.n_sites
+        fwd, _ = neighbours(a.box)
+        row, col = self.row, self.col
+        G, t_row, t_col = self._solve(a)
+        x = np.arange(n)[:, None]
+        M = (G[fwd[:, :, None], fwd[:, None, :]] - G[fwd, x][:, :, None]
+             - G[x, fwd][:, None, :] + G[x, x][:, :, None])  # U^T G U per site
+        delta = values[None, :, :] - a.diag[:, None, :]      # (N, V, d)
+        s = t_col[:, None, :] - delta[..., col, None] * M[:, None, :, col]  # U^T G r'
+        DM = delta[..., :, None] * M[:, None]
+        w = np.linalg.solve(np.eye(a.box.d) + DM, (delta * s)[..., None])[..., 0]
+        u = s - np.einsum("xij,xvj->xvi", M, w)                             # U^T phi'
+        # c^T phi' - c^T G r, with c^T G b_{x,i} = -t_row[x, i] since G c = -phi_row
+        dc = delta[..., col] * t_row[:, None, col] + np.einsum("xi,xvi->xv", t_row, w)
+        out = self._entry(a, t_col) + (dc + delta[..., row] * u[..., row]) / n
+        if row == col:
+            out += delta[..., row] / n
+        return out
 
 
 def default_functional_family(box: BoxSpec) -> list:
@@ -268,34 +335,28 @@ def sg_check(spec: EnsembleSpec, box: BoxSpec, n: int,
              map_fn: Callable = map) -> list[SGReport]:
     """Monte Carlo spectral-gap ratios Var(f) / sum_x E[(d_x f)^2].
 
-    Requires an i.i.d. two-point spec (the vertical derivative is then the
-    exact conditional centering over the site variants).  Violations are
-    report entries, never exceptions.
+    Requires an i.i.d. two-point spec: the vertical derivative
+    d_x f = f - E[f | a off x] (Gloria & Otto, Ann. Probab. 39, 2011) is
+    then the exact centering over the 2**d site variants.  A functional
+    has ``support(box)``, ``__call__(a)`` and ``variant_values(a, values)``,
+    which evaluates it at every (support site, variant) pair at once; for
+    the cell entry, resampling one site is a rank-d update of the cell
+    matrix, so one factorization per sample serves all of them.
+    Violations are report entries, never exceptions.
     """
     if not spec.is_two_point:
         raise ValueError("sg_check requires an iid two-point ensemble")
     if functionals is None:
         functionals = default_functional_family(box)
-    alpha = float(spec.params["alpha"])
-    beta = float(spec.params["beta"])
-    d = box.d
+    values = site_assignments(spec, box.d)
 
     def one(i: int):
         a = sample(spec, box, SampleId(i))
         out = []
         for func in functionals:
             fa = float(func(a))
-            dsum = 0.0
-            for site in func.support(box):
-                current = tuple(a.diag[site])
-                vals = []
-                for variant in site_variants(spec, a, site):
-                    if tuple(variant.diag[site]) == current:
-                        vals.append(fa)
-                    else:
-                        vals.append(float(func(variant)))
-                dsum += (fa - float(np.mean(vals))) ** 2
-            out.append((fa, dsum))
+            derivs = fa - func.variant_values(a, values).mean(axis=1)
+            out.append((fa, float(np.sum(derivs ** 2))))
         return out
 
     per_sample = list(map_fn(one, range(n)))
@@ -585,7 +646,10 @@ def green_decay(spec: EnsembleSpec, box: BoxSpec, n: int,
     annealed_fit = _loglog_fit(radii.astype(np.float64), annealed)
     if d == 3:
         if np.any(quenched <= 0):
-            raise RuntimeError("quenched profile not positive; box too small for radii")
+            raise ValueError(
+                f"quenched Green profile not positive at radii {radii.tolist()} on "
+                f"L={box.L}: the box is too small for these radii; raise --L or "
+                f"lower --radii")
         quenched_fit = _loglog_fit(radii.astype(np.float64), quenched)
         log_ratios = None
     else:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from homoglab.elliptic import SolveReport
 from homoglab.lattice import BoxSpec, CoefficientField, ScalarField
 
 
@@ -22,6 +23,11 @@ def random_coefficients(box: BoxSpec, rng: np.random.Generator,
                         lam: float = 0.2, lo: float = 0.25, hi: float = 0.75) -> CoefficientField:
     diag = rng.uniform(lo, hi, size=(box.n_sites, box.d))
     return CoefficientField(box, diag, lam=lam)
+
+
+def constant_green(a: CoefficientField, y: int = 0, cfg=None):
+    """Stand-in for ``elliptic.green`` whose field, and so its quenched profile, is 0."""
+    return ScalarField(a.box, np.zeros(a.box.n_sites)), SolveReport(0, 0.0, True)
 
 
 @pytest.fixture

@@ -3,6 +3,8 @@ import os
 
 import pytest
 
+import homoglab.quant
+from conftest import constant_green
 from homoglab.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
@@ -118,6 +120,17 @@ class TestDispatchAndErrors:
                      "--out", out])
         assert code == EXIT_CONFIG_ERROR
         assert "--radii" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["ens.json"]
+
+    def test_green_non_positive_profile_exits_3_and_writes_nothing(
+            self, ensemble_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(homoglab.quant, "green", constant_green)
+        out = str(tmp_path / "green.json")
+        code = main(["green", "--ensemble", ensemble_file, "--d", "3", "--L", "16",
+                     "--radii", "2", "3", "--samples", "2", "--out", out])
+        assert code == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "--radii" in err and "--L" in err
         assert os.listdir(tmp_path) == ["ens.json"]
 
     @pytest.mark.parametrize("argv", [

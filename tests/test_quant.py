@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from homoglab import quant
 from homoglab.lattice import BoxSpec, CoefficientField
 from homoglab.elliptic import SolverConfig
 from homoglab.ensembles import EnsembleSpec, SampleId, constant, sample, two_point, uniform
@@ -20,7 +21,7 @@ from homoglab.quant import (
     vertical_derivative,
 )
 
-from conftest import random_coefficients
+from conftest import constant_green, random_coefficients
 
 CFG = SolverConfig(tol=1e-10, preconditioner="spectral")
 SPEC = two_point(alpha=0.25, beta=0.75, master_seed=2026)
@@ -182,6 +183,12 @@ class TestGreenDecay:
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
             green_decay(SPEC, BoxSpec(1, 16), n=2)
+
+    def test_non_positive_quenched_profile_is_a_config_error(self, monkeypatch):
+        monkeypatch.setattr(quant, "green", constant_green)
+        with pytest.raises(ValueError, match="--radii") as exc:
+            green_decay(SPEC, BoxSpec(3, 16), n=2, radii=[2, 3], cfg=CFG)
+        assert "--L" in str(exc.value)
 
 
 class TestMeyers:
