@@ -19,7 +19,7 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -64,12 +64,7 @@ class ExperimentConfig:
             "params": self.params,
             "ensemble": self.ensemble.to_json() if self.ensemble else None,
             "box": self.box.to_json() if self.box else None,
-            "solver": {
-                "tol": self.solver.tol,
-                "max_iter": self.solver.max_iter,
-                "anchor": self.solver.anchor,
-                "preconditioner": self.solver.preconditioner,
-            },
+            "solver": _record(self.solver),
             "out": self.out,
         }
 
@@ -81,18 +76,15 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown experiment {experiment!r}")
             ens = obj.get("ensemble")
             box = obj.get("box")
-            sol = obj.get("solver") or {}
+            solver = dict(obj.get("solver") or {})
+            if "tol" in solver:
+                solver["tol"] = float(solver["tol"])
             return ExperimentConfig(
                 experiment=experiment,
                 params=dict(obj.get("params") or {}),
                 ensemble=EnsembleSpec.from_json(ens) if ens else None,
                 box=BoxSpec.from_json(box) if box else None,
-                solver=SolverConfig(
-                    tol=float(sol.get("tol", 1e-10)),
-                    max_iter=sol.get("max_iter"),
-                    anchor=sol.get("anchor", "mean-zero"),
-                    preconditioner=sol.get("preconditioner", "none"),
-                ),
+                solver=SolverConfig(**solver),
                 out=obj.get("out", "out"),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -115,8 +107,25 @@ def _csv_text(header: list[str], columns: list) -> str:
     return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
 
+def _record(obj) -> dict:
+    """A result dataclass as the dict of its fields; a dict passes through."""
+    if isinstance(obj, dict):
+        return obj
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
+def _json_value(obj):
+    """JSON form of what ``json`` cannot encode: result dataclasses become
+    the dict of their fields, arrays and numpy scalars plain lists and numbers."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return _record(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, default=_json_value) + "\n"
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -226,15 +235,15 @@ class Experiment:
     needs_ensemble: bool = True
 
 
-def _json_out(cfg: ExperimentConfig, body: dict, **extra) -> dict[str, str]:
-    """The JSON envelope: the result, the seed, any extra fields, the config."""
-    return {cfg.out: _json_text({**body, "seed": cfg.ensemble.master_seed, **extra,
-                                 "config": cfg.to_json()})}
+def _json_out(cfg: ExperimentConfig, result, **extra) -> dict[str, str]:
+    """The JSON envelope: the result's fields, the seed, any extra fields, the config."""
+    return {cfg.out: _json_text({**_record(result), "seed": cfg.ensemble.master_seed,
+                                 **extra, "config": cfg.to_json()})}
 
 
 def _statistic(compute: Callable) -> Callable:
     """Runner for a statistics experiment: ``compute(cfg, params, map_fn)``
-    returns the report's JSON, enveloped with seed, box, n and config."""
+    returns the report, enveloped with seed, box, n and config."""
 
     def run_statistic(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, str]:
         return _json_out(cfg, compute(cfg, p, map_fn), box=cfg.box.to_json(), n=p["samples"])
@@ -256,15 +265,15 @@ def _run_oned(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, str]:
 
 def _run_cell(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, str]:
     t = ahom_cell(sample(cfg.ensemble, cfg.box, SampleId(p["sample"])), cfg.solver)
-    return _json_out(cfg, t.to_json(), sample=p["sample"],
-                     properties=verify_ahom_properties(t, lam=cfg.ensemble.lam).to_json())
+    return _json_out(cfg, t, sample=p["sample"],
+                     properties=verify_ahom_properties(t, lam=cfg.ensemble.lam))
 
 
 def _run_ahom(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, str]:
     with collecting_reports() as collector:
         t = ahom_rve(cfg.ensemble, cfg.box, p["samples"], cfg.solver, map_fn=map_fn)
-    return _json_out(cfg, t.to_json(), solver_reports=collector.summary(),
-                     properties=verify_ahom_properties(t, lam=cfg.ensemble.lam).to_json())
+    return _json_out(cfg, t, solver_reports=collector.summary(),
+                     properties=verify_ahom_properties(t, lam=cfg.ensemble.lam))
 
 
 def _run_corrector(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, str]:
@@ -281,8 +290,8 @@ def _run_corrector(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, str]:
         "direction": p["dir"],
         "sample": p["sample"],
         "seed": cfg.ensemble.master_seed,
-        "ahom_row": [float(v) for v in cs.ahom_row],
-        "solver_reports": [r.to_json() for r in cs.reports],
+        "ahom_row": cs.ahom_row,
+        "solver_reports": cs.reports,
     }
     return {cfg.out: _csv_text(header, columns),
             cfg.out + ".meta.json": _json_text(meta)}
@@ -310,33 +319,32 @@ EXPERIMENTS: dict[str, Experiment] = {
     "growth": Experiment(
         _statistic(lambda cfg, p, map_fn: corrector_growth(
             cfg.ensemble, cfg.box, p["radii"], p=p["p"], n=p["samples"],
-            cfg=cfg.solver, map_fn=map_fn).to_json()),
+            cfg=cfg.solver, map_fn=map_fn)),
         {"samples": Param(int, 100), "radii": Param(int, [4, 8, 16, 32], "+"),
          "p": Param(int, 1)}),
     "sg": Experiment(
-        _statistic(lambda cfg, p, map_fn: {"reports": [
-            r.to_json() for r in sg_check(cfg.ensemble, cfg.box, p["samples"],
-                                          map_fn=map_fn)]}),
+        _statistic(lambda cfg, p, map_fn: {"reports": sg_check(
+            cfg.ensemble, cfg.box, p["samples"], map_fn=map_fn)}),
         {"samples": Param(int, 500)}),
     "semigroup": Experiment(
         _statistic(lambda cfg, p, map_fn: semigroup_decay(
             cfg.ensemble, cfg.box, p["t_grid"], n=p["samples"],
-            map_fn=map_fn).to_json()),
+            map_fn=map_fn)),
         {"samples": Param(int, 500), "t_grid": Param(float, [1, 4, 16, 64], "+")}),
     "green": Experiment(
         _statistic(lambda cfg, p, map_fn: green_decay(
             cfg.ensemble, cfg.box, p["samples"], radii=p["radii"] or None,
-            cfg=cfg.solver, map_fn=map_fn).to_json()),
+            cfg=cfg.solver, map_fn=map_fn)),
         {"samples": Param(int, 20), "radii": Param(int, None, "+")}),
     "meyers": Experiment(
         _statistic(lambda cfg, p, map_fn: meyers_probe(
             cfg.ensemble, cfg.box, n=p["samples"], q=p["q"], alpha_w=p["alpha_w"],
-            cfg=cfg.solver, map_fn=map_fn).to_json()),
+            cfg=cfg.solver, map_fn=map_fn)),
         {"samples": Param(int, 50), "q": Param(float, 1.1), "alpha_w": Param(float, 0.1)}),
     "birkhoff": Experiment(
         _statistic(lambda cfg, p, map_fn: birkhoff_rate(
             cfg.ensemble, cfg.box, p["R_list"], n=p["samples"],
-            map_fn=map_fn).to_json()),
+            map_fn=map_fn)),
         {"samples": Param(int, 200), "R_list": Param(int, [4, 8, 16, 32], "+")}),
 }
 
@@ -456,14 +464,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_threads(p: argparse.ArgumentParser, default: str) -> None:
+    # argparse converts a string default with ``type`` when the flag is absent,
+    # so a bad HOMOGLAB_THREADS is a usage error like a bad --threads value
+    p.add_argument("--threads", type=int, default=default,
+                   help="worker threads, at least 1 (default: $HOMOGLAB_THREADS, else 1)")
+
+
+def _add_common(p: argparse.ArgumentParser, threads: str) -> None:
     p.add_argument("--config", help="full experiment config JSON (given flags override)")
     p.add_argument("--ensemble", help="ensemble spec JSON file")
     p.add_argument("--L", type=int, help="box side length")
     p.add_argument("--d", type=int, help="box dimension (default: the config's, else 2)")
     p.add_argument("--seed", type=int, help="override the ensemble master seed")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("HOMOGLAB_THREADS", "1")))
+    _add_threads(p, threads)
     p.add_argument("--tol", type=float, help="CG relative residual target")
     p.add_argument("--max-iter", type=int, dest="max_iter")
     p.add_argument("--precond", choices=["none", "spectral"],
@@ -480,15 +494,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=f"homoglab {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
+    threads = os.environ.get("HOMOGLAB_THREADS", "1")
     for name, exp in EXPERIMENTS.items():
         p = sub.add_parser(name)
-        _add_common(p)
+        _add_common(p, threads)
         for key, param in exp.params.items():
             p.add_argument("--" + key.replace("_", "-"), type=param.type, nargs=param.nargs)
     rp = sub.add_parser("replay")
     rp.add_argument("manifest", help="manifest JSON produced by a previous run")
-    rp.add_argument("--threads", type=int,
-                    default=int(os.environ.get("HOMOGLAB_THREADS", "1")))
+    _add_threads(rp, threads)
     return ap
 
 
@@ -512,13 +526,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     L = args.L if args.L is not None else (cfg.box.L if cfg.box else None)
     if L is not None:
         cfg.box = BoxSpec(d=d, L=L)
-    solver_kwargs = {
-        "tol": args.tol if args.tol is not None else cfg.solver.tol,
-        "max_iter": args.max_iter if args.max_iter is not None else cfg.solver.max_iter,
-        "anchor": cfg.solver.anchor,
-        "preconditioner": args.precond if args.precond else cfg.solver.preconditioner,
-    }
-    cfg.solver = SolverConfig(**solver_kwargs)
+    flags = {"tol": args.tol, "max_iter": args.max_iter, "preconditioner": args.precond}
+    cfg.solver = replace(cfg.solver, **{k: v for k, v in flags.items() if v is not None})
     for key in EXPERIMENTS[args.command].params:
         if getattr(args, key) is not None:
             cfg.params[key] = getattr(args, key)
@@ -535,7 +544,10 @@ plot '{csv}' using 1:2 with linespoints
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"--threads (or HOMOGLAB_THREADS) must be at least 1, got {args.threads}")
     if args.command == "replay":
         try:
             ok, report = replay(args.manifest, threads=args.threads)

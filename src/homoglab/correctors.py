@@ -85,13 +85,6 @@ class HomogenizedTensor:
     stderr: np.ndarray          # (d, d); zero for deterministic cell problems
     n_samples: int
 
-    def to_json(self) -> dict:
-        return {
-            "matrix": self.matrix.tolist(),
-            "stderr": self.stderr.tolist(),
-            "n_samples": self.n_samples,
-        }
-
 
 def _energy_checks(a: CoefficientField, phi: ScalarField, xi: np.ndarray) -> None:
     g = grad(phi).values
@@ -284,15 +277,6 @@ class AhomPropertyReport:
     @property
     def all_pass(self) -> bool:
         return self.ellipticity_pass and self.symmetry_pass
-
-    def to_json(self) -> dict:
-        return {
-            "ellipticity_pass": self.ellipticity_pass,
-            "min_quadratic_form": self.min_quadratic_form,
-            "symmetry_pass": self.symmetry_pass,
-            "symmetry_gap": self.symmetry_gap,
-            "symmetry_tolerance": self.symmetry_tolerance,
-        }
 
 
 def verify_ahom_properties(A: HomogenizedTensor, lam: float,

@@ -84,14 +84,6 @@ class SolveReport:
     converged: bool
     rhs_mean_subtracted: float = 0.0
 
-    def to_json(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "final_relative_residual": self.final_relative_residual,
-            "converged": self.converged,
-            "rhs_mean_subtracted": self.rhs_mean_subtracted,
-        }
-
 
 class ReportCollector:
     """Thread-safe aggregation of solve reports for run manifests.

@@ -104,10 +104,6 @@ class EnsembleSpec:
     def is_two_point(self) -> bool:
         return self.kind == "iid-two-point"
 
-    @property
-    def is_iid(self) -> bool:
-        return self.kind in ("iid-two-point", "iid-uniform")
-
     def marginal_mean(self) -> float:
         """Expectation of a single diagonal entry, where it is known in closed form."""
         p = self.params

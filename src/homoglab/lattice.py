@@ -253,22 +253,6 @@ def shift(u: ScalarField, offset) -> ScalarField:
     return ScalarField.from_grid(u.box, g)
 
 
-def grad(u: ScalarField) -> VectorField:
-    """Forward difference gradient, (grad u)_i(x) = u(x+e_i) - u(x)."""
-    g = u.grid()
-    comps = [np.roll(g, -1, axis=i) - g for i in range(u.box.d)]
-    return VectorField(u.box, np.stack([c.ravel(order="F") for c in comps], axis=1))
-
-
-def div_star(F: VectorField) -> ScalarField:
-    """Adjoint divergence, (div* F)(x) = sum_i F_i(x-e_i) - F_i(x)."""
-    out = np.zeros(F.box.shape)
-    for i in range(F.box.d):
-        g = F.grid(i)
-        out += np.roll(g, 1, axis=i) - g
-    return ScalarField.from_grid(F.box, out)
-
-
 def _grad_arr(g: np.ndarray, axis: int) -> np.ndarray:
     return np.roll(g, -1, axis=axis) - g
 
@@ -278,6 +262,18 @@ def _div_star_arr(comps: list[np.ndarray]) -> np.ndarray:
     for i, g in enumerate(comps):
         out += np.roll(g, 1, axis=i) - g
     return out
+
+
+def grad(u: ScalarField) -> VectorField:
+    """Forward difference gradient, (grad u)_i(x) = u(x+e_i) - u(x)."""
+    g = u.grid()
+    comps = [_grad_arr(g, i).ravel(order="F") for i in range(u.box.d)]
+    return VectorField(u.box, np.stack(comps, axis=1))
+
+
+def div_star(F: VectorField) -> ScalarField:
+    """Adjoint divergence, (div* F)(x) = sum_i F_i(x-e_i) - F_i(x)."""
+    return ScalarField.from_grid(F.box, _div_star_arr([F.grid(i) for i in range(F.box.d)]))
 
 
 def apply_elliptic_grid(diag_grids: list[np.ndarray], u_grid: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ are calibrated to the default sample counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,6 +31,7 @@ from .lattice import (
     BoxSpec,
     CoefficientField,
     ScalarField,
+    _grad_arr,
     div_star,
     grad,
     neighbours,
@@ -75,9 +76,6 @@ class MomentEstimate:
     p: int
     n: int
 
-    def to_json(self) -> dict:
-        return {"value": self.value, "stderr": self.stderr, "p": self.p, "n": self.n}
-
 
 @dataclass(frozen=True)
 class DecayFit:
@@ -89,29 +87,6 @@ class DecayFit:
     intercept: float
     r_squared: float
 
-    def to_json(self) -> dict:
-        return {
-            "abscissae": self.abscissae.tolist(),
-            "values": self.values.tolist(),
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-        }
-
-
-def _loglog_fit(xs: np.ndarray, ys: np.ndarray) -> DecayFit:
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    if np.any(ys <= 0):  # nothing to rate-fit (e.g. deterministic ensembles)
-        return DecayFit(xs, ys, float("nan"), float("nan"), float("nan"))
-    lx, ly = np.log(xs), np.log(ys)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    pred = slope * lx + intercept
-    ss_res = float(np.sum((ly - pred) ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return DecayFit(xs, ys, float(slope), float(intercept), r2)
-
 
 def _linear_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
     slope, intercept = np.polyfit(xs, ys, 1)
@@ -120,6 +95,14 @@ def _linear_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
     ss_tot = float(np.sum((ys - ys.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return float(slope), float(intercept), r2
+
+
+def _loglog_fit(xs: np.ndarray, ys: np.ndarray) -> DecayFit:
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    if np.any(ys <= 0):  # nothing to rate-fit (e.g. deterministic ensembles)
+        return DecayFit(xs, ys, float("nan"), float("nan"), float("nan"))
+    return DecayFit(xs, ys, *_linear_fit(np.log(xs), np.log(ys)))
 
 
 # ---------------------------------------------------------------------------
@@ -313,21 +296,10 @@ class SGReport:
     ratio: float
     ratio_stderr: float
     rho_assumed: float = 1.0
+    within_gap: bool = field(init=False)
 
-    @property
-    def within_gap(self) -> bool:
-        return self.ratio <= 1.0 + 3.0 * self.ratio_stderr
-
-    def to_json(self) -> dict:
-        return {
-            "functional": self.functional,
-            "variance": self.variance.to_json(),
-            "derivative_sum": self.derivative_sum.to_json(),
-            "ratio": self.ratio,
-            "ratio_stderr": self.ratio_stderr,
-            "rho_assumed": self.rho_assumed,
-            "within_gap": self.within_gap,
-        }
+    def __post_init__(self):
+        object.__setattr__(self, "within_gap", self.ratio <= 1.0 + 3.0 * self.ratio_stderr)
 
 
 def sg_check(spec: EnsembleSpec, box: BoxSpec, n: int,
@@ -409,16 +381,6 @@ class GrowthFit:
         sq = self.squared_moments
         return float(sq.max() / sq.min())
 
-    def to_json(self) -> dict:
-        return {
-            "radii": self.radii.tolist(),
-            "moments": [m.to_json() for m in self.moments],
-            "model": self.model,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "residual": self.residual,
-        }
-
 
 def corrector_growth(spec: EnsembleSpec, box: BoxSpec, radii: Sequence[int],
                      p: int = 1, n: int = 100,
@@ -491,16 +453,6 @@ class SemigroupDecayReport:
     variance_zeta: float
     contraction_ok: bool  # Var(P(t) zeta) <= Var(zeta) on every t
 
-    def to_json(self) -> dict:
-        return {
-            "t_grid": self.t_grid.tolist(),
-            "second_moments": self.second_moments.tolist(),
-            "stderrs": self.stderrs.tolist(),
-            "fit": self.fit.to_json(),
-            "variance_zeta": self.variance_zeta,
-            "contraction_ok": self.contraction_ok,
-        }
-
 
 def semigroup_decay(spec: EnsembleSpec, box: BoxSpec, t_grid: Sequence[float],
                     n: int = 1000, component: int = 0,
@@ -571,19 +523,6 @@ class GreenDecayReport:
     annealed_profile: np.ndarray      # E[|grad grad G|^2]^{1/2} per shell
     annealed_fit: DecayFit
 
-    def to_json(self) -> dict:
-        return {
-            "radii": self.radii.tolist(),
-            "quenched_profile": self.quenched_profile.tolist(),
-            "quenched_fit": self.quenched_fit.to_json() if self.quenched_fit else None,
-            "quenched_log_ratios": (
-                self.quenched_log_ratios.tolist()
-                if self.quenched_log_ratios is not None else None
-            ),
-            "annealed_profile": self.annealed_profile.tolist(),
-            "annealed_fit": self.annealed_fit.to_json(),
-        }
-
 
 def green_decay(spec: EnsembleSpec, box: BoxSpec, n: int,
                 radii: Sequence[int] | None = None,
@@ -630,7 +569,7 @@ def green_decay(spec: EnsembleSpec, box: BoxSpec, n: int,
             Gj, _ = green(a, source_sites[1 + j], cfg)
             dj = (Gj.values - g0).reshape(box.shape, order="F")
             for axis in range(d):
-                gij = np.roll(dj, -1, axis=axis) - dj
+                gij = _grad_arr(dj, axis)
                 hess_sq += gij.ravel(order="F") ** 2
         ann = np.array([float(hess_sq[s].mean()) for s in shells])
         return quenched, center, ann
@@ -696,15 +635,6 @@ class MeyersProbeReport:
     median: float
     blowup_flag: bool   # any ratio exceeding 10x the median
 
-    def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "alpha_w": self.alpha_w,
-            "ratios": self.ratios.tolist(),
-            "median": self.median,
-            "blowup_flag": self.blowup_flag,
-        }
-
 
 def smooth_random_field(box: BoxSpec, rng: np.random.Generator,
                         smoothing_time: float = 2.0) -> ScalarField:
@@ -743,13 +673,6 @@ class BirkhoffReport:
     R_values: np.ndarray
     rms: np.ndarray
     fit: DecayFit
-
-    def to_json(self) -> dict:
-        return {
-            "R_values": self.R_values.tolist(),
-            "rms": self.rms.tolist(),
-            "fit": self.fit.to_json(),
-        }
 
 
 def birkhoff_rate(spec: EnsembleSpec, box: BoxSpec, R_list: Sequence[int],

@@ -32,7 +32,7 @@ import numpy as np
 from .correctors import CorrectorSet, corrector_set
 from .elliptic import SolverConfig, solve_shifted
 from .ensembles import EnsembleSpec, SampleId, sample
-from .lattice import BoxSpec, CoefficientField, ScalarField, grad
+from .lattice import BoxSpec, CoefficientField, ScalarField, _grad_arr, grad
 from .spectral import inverse
 
 __all__ = [
@@ -54,15 +54,6 @@ class TwoScaleReport:
     rhs_phi: float    # alpha sum |phi|^2 |grad u_0|^2
     rhs_sigma: float  # sum (|sigma|^2 + |a|^2 |phi|^2) |grad grad u_0|^2
     ratio: float
-
-    def to_row(self) -> dict:
-        return {
-            "sample": self.sample,
-            "lhs": self.lhs,
-            "rhs_phi": self.rhs_phi,
-            "rhs_sigma": self.rhs_sigma,
-            "ratio": self.ratio,
-        }
 
 
 def solve_homogenized(A: np.ndarray, alpha: float, f: ScalarField) -> ScalarField:
@@ -98,9 +89,9 @@ def hessian_squared(u0: ScalarField) -> np.ndarray:
     g = u0.grid()
     out = np.zeros(box.n_sites)
     for j in range(box.d):
-        gj = np.roll(g, -1, axis=j) - g
+        gj = _grad_arr(g, j)
         for i in range(box.d):
-            gij = np.roll(gj, -1, axis=i) - gj
+            gij = _grad_arr(gj, i)
             out += gij.ravel(order="F") ** 2
     return out
 

@@ -11,11 +11,13 @@ from homoglab.cli import (
     EXIT_REPLAY_MISMATCH,
     EXIT_SOLVER_FAILURE,
     ExperimentConfig,
+    _json_text,
     build_parser,
     config_from_args,
     main,
     replay,
 )
+from homoglab.elliptic import SolverConfig
 
 
 @pytest.fixture
@@ -334,3 +336,139 @@ class TestExperimentTable:
                      "--L", "16", "--out", out])
         assert code == EXIT_CONFIG_ERROR
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("flags,solver", [
+        ([], SolverConfig(1e-8, 500, "site-zero", "none")),
+        (["--precond", "spectral"], SolverConfig(1e-8, 500, "site-zero", "spectral")),
+        (["--tol", "1e-6", "--max-iter", "9"], SolverConfig(1e-6, 9, "site-zero", "none")),
+    ])
+    def test_solver_flags_override_only_what_they_name(self, flags, solver, ensemble_file,
+                                                       tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "experiment": "ahom", "params": {},
+            "solver": {"tol": "1e-8", "max_iter": 500, "anchor": "site-zero"}}))
+        args = build_parser().parse_args(["ahom", "--config", str(path),
+                                          "--ensemble", ensemble_file, "--L", "4", *flags])
+        assert config_from_args(args).solver == solver
+
+    def test_unknown_solver_key_is_config_error(self, ensemble_file, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "ahom", "params": {},
+                                    "solver": {"tol": 1e-8, "precondtioner": "spectral"}}))
+        out = str(tmp_path / "ahom.json")
+        code = main(["ahom", "--config", str(path), "--ensemble", ensemble_file,
+                     "--L", "4", "--out", out])
+        assert code == EXIT_CONFIG_ERROR
+        assert not os.path.exists(out)
+
+
+class TestThreadSettings:
+    @pytest.mark.parametrize("env,flags", [
+        ("two", []), ("", []), ("0", []), ("1", ["--threads", "0"]), ("2", ["--threads", "-1"]),
+    ])
+    def test_bad_thread_count_exits_3_and_writes_nothing(self, env, flags, ensemble_file,
+                                                         tmp_path, monkeypatch):
+        monkeypatch.setenv("HOMOGLAB_THREADS", env)
+        with pytest.raises(SystemExit) as exc:
+            main(["sg", "--ensemble", ensemble_file, "--L", "3", "--samples", "2",
+                  *flags, "--out", str(tmp_path / "sg.json")])
+        assert exc.value.code == EXIT_CONFIG_ERROR
+        assert os.listdir(tmp_path) == ["ens.json"]
+
+    def test_replay_rejects_bad_thread_count(self, ensemble_file, tmp_path, monkeypatch):
+        out = str(tmp_path / "sg.json")
+        assert main(["sg", "--ensemble", ensemble_file, "--L", "3", "--samples", "2",
+                     "--out", out]) == EXIT_OK
+        monkeypatch.setenv("HOMOGLAB_THREADS", "two")
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", out + ".manifest.json"])
+        assert exc.value.code == EXIT_CONFIG_ERROR
+
+    def test_environment_sets_the_default(self, monkeypatch):
+        monkeypatch.setenv("HOMOGLAB_THREADS", "3")
+        parser = build_parser()
+        assert parser.parse_args(["sg"]).threads == 3
+        assert parser.parse_args(["replay", "m.json"]).threads == 3
+        assert parser.parse_args(["sg", "--threads", "2"]).threads == 2
+
+
+def schema(obj):
+    """Nested keys of a JSON value; a list by its (uniform) items, a leaf by its type."""
+    if isinstance(obj, dict):
+        return {k: schema(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        items = [schema(v) for v in obj]
+        assert all(item == items[0] for item in items)
+        return items[:1]
+    return None if obj is None else type(obj)
+
+
+BOX = {"d": int, "L": int}
+MOMENT = {"value": float, "stderr": float, "p": int, "n": int}
+FIT = {"abscissae": [float], "values": [float], "slope": float, "intercept": float,
+       "r_squared": float}
+TENSOR = {"matrix": [[float]], "stderr": [[float]], "n_samples": int}
+PROPERTIES = {"ellipticity_pass": bool, "min_quadratic_form": float, "symmetry_pass": bool,
+              "symmetry_gap": float, "symmetry_tolerance": float}
+STATISTIC = {"seed": int, "box": BOX, "n": int}
+GREEN = {**STATISTIC, "radii": [int], "quenched_profile": [float], "annealed_profile": [float],
+         "annealed_fit": FIT}
+CONFIG_KEYS = {"experiment", "params", "ensemble", "box", "solver", "out"}
+SOLVER_KEYS = {"tol", "max_iter", "anchor", "preconditioner"}
+
+
+class TestArtifactSchemas:
+    """Every JSON artifact, field by field, at tiny sizes."""
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["cell", "--L", "4"],
+         {**TENSOR, "seed": int, "sample": int, "properties": PROPERTIES}),
+        (["ahom", "--L", "4", "--samples", "2"],
+         {**TENSOR, "seed": int, "properties": PROPERTIES,
+          "solver_reports": {"n_solves": int, "total_iterations": int, "max_iterations": int,
+                             "max_final_relative_residual": float, "all_converged": bool}}),
+        (["growth", "--L", "8", "--radii", "1", "2", "--samples", "2"],
+         {**STATISTIC, "radii": [int], "moments": [MOMENT], "model": str, "slope": float,
+          "intercept": float, "residual": float}),
+        (["sg", "--L", "3", "--samples", "4"],
+         {**STATISTIC, "reports": [{"functional": str, "variance": MOMENT,
+                                    "derivative_sum": MOMENT, "ratio": float,
+                                    "ratio_stderr": float, "rho_assumed": float,
+                                    "within_gap": bool}]}),
+        (["semigroup", "--L", "8", "--t-grid", "0.5", "1", "--samples", "4"],
+         {**STATISTIC, "t_grid": [float], "second_moments": [float], "stderrs": [float],
+          "fit": FIT, "variance_zeta": float, "contraction_ok": bool}),
+        (["green", "--L", "16", "--radii", "2", "3", "--samples", "2"],
+         {**GREEN, "quenched_fit": None, "quenched_log_ratios": [float]}),
+        (["green", "--d", "3", "--L", "16", "--radii", "2", "3", "--samples", "2",
+          "--precond", "spectral"],
+         {**GREEN, "quenched_fit": FIT, "quenched_log_ratios": None}),
+        (["meyers", "--L", "8", "--samples", "2"],
+         {**STATISTIC, "q": float, "alpha_w": float, "ratios": [float], "median": float,
+          "blowup_flag": bool}),
+        (["birkhoff", "--L", "8", "--R-list", "2", "4", "--samples", "4"],
+         {**STATISTIC, "R_values": [int], "rms": [float], "fit": FIT}),
+    ], ids=["cell", "ahom", "growth", "sg", "semigroup", "green-d2", "green-d3", "meyers",
+            "birkhoff"])
+    def test_result_json(self, argv, expected, ensemble_file, tmp_path):
+        out = str(tmp_path / "out.json")
+        assert main([*argv, "--ensemble", ensemble_file, "--out", out]) == EXIT_OK
+        rep = json.loads(open(out).read())
+        config = rep.pop("config")
+        assert schema(rep) == expected
+        assert set(config) == CONFIG_KEYS and set(config["solver"]) == SOLVER_KEYS
+
+    def test_corrector_meta_json(self, ensemble_file, tmp_path):
+        out = str(tmp_path / "set.csv")
+        assert main(["corrector", "--ensemble", ensemble_file, "--L", "4",
+                     "--out", out]) == EXIT_OK
+        meta = json.loads(open(out + ".meta.json").read())
+        assert schema(meta) == {
+            "direction": int, "sample": int, "seed": int, "ahom_row": [float],
+            "solver_reports": [{"iterations": int, "final_relative_residual": float,
+                                "converged": bool, "rhs_mean_subtracted": float}]}
+
+    def test_encoder_rejects_other_types(self):
+        with pytest.raises(TypeError):
+            _json_text({"x": object()})
