@@ -38,6 +38,7 @@ from .lattice import (
     VectorField,
     _div_star_arr,
     _grad_arr,
+    _norm,
     div_star,
     grad,
 )
@@ -157,8 +158,8 @@ def solve_flux_corrector(q: VectorField, cfg: SolverConfig = SolverConfig()
             s = poisson(rhs)
             _fix_gauge(s, cfg)
             residual = rhs - _div_star_arr([_grad_arr(s, i) for i in range(d)])
-            bnorm = float(np.linalg.norm(rhs))
-            rel = float(np.linalg.norm(residual)) / bnorm if bnorm else 0.0
+            bnorm = _norm(rhs)
+            rel = _norm(residual) / bnorm if bnorm else 0.0
             s, rep = _checked((ScalarField.from_grid(box, s), SolveReport(0, rel, rel <= cfg.tol)),
                               f"flux corrector ({j},{k})")
             reports.append(rep)

@@ -5,6 +5,15 @@ periodic Green's functions and the exact spectral heat kernel.  All solves
 are deterministic: plain CG with a fixed iteration schedule, the true
 residual refreshed every 50 steps to keep rounding drift in check.
 
+The CG kernel applies div*(a grad .) as ``diag(D) - W - W^T`` from
+``lattice.stencil``, a CSR matrix that shares the coefficient table,
+updates its vectors in place in the right-hand side's memory order, and
+takes every norm and inner product from ``lattice._dot``, numpy's pairwise
+sum.  No step calls BLAS, so a solve gives the same bits at any BLAS
+thread count.  ``apply_elliptic`` (differences on the grid) and
+``elliptic_matrix`` (dense assembly) stay independent of the stencil, as
+the oracles the tests check it against.
+
 The elliptic operator div*(a grad .) has the constants as kernel, so
 singular problems are solved on the mean-zero subspace (the right-hand
 side's mean is subtracted and reported).  Strictly positive operators
@@ -29,9 +38,11 @@ from .lattice import (
     CoefficientField,
     ScalarField,
     VectorField,
-    apply_elliptic_grid,
+    _dot,
+    _norm,
     div_star,
     neighbours,
+    stencil,
 )
 from .spectral import inverse, smooth, symbol
 
@@ -156,43 +167,46 @@ def cg_solve(operator, rhs: ScalarField, cfg: SolverConfig = SolverConfig(),
     if singular:
         removed = float(b.mean())
         b -= removed
-    bnorm = float(np.linalg.norm(b))
+    bnorm = _norm(b)
     if bnorm == 0.0:
         rep = SolveReport(0, 0.0, True, removed)
         if _active_collector is not None:
             _active_collector.add(rep)
         return ScalarField.zeros(box), rep
 
+    # every vector keeps b's memory order, so no update transposes
     x = np.zeros_like(b)
-    r = b.copy()
+    r = b.copy(order="K")
     z = precond(r) if precond is not None else r
-    p = z.copy()
-    rz = float(np.vdot(r, z).real)
+    p = z.copy(order="K")
+    step = np.empty_like(b)
+    rz = _dot(r, z)
     max_iter = cfg.iterations_for(box.n_sites)
     it = 0
     rel = 1.0
     while it < max_iter:
         Ap = operator(p)
-        alpha = rz / float(np.vdot(p, Ap).real)
-        x += alpha * p
+        alpha = rz / _dot(p, Ap)
+        x += np.multiply(p, alpha, out=step)
         it += 1
         if it % 50 == 0:
-            r = b - operator(x)  # refresh true residual
+            np.subtract(b, operator(x), out=r)  # refresh true residual
         else:
-            r -= alpha * Ap
-        rel = float(np.linalg.norm(r)) / bnorm
+            r -= np.multiply(Ap, alpha, out=step)
+        rel = _norm(r) / bnorm
         if not np.isfinite(rel):
             raise SolverError("CG produced non-finite residual",
                               SolveReport(it, rel, False, removed))
         if rel <= cfg.tol:
             break
         z = precond(r) if precond is not None else r
-        rz_new = float(np.vdot(r, z).real)
-        p = z + (rz_new / rz) * p
+        rz_new = _dot(r, z)
+        p *= rz_new / rz
+        p += z
         rz = rz_new
 
     # exact true residual for the report
-    rel = float(np.linalg.norm(b - operator(x))) / bnorm
+    rel = _norm(b - operator(x)) / bnorm
     converged = rel <= cfg.tol
     if singular:
         _fix_gauge(x, cfg)
@@ -221,13 +235,18 @@ def _checked(result: tuple[ScalarField, SolveReport], what: str) -> tuple[Scalar
 
 
 def _elliptic_op(a: CoefficientField, shift: float = 0.0):
-    grids = [a.grid(i) for i in range(a.box.d)]
+    """Grid callable u -> (shift + div*(a grad .)) u from the half stencil."""
+    D, W = stencil(a)
+    if shift:
+        D = D + shift
+    Wt = W.T
 
     def op(u: np.ndarray) -> np.ndarray:
-        out = apply_elliptic_grid(grids, u)
-        if shift:
-            out += shift * u
-        return out
+        v = u.ravel(order="F")
+        out = D * v
+        out -= W @ v
+        out -= Wt @ v
+        return out.reshape(u.shape, order="F")
 
     return op
 

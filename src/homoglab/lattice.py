@@ -27,6 +27,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 __all__ = [
     "BoxSpec",
@@ -38,6 +39,7 @@ __all__ = [
     "div_star",
     "apply_elliptic",
     "apply_constant",
+    "stencil",
     "mean",
     "inner",
     "norm_l2",
@@ -231,11 +233,13 @@ def _require_same_box(a, b):
 
 @functools.lru_cache(maxsize=16)
 def neighbours(box: BoxSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Site-index tables ``(fwd, bwd)``, each (N, d): x + e_i and x - e_i.
+    """Site-index tables ``(fwd, bwd)``, each (N, d) int32: x + e_i and x - e_i.
 
     Cached per box and read-only, so every caller and thread shares them.
+    ``int32`` is scipy's sparse index type, so :func:`stencil` uses ``fwd``
+    as its column indices without a copy.
     """
-    g = np.arange(box.n_sites).reshape(box.shape, order="F")
+    g = np.arange(box.n_sites, dtype=np.int32).reshape(box.shape, order="F")
     tables = []
     for step in (-1, 1):
         t = np.stack([np.roll(g, step, axis=i).ravel(order="F") for i in range(box.d)], axis=1)
@@ -276,21 +280,39 @@ def div_star(F: VectorField) -> ScalarField:
     return ScalarField.from_grid(F.box, _div_star_arr([F.grid(i) for i in range(F.box.d)]))
 
 
-def apply_elliptic_grid(diag_grids: list[np.ndarray], u_grid: np.ndarray) -> np.ndarray:
-    """div*(a grad u) on grid views; the hot path used by the solvers."""
-    return _div_star_arr([diag_grids[i] * _grad_arr(u_grid, i) for i in range(len(diag_grids))])
-
-
 def apply_elliptic(a: CoefficientField, u: ScalarField) -> ScalarField:
     """Elliptic finite-difference operator div*(a grad u).
 
     Linear in u, self-adjoint, positive semidefinite with the constants as
-    kernel; the quadratic form is <grad u, a grad u>.
+    kernel; the quadratic form is <grad u, a grad u>.  Built from ``grad``
+    and ``div_star`` on the grid, independently of :func:`stencil`, which
+    the solvers apply.
     """
     _require_same_box(a, u)
-    d = a.box.d
-    grids = [a.grid(i) for i in range(d)]
-    return ScalarField.from_grid(a.box, apply_elliptic_grid(grids, u.grid()))
+    g = u.grid()
+    comps = [a.grid(i) * _grad_arr(g, i) for i in range(a.box.d)]
+    return ScalarField.from_grid(a.box, _div_star_arr(comps))
+
+
+def stencil(a: CoefficientField) -> tuple[np.ndarray, scipy.sparse.csr_array]:
+    """Half-stencil form ``(D, W)`` of div*(a grad .) = diag(D) - W - W^T.
+
+    ``W[x, x + e_i] = a_i(x)`` is one conductance per edge, a CSR matrix
+    whose ``data`` is ``a.diag`` itself and whose ``indices`` are the cached
+    ``neighbours`` forward table, so it holds no copy of either;
+    ``D(x) = sum_i a_i(x) + a_i(x - e_i)`` is the conductance at x, summed
+    in the order of the dense assembly of ``elliptic_matrix``.
+    """
+    box = a.box
+    n, d = box.n_sites, box.d
+    fwd, bwd = neighbours(box)
+    indptr = np.arange(0, n * d + 1, d, dtype=np.int32)
+    W = scipy.sparse.csr_array((a.diag.ravel(), fwd.ravel(), indptr), shape=(n, n))
+    D = np.zeros(n)
+    for i in range(d):
+        D += a.diag[:, i]
+        D += a.diag[bwd[:, i], i]
+    return D, W
 
 
 def apply_constant(A: np.ndarray, u: ScalarField) -> ScalarField:
@@ -309,13 +331,26 @@ def mean(u: ScalarField) -> float:
     return float(np.mean(u.values))
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """sum(x * y) by numpy's pairwise ``add.reduce``, in memory order.
+
+    No BLAS call, so the bits do not depend on the BLAS thread count (BLAS
+    ``dot`` splits long vectors across its threads).
+    """
+    return float(np.add.reduce(np.multiply(x, y).ravel(order="K")))
+
+
 def inner(u: ScalarField, v: ScalarField) -> float:
     _require_same_box(u, v)
-    return float(np.dot(u.values, v.values))
+    return _dot(u.values, v.values)
+
+
+def _norm(x: np.ndarray) -> float:
+    return float(np.sqrt(_dot(x, x)))
 
 
 def norm_l2(u: ScalarField) -> float:
-    return float(np.linalg.norm(u.values))
+    return _norm(u.values)
 
 
 def torus_coordinates(box: BoxSpec) -> np.ndarray:

@@ -31,6 +31,7 @@ from .lattice import (
     BoxSpec,
     CoefficientField,
     ScalarField,
+    _dot,
     _grad_arr,
     div_star,
     grad,
@@ -88,7 +89,15 @@ class DecayFit:
     r_squared: float
 
 
+def _check_fit_grid(xs: np.ndarray, name: str) -> None:
+    """Raise ``ValueError`` unless ``xs`` holds two distinct abscissae to fit a line to."""
+    if np.unique(xs).size < 2:
+        raise ValueError(f"{name} needs at least two distinct values for the fit, "
+                         f"got {np.asarray(xs).tolist()}")
+
+
 def _linear_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
+    _check_fit_grid(xs, "the abscissae")
     slope, intercept = np.polyfit(xs, ys, 1)
     pred = slope * xs + intercept
     ss_res = float(np.sum((ys - pred) ** 2))
@@ -396,8 +405,10 @@ def corrector_growth(spec: EnsembleSpec, box: BoxSpec, radii: Sequence[int],
     constant in d >= 3.
     """
     radii = np.asarray(sorted(radii), dtype=np.int64)
-    if radii[0] < 1:
-        raise ValueError("radii must be >= 1")
+    if box.d == 2:
+        _check_fit_grid(radii, "radii")
+    if radii.size == 0 or radii[0] < 1:
+        raise ValueError("radii must be a non-empty list of values >= 1")
     if radii[-1] > box.L // 4:
         raise ValueError(
             f"max radius {radii[-1]} exceeds the periodization window L/4 = {box.L // 4}"
@@ -465,6 +476,7 @@ def semigroup_decay(spec: EnsembleSpec, box: BoxSpec, t_grid: Sequence[float],
     Times outside the wrap-validity window t <= (L/8)^2 are rejected.
     """
     t_grid = np.asarray(sorted(t_grid), dtype=np.float64)
+    _check_fit_grid(t_grid, "t_grid")
     t_max_valid = (box.L / 8.0) ** 2
     if t_grid[-1] > t_max_valid:
         raise ValueError(
@@ -484,7 +496,7 @@ def semigroup_decay(spec: EnsembleSpec, box: BoxSpec, t_grid: Sequence[float],
         out = np.empty(len(t_grid) + 1)
         out[0] = col[0]  # zeta itself (t = 0 reference for the contraction check)
         for k, pk in enumerate(kernels):
-            out[k + 1] = float(pk @ col)
+            out[k + 1] = _dot(pk, col)
         return out
 
     rows = np.stack(list(map_fn(one, range(n))))
@@ -549,6 +561,7 @@ def green_decay(spec: EnsembleSpec, box: BoxSpec, n: int,
     if radii.size == 0:
         raise ValueError(f"no radii: the default radii r <= L/8 need L >= 16, got "
                          f"L={box.L}; give them with --radii")
+    _check_fit_grid(radii, "radii")
     if radii[-1] > box.L // 4:
         raise ValueError("radii must stay within the periodization window L/4")
     shells = _shell_masks(box, radii)
@@ -685,6 +698,7 @@ def birkhoff_rate(spec: EnsembleSpec, box: BoxSpec, R_list: Sequence[int],
     from .ensembles import spatial_average_observable
 
     R_arr = np.asarray(sorted(R_list), dtype=np.int64)
+    _check_fit_grid(R_arr, "R_list")
     if R_arr[-1] > box.L:
         raise ValueError("R exceeds the box side")
     mean_val = spec.marginal_mean()

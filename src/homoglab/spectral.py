@@ -1,15 +1,20 @@
-"""Fourier side of the periodic box: the only module that calls ``np.fft``.
+"""Fourier side of the periodic box: the only module that calls an FFT.
 
 The forward difference along axis i multiplies the Fourier mode of
 wavenumber k by m_i(k) = exp(2 pi i k_i / L) - 1, so a constant-coefficient
 operator div*(A grad .) is diagonal on the ``fftn`` grid with the real
-symbol conj(m)^T A m, and its inverse is one division (the FFT reference
-medium of Moulinec & Suquet, CMAME 157, 1998).
+symbol conj(m)^T A m, and its inverse multiplies by 1 / symbol (the FFT
+reference medium of Moulinec & Suquet, CMAME 157, 1998).
+
+The symbol is real and even, so ``inverse`` and ``smooth`` transform with
+``scipy.fft.rfftn``/``irfftn`` on half of the spectrum, always with one
+worker, so the bits do not depend on the machine's core count.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.fft
 
 from .lattice import BoxSpec
 
@@ -37,6 +42,23 @@ def symbol(box: BoxSpec, A: np.ndarray | None = None) -> np.ndarray:
     return sym
 
 
+def _half(sym: np.ndarray) -> np.ndarray:
+    """The ``rfftn`` half of a full symbol, laid out for the transposed grid."""
+    return np.ascontiguousarray(sym.T[..., : sym.shape[0] // 2 + 1])
+
+
+def _transform(grid: np.ndarray, half_sym: np.ndarray) -> np.ndarray:
+    """Multiply the Fourier modes of a real grid by the half symbol ``half_sym``.
+
+    Transforms ``grid.T``, the C-contiguous view of an F-ordered grid, so
+    the lattice fields need no copy.
+    """
+    gt = grid.T
+    h = scipy.fft.rfftn(gt, workers=1)
+    h *= half_sym
+    return scipy.fft.irfftn(h, s=gt.shape, workers=1).T
+
+
 def inverse(box: BoxSpec, shift: float, A: np.ndarray | None = None):
     """Grid callable applying (shift + div*(A grad .))^-1.
 
@@ -44,22 +66,13 @@ def inverse(box: BoxSpec, shift: float, A: np.ndarray | None = None):
     mode is dropped, giving the mean-zero solution for its mean-zero part.
     """
     sym = shift + symbol(box, A)
-    zero = (0,) * box.d
-    singular = shift == 0.0
-    if singular:
-        sym[zero] = 1.0
-
-    def apply(r: np.ndarray) -> np.ndarray:
-        rh = np.fft.fftn(r)
-        rh /= sym
-        if singular:
-            rh[zero] = 0.0
-        return np.fft.ifftn(rh).real
-
-    return apply
+    if shift == 0.0:
+        sym[(0,) * box.d] = np.inf  # 1 / inf = 0 drops the zero mode
+    inv = _half(1.0 / sym)
+    return lambda r: _transform(r, inv)
 
 
 def smooth(grid: np.ndarray, t: float) -> np.ndarray:
     """exp(-t div* grad) applied to a grid array: the heat semigroup at time t."""
     box = BoxSpec(grid.ndim, grid.shape[0])
-    return np.fft.ifftn(np.fft.fftn(grid) * np.exp(-t * symbol(box))).real
+    return _transform(grid, _half(np.exp(-t * symbol(box))))

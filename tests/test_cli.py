@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import homoglab
 import homoglab.quant
 from conftest import constant_green
 from homoglab.cli import (
@@ -136,6 +139,24 @@ class TestDispatchAndErrors:
         assert os.listdir(tmp_path) == ["ens.json"]
 
     @pytest.mark.parametrize("argv", [
+        ["green", "--d", "3", "--L", "16", "--radii", "2"],
+        ["semigroup", "--L", "32", "--t-grid", "4"],
+        ["birkhoff", "--L", "16", "--R-list", "8"],
+        ["growth", "--d", "2", "--L", "16", "--radii", "4"],
+    ], ids=lambda argv: argv[0])
+    def test_single_point_fit_exits_3_before_sampling(self, argv, ensemble_file, tmp_path,
+                                                      capsys, monkeypatch):
+        def no_sample(*args):
+            raise AssertionError("sampled before checking the fit grid")
+
+        monkeypatch.setattr(homoglab.quant, "sample", no_sample)
+        code = main([*argv, "--ensemble", ensemble_file, "--samples", "2",
+                     "--out", str(tmp_path / "out.json")])
+        assert code == EXIT_CONFIG_ERROR
+        assert "two distinct values" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["ens.json"]
+
+    @pytest.mark.parametrize("argv", [
         ["growth", "--p", "notanint"],
         ["growth", "--no-such-flag", "1"],
         ["teleport"],
@@ -203,6 +224,21 @@ class TestDeterminismAndReplay:
               "--out", out])
         ok, report = replay(out + ".manifest.json", threads=4)
         assert ok and report["max_abs_deviation"] == 0.0
+
+    def test_replay_is_exact_across_blas_thread_counts(self, ensemble_file, tmp_path):
+        src = os.path.dirname(os.path.dirname(homoglab.__file__))
+
+        def cli(args, blas_threads):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(blas_threads)}
+            return subprocess.run([sys.executable, "-m", "homoglab.cli", *args], env=env,
+                                  cwd=tmp_path, capture_output=True, text=True, timeout=600)
+
+        out = str(tmp_path / "corrector.csv")
+        written = cli(["corrector", "--ensemble", ensemble_file, "--d", "2", "--L", "128",
+                       "--out", out], 1)
+        assert written.returncode == EXIT_OK, written.stderr
+        replayed = cli(["replay", out + ".manifest.json"], 2)
+        assert replayed.returncode == EXIT_OK, replayed.stdout + replayed.stderr
 
     def test_replay_detects_tampered_seed(self, ensemble_file, tmp_path):
         out = str(tmp_path / "ahom.json")

@@ -245,3 +245,16 @@ class TestBirkhoff:
         normalized_iid = r_iid.rms / iid.marginal_sd()
         normalized_corr = r_corr.rms / corr.marginal_sd(d=box.d)
         assert np.all(normalized_corr > normalized_iid)
+
+
+@pytest.mark.parametrize("xs", [[], [2.0], [3.0, 3.0]])
+def test_linear_fit_needs_two_distinct_abscissae(xs):
+    with pytest.raises(ValueError, match="two distinct values"):
+        quant._linear_fit(np.array(xs), np.ones(len(xs)))
+
+
+def test_d3_growth_takes_a_single_radius_but_not_none():
+    rep = corrector_growth(constant(0.5), BoxSpec(3, 8), [2], n=2, cfg=CFG)
+    assert rep.model == "constant-fit" and len(rep.moments) == 1
+    with pytest.raises(ValueError, match="non-empty"):
+        corrector_growth(constant(0.5), BoxSpec(3, 8), [], n=2, cfg=CFG)
