@@ -407,9 +407,15 @@ def replay(manifest_path: str, threads: int = 1) -> tuple[bool, dict]:
 
     Returns (match, report).  Under fixed-order aggregation the diff must be
     empty at any thread count; numeric deviation is reported for diagnosis.
+    A manifest without its ``config`` and ``outputs`` objects is a
+    ``ConfigError``, raised before anything runs.
     """
     with open(manifest_path) as fh:
         manifest = json.load(fh)
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)
+            and isinstance(manifest.get("outputs"), dict)):
+        raise ConfigError(f"malformed manifest {manifest_path}: needs 'config' and "
+                          f"'outputs' objects")
     cfg = ExperimentConfig.from_json(manifest["config"])
     fresh = run(cfg, threads=threads, write=False)
     report = {"files": {}, "max_abs_deviation": 0.0, "match": True}
@@ -551,9 +557,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "replay":
         try:
             ok, report = replay(args.manifest, threads=args.threads)
-        except (OSError, ConfigError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ConfigError, EnsembleError, JSONDecodeError
             print(f"replay error: {exc}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
+        except SolverError as exc:
+            print(f"solver failure: {exc}", file=sys.stderr)
+            return EXIT_SOLVER_FAILURE
         print(json.dumps(report, indent=2, sort_keys=True))
         return EXIT_OK if ok else EXIT_REPLAY_MISMATCH
     try:

@@ -8,11 +8,11 @@ residual refreshed every 50 steps to keep rounding drift in check.
 The CG kernel applies div*(a grad .) as ``diag(D) - W - W^T`` from
 ``lattice.stencil``, a CSR matrix that shares the coefficient table,
 updates its vectors in place in the right-hand side's memory order, and
-takes every norm and inner product from ``lattice._dot``, numpy's pairwise
-sum.  No step calls BLAS, so a solve gives the same bits at any BLAS
-thread count.  ``apply_elliptic`` (differences on the grid) and
-``elliptic_matrix`` (dense assembly) stay independent of the stencil, as
-the oracles the tests check it against.
+takes every norm and inner product from ``lattice._dot``, one ``einsum``
+pass with no temporary.  No step calls BLAS, so a solve gives the same
+bits at any BLAS thread count.  ``apply_elliptic`` (differences on the
+grid) and ``elliptic_matrix`` (dense assembly) stay independent of the
+stencil, as the oracles the tests check it against.
 
 The elliptic operator div*(a grad .) has the constants as kernel, so
 singular problems are solved on the mean-zero subspace (the right-hand
@@ -22,7 +22,9 @@ side's mean is subtracted and reported).  Strictly positive operators
 Everything on the Fourier side comes from ``spectral``: the optional
 preconditioner (``spectral.inverse`` of ``shift + mean(a) * div* grad``),
 which changes iteration counts, never results beyond the residual
-tolerance, and the heat kernel (``spectral.smooth`` of a Dirac).
+tolerance, and the heat kernel (``spectral.smooth`` of a Dirac).  The
+preconditioner runs its FFTs in float32: CG only needs an approximate
+inverse there, and every residual and the convergence test stay float64.
 """
 
 from __future__ import annotations
@@ -254,7 +256,7 @@ def _elliptic_op(a: CoefficientField, shift: float = 0.0):
 def _precond_for(a: CoefficientField, shift: float, cfg: SolverConfig):
     if cfg.preconditioner != "spectral":
         return None
-    return inverse(a.box, shift, float(a.diag.mean()) * np.eye(a.box.d))
+    return inverse(a.box, shift, float(a.diag.mean()) * np.eye(a.box.d), np.float32)
 
 
 def solve_elliptic(a: CoefficientField, rhs: ScalarField,

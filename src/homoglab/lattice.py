@@ -332,12 +332,17 @@ def mean(u: ScalarField) -> float:
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
-    """sum(x * y) by numpy's pairwise ``add.reduce``, in memory order.
+    """sum(x * y) by ``np.einsum`` over both arrays in x's memory order.
 
-    No BLAS call, so the bits do not depend on the BLAS thread count (BLAS
-    ``dot`` splits long vectors across its threads).
+    One pass with no product array.  No BLAS call, so the bits do not
+    depend on the BLAS thread count (BLAS ``dot`` splits long vectors
+    across its threads).
     """
-    return float(np.add.reduce(np.multiply(x, y).ravel(order="K")))
+    if x.strides != y.strides:  # lay y out like x, so both ravels pair up
+        y_like = np.empty_like(x)
+        y_like[...] = y
+        y = y_like
+    return float(np.einsum("i,i->", x.ravel(order="K"), y.ravel(order="K")))
 
 
 def inner(u: ScalarField, v: ScalarField) -> float:

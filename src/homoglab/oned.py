@@ -29,7 +29,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, trapezoid
 
 __all__ = [
     "Profile1D",
@@ -46,6 +45,20 @@ __all__ = [
 
 MIN_POINTS_PER_PERIOD = 8
 RECOMMENDED_POINTS_PER_PERIOD = 32
+
+
+def trapezoid(y: np.ndarray, x: np.ndarray) -> np.float64:
+    """Composite trapezoid rule of y over the 1-d grid x (scipy's formula)."""
+    return np.add.reduce(np.diff(x) * (y[1:] + y[:-1]) / 2.0)
+
+
+def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over the 1-d grid x, starting at 0.
+
+    scipy's formula with ``initial=0``; numpy alone, so importing the CLI
+    does not load ``scipy.integrate``.
+    """
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
 @dataclass(frozen=True)
@@ -118,9 +131,9 @@ def harmonic_mean(a_unit, M: int = 4096) -> float:
 
 def _explicit_solution(x: np.ndarray, a_vals: np.ndarray, f_vals: np.ndarray) -> Solution1D:
     inv_a = 1.0 / a_vals
-    P = cumulative_trapezoid(f_vals, x, initial=0.0)          # int_0^x f
-    A = cumulative_trapezoid(inv_a, x, initial=0.0)           # int_0^x 1/a
-    B = cumulative_trapezoid(inv_a * P, x, initial=0.0)       # int_0^x P/a
+    P = cumulative_trapezoid(f_vals, x)          # int_0^x f
+    A = cumulative_trapezoid(inv_a, x)           # int_0^x 1/a
+    B = cumulative_trapezoid(inv_a * P, x)       # int_0^x P/a
     c = B[-1] / A[-1]
     u = c * A - B
     u[-1] = 0.0  # exact by construction of c; kill rounding residue
@@ -152,7 +165,7 @@ def corrector_1d(a_unit, M: int = 4096) -> tuple[np.ndarray, np.ndarray]:
     y = np.linspace(0.0, 1.0, M + 1)
     a = np.asarray(a_unit(y), dtype=np.float64)
     a0 = 1.0 / trapezoid(1.0 / a, y)
-    phi = cumulative_trapezoid(a0 / a - 1.0, y, initial=0.0)
+    phi = cumulative_trapezoid(a0 / a - 1.0, y)
     return y, phi
 
 

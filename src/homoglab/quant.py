@@ -20,6 +20,7 @@ are calibrated to the default sample counts.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -179,6 +180,16 @@ class SingleSiteEntry:
         return values[None, :, self.component].copy()
 
 
+@functools.lru_cache(maxsize=16)
+def _sub_box_sites(box: BoxSpec, R: int) -> np.ndarray:
+    """Site indices of the centered R-sub-box, cached per (box, R) and read-only."""
+    lo = (box.L - R) // 2
+    coords = box.coordinate_arrays()
+    sites = np.flatnonzero(np.all((coords >= lo) & (coords < lo + R), axis=1))
+    sites.flags.writeable = False
+    return sites
+
+
 class BoxAverageEntry:
     """f(a) = average of a_component over the centered R-sub-box."""
 
@@ -188,21 +199,15 @@ class BoxAverageEntry:
         self.R = R
         self.component = component
 
-    def _sites(self, box: BoxSpec) -> np.ndarray:
-        lo = (box.L - self.R) // 2
-        coords = box.coordinate_arrays()
-        mask = np.all((coords >= lo) & (coords < lo + self.R), axis=1)
-        return np.flatnonzero(mask)
-
     def support(self, box: BoxSpec) -> list[int]:
-        return list(self._sites(box))
+        return list(_sub_box_sites(box, self.R))
 
     def __call__(self, a: CoefficientField) -> float:
-        return float(a.diag[self._sites(a.box), self.component].mean())
+        return float(a.diag[_sub_box_sites(a.box, self.R), self.component].mean())
 
     def variant_values(self, a: CoefficientField, values: np.ndarray) -> np.ndarray:
         """f at every site variant, (len(support), V), for the (V, d) site values."""
-        held = a.diag[self._sites(a.box), self.component]
+        held = a.diag[_sub_box_sites(a.box, self.R), self.component]
         return held.mean() + (values[None, :, self.component] - held[:, None]) / held.size
 
 
@@ -516,14 +521,14 @@ def semigroup_decay(spec: EnsembleSpec, box: BoxSpec, t_grid: Sequence[float],
 # ---------------------------------------------------------------------------
 
 
-def _shell_masks(box: BoxSpec, radii: np.ndarray) -> list[np.ndarray]:
-    r = torus_radii(box)
+def _shell_masks(r: np.ndarray, radii: np.ndarray) -> list[np.ndarray]:
+    """Sites within 1/2 of each radius, for the torus radii ``r`` of every site."""
     return [np.flatnonzero(np.abs(r - rad) <= 0.5) for rad in radii]
 
 
-def _far_field_mask(box: BoxSpec) -> np.ndarray:
-    c = torus_radii(box)
-    return np.flatnonzero(c >= 3.0 * box.L / 8.0)
+def _far_field_mask(r: np.ndarray, L: int) -> np.ndarray:
+    """Sites at torus radius 3L/8 or more: the antipodal region."""
+    return np.flatnonzero(r >= 3.0 * L / 8.0)
 
 
 @dataclass(frozen=True)
@@ -564,8 +569,9 @@ def green_decay(spec: EnsembleSpec, box: BoxSpec, n: int,
     _check_fit_grid(radii, "radii")
     if radii[-1] > box.L // 4:
         raise ValueError("radii must stay within the periodization window L/4")
-    shells = _shell_masks(box, radii)
-    far = _far_field_mask(box)
+    r = torus_radii(box)
+    shells = _shell_masks(r, radii)
+    far = _far_field_mask(r, box.L)
     source_sites = [0] + [box.index_of(tuple(int(k == j) for k in range(d)))
                           for j in range(d)]
 

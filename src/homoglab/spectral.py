@@ -8,7 +8,11 @@ reference medium of Moulinec & Suquet, CMAME 157, 1998).
 
 The symbol is real and even, so ``inverse`` and ``smooth`` transform with
 ``scipy.fft.rfftn``/``irfftn`` on half of the spectrum, always with one
-worker, so the bits do not depend on the machine's core count.
+worker, so the bits do not depend on the machine's core count.  The
+transform runs in the dtype of the stored half symbol: float64 for the
+exact solves, float32 for the CG preconditioner, which only has to
+approximate the inverse (``elliptic`` checks convergence on the float64
+residual).
 """
 
 from __future__ import annotations
@@ -50,25 +54,30 @@ def _half(sym: np.ndarray) -> np.ndarray:
 def _transform(grid: np.ndarray, half_sym: np.ndarray) -> np.ndarray:
     """Multiply the Fourier modes of a real grid by the half symbol ``half_sym``.
 
-    Transforms ``grid.T``, the C-contiguous view of an F-ordered grid, so
-    the lattice fields need no copy.
+    Transforms ``grid.T``, the C-contiguous view of an F-ordered grid, in
+    the symbol's dtype, so a float64 lattice field needs no copy for a
+    float64 symbol.  The result is float64, F-ordered like the lattice grids.
     """
-    gt = grid.T
+    gt = grid.T.astype(half_sym.dtype, copy=False)
     h = scipy.fft.rfftn(gt, workers=1)
     h *= half_sym
-    return scipy.fft.irfftn(h, s=gt.shape, workers=1).T
+    out = scipy.fft.irfftn(h, s=gt.shape, workers=1, overwrite_x=True)
+    return out.T.astype(np.float64, copy=False)
 
 
-def inverse(box: BoxSpec, shift: float, A: np.ndarray | None = None):
+def inverse(box: BoxSpec, shift: float, A: np.ndarray | None = None,
+            dtype=np.float64):
     """Grid callable applying (shift + div*(A grad .))^-1.
 
     With ``shift == 0`` the constants are the kernel: the argument's zero
     mode is dropped, giving the mean-zero solution for its mean-zero part.
+    ``dtype`` is the precision of the stored symbol and of the transforms:
+    float64 for a solve, float32 for a preconditioner.
     """
     sym = shift + symbol(box, A)
     if shift == 0.0:
         sym[(0,) * box.d] = np.inf  # 1 / inf = 0 drops the zero mode
-    inv = _half(1.0 / sym)
+    inv = _half(1.0 / sym).astype(dtype, copy=False)
     return lambda r: _transform(r, inv)
 
 

@@ -23,6 +23,14 @@ from homoglab.cli import (
 from homoglab.elliptic import SolverConfig
 
 
+def _python(args, cwd, **env):
+    """A fresh interpreter on this checkout's homoglab, with ``env`` added."""
+    src = os.path.dirname(os.path.dirname(homoglab.__file__))
+    return subprocess.run([sys.executable, *args],
+                          env={**os.environ, "PYTHONPATH": src, **env}, cwd=cwd,
+                          capture_output=True, text=True, timeout=600)
+
+
 @pytest.fixture
 def ensemble_file(tmp_path):
     path = tmp_path / "ens.json"
@@ -225,20 +233,55 @@ class TestDeterminismAndReplay:
         ok, report = replay(out + ".manifest.json", threads=4)
         assert ok and report["max_abs_deviation"] == 0.0
 
-    def test_replay_is_exact_across_blas_thread_counts(self, ensemble_file, tmp_path):
-        src = os.path.dirname(os.path.dirname(homoglab.__file__))
-
-        def cli(args, blas_threads):
-            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(blas_threads)}
-            return subprocess.run([sys.executable, "-m", "homoglab.cli", *args], env=env,
-                                  cwd=tmp_path, capture_output=True, text=True, timeout=600)
-
-        out = str(tmp_path / "corrector.csv")
-        written = cli(["corrector", "--ensemble", ensemble_file, "--d", "2", "--L", "128",
-                       "--out", out], 1)
+    @pytest.mark.parametrize("argv", [
+        ["corrector", "--d", "2", "--L", "128", "--out", "corrector.csv"],
+        ["green", "--d", "3", "--L", "16", "--radii", "2", "3", "4", "--samples", "2",
+         "--precond", "spectral", "--out", "green.json"],
+    ], ids=["corrector", "green-spectral"])
+    def test_replay_is_exact_across_blas_thread_counts(self, argv, ensemble_file, tmp_path):
+        written = _python(["-m", "homoglab.cli", *argv, "--ensemble", ensemble_file],
+                          tmp_path, OPENBLAS_NUM_THREADS="1")
         assert written.returncode == EXIT_OK, written.stderr
-        replayed = cli(["replay", out + ".manifest.json"], 2)
+        replayed = _python(["-m", "homoglab.cli", "replay", argv[-1] + ".manifest.json"],
+                           tmp_path, OPENBLAS_NUM_THREADS="2")
         assert replayed.returncode == EXIT_OK, replayed.stdout + replayed.stderr
+
+    def test_cli_import_loads_no_scipy_integrate_or_optimize(self, tmp_path):
+        probe = ("import sys, homoglab.cli; "
+                 "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+        done = _python(["-c", probe], tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_replay_solver_failure_exits_2(self, ensemble_file, tmp_path, capsys):
+        out = str(tmp_path / "ahom.json")
+        assert main(["ahom", "--ensemble", ensemble_file, "--L", "8", "--samples", "2",
+                     "--out", out]) == EXIT_OK
+        mpath = out + ".manifest.json"
+        manifest = json.loads(open(mpath).read())
+        manifest["config"]["solver"]["max_iter"] = 2
+        open(mpath, "w").write(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["replay", mpath]) == EXIT_SOLVER_FAILURE
+        assert "solver failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.pop("outputs"),
+        lambda m: m.pop("config"),
+        lambda m: m.update(outputs=["ahom.json"]),
+        lambda m: m.update(config=None),
+    ], ids=["no-outputs", "no-config", "outputs-list", "config-null"])
+    def test_malformed_manifest_exits_3(self, edit, ensemble_file, tmp_path, capsys):
+        out = str(tmp_path / "ahom.json")
+        assert main(["ahom", "--ensemble", ensemble_file, "--L", "4", "--samples", "2",
+                     "--out", out]) == EXIT_OK
+        mpath = out + ".manifest.json"
+        manifest = json.loads(open(mpath).read())
+        edit(manifest)
+        open(mpath, "w").write(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["replay", mpath]) == EXIT_CONFIG_ERROR
+        assert "malformed manifest" in capsys.readouterr().err
 
     def test_replay_detects_tampered_seed(self, ensemble_file, tmp_path):
         out = str(tmp_path / "ahom.json")

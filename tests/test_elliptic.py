@@ -15,6 +15,7 @@ from homoglab.lattice import (
 from homoglab.elliptic import (
     SolverConfig,
     SolverError,
+    _elliptic_op,
     cg_solve,
     elliptic_matrix,
     green,
@@ -23,7 +24,7 @@ from homoglab.elliptic import (
     solve_elliptic,
     solve_massive,
 )
-from homoglab.spectral import symbol
+from homoglab.spectral import inverse, symbol
 
 from conftest import operator_matrix, random_coefficients
 
@@ -84,8 +85,6 @@ class TestCG:
         a = random_coefficients(box, rng)
         rhs = ScalarField(box, rng.normal(size=box.n_sites))
         cfg = SolverConfig(max_iter=2)
-        from homoglab.elliptic import _elliptic_op
-
         u, rep = cg_solve(_elliptic_op(a), rhs, cfg)
         assert not rep.converged
         with pytest.raises(SolverError):
@@ -99,6 +98,21 @@ class TestCG:
         pre, rep = solve_elliptic(a, rhs, SolverConfig(tol=1e-12, preconditioner="spectral"))
         assert np.max(np.abs(plain.values - pre.values)) < 1e-9
         assert rep.iterations < 60
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("box", [BoxSpec(2, 16), BoxSpec(3, 8)], ids=lambda b: f"d{b.d}")
+    def test_float32_preconditioner_keeps_iteration_counts(self, box, seed, tol):
+        a = random_coefficients(box, np.random.default_rng(seed))
+        rhs = ScalarField(box, np.random.default_rng(100 + seed).normal(size=box.n_sites))
+        A = float(a.diag.mean()) * np.eye(box.d)
+        cfg = SolverConfig(tol=tol)
+        op = _elliptic_op(a)
+        u64, rep64 = cg_solve(op, rhs, cfg, precond=inverse(box, 0.0, A))
+        u32, rep32 = cg_solve(op, rhs, cfg, precond=inverse(box, 0.0, A, np.float32))
+        assert rep32.converged and rep64.converged
+        assert rep32.iterations == rep64.iterations
+        assert np.max(np.abs(u32.values - u64.values)) < 1e3 * tol * np.max(np.abs(u64.values))
 
     def test_site_zero_anchor(self, rng):
         box = BoxSpec(2, 8)

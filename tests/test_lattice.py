@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from homoglab.lattice import (
     ScalarField,
     SkewField,
     VectorField,
+    _dot,
     apply_elliptic,
     div_star,
     grad,
@@ -164,6 +167,14 @@ class TestReductions:
         box = BoxSpec(2, 4)
         u = ScalarField(box, rng.normal(size=box.n_sites))
         assert np.isclose(inner(u, u), norm_l2(u) ** 2, rtol=1e-14)
+
+    def test_dot_pairs_elements_in_any_memory_order(self, rng):
+        x = np.asfortranarray(rng.normal(size=(5, 6, 7)))
+        y = rng.normal(size=(5, 6, 7))  # C order
+        exact = math.fsum((x * y).ravel())
+        assert abs(_dot(x, y) - exact) <= 1e-13 * math.fsum(np.abs(x * y).ravel())
+        assert _dot(x, y) == _dot(x, np.asfortranarray(y))
+        assert _dot(x, x) == _dot(x, np.ascontiguousarray(x))
 
 
 class TestShift:

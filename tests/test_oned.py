@@ -6,11 +6,13 @@ import scipy.optimize
 from homoglab.oned import (
     Profile1D,
     corrector_1d,
+    cumulative_trapezoid,
     harmonic_mean,
     oscillatory_average_check,
     solve_explicit,
     solve_homogenized_1d,
     sup_error_check,
+    trapezoid,
     two_scale_check_1d,
 )
 
@@ -46,6 +48,16 @@ def shooting_oracle(profile: Profile1D, x_eval: np.ndarray) -> np.ndarray:
 
     s_star = scipy.optimize.brentq(end_residual, -10.0, 10.0, xtol=1e-13)
     return end_value(s_star).sol(x_eval)[0]
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("n", [2, 3, 17, 1025])
+    def test_bitwise_equal_to_scipy(self, n, rng):
+        x = np.sort(rng.uniform(0.0, 2.0, size=n))
+        y = rng.normal(size=n)
+        assert trapezoid(y, x) == scipy.integrate.trapezoid(y, x)
+        assert np.array_equal(cumulative_trapezoid(y, x),
+                              scipy.integrate.cumulative_trapezoid(y, x, initial=0.0))
 
 
 class TestHarmonicMean:

@@ -43,6 +43,15 @@ class TestSpectral:
         if shift == 0.0:
             assert abs(u.values.mean()) < 1e-14
 
+    def test_float32_inverse_returns_float64_grid_at_single_precision(self, box, rng):
+        A = MATRICES[box.d]
+        g = ScalarField(box, rng.normal(size=box.n_sites)).grid()
+        exact = inverse(box, 0.3, A)(g)
+        approx = inverse(box, 0.3, A, np.float32)(g)
+        assert approx.dtype == np.float64 and approx.flags.f_contiguous
+        err = np.max(np.abs(approx - exact)) / np.max(np.abs(exact))
+        assert 0.0 < err < 1e-5
+
     def test_smooth_of_delta_is_heat_kernel(self, box):
         delta = ScalarField.delta(box).grid()
         for t in (0.0, 0.5, 3.0):
