@@ -227,25 +227,44 @@ class OscillatoryAverageReport:
         return self.errors / self.eps
 
 
+def _period_average(F, yq: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Fbar(x) = int_0^1 F(y, x) dy at every node of x, by the trapezoid rule on yq.
+
+    F is evaluated on blocks of nodes times the whole yq grid, and each
+    block is reduced along y at once with ``trapezoid``'s formula, so every
+    value is bitwise the one ``trapezoid(F(yq, xv), yq)`` gives.
+    """
+    rows = 16  # a 16 x 4097 block stays in cache; 256 rows ran 1.5x slower
+    dy = np.diff(yq)
+    out = np.empty(x.size)
+    for lo in range(0, x.size, rows):
+        xs = x[lo:lo + rows, None]
+        shape = (xs.shape[0], yq.size)
+        vals = F(np.broadcast_to(yq, shape), np.broadcast_to(xs, shape))
+        out[lo:lo + rows] = np.add.reduce(dy * (vals[:, 1:] + vals[:, :-1]) / 2.0, axis=1)
+    return out
+
+
 def oscillatory_average_check(F, eps_list, a: float = 0.0, b: float = 1.0,
                               points_per_period: int = 256,
                               y_points: int = 4096) -> OscillatoryAverageReport:
     """Error of int_a^b F(x/eps, x) dx against the period-averaged integrand.
 
-    F(y, x) must be 1-periodic and smooth in y; the report carries
+    F(y, x) must be 1-periodic and smooth in y and act elementwise on
+    arrays of equal shape; the report carries
     |int F(x/eps, x) - Fbar(x) dx| per eps and the fitted constant of the
     first-order bound C * (|b - a| + 1) * eps.
     """
     eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=np.float64)
+    grids = [np.linspace(a, b, max(1024, int(np.ceil((b - a) / eps)) * points_per_period) + 1)
+             for eps in eps_arr]
+    # Fbar does not depend on eps: average once per distinct node of all grids
+    nodes = np.unique(np.concatenate(grids))
+    fbar_nodes = _period_average(F, np.linspace(0.0, 1.0, y_points + 1), nodes)
     errors = []
-    yq = np.linspace(0.0, 1.0, y_points + 1)
-    for eps in eps_arr:
-        n = max(1024, int(np.ceil((b - a) / eps)) * points_per_period)
-        x = np.linspace(a, b, n + 1)
+    for eps, x in zip(eps_arr, grids):
         osc = trapezoid(F(x / eps, x), x)
-        fbar = trapezoid(
-            np.array([trapezoid(F(yq, np.full_like(yq, xv)), yq) for xv in x]), x
-        )
+        fbar = trapezoid(fbar_nodes[np.searchsorted(nodes, x)], x)
         errors.append(abs(osc - fbar))
     errors = np.asarray(errors)
     C = float(np.max(errors / (eps_arr * (abs(b - a) + 1.0))))

@@ -5,8 +5,8 @@ random-coefficient model: spectral-gap ratios at rho = 1 for i.i.d. fields,
 Var f <= sum_x E[(d_x f)^2] with the vertical derivative d_x f of
 Gloria & Otto (Ann. Probab. 39, 2011), evaluated exactly over the site
 variants (for the cell entry of a_hom, resampling one site is a rank-d
-update of the cell matrix, so one Cholesky factorization per sample
-serves every site and variant through Sherman-Morrison-Woodbury),
+update of the cell matrix, so one dense inverse per sample serves every
+site and variant through Sherman-Morrison-Woodbury),
 corrector moment growth in |x| (logarithmic in d=2, plateau in d>=3),
 heat-semigroup decay of averaged observables, quenched and annealed
 Green's-function decay, a weighted-norm stability probe for the elliptic
@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .ensembles import EnsembleSpec, SampleId, sample, site_assignments, site_variants
 from .lattice import (
@@ -175,9 +174,10 @@ class SingleSiteEntry:
     def __call__(self, a: CoefficientField) -> float:
         return float(a.diag[self.site, self.component])
 
-    def variant_values(self, a: CoefficientField, values: np.ndarray) -> np.ndarray:
-        """f at every site variant, (1, V), for the (V, d) site values."""
-        return values[None, :, self.component].copy()
+    def variant_values(self, a: CoefficientField,
+                       values: np.ndarray) -> tuple[float, np.ndarray]:
+        """f(a) and f at every site variant, (1, V), for the (V, d) site values."""
+        return float(a.diag[self.site, self.component]), values[None, :, self.component].copy()
 
 
 @functools.lru_cache(maxsize=16)
@@ -205,10 +205,12 @@ class BoxAverageEntry:
     def __call__(self, a: CoefficientField) -> float:
         return float(a.diag[_sub_box_sites(a.box, self.R), self.component].mean())
 
-    def variant_values(self, a: CoefficientField, values: np.ndarray) -> np.ndarray:
-        """f at every site variant, (len(support), V), for the (V, d) site values."""
+    def variant_values(self, a: CoefficientField,
+                       values: np.ndarray) -> tuple[float, np.ndarray]:
+        """f(a) and f at every site variant, (len(support), V), for the (V, d) site values."""
         held = a.diag[_sub_box_sites(a.box, self.R), self.component]
-        return held.mean() + (values[None, :, self.component] - held[:, None]) / held.size
+        fa = held.mean()
+        return float(fa), fa + (values[None, :, self.component] - held[:, None]) / held.size
 
 
 class CellAhomEntry:
@@ -233,15 +235,15 @@ class CellAhomEntry:
         """Pinned inverse G and the edge differences of phi_row, phi_col.
 
         G inverts the cell matrix div*(a grad .) with site 0 pinned (row and
-        column 0 are zero) from one dense Cholesky factorization.
+        column 0 are zero) by one ``np.linalg.inv``, whose LAPACK call
+        releases the GIL, so the samples of a thread pool invert in parallel.
         phi_k = G (-div*(a e_k)) is the cell corrector in direction k; the
         returned tables hold b_{x,i}^T phi_k = phi_k(x+e_i) - phi_k(x), (N, d).
         """
         fwd, bwd = neighbours(a.box)
         n = a.box.n_sites
         G = np.zeros((n, n))
-        G[1:, 1:] = scipy.linalg.cho_solve(
-            scipy.linalg.cho_factor(elliptic_matrix(a)[1:, 1:]), np.eye(n - 1))
+        G[1:, 1:] = np.linalg.inv(elliptic_matrix(a)[1:, 1:])
 
         def edges(k: int) -> np.ndarray:
             ak = a.diag[:, k]
@@ -263,8 +265,9 @@ class CellAhomEntry:
         _, _, t_col = self._solve(a)
         return self._entry(a, t_col)
 
-    def variant_values(self, a: CoefficientField, values: np.ndarray) -> np.ndarray:
-        """f at every site variant, (N, V), for the (V, d) site values.
+    def variant_values(self, a: CoefficientField,
+                       values: np.ndarray) -> tuple[float, np.ndarray]:
+        """f(a) and f at every site variant, (N, V), for the (V, d) site values.
 
         Setting the diagonal at site x to ``values[v]`` moves a_i(x) by
         delta_i and the cell matrix by the rank-d update U D U^T, with
@@ -291,10 +294,11 @@ class CellAhomEntry:
         u = s - np.einsum("xij,xvj->xvi", M, w)                             # U^T phi'
         # c^T phi' - c^T G r, with c^T G b_{x,i} = -t_row[x, i] since G c = -phi_row
         dc = delta[..., col] * t_row[:, None, col] + np.einsum("xi,xvi->xv", t_row, w)
-        out = self._entry(a, t_col) + (dc + delta[..., row] * u[..., row]) / n
+        fa = self._entry(a, t_col)
+        out = fa + (dc + delta[..., row] * u[..., row]) / n
         if row == col:
             out += delta[..., row] / n
-        return out
+        return fa, out
 
 
 def default_functional_family(box: BoxSpec) -> list:
@@ -324,10 +328,10 @@ def sg_check(spec: EnsembleSpec, box: BoxSpec, n: int,
     Requires an i.i.d. two-point spec: the vertical derivative
     d_x f = f - E[f | a off x] (Gloria & Otto, Ann. Probab. 39, 2011) is
     then the exact centering over the 2**d site variants.  A functional
-    has ``support(box)``, ``__call__(a)`` and ``variant_values(a, values)``,
-    which evaluates it at every (support site, variant) pair at once; for
-    the cell entry, resampling one site is a rank-d update of the cell
-    matrix, so one factorization per sample serves all of them.
+    has ``support(box)`` and ``variant_values(a, values)``, which returns
+    f(a) and f at every (support site, variant) pair at once; for the cell
+    entry, resampling one site is a rank-d update of the cell matrix, so
+    one dense inverse per sample serves f(a) and all of the variants.
     Violations are report entries, never exceptions.
     """
     if not spec.is_two_point:
@@ -340,8 +344,8 @@ def sg_check(spec: EnsembleSpec, box: BoxSpec, n: int,
         a = sample(spec, box, SampleId(i))
         out = []
         for func in functionals:
-            fa = float(func(a))
-            derivs = fa - func.variant_values(a, values).mean(axis=1)
+            fa, table = func.variant_values(a, values)
+            derivs = fa - table.mean(axis=1)
             out.append((fa, float(np.sum(derivs ** 2))))
         return out
 

@@ -203,14 +203,20 @@ class TestDeterminismAndReplay:
             assert code == EXIT_OK
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
-    def test_thread_count_does_not_change_bytes(self, ensemble_file, tmp_path):
-        out1, out2 = str(tmp_path / "t1.csv"), str(tmp_path / "t4.csv")
-        for out, threads in ((out1, "1"), (out2, "4")):
-            code = main(["twoscale", "--ensemble", ensemble_file, "--L", "8",
-                         "--samples", "4", "--threads", threads,
-                         "--precond", "spectral", "--out", out])
+    @pytest.mark.parametrize("argv", [
+        ["twoscale", "--L", "8", "--samples", "4", "--precond", "spectral"],
+        ["sg", "--d", "2", "--L", "4", "--samples", "6"],
+    ], ids=["twoscale", "sg"])
+    def test_thread_count_does_not_change_bytes(self, argv, ensemble_file, tmp_path,
+                                                monkeypatch):
+        # one relative --out name in two directories: JSON results record it
+        for threads in ("1", "4"):
+            (tmp_path / threads).mkdir()
+            monkeypatch.chdir(tmp_path / threads)
+            code = main([*argv, "--ensemble", ensemble_file, "--threads", threads,
+                         "--out", "result"])
             assert code == EXIT_OK
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert (tmp_path / "1" / "result").read_bytes() == (tmp_path / "4" / "result").read_bytes()
 
     def test_every_row_carries_its_sample_id(self, ensemble_file, tmp_path):
         out = str(tmp_path / "ts.csv")
@@ -248,7 +254,8 @@ class TestDeterminismAndReplay:
 
     def test_cli_import_loads_no_scipy_integrate_or_optimize(self, tmp_path):
         probe = ("import sys, homoglab.cli; "
-                 "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+                 "print([m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.linalg') "
+                 "if m in sys.modules])")
         done = _python(["-c", probe], tmp_path)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"

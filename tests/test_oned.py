@@ -197,7 +197,30 @@ class TestTwoScale1D:
             assert r.ratio_proof <= 1.0
 
 
+def per_node_errors(F, eps_list, points_per_period, y_points, a=0.0, b=1.0):
+    """The period average as one ``trapezoid`` per grid node, in eps order."""
+    yq = np.linspace(0.0, 1.0, y_points + 1)
+    errors = []
+    for eps in sorted(eps_list, reverse=True):
+        n = max(1024, int(np.ceil((b - a) / eps)) * points_per_period)
+        x = np.linspace(a, b, n + 1)
+        osc = trapezoid(F(x / eps, x), x)
+        fbar = trapezoid(
+            np.array([trapezoid(F(yq, np.full_like(yq, xv)), yq) for xv in x]), x)
+        errors.append(abs(osc - fbar))
+    return np.array(errors)
+
+
 class TestOscillatoryAverage:
+    @pytest.mark.parametrize("F", [
+        lambda y, x: np.sin(2 * np.pi * y) * x,
+        lambda y, x: np.exp(np.cos(2 * np.pi * y)) * (1.0 + x**2),
+    ], ids=["modulated-sine", "exp-cosine"])
+    def test_errors_equal_the_per_node_loop(self, F):
+        eps_list = [1 / 4, 1 / 16, 1 / 48, 1 / 64]  # 1/48: a grid the others do not nest in
+        rep = oscillatory_average_check(F, eps_list, points_per_period=32, y_points=300)
+        np.testing.assert_array_equal(rep.errors, per_node_errors(F, eps_list, 32, 300))
+
     def test_y_independent_integrand(self):
         rep = oscillatory_average_check(lambda y, x: np.cos(np.pi * x), [1 / 4, 1 / 16])
         assert np.max(rep.errors) < 1e-12

@@ -1,16 +1,19 @@
 """Batched site-variant values of the spectral-gap functionals.
 
-``variant_values`` evaluates a functional at every (site, variant) pair of
-a sample at once: in closed form for the single-site and box-average
-entries, by a rank-d Sherman-Morrison-Woodbury update of one pinned cell
-inverse for the cell entry.  The oracle is the definition: build each
-variant field with ``site_variants`` and call the functional on it.
+``variant_values`` returns f(a) and the functional at every (site, variant)
+pair of a sample at once: in closed form for the single-site and
+box-average entries, by a rank-d Sherman-Morrison-Woodbury update of one
+pinned cell inverse for the cell entry.  The oracle is the definition:
+build each variant field with ``site_variants`` and call the functional on
+it.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from homoglab.elliptic import elliptic_matrix
 from homoglab.ensembles import SampleId, sample, site_assignments, site_variants, two_point
 from homoglab.lattice import BoxSpec
 from homoglab.quant import (
@@ -50,7 +53,8 @@ def test_batched_values_match_each_variant(field, data):
         SingleSiteEntry(data.draw(st.integers(0, box.n_sites - 1)), component),
     ]
     for func in funcs:
-        got = func.variant_values(a, site_assignments(spec, d))
+        fa, got = func.variant_values(a, site_assignments(spec, d))
+        assert fa == func(a)
         assert got.shape == (len(func.support(box)), 2**d)
         np.testing.assert_allclose(got, brute_force_values(func, a, spec), rtol=0, atol=1e-12)
 
@@ -60,8 +64,8 @@ def test_batched_values_match_each_variant(field, data):
 def test_unchanged_variant_reproduces_the_functional(field):
     spec, a = field
     for func in default_functional_family(a.box):
-        values = func.variant_values(a, site_assignments(spec, a.box.d))
-        fa = func(a)
+        fa, values = func.variant_values(a, site_assignments(spec, a.box.d))
+        assert fa == func(a)
         for k, site in enumerate(func.support(a.box)):
             same = [v for v, var in enumerate(site_variants(spec, a, site))
                     if np.array_equal(var.diag[site], a.diag[site])]
@@ -110,3 +114,29 @@ def test_sg_check_matches_brute_force_loop(seed, n, row, col):
         assert r.derivative_sum.value == pytest.approx(den, rel=1e-12)
         assert r.ratio == pytest.approx(ratio, rel=1e-12)
         assert r.derivative_sum.stderr == pytest.approx(den_se, rel=1e-12, abs=1e-15)
+
+
+@SETTINGS
+@given(field=sampled_fields())
+def test_pinned_inverse_matches_cholesky_solve(field):
+    _, a = field
+    n = a.box.n_sites
+    G, _, _ = CellAhomEntry()._solve(a)
+    expected = scipy.linalg.cho_solve(
+        scipy.linalg.cho_factor(elliptic_matrix(a)[1:, 1:]), np.eye(n - 1))
+    assert not G[0].any() and not G[:, 0].any()
+    np.testing.assert_allclose(G[1:, 1:], expected, rtol=0, atol=1e-12)
+
+
+def test_sg_check_inverts_once_per_sample(monkeypatch):
+    inverted = []
+    inv = np.linalg.inv
+
+    def counted(m):
+        inverted.append(m.shape)
+        return inv(m)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    box = BoxSpec(2, 4)
+    sg_check(two_point(master_seed=7), box, 5)
+    assert inverted == [(box.n_sites - 1, box.n_sites - 1)] * 5
