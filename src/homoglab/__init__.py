@@ -19,8 +19,6 @@ from .lattice import (  # noqa: F401
     div_star,
     grad,
     inner,
-    mean,
-    norm_l2,
 )
 from .ensembles import EnsembleSpec, SampleId, sample  # noqa: F401
 from .elliptic import SolverConfig, SolveReport, SolverError  # noqa: F401

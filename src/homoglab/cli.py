@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .lattice import BoxSpec
+from .lattice import BoxSpec, _csv_text
 from .ensembles import EnsembleError, EnsembleSpec, SampleId, sample
 from .elliptic import SolverConfig, SolverError, collecting_reports
 from .correctors import ahom_cell, ahom_rve, corrector_set, verify_ahom_properties
@@ -93,18 +93,6 @@ class ExperimentConfig:
 
 def _sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def _column_text(column):
-    values = np.asarray(column)
-    fmt = "{:.17g}".format if values.dtype.kind == "f" else str
-    return map(fmt, values.tolist())
-
-
-def _csv_text(header: list[str], columns: list) -> str:
-    """CSV of equal-length columns: floats in 17 significant digits, else str."""
-    rows = zip(*map(_column_text, columns))
-    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
 
 def _record(obj) -> dict:

@@ -39,10 +39,8 @@ from .lattice import (
     BoxSpec,
     CoefficientField,
     ScalarField,
-    VectorField,
     _dot,
     _norm,
-    div_star,
     neighbours,
     stencil,
 )
@@ -55,7 +53,6 @@ __all__ = [
     "cg_solve",
     "solve_elliptic",
     "solve_shifted",
-    "solve_massive",
     "green",
     "heat_kernel",
     "heat_kernel_diagonal",
@@ -266,26 +263,6 @@ def solve_elliptic(a: CoefficientField, rhs: ScalarField,
     return _checked(
         cg_solve(op, rhs, cfg, singular=True, precond=_precond_for(a, 0.0, cfg)),
         "solve_elliptic",
-    )
-
-
-def solve_massive(a: CoefficientField, T: float, F: VectorField,
-                  cfg: SolverConfig = SolverConfig()) -> tuple[ScalarField, SolveReport]:
-    """Solve (1/T) u + div*(a grad u) = div* F.
-
-    The operator is strictly positive, so the solution is unique with no
-    mean constraint.  Testing the equation with u gives the energy identity
-    (1/T)||u||^2 + <grad u, a grad u> = <F, grad u>, and the a priori bound
-    (1/T)||u||^2 + (lam/2)||grad u||^2 <= (2/lam)||F||^2.
-    """
-    if T <= 0:
-        raise ValueError("T must be positive")
-    shift = 1.0 / T
-    rhs = div_star(F)
-    op = _elliptic_op(a, shift=shift)
-    return _checked(
-        cg_solve(op, rhs, cfg, singular=False, precond=_precond_for(a, shift, cfg)),
-        "solve_massive",
     )
 
 

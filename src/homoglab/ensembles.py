@@ -219,16 +219,13 @@ def sample(spec: EnsembleSpec, box: BoxSpec, sid: SampleId) -> CoefficientField:
         a, b = float(p["alpha"]), float(p["beta"])
         base = np.where(rng.integers(0, 2, size=(n, d)) == 0, a, b)
         w = _kernel_weights(spec, d)
-        if list(w.keys()) == [(0,) * d]:
-            diag = base  # point mass: bitwise the iid field
-        else:
-            diag = np.zeros((n, d))
-            for comp in range(d):
-                g = base[:, comp].reshape(box.shape, order="F")
-                acc = np.zeros_like(g)
-                for off, weight in sorted(w.items()):
-                    acc += weight * np.roll(g, shift=tuple(-o for o in off), axis=tuple(range(d)))
-                diag[:, comp] = acc.ravel(order="F")
+        diag = np.zeros((n, d))
+        for comp in range(d):
+            g = base[:, comp].reshape(box.shape, order="F")
+            acc = np.zeros_like(g)
+            for off, weight in sorted(w.items()):
+                acc += weight * np.roll(g, shift=tuple(-o for o in off), axis=tuple(range(d)))
+            diag[:, comp] = acc.ravel(order="F")
     elif spec.kind == "periodic-tile":
         cell = np.asarray(p["unit_cell"], dtype=np.float64)
         tile_n, cell_d = cell.shape
@@ -240,14 +237,7 @@ def sample(spec: EnsembleSpec, box: BoxSpec, sid: SampleId) -> CoefficientField:
             )
         if box.L % tile_L != 0:
             raise EnsembleError(f"box L={box.L} not divisible by tile L={tile_L}")
-        tile_box = BoxSpec(d, tile_L) if tile_L >= 2 else None
-        diag = np.empty((n, d))
-        coords = box.coordinate_arrays()
-        if tile_box is None:  # 1-site tile degenerates to a constant field
-            diag[:] = cell[0]
-        else:
-            for idx in range(n):
-                diag[idx] = cell[tile_box.index_of(coords[idx] % tile_L)]
+        diag = cell[(box.coordinate_arrays() % tile_L) @ tile_L ** np.arange(d)]
     else:  # pragma: no cover - guarded by EnsembleSpec validation
         raise EnsembleError(spec.kind)
     return CoefficientField(box, diag, lam=spec.lam)

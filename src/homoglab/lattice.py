@@ -21,7 +21,6 @@ product, which is the summation-by-parts identity the solvers rely on.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 from dataclasses import dataclass
@@ -40,9 +39,7 @@ __all__ = [
     "apply_elliptic",
     "apply_constant",
     "stencil",
-    "mean",
     "inner",
-    "norm_l2",
     "neighbours",
     "shift",
     "torus_coordinates",
@@ -156,9 +153,6 @@ class VectorField:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
         _check_values(self.values, (self.box.n_sites, self.box.d), "VectorField")
 
-    def component(self, i: int) -> ScalarField:
-        return ScalarField(self.box, self.values[:, i].copy())
-
     def grid(self, i: int) -> np.ndarray:
         return self.values[:, i].reshape(self.box.shape, order="F")
 
@@ -184,10 +178,6 @@ class SkewField:
         _check_values(self.values, (self.box.n_sites, d, d), "SkewField")
         if not np.array_equal(self.values, -np.swapaxes(self.values, 1, 2)):
             raise ValueError("SkewField: values must be exactly antisymmetric in (j,k)")
-
-    @staticmethod
-    def zeros(box: BoxSpec) -> "SkewField":
-        return SkewField(box, np.zeros((box.n_sites, box.d, box.d)))
 
 
 @dataclass(frozen=True)
@@ -327,10 +317,6 @@ def apply_constant(A: np.ndarray, u: ScalarField) -> ScalarField:
     return ScalarField.from_grid(u.box, _div_star_arr(comps))
 
 
-def mean(u: ScalarField) -> float:
-    return float(np.mean(u.values))
-
-
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
     """sum(x * y) by ``np.einsum`` over both arrays in x's memory order.
 
@@ -354,10 +340,6 @@ def _norm(x: np.ndarray) -> float:
     return float(np.sqrt(_dot(x, x)))
 
 
-def norm_l2(u: ScalarField) -> float:
-    return _norm(u.values)
-
-
 def torus_coordinates(box: BoxSpec) -> np.ndarray:
     """(N, d) signed coordinates wrapped to [-L/2, L/2)."""
     c = box.coordinate_arrays().astype(np.float64)
@@ -374,25 +356,31 @@ def torus_radii(box: BoxSpec) -> np.ndarray:
 # serialization (binary-free: CSV body, JSON header line)
 # ---------------------------------------------------------------------------
 
-_KIND_COLUMNS = {
-    "scalar": lambda box: ["value"],
-    "vector": lambda box: [f"value_{i+1}" for i in range(box.d)],
-    "coefficient": lambda box: [f"a_{i+1}" for i in range(box.d)],
-    "skew": lambda box: [
-        f"sigma_{j+1}{k+1}" for j in range(box.d) for k in range(box.d)
-    ],
-}
+
+def _column_text(column):
+    values = np.asarray(column)
+    fmt = "{:.17g}".format if values.dtype.kind == "f" else str
+    return map(fmt, values.tolist())
 
 
-def _field_kind(f) -> tuple[str, np.ndarray]:
+def _csv_text(header: list[str], columns: list) -> str:
+    """CSV of equal-length columns: floats in 17 significant digits, else str."""
+    rows = zip(*map(_column_text, columns))
+    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
+
+
+def _field_table(f) -> tuple[str, np.ndarray, list[str]]:
+    """A field's kind, its (N, columns) value table and the column names."""
+    r = range(f.box.d)
     if isinstance(f, ScalarField):
-        return "scalar", f.values.reshape(-1, 1)
+        return "scalar", f.values.reshape(-1, 1), ["value"]
     if isinstance(f, VectorField):
-        return "vector", f.values
+        return "vector", f.values, [f"value_{i+1}" for i in r]
     if isinstance(f, CoefficientField):
-        return "coefficient", f.diag
+        return "coefficient", f.diag, [f"a_{i+1}" for i in r]
     if isinstance(f, SkewField):
-        return "skew", f.values.reshape(f.box.n_sites, -1)
+        return ("skew", f.values.reshape(f.box.n_sites, -1),
+                [f"sigma_{j+1}{k+1}" for j in r for k in r])
     raise TypeError(f"not a lattice field: {type(f)}")
 
 
@@ -402,43 +390,41 @@ def write_field_csv(f, path) -> None:
     Values are formatted with 17 significant digits so the decimal text
     round-trips to the exact same float64.
     """
-    kind, table = _field_kind(f)
+    kind, table, names = _field_table(f)
     box = f.box
     header = {"kind": kind, **box.to_json()}
     if isinstance(f, CoefficientField):
         header["lambda"] = f.lam
-    with open(path, "w", newline="") as fh:
-        fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-        w = csv.writer(fh)
-        w.writerow(["site"] + [f"x{k+1}" for k in range(box.d)] + _KIND_COLUMNS[kind](box))
-        coords = box.coordinate_arrays()
-        for idx in range(box.n_sites):
-            row = [idx, *coords[idx]]
-            row += [format(v, ".17g") for v in table[idx]]
-            w.writerow(row)
+    body = _csv_text(["site", *(f"x{k+1}" for k in range(box.d)), *names],
+                     [np.arange(box.n_sites), *box.coordinate_arrays().T, *table.T])
+    with open(path, "w") as fh:
+        fh.write("# " + json.dumps(header, sort_keys=True) + "\n" + body)
 
 
 def read_field_csv(path):
-    """Inverse of :func:`write_field_csv`; exact decimal round trip."""
-    with open(path, newline="") as fh:
+    """Exact inverse of :func:`write_field_csv`; rejects missing or misplaced rows and columns."""
+    with open(path) as fh:
         first = fh.readline()
         if not first.startswith("#"):
             raise ValueError(f"{path}: missing JSON header line")
         header = json.loads(first[1:])
         box = BoxSpec.from_json(header)
         kind = header["kind"]
-        rows = list(csv.reader(fh))
-    ncols = len(_KIND_COLUMNS[kind](box))
-    table = np.empty((box.n_sites, ncols))
-    for row in rows[1:]:
-        idx = int(row[0])
-        table[idx] = [float(v) for v in row[1 + box.d :]]
+        rows = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
+    n, d = box.n_sites, box.d
+    if not np.array_equal(rows[:, 0], np.arange(n)):
+        raise ValueError(f"{path}: expected one row for each site 0..{n - 1}, in order")
+    table = rows[:, 1 + d:]
     if kind == "scalar":
-        return ScalarField(box, table[:, 0])
-    if kind == "vector":
-        return VectorField(box, table)
-    if kind == "coefficient":
-        return CoefficientField(box, table, lam=float(header["lambda"]))
-    if kind == "skew":
-        return SkewField(box, table.reshape(box.n_sites, box.d, box.d))
-    raise ValueError(f"unknown field kind {kind!r}")
+        f = ScalarField(box, table[:, 0])
+    elif kind == "vector":
+        f = VectorField(box, table)
+    elif kind == "coefficient":
+        f = CoefficientField(box, table, lam=float(header["lambda"]))
+    elif kind == "skew":
+        f = SkewField(box, table.reshape(n, d, d))
+    else:
+        raise ValueError(f"unknown field kind {kind!r}")
+    if _field_table(f)[1].shape != table.shape:
+        raise ValueError(f"{path}: {table.shape[1]} value columns do not fit a {kind} field")
+    return f

@@ -9,6 +9,7 @@ from homoglab.lattice import (
     VectorField,
     apply_constant,
     apply_elliptic,
+    div_star,
     grad,
     torus_coordinates,
 )
@@ -22,7 +23,7 @@ from homoglab.elliptic import (
     heat_kernel,
     heat_kernel_diagonal,
     solve_elliptic,
-    solve_massive,
+    solve_shifted,
 )
 from homoglab.spectral import inverse, symbol
 
@@ -127,6 +128,11 @@ class TestCG:
         direct = elliptic_matrix(a)
         via_action = operator_matrix(lambda v: apply_elliptic(a, v), box)
         assert np.max(np.abs(direct - via_action)) < 1e-13
+
+
+def solve_massive(a, T, F, cfg=SolverConfig()):
+    """Solve (1/T) u + div*(a grad u) = div* F."""
+    return solve_shifted(a, 1.0 / T, div_star(F), cfg)
 
 
 class TestMassive:

@@ -98,14 +98,18 @@ class TestSampling:
         assert a.diag[:, 0].std() < 0.8 * iid_sd
 
     def test_periodic_tile_reproduces_unit_cell(self):
-        cell_box = BoxSpec(2, 2)
-        cell = np.array([[0.3, 0.3], [0.7, 0.7], [0.5, 0.5], [0.4, 0.4]])
-        spec = EnsembleSpec("periodic-tile", {"unit_cell": cell.tolist()}, 0.2, 0)
-        box = BoxSpec(2, 4)
-        a = sample(spec, box, SampleId(0))
-        for idx in range(box.n_sites):
-            x = box.coordinates_of(idx)
-            assert np.array_equal(a.diag[idx], cell[cell_box.index_of((x[0] % 2, x[1] % 2))])
+        # oracle: the tile site of every box site, one index_of call per site
+        cases = [(2, 2, 4), (1, 4, 8), (3, 2, 6), (2, 1, 4), (3, 1, 2), (1, 2, 2)]
+        rng = np.random.default_rng(0)
+        for d, tile_L, L in cases:
+            cell_box = BoxSpec(d, max(tile_L, 2))
+            cell = rng.uniform(0.25, 0.95, size=(tile_L**d, d))
+            spec = EnsembleSpec("periodic-tile", {"unit_cell": cell.tolist()}, 0.2, 0)
+            box = BoxSpec(d, L)
+            a = sample(spec, box, SampleId(0))
+            expected = np.array([cell[cell_box.index_of(np.array(x) % tile_L)]
+                                 for x in map(box.coordinates_of, range(box.n_sites))])
+            assert np.array_equal(a.diag, expected), (d, tile_L, L)
 
 
 class TestStationarity:

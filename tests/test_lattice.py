@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -14,8 +15,6 @@ from homoglab.lattice import (
     div_star,
     grad,
     inner,
-    mean,
-    norm_l2,
     read_field_csv,
     shift,
     write_field_csv,
@@ -159,14 +158,10 @@ class TestApplyElliptic:
 
 
 class TestReductions:
-    def test_mean_of_constant(self):
-        box = BoxSpec(1, 7)
-        assert mean(ScalarField.constant(box, 1.25)) == 1.25
-
     def test_inner_is_squared_norm(self, rng):
         box = BoxSpec(2, 4)
         u = ScalarField(box, rng.normal(size=box.n_sites))
-        assert np.isclose(inner(u, u), norm_l2(u) ** 2, rtol=1e-14)
+        assert np.isclose(inner(u, u), np.linalg.norm(u.values) ** 2, rtol=1e-14)
 
     def test_dot_pairs_elements_in_any_memory_order(self, rng):
         x = np.asfortranarray(rng.normal(size=(5, 6, 7)))
@@ -228,3 +223,47 @@ class TestSerialization:
         table_g = g.diag if kind == "coefficient" else g.values
         assert g.box == box
         assert np.array_equal(table_f, table_g)
+
+    def _scalar_file(self, rng, tmp_path):
+        box = BoxSpec(2, 4)
+        path = tmp_path / "scalar.csv"
+        write_field_csv(ScalarField(box, rng.normal(size=box.n_sites)), path)
+        return path, path.read_text().splitlines(keepends=True)
+
+    def test_truncated_file_rejected(self, rng, tmp_path):
+        path, lines = self._scalar_file(rng, tmp_path)
+        path.write_text("".join(lines[:-3]))
+        with pytest.raises(ValueError):
+            read_field_csv(path)
+
+    def test_repeated_site_rejected(self, rng, tmp_path):
+        path, lines = self._scalar_file(rng, tmp_path)
+        lines[3] = "0" + lines[3][1:]  # site 1 becomes a second site 0
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError):
+            read_field_csv(path)
+
+    @pytest.mark.parametrize("kind", ["scalar", "skew"])
+    def test_wrong_column_count_rejected(self, kind, rng, tmp_path):
+        path, lines = self._scalar_file(rng, tmp_path)
+        header = lines[0].replace('"scalar"', f'"{kind}"')
+        extra = [line.rstrip("\n") + ",0.5\n" for line in lines[1:]]
+        path.write_text(header + "".join(extra))
+        with pytest.raises(ValueError):
+            read_field_csv(path)
+
+    def test_legacy_crlf_file_round_trips(self, rng, tmp_path):
+        # the per-row csv.writer format of 0.7.0 and before: \r\n line ends
+        box = BoxSpec(2, 3)
+        a = random_coefficients(box, rng)
+        path = tmp_path / "legacy.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write('# {"L": 3, "d": 2, "kind": "coefficient", "lambda": %r}\n' % a.lam)
+            w = csv.writer(fh)
+            w.writerow(["site", "x1", "x2", "a_1", "a_2"])
+            for idx, x in enumerate(box.coordinate_arrays()):
+                w.writerow([idx, *x, *(format(v, ".17g") for v in a.diag[idx])])
+        assert b"\r\n" in path.read_bytes()
+        g = read_field_csv(path)
+        assert g.box == box and g.lam == a.lam
+        assert np.array_equal(g.diag, a.diag)

@@ -221,6 +221,17 @@ class TestOscillatoryAverage:
         rep = oscillatory_average_check(F, eps_list, points_per_period=32, y_points=300)
         np.testing.assert_array_equal(rep.errors, per_node_errors(F, eps_list, 32, 300))
 
+    def test_default_y_points_match_4096(self):
+        # the trapezoid rule converges geometrically on smooth periodic
+        # integrands; this one is not a trigonometric polynomial in y
+        def F(y, x):
+            return np.exp(x) / (1.0 + 0.5 * np.sin(2 * np.pi * y))
+
+        rep = oscillatory_average_check(F, [1 / 4, 1 / 8])
+        fine = oscillatory_average_check(F, [1 / 4, 1 / 8], y_points=4096)
+        np.testing.assert_allclose(rep.errors, fine.errors, rtol=0, atol=1e-15)
+        assert abs(rep.fitted_constant - fine.fitted_constant) <= 1e-15
+
     def test_y_independent_integrand(self):
         rep = oscillatory_average_check(lambda y, x: np.cos(np.pi * x), [1 / 4, 1 / 16])
         assert np.max(rep.errors) < 1e-12
