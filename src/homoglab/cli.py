@@ -316,8 +316,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         {"samples": Param(int, 500)}),
     "semigroup": Experiment(
         _statistic(lambda cfg, p, map_fn: semigroup_decay(
-            cfg.ensemble, cfg.box, p["t_grid"], n=p["samples"],
-            map_fn=map_fn)),
+            cfg.ensemble, cfg.box, p["t_grid"], n=p["samples"], map_fn=map_fn)),
         {"samples": Param(int, 500), "t_grid": Param(float, [1, 4, 16, 64], "+")}),
     "green": Experiment(
         _statistic(lambda cfg, p, map_fn: green_decay(
@@ -331,8 +330,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         {"samples": Param(int, 50), "q": Param(float, 1.1), "alpha_w": Param(float, 0.1)}),
     "birkhoff": Experiment(
         _statistic(lambda cfg, p, map_fn: birkhoff_rate(
-            cfg.ensemble, cfg.box, p["R_list"], n=p["samples"],
-            map_fn=map_fn)),
+            cfg.ensemble, cfg.box, p["R_list"], n=p["samples"], map_fn=map_fn)),
         {"samples": Param(int, 200), "R_list": Param(int, [4, 8, 16, 32], "+")}),
 }
 

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, SampleId, sample
+from .ensembles import EnsembleSpec, per_sample
 from .lattice import (
     BoxSpec,
     CoefficientField,
@@ -243,10 +243,8 @@ def ahom_rve(spec: EnsembleSpec, box: BoxSpec, n_samples: int,
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
 
-    def one(i: int) -> np.ndarray:
-        return ahom_cell(sample(spec, box, SampleId(i)), cfg).matrix
-
-    mats = np.stack(list(map_fn(one, range(n_samples))))
+    mats = np.stack(per_sample(spec, box, n_samples,
+                               lambda a, i: ahom_cell(a, cfg).matrix, map_fn))
     mean = mats.mean(axis=0)
     sd = mats.std(axis=0, ddof=1) / np.sqrt(n_samples)
     return HomogenizedTensor(mean, sd, n_samples)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,9 +103,8 @@ class ReportCollector:
     on worker scheduling.
     """
 
-    def __init__(self, parent: "ReportCollector | None" = None):
+    def __init__(self):
         self._lock = threading.Lock()
-        self._parent = parent
         self.n_solves = 0
         self.total_iterations = 0
         self.max_iterations = 0
@@ -118,8 +118,6 @@ class ReportCollector:
             self.max_iterations = max(self.max_iterations, rep.iterations)
             self.max_residual = max(self.max_residual, rep.final_relative_residual)
             self.all_converged = self.all_converged and rep.converged
-        if self._parent is not None:
-            self._parent.add(rep)
 
     def summary(self) -> dict:
         return {
@@ -131,24 +129,29 @@ class ReportCollector:
         }
 
 
-_active_collector: ReportCollector | None = None
+_scopes = ContextVar("report_scopes", default=())  # collectors of the enclosing scopes
 
 
 @contextmanager
 def collecting_reports():
-    """Route every cg_solve report into a fresh collector for the duration.
+    """Route every cg_solve report of this context into a fresh collector.
 
-    Collectors nest: an inner collector forwards to the one it shadows, so
-    enclosing scopes keep complete aggregates.
+    Scopes nest: a report reaches the collector of every enclosing scope.
+    The scope is context-local, so concurrent runs in separate threads keep
+    separate counts; ``ensembles.per_sample`` carries it into pool workers.
     """
-    global _active_collector
-    previous = _active_collector
-    collector = ReportCollector(parent=previous)
-    _active_collector = collector
+    collector = ReportCollector()
+    token = _scopes.set(_scopes.get() + (collector,))
     try:
         yield collector
     finally:
-        _active_collector = previous
+        _scopes.reset(token)
+
+
+def _report(rep: SolveReport) -> SolveReport:
+    for collector in _scopes.get():
+        collector.add(rep)
+    return rep
 
 
 def cg_solve(operator, rhs: ScalarField, cfg: SolverConfig = SolverConfig(),
@@ -168,10 +171,7 @@ def cg_solve(operator, rhs: ScalarField, cfg: SolverConfig = SolverConfig(),
         b -= removed
     bnorm = _norm(b)
     if bnorm == 0.0:
-        rep = SolveReport(0, 0.0, True, removed)
-        if _active_collector is not None:
-            _active_collector.add(rep)
-        return ScalarField.zeros(box), rep
+        return ScalarField.zeros(box), _report(SolveReport(0, 0.0, True, removed))
 
     # every vector keeps b's memory order, so no update transposes
     x = np.zeros_like(b)
@@ -209,10 +209,7 @@ def cg_solve(operator, rhs: ScalarField, cfg: SolverConfig = SolverConfig(),
     converged = rel <= cfg.tol
     if singular:
         _fix_gauge(x, cfg)
-    rep = SolveReport(it, rel, converged, removed)
-    if _active_collector is not None:
-        _active_collector.add(rep)
-    return ScalarField.from_grid(box, x), rep
+    return ScalarField.from_grid(box, x), _report(SolveReport(it, rel, converged, removed))
 
 
 def _fix_gauge(x: np.ndarray, cfg: SolverConfig) -> None:

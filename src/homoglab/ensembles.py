@@ -20,9 +20,13 @@ Supported kinds:
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -32,6 +36,7 @@ __all__ = [
     "EnsembleSpec",
     "SampleId",
     "sample",
+    "per_sample",
     "site_assignments",
     "site_variants",
     "spatial_average_observable",
@@ -64,6 +69,14 @@ class EnsembleSpec:
     master_seed: int = 0
 
     def __post_init__(self):
+        try:
+            self._check()
+        except (KeyError, TypeError, ValueError) as exc:
+            if isinstance(exc, EnsembleError):
+                raise
+            raise EnsembleError(f"{self.kind!r} ensemble: bad parameter {exc!r}") from exc
+
+    def _check(self):
         if self.kind not in KINDS:
             raise EnsembleError(f"unknown ensemble kind {self.kind!r}")
         if not (0.0 < self.lam < 1.0):
@@ -144,12 +157,12 @@ class EnsembleSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "EnsembleSpec":
-        return EnsembleSpec(
-            kind=obj["kind"],
-            params=dict(obj["params"]),
-            lam=float(obj.get("lambda", 0.2)),
-            master_seed=int(obj["master_seed"]),
-        )
+        try:
+            kind, params = obj["kind"], dict(obj["params"])
+            lam, seed = float(obj.get("lambda", 0.2)), operator.index(obj["master_seed"])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise EnsembleError(f"ensemble needs kind, params and master_seed: {exc!r}") from exc
+        return EnsembleSpec(kind, params, lam, seed)
 
     @staticmethod
     def load(path) -> "EnsembleSpec":
@@ -243,6 +256,22 @@ def sample(spec: EnsembleSpec, box: BoxSpec, sid: SampleId) -> CoefficientField:
     return CoefficientField(box, diag, lam=spec.lam)
 
 
+def per_sample(spec: EnsembleSpec, box: BoxSpec, n: int, fn: Callable,
+               map_fn: Callable = map) -> list:
+    """The Monte Carlo loop: ``[fn(sample(spec, box, SampleId(i)), i) for i < n]``, in order.
+
+    ``map_fn`` may be a thread pool's ``map``.  A pool does not pass contexts
+    on, so each sample runs in a copy of the caller's: the report scope of
+    ``elliptic.collecting_reports`` reaches the workers.
+    """
+    ctx = contextvars.copy_context()
+
+    def one(i: int):
+        return ctx.copy().run(fn, sample(spec, box, SampleId(i)), i)
+
+    return list(map_fn(one, range(n)))
+
+
 def site_assignments(spec: EnsembleSpec, d: int) -> np.ndarray:
     """(2**d, d) array of the diagonal values one site can take.
 
@@ -272,12 +301,18 @@ def site_variants(spec: EnsembleSpec, a: CoefficientField, site: int) -> list[Co
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _sub_box_sites(box: BoxSpec, R: int) -> np.ndarray:
+    """Site indices of the centered R-sub-box, cached per (box, R) and read-only."""
+    if not (1 <= R <= box.L):
+        raise ValueError(f"sub-box size R={R} must satisfy 1 <= R <= L={box.L}")
+    lo = (box.L - R) // 2
+    coords = box.coordinate_arrays()
+    sites = np.flatnonzero(np.all((coords >= lo) & (coords < lo + R), axis=1))
+    sites.flags.writeable = False
+    return sites
+
+
 def spatial_average_observable(a: CoefficientField, R: int, component: int = 0) -> float:
     """Average of a chosen diagonal entry over the centered R-sub-box."""
-    L = a.box.L
-    if not (1 <= R <= L):
-        raise ValueError(f"sub-box size R={R} must satisfy 1 <= R <= L={L}")
-    lo = (L - R) // 2
-    g = a.grid(component)
-    sl = tuple(slice(lo, lo + R) for _ in range(a.box.d))
-    return float(np.mean(g[sl]))
+    return float(a.diag[_sub_box_sites(a.box, R), component].mean())

@@ -408,8 +408,11 @@ def read_field_csv(path):
         if not first.startswith("#"):
             raise ValueError(f"{path}: missing JSON header line")
         header = json.loads(first[1:])
-        box = BoxSpec.from_json(header)
-        kind = header["kind"]
+        try:
+            box, kind = BoxSpec.from_json(header), header["kind"]
+            lam = float(header["lambda"]) if kind == "coefficient" else None
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: header needs d, L, kind (lambda for a coefficient)") from exc
         rows = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
     n, d = box.n_sites, box.d
     if not np.array_equal(rows[:, 0], np.arange(n)):
@@ -420,7 +423,7 @@ def read_field_csv(path):
     elif kind == "vector":
         f = VectorField(box, table)
     elif kind == "coefficient":
-        f = CoefficientField(box, table, lam=float(header["lambda"]))
+        f = CoefficientField(box, table, lam=lam)
     elif kind == "skew":
         f = SkewField(box, table.reshape(n, d, d))
     else:

@@ -20,13 +20,13 @@ are calibrated to the default sample counts.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, SampleId, sample, site_assignments, site_variants
+from .ensembles import (EnsembleSpec, _sub_box_sites, per_sample, site_assignments,
+                        site_variants, spatial_average_observable)
 from .lattice import (
     BoxSpec,
     CoefficientField,
@@ -180,16 +180,6 @@ class SingleSiteEntry:
         return float(a.diag[self.site, self.component]), values[None, :, self.component].copy()
 
 
-@functools.lru_cache(maxsize=16)
-def _sub_box_sites(box: BoxSpec, R: int) -> np.ndarray:
-    """Site indices of the centered R-sub-box, cached per (box, R) and read-only."""
-    lo = (box.L - R) // 2
-    coords = box.coordinate_arrays()
-    sites = np.flatnonzero(np.all((coords >= lo) & (coords < lo + R), axis=1))
-    sites.flags.writeable = False
-    return sites
-
-
 class BoxAverageEntry:
     """f(a) = average of a_component over the centered R-sub-box."""
 
@@ -203,7 +193,7 @@ class BoxAverageEntry:
         return list(_sub_box_sites(box, self.R))
 
     def __call__(self, a: CoefficientField) -> float:
-        return float(a.diag[_sub_box_sites(a.box, self.R), self.component].mean())
+        return spatial_average_observable(a, self.R, self.component)
 
     def variant_values(self, a: CoefficientField,
                        values: np.ndarray) -> tuple[float, np.ndarray]:
@@ -340,8 +330,7 @@ def sg_check(spec: EnsembleSpec, box: BoxSpec, n: int,
         functionals = default_functional_family(box)
     values = site_assignments(spec, box.d)
 
-    def one(i: int):
-        a = sample(spec, box, SampleId(i))
+    def one(a: CoefficientField, i: int):
         out = []
         for func in functionals:
             fa, table = func.variant_values(a, values)
@@ -349,11 +338,11 @@ def sg_check(spec: EnsembleSpec, box: BoxSpec, n: int,
             out.append((fa, float(np.sum(derivs ** 2))))
         return out
 
-    per_sample = list(map_fn(one, range(n)))
+    rows = per_sample(spec, box, n, one, map_fn)
     reports = []
     for j, func in enumerate(functionals):
-        vals = np.array([s[j][0] for s in per_sample])
-        dsums = np.array([s[j][1] for s in per_sample])
+        vals = np.array([s[j][0] for s in rows])
+        dsums = np.array([s[j][1] for s in rows])
         centered_sq = (vals - vals.mean()) ** 2
         var = float(vals.var(ddof=1))
         var_se = float(centered_sq.std(ddof=1) / np.sqrt(n))
@@ -426,8 +415,7 @@ def corrector_growth(spec: EnsembleSpec, box: BoxSpec, radii: Sequence[int],
     xi = np.zeros(d)
     xi[0] = 1.0
 
-    def one(i: int) -> np.ndarray:
-        a = sample(spec, box, SampleId(i))
+    def one(a: CoefficientField, i: int) -> np.ndarray:
         phi, _ = solve_corrector(a, xi, cfg)
         g = phi.grid()
         out = np.empty(len(radii))
@@ -439,7 +427,7 @@ def corrector_growth(spec: EnsembleSpec, box: BoxSpec, radii: Sequence[int],
             out[k] = acc / d
         return out
 
-    rows = np.stack(list(map_fn(one, range(n))))
+    rows = np.stack(per_sample(spec, box, n, one, map_fn))
     means = rows.mean(axis=0)
     ses = rows.std(axis=0, ddof=1) / np.sqrt(n)
     moments = []
@@ -500,15 +488,15 @@ def semigroup_decay(spec: EnsembleSpec, box: BoxSpec, t_grid: Sequence[float],
         kernels.append(p.values)
     mean_zeta = spec.marginal_mean()
 
-    def one(i: int) -> np.ndarray:
-        col = sample(spec, box, SampleId(i)).diag[:, component]
+    def one(a: CoefficientField, i: int) -> np.ndarray:
+        col = a.diag[:, component]
         out = np.empty(len(t_grid) + 1)
         out[0] = col[0]  # zeta itself (t = 0 reference for the contraction check)
         for k, pk in enumerate(kernels):
             out[k + 1] = _dot(pk, col)
         return out
 
-    rows = np.stack(list(map_fn(one, range(n))))
+    rows = np.stack(per_sample(spec, box, n, one, map_fn))
     zeta_var = float(rows[:, 0].var(ddof=1))
     dev = (rows[:, 1:] - mean_zeta) ** 2
     m2 = dev.mean(axis=0)
@@ -523,16 +511,6 @@ def semigroup_decay(spec: EnsembleSpec, box: BoxSpec, t_grid: Sequence[float],
 # ---------------------------------------------------------------------------
 # Green's function decay
 # ---------------------------------------------------------------------------
-
-
-def _shell_masks(r: np.ndarray, radii: np.ndarray) -> list[np.ndarray]:
-    """Sites within 1/2 of each radius, for the torus radii ``r`` of every site."""
-    return [np.flatnonzero(np.abs(r - rad) <= 0.5) for rad in radii]
-
-
-def _far_field_mask(r: np.ndarray, L: int) -> np.ndarray:
-    """Sites at torus radius 3L/8 or more: the antipodal region."""
-    return np.flatnonzero(r >= 3.0 * L / 8.0)
 
 
 @dataclass(frozen=True)
@@ -574,13 +552,12 @@ def green_decay(spec: EnsembleSpec, box: BoxSpec, n: int,
     if radii[-1] > box.L // 4:
         raise ValueError("radii must stay within the periodization window L/4")
     r = torus_radii(box)
-    shells = _shell_masks(r, radii)
-    far = _far_field_mask(r, box.L)
+    shells = [np.flatnonzero(np.abs(r - rad) <= 0.5) for rad in radii]  # within 1/2 of rad
+    far = np.flatnonzero(r >= 3.0 * box.L / 8.0)  # the antipodal region
     source_sites = [0] + [box.index_of(tuple(int(k == j) for k in range(d)))
                           for j in range(d)]
 
-    def one(i: int):
-        a = sample(spec, box, SampleId(i))
+    def one(a: CoefficientField, i: int):
         G0, _ = green(a, 0, cfg)
         g0 = G0.values
         far_level = float(g0[far].mean())
@@ -597,7 +574,7 @@ def green_decay(spec: EnsembleSpec, box: BoxSpec, n: int,
         ann = np.array([float(hess_sq[s].mean()) for s in shells])
         return quenched, center, ann
 
-    results = list(map_fn(one, range(n)))
+    results = per_sample(spec, box, n, one, map_fn)
     quenched = np.median(np.stack([r[0] for r in results]), axis=0)
     center = float(np.median([r[1] for r in results]))
     annealed = np.sqrt(np.stack([r[2] for r in results]).mean(axis=0))
@@ -673,15 +650,14 @@ def meyers_probe(spec: EnsembleSpec, box: BoxSpec, n: int = 50, q: float = 1.1,
                  map_fn: Callable = map) -> MeyersProbeReport:
     """Ratio stability across random (a, h) pairs; flags a blow-up of the constant."""
 
-    def one(i: int) -> float:
-        a = sample(spec, box, SampleId(i))
+    def one(a: CoefficientField, i: int) -> float:
         h_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=spec.master_seed, spawn_key=(i, 1))
         )
         h = smooth_random_field(box, h_rng)
         return meyers_ratio(a, h, q, alpha_w, cfg)
 
-    ratios = np.array(list(map_fn(one, range(n))))
+    ratios = np.array(per_sample(spec, box, n, one, map_fn))
     med = float(np.median(ratios))
     return MeyersProbeReport(q, alpha_w, ratios, med, bool(np.any(ratios > 10.0 * med)))
 
@@ -705,19 +681,14 @@ def birkhoff_rate(spec: EnsembleSpec, box: BoxSpec, R_list: Sequence[int],
     For i.i.d. entries the exact rate is sd * R^{-d/2}; the log-log slope of
     the fitted profile is the reported quantity.
     """
-    from .ensembles import spatial_average_observable
-
     R_arr = np.asarray(sorted(R_list), dtype=np.int64)
     _check_fit_grid(R_arr, "R_list")
     if R_arr[-1] > box.L:
         raise ValueError("R exceeds the box side")
     mean_val = spec.marginal_mean()
 
-    def one(i: int) -> np.ndarray:
-        a = sample(spec, box, SampleId(i))
-        return np.array([spatial_average_observable(a, int(R)) - mean_val for R in R_arr])
-
-    devs = np.stack(list(map_fn(one, range(n))))
+    devs = np.stack(per_sample(spec, box, n, lambda a, i: np.array(
+        [spatial_average_observable(a, int(R)) - mean_val for R in R_arr]), map_fn))
     rms = np.sqrt((devs**2).mean(axis=0))
     fit = _loglog_fit(R_arr.astype(np.float64), rms)
     return BirkhoffReport(R_arr, rms, fit)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .correctors import CorrectorSet, corrector_set
 from .elliptic import SolverConfig, solve_shifted
-from .ensembles import EnsembleSpec, SampleId, sample
+from .ensembles import EnsembleSpec, per_sample
 from .lattice import BoxSpec, CoefficientField, ScalarField, _grad_arr, grad
 from .spectral import inverse
 
@@ -162,8 +162,6 @@ def two_scale_experiment(spec: EnsembleSpec, box: BoxSpec, alpha: float,
     if f is None:
         f = default_forcing(box)
 
-    def one(i: int) -> TwoScaleReport:
-        a = sample(spec, box, SampleId(i))
-        return two_scale_report(a, alpha, f, sample_index=i, cfg=cfg)
-
-    return list(map_fn(one, range(n_samples)))
+    return per_sample(spec, box, n_samples,
+                      lambda a, i: two_scale_report(a, alpha, f, sample_index=i, cfg=cfg),
+                      map_fn)

@@ -2,10 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 import homoglab
+import homoglab.correctors
+import homoglab.ensembles
 import homoglab.quant
 from conftest import constant_green
 from homoglab.cli import (
@@ -19,8 +24,12 @@ from homoglab.cli import (
     config_from_args,
     main,
     replay,
+    run,
 )
-from homoglab.elliptic import SolverConfig
+from homoglab.correctors import ahom_rve
+from homoglab.elliptic import SolverConfig, collecting_reports
+from homoglab.ensembles import EnsembleSpec, SampleId, sample
+from homoglab.lattice import BoxSpec
 
 
 def _python(args, cwd, **env):
@@ -99,6 +108,27 @@ class TestDispatchAndErrors:
         assert code == EXIT_CONFIG_ERROR
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("ensemble", [
+        {"kind": "iid-two-point", "params": {"alpha": 0.25, "beta": 0.75}},
+        {"kind": "iid-two-point", "params": {"alpha": 0.25}, "master_seed": 1},
+        {"kind": "iid-two-point", "params": {"alpha": 0.25, "beta": None}, "master_seed": 1},
+        {"kind": "iid-uniform", "params": [0.3, 0.9], "master_seed": 1},
+        {"kind": "iid-two-point", "params": {"alpha": 0.25, "beta": 0.75}, "master_seed": "x"},
+        {"kind": "iid-two-point", "params": {"alpha": 0.25, "beta": 0.75}, "master_seed": 1.9},
+        [1, 2],
+    ], ids=["no-master-seed", "no-beta", "null-beta", "params-list", "seed-string",
+            "seed-float", "not-an-object"])
+    @pytest.mark.parametrize("experiment", ["ahom", "sg"])
+    def test_incomplete_ensemble_file_exits_3_and_writes_nothing(
+            self, ensemble, experiment, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(ensemble))
+        code = main([experiment, "--ensemble", str(bad), "--L", "4",
+                     "--out", str(tmp_path / "never.json")])
+        assert code == EXIT_CONFIG_ERROR
+        assert "config error" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["bad.json"]
+
     def test_missing_box_is_config_error(self, ensemble_file, tmp_path):
         code = main(["ahom", "--ensemble", ensemble_file,
                      "--out", str(tmp_path / "x.json")])
@@ -157,7 +187,7 @@ class TestDispatchAndErrors:
         def no_sample(*args):
             raise AssertionError("sampled before checking the fit grid")
 
-        monkeypatch.setattr(homoglab.quant, "sample", no_sample)
+        monkeypatch.setattr(homoglab.ensembles, "sample", no_sample)
         code = main([*argv, "--ensemble", ensemble_file, "--samples", "2",
                      "--out", str(tmp_path / "out.json")])
         assert code == EXIT_CONFIG_ERROR
@@ -204,9 +234,16 @@ class TestDeterminismAndReplay:
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
     @pytest.mark.parametrize("argv", [
+        ["ahom", "--L", "8", "--samples", "4"],
         ["twoscale", "--L", "8", "--samples", "4", "--precond", "spectral"],
+        ["growth", "--L", "16", "--radii", "2", "4", "--samples", "4", "--precond", "spectral"],
         ["sg", "--d", "2", "--L", "4", "--samples", "6"],
-    ], ids=["twoscale", "sg"])
+        ["semigroup", "--L", "16", "--t-grid", "1", "4", "--samples", "8"],
+        ["green", "--L", "16", "--radii", "2", "3", "4", "--samples", "2",
+         "--precond", "spectral"],
+        ["meyers", "--L", "8", "--samples", "4"],
+        ["birkhoff", "--L", "8", "--R-list", "2", "4", "--samples", "8"],
+    ], ids=lambda argv: argv[0])
     def test_thread_count_does_not_change_bytes(self, argv, ensemble_file, tmp_path,
                                                 monkeypatch):
         # one relative --out name in two directories: JSON results record it
@@ -217,6 +254,9 @@ class TestDeterminismAndReplay:
                          "--out", "result"])
             assert code == EXIT_OK
         assert (tmp_path / "1" / "result").read_bytes() == (tmp_path / "4" / "result").read_bytes()
+        summaries = [json.loads((tmp_path / t / "result.manifest.json").read_text())
+                     ["solver_summary"] for t in ("1", "4")]
+        assert summaries[0] == summaries[1]
 
     def test_every_row_carries_its_sample_id(self, ensemble_file, tmp_path):
         out = str(tmp_path / "ts.csv")
@@ -312,6 +352,52 @@ class TestDeterminismAndReplay:
         ok, report = replay(mpath)
         assert not ok
         assert report["max_abs_deviation"] > 0.0
+
+
+class TestReportScope:
+    """The solver summary of a run counts that run's solves and no others."""
+
+    def _ahom(self, ensemble_file, samples):
+        args = build_parser().parse_args(["ahom", "--ensemble", ensemble_file, "--L", "8",
+                                          "--samples", str(samples)])
+        return config_from_args(args)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_concurrent_runs_keep_separate_counts(self, threads, ensemble_file, monkeypatch):
+        alone = [run(self._ahom(ensemble_file, n), threads=threads, write=False)
+                 ["solver_summary"] for n in (4, 12)]
+        assert [s["n_solves"] for s in alone] == [8, 24]
+        # each run waits in its sample 0 until the other run has opened its scope
+        barrier = threading.Barrier(2, timeout=60)
+        cell = homoglab.correctors.ahom_cell
+        first = sample(EnsembleSpec.load(ensemble_file), BoxSpec(2, 8), SampleId(0)).diag
+
+        def ahom_cell(a, cfg):
+            if np.array_equal(a.diag, first):
+                barrier.wait()
+            return cell(a, cfg)
+
+        monkeypatch.setattr(homoglab.correctors, "ahom_cell", ahom_cell)
+        together = [None, None]
+
+        def go(k, n):
+            together[k] = run(self._ahom(ensemble_file, n), threads=threads,
+                              write=False)["solver_summary"]
+
+        workers = [threading.Thread(target=go, args=(k, n)) for k, n in enumerate((4, 12))]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        assert together == alone
+
+    def test_scope_reaches_a_callers_own_pool(self, ensemble_file):
+        spec = EnsembleSpec.load(ensemble_file)
+        with collecting_reports() as outer, ThreadPoolExecutor(2) as pool:
+            with collecting_reports() as inner:
+                ahom_rve(spec, BoxSpec(2, 8), 6, map_fn=pool.map)
+        assert inner.n_solves == outer.n_solves == 12
 
 
 class TestConfigRoundTrip:

@@ -1,14 +1,20 @@
+import functools
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from homoglab.lattice import BoxSpec
+from homoglab.elliptic import cg_solve, collecting_reports
+from homoglab.lattice import BoxSpec, ScalarField
+from homoglab.quant import BoxAverageEntry
 from homoglab.ensembles import (
     EnsembleError,
     EnsembleSpec,
     SampleId,
     constant,
+    per_sample,
     sample,
     site_variants,
     spatial_average_observable,
@@ -166,6 +172,19 @@ class TestSpatialAverage:
         a = sample(spec, BoxSpec(2, 8), SampleId(0))
         assert spatial_average_observable(a, 8) == pytest.approx(a.diag[:, 0].mean())
 
+    @pytest.mark.parametrize("d,L", [(1, 9), (2, 8), (2, 7), (3, 5)])
+    def test_matches_centered_grid_slice(self, d, L):
+        # the grid-slice form is the reference: rows and columns lo..lo+R-1
+        # of every axis, lo = (L - R) // 2, averaged in the grid's memory order
+        box = BoxSpec(d, L)
+        a = sample(uniform(master_seed=6), box, SampleId(0))
+        for R in range(1, L + 1):
+            lo = (L - R) // 2
+            for comp in range(d):
+                window = a.grid(comp)[(slice(lo, lo + R),) * d]
+                assert spatial_average_observable(a, R, comp) == float(np.mean(window))
+                assert BoxAverageEntry(R, comp)(a) == float(np.mean(window))
+
     def test_R_larger_than_box_rejected(self):
         a = sample(constant(0.5), BoxSpec(2, 8), SampleId(0))
         with pytest.raises(ValueError):
@@ -199,3 +218,34 @@ class TestJsonRoundTrip:
         obj = two_point(master_seed=5).to_json()
         assert set(obj) == {"kind", "params", "lambda", "master_seed"}
         json.dumps(obj)  # serializable
+
+
+class TestPerSample:
+    def test_results_in_sample_order(self):
+        spec, box = two_point(master_seed=4), BoxSpec(2, 4)
+        with ThreadPoolExecutor(3) as pool:
+            got = per_sample(spec, box, 9, lambda a, i: (i, a.diag.copy()), pool.map)
+        assert [i for i, _ in got] == list(range(9))
+        for i, diag in got:
+            assert np.array_equal(diag, sample(spec, box, SampleId(i)).diag)
+
+    def test_report_scope_counts_every_solve_under_contention(self):
+        # more workers than cores and a short switch interval: a lost update
+        # in the collector or a worker outside the scope shows as a short count
+        box = BoxSpec(1, 4)
+        zero = ScalarField.zeros(box)
+
+        def solves(a, i):
+            for _ in range(5):
+                cg_solve(lambda u: u, zero)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with collecting_reports() as outer, ThreadPoolExecutor(8) as pool:
+                with collecting_reports() as inner:
+                    per_sample(two_point(), box, 400, solves,
+                               functools.partial(pool.map, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert inner.n_solves == outer.n_solves == 2000

@@ -252,6 +252,20 @@ class TestSerialization:
         with pytest.raises(ValueError):
             read_field_csv(path)
 
+    @pytest.mark.parametrize("header", [
+        '{"L": 3, "d": 2}',
+        '{"L": 3, "kind": "scalar"}',
+        '{"L": 3, "d": 2, "kind": "coefficient"}',
+        '[1, 2]',
+        '"scalar"',
+    ], ids=["no-kind", "no-d", "coefficient-no-lambda", "list", "string"])
+    def test_incomplete_header_rejected(self, header, tmp_path):
+        path = tmp_path / "field.csv"
+        path.write_text(f"# {header}\nsite,x1,x2,u\n" + "".join(
+            f"{i},{i % 3},{i // 3},0.5\n" for i in range(9)))
+        with pytest.raises(ValueError, match="header"):
+            read_field_csv(path)
+
     def test_legacy_crlf_file_round_trips(self, rng, tmp_path):
         # the per-row csv.writer format of 0.7.0 and before: \r\n line ends
         box = BoxSpec(2, 3)
