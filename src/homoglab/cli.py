@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .lattice import BoxSpec, _csv_text
+from .lattice import BoxSpec, _csv_text, _exact_int
 from .ensembles import EnsembleError, EnsembleSpec, SampleId, sample
 from .elliptic import SolverConfig, SolverError, collecting_reports
 from .correctors import ahom_cell, ahom_rve, corrector_set, verify_ahom_properties
@@ -79,6 +79,8 @@ class ExperimentConfig:
             solver = dict(obj.get("solver") or {})
             if "tol" in solver:
                 solver["tol"] = float(solver["tol"])
+            if solver.get("max_iter") is not None:
+                solver["max_iter"] = _exact_int(solver["max_iter"])
             return ExperimentConfig(
                 experiment=experiment,
                 params=dict(obj.get("params") or {}),
@@ -182,13 +184,13 @@ def profile_from_config(p: dict) -> "oned_mod.Profile1D":
         sc = float(f_cfg.get("scale", 3.0))
         f = lambda x: -sc * (2.0 * np.asarray(x, dtype=np.float64) - 1.0)
     elif fkind == "sine":
-        k = int(f_cfg.get("k", 1))
+        k = _exact_int(f_cfg.get("k", 1))
         f = lambda x: np.sin(2.0 * np.pi * k * np.asarray(x, dtype=np.float64))
     else:
         raise ConfigError(f"unknown 1d forcing kind {fkind!r}")
 
     eps_list = p.get("eps_list", [1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128])
-    ppp = int(p.get("points_per_period", 64))
+    ppp = _exact_int(p.get("points_per_period", 64))
     return oned_mod.Profile1D(a_unit=a_unit, f=f, eps=float(max(eps_list)),
                               points_per_period=ppp), [float(e) for e in eps_list]
 
@@ -210,7 +212,8 @@ class Param:
     def typed(self, value):
         if value is None:
             return None
-        return [self.type(v) for v in value] if self.nargs else self.type(value)
+        read = _exact_int if self.type is int else self.type  # 5.7 is an error, not 5
+        return [read(v) for v in value] if self.nargs else read(value)
 
 
 @dataclass(frozen=True)
@@ -240,7 +243,10 @@ def _statistic(compute: Callable) -> Callable:
 
 
 def _run_oned(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, str]:
-    profile, eps_list = profile_from_config(cfg.params)
+    try:
+        profile, eps_list = profile_from_config(cfg.params)
+    except (KeyError, TypeError) as exc:  # a missing or mistyped key; bad values raise ValueError
+        raise ConfigError(f"oned: bad profile parameter: {exc!r}") from exc
     sup = oned_mod.sup_error_check(profile, eps_list)
     rows = []
     for eps in sorted(eps_list, reverse=True):
@@ -473,7 +479,7 @@ def _add_common(p: argparse.ArgumentParser, threads: str) -> None:
     p.add_argument("--tol", type=float, help="CG relative residual target")
     p.add_argument("--max-iter", type=int, dest="max_iter")
     p.add_argument("--precond", choices=["none", "spectral"],
-                   help="CG preconditioner (results unchanged beyond tol)")
+                   help="CG preconditioner: spectral (default) or none (plain CG)")
     p.add_argument("--out", help="output file path")
     p.add_argument("--gnuplot-script", action="store_true",
                    help="also emit a gnuplot script next to CSV outputs")

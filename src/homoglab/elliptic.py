@@ -2,7 +2,7 @@
 
 Conjugate gradient for the SPD lattice operators, massive-term solves,
 periodic Green's functions and the exact spectral heat kernel.  All solves
-are deterministic: plain CG with a fixed iteration schedule, the true
+are deterministic: CG with a fixed iteration schedule, the true
 residual refreshed every 50 steps to keep rounding drift in check.
 
 The CG kernel applies div*(a grad .) as ``diag(D) - W - W^T`` from
@@ -19,7 +19,7 @@ singular problems are solved on the mean-zero subspace (the right-hand
 side's mean is subtracted and reported).  Strictly positive operators
 (massive term ``shift > 0``) need no projection.
 
-Everything on the Fourier side comes from ``spectral``: the optional
+Everything on the Fourier side comes from ``spectral``: the default CG
 preconditioner (``spectral.inverse`` of ``shift + mean(a) * div* grad``),
 which changes iteration counts, never results beyond the residual
 tolerance, and the heat kernel (``spectral.smooth`` of a Dirac).  The
@@ -74,7 +74,7 @@ class SolverConfig:
     tol: float = 1e-10          # relative residual target
     max_iter: int | None = None  # default 50 * n_sites
     anchor: str = "mean-zero"    # or "site-zero"
-    preconditioner: str = "none"  # or "spectral"
+    preconditioner: str = "spectral"  # or "none": plain CG
 
     def __post_init__(self):
         if self.tol <= 0:

@@ -24,13 +24,12 @@ import contextvars
 import functools
 import itertools
 import json
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .lattice import BoxSpec, CoefficientField
+from .lattice import BoxSpec, CoefficientField, _exact_int
 
 __all__ = [
     "EnsembleSpec",
@@ -159,7 +158,7 @@ class EnsembleSpec:
     def from_json(obj: dict) -> "EnsembleSpec":
         try:
             kind, params = obj["kind"], dict(obj["params"])
-            lam, seed = float(obj.get("lambda", 0.2)), operator.index(obj["master_seed"])
+            lam, seed = float(obj.get("lambda", 0.2)), _exact_int(obj["master_seed"])
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise EnsembleError(f"ensemble needs kind, params and master_seed: {exc!r}") from exc
         return EnsembleSpec(kind, params, lam, seed)

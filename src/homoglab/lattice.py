@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,7 +99,15 @@ class BoxSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "BoxSpec":
-        return BoxSpec(d=int(obj["d"]), L=int(obj["L"]))
+        return BoxSpec(d=_exact_int(obj["d"]), L=_exact_int(obj["L"]))
+
+
+def _exact_int(value) -> int:
+    """A JSON integer as int.  Where ``int()`` truncates 4.9 and parses "4",
+    this raises ``TypeError`` on every float, string and boolean."""
+    if isinstance(value, bool):  # operator.index(True) is 1
+        raise TypeError(f"{value!r} is not an integer")
+    return operator.index(value)
 
 
 def _check_values(values: np.ndarray, expected_shape: tuple[int, ...], what: str):

@@ -391,7 +391,7 @@ class GrowthFit:
 
 def corrector_growth(spec: EnsembleSpec, box: BoxSpec, radii: Sequence[int],
                      p: int = 1, n: int = 100,
-                     cfg: SolverConfig = SolverConfig(preconditioner="spectral"),
+                     cfg: SolverConfig = SolverConfig(),
                      map_fn: Callable = map) -> GrowthFit:
     """Corrector increment moments E[|phi(x) - phi(0)|^{2p}]^{1/(2p)} vs |x|.
 
@@ -525,7 +525,7 @@ class GreenDecayReport:
 
 def green_decay(spec: EnsembleSpec, box: BoxSpec, n: int,
                 radii: Sequence[int] | None = None,
-                cfg: SolverConfig = SolverConfig(preconditioner="spectral"),
+                cfg: SolverConfig = SolverConfig(),
                 map_fn: Callable = map) -> GreenDecayReport:
     """Quenched and annealed decay statistics of the periodic Green's function.
 
@@ -646,7 +646,7 @@ def smooth_random_field(box: BoxSpec, rng: np.random.Generator,
 
 def meyers_probe(spec: EnsembleSpec, box: BoxSpec, n: int = 50, q: float = 1.1,
                  alpha_w: float = 0.1,
-                 cfg: SolverConfig = SolverConfig(preconditioner="spectral"),
+                 cfg: SolverConfig = SolverConfig(),
                  map_fn: Callable = map) -> MeyersProbeReport:
     """Ratio stability across random (a, h) pairs; flags a blow-up of the constant."""
 

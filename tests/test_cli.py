@@ -40,6 +40,22 @@ def _python(args, cwd, **env):
                           capture_output=True, text=True, timeout=600)
 
 
+# The config and output hash of ``ahom --L 8 --samples 2`` as homoglab 0.7.0
+# wrote them, when the default solver was plain CG ("preconditioner": "none").
+MANIFEST_0_7_0 = {
+    "artifact_version": "0.7.0",
+    "config": {
+        "box": {"L": 8, "d": 2},
+        "ensemble": {"kind": "iid-two-point", "lambda": 0.2, "master_seed": 321,
+                     "params": {"alpha": 0.25, "beta": 0.75}},
+        "experiment": "ahom", "out": "ahom.json", "params": {"samples": 2},
+        "solver": {"anchor": "mean-zero", "max_iter": None, "preconditioner": "none",
+                   "tol": 1e-10},
+    },
+    "outputs": {"ahom.json": "1b4ec07a462aefade7e6f2bb5eae39060d8fa158da2f2d89904e5030b451e27f"},
+}
+
+
 @pytest.fixture
 def ensemble_file(tmp_path):
     path = tmp_path / "ens.json"
@@ -78,6 +94,22 @@ class TestOned:
         assert len(lines) == 4
         assert os.path.exists(out + ".manifest.json")
 
+    @pytest.mark.parametrize("params", [
+        {"points_per_period": 64.5},
+        {"f": {"kind": "sine", "k": 1.9}},
+        {"a": {"kind": "constant"}},
+        {"a": {"kind": "layered", "alpha": 0.5}},
+    ], ids=["points-per-period-float", "sine-k-float", "constant-without-value",
+            "layered-without-beta"])
+    def test_bad_profile_exits_3_and_writes_nothing(self, params, tmp_path, capsys):
+        path = tmp_path / "oned.json"
+        path.write_text(json.dumps({"experiment": "oned",
+                                    "params": {"eps_list": [0.125, 0.0625], **params}}))
+        code = main(["oned", "--config", str(path), "--out", str(tmp_path / "table.csv")])
+        assert code == EXIT_CONFIG_ERROR
+        assert "config error" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["oned.json"]
+
     def test_gnuplot_script_flag(self, oned_config, tmp_path):
         out = str(tmp_path / "table.csv")
         code = main(["oned", "--config", oned_config, "--out", out, "--gnuplot-script"])
@@ -90,7 +122,7 @@ class TestDispatchAndErrors:
         out = str(tmp_path / "growth.json")
         code = main(["growth", "--ensemble", ensemble_file, "--L", "16", "--d", "2",
                      "--radii", "2", "4", "--samples", "3",
-                     "--precond", "spectral", "--out", out])
+                     "--out", out])
         assert code == EXIT_OK
         rep = json.loads(open(out).read())
         assert rep["model"] == "log-fit" and len(rep["moments"]) == 2
@@ -115,9 +147,10 @@ class TestDispatchAndErrors:
         {"kind": "iid-uniform", "params": [0.3, 0.9], "master_seed": 1},
         {"kind": "iid-two-point", "params": {"alpha": 0.25, "beta": 0.75}, "master_seed": "x"},
         {"kind": "iid-two-point", "params": {"alpha": 0.25, "beta": 0.75}, "master_seed": 1.9},
+        {"kind": "iid-two-point", "params": {"alpha": 0.25, "beta": 0.75}, "master_seed": True},
         [1, 2],
     ], ids=["no-master-seed", "no-beta", "null-beta", "params-list", "seed-string",
-            "seed-float", "not-an-object"])
+            "seed-float", "seed-bool", "not-an-object"])
     @pytest.mark.parametrize("experiment", ["ahom", "sg"])
     def test_incomplete_ensemble_file_exits_3_and_writes_nothing(
             self, ensemble, experiment, tmp_path, capsys):
@@ -128,6 +161,44 @@ class TestDispatchAndErrors:
         assert code == EXIT_CONFIG_ERROR
         assert "config error" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["bad.json"]
+
+    @staticmethod
+    def _birkhoff(tmp_path, monkeypatch, **edit) -> int:
+        """Exit code of a ``birkhoff --config`` run in tmp_path, with ``edit``
+        replacing top-level keys of a small valid config."""
+        config = {"experiment": "birkhoff", "params": {"samples": 4, "R_list": [2, 4]},
+                  "ensemble": {"kind": "iid-two-point", "params": {"alpha": 0.25, "beta": 0.75},
+                               "lambda": 0.2, "master_seed": 5},
+                  "box": {"d": 2, "L": 8}, "out": "birkhoff.json", **edit}
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        monkeypatch.chdir(tmp_path)
+        return main(["birkhoff", "--config", "cfg.json"])
+
+    def test_integral_birkhoff_config_runs(self, tmp_path, monkeypatch):
+        assert self._birkhoff(tmp_path, monkeypatch) == EXIT_OK
+        rep = json.loads((tmp_path / "birkhoff.json").read_text())
+        assert (rep["n"], rep["R_values"], rep["box"]) == (4, [2, 4], {"d": 2, "L": 8})
+
+    @pytest.mark.parametrize("edit", [
+        {"box": {"d": 2, "L": 8.9}},
+        {"box": {"d": 2, "L": "8"}},
+        {"box": {"d": 2.5, "L": 8}},
+        {"params": {"samples": 5.7, "R_list": [2, 4]}},
+        {"params": {"samples": 4, "R_list": [2.9, 4.2]}},
+        {"params": {"samples": "4", "R_list": [2, 4]}},
+        {"solver": {"max_iter": 5.7}},
+        {"solver": {"max_iter": "500"}},
+        {"box": {"d": True, "L": 8}},
+        {"params": {"samples": True, "R_list": [2, 4]}},
+        {"solver": {"max_iter": False}},
+    ], ids=["L-float", "L-string", "d-float", "samples-float", "R-list-float",
+            "samples-string", "max-iter-float", "max-iter-string", "d-bool", "samples-bool",
+            "max-iter-bool"])
+    def test_non_integral_config_field_exits_3_and_writes_nothing(self, edit, tmp_path,
+                                                                  monkeypatch, capsys):
+        assert self._birkhoff(tmp_path, monkeypatch, **edit) == EXIT_CONFIG_ERROR
+        assert "config error" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
     def test_missing_box_is_config_error(self, ensemble_file, tmp_path):
         code = main(["ahom", "--ensemble", ensemble_file,
@@ -229,18 +300,17 @@ class TestDeterminismAndReplay:
         for out in (out1, out2):
             code = main(["twoscale", "--ensemble", ensemble_file, "--L", "8",
                          "--samples", "3", "--alpha", "0.1",
-                         "--precond", "spectral", "--out", out])
+                         "--out", out])
             assert code == EXIT_OK
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
     @pytest.mark.parametrize("argv", [
         ["ahom", "--L", "8", "--samples", "4"],
-        ["twoscale", "--L", "8", "--samples", "4", "--precond", "spectral"],
-        ["growth", "--L", "16", "--radii", "2", "4", "--samples", "4", "--precond", "spectral"],
+        ["twoscale", "--L", "8", "--samples", "4"],
+        ["growth", "--L", "16", "--radii", "2", "4", "--samples", "4"],
         ["sg", "--d", "2", "--L", "4", "--samples", "6"],
         ["semigroup", "--L", "16", "--t-grid", "1", "4", "--samples", "8"],
-        ["green", "--L", "16", "--radii", "2", "3", "4", "--samples", "2",
-         "--precond", "spectral"],
+        ["green", "--L", "16", "--radii", "2", "3", "4", "--samples", "2"],
         ["meyers", "--L", "8", "--samples", "4"],
         ["birkhoff", "--L", "8", "--R-list", "2", "4", "--samples", "8"],
     ], ids=lambda argv: argv[0])
@@ -261,7 +331,7 @@ class TestDeterminismAndReplay:
     def test_every_row_carries_its_sample_id(self, ensemble_file, tmp_path):
         out = str(tmp_path / "ts.csv")
         main(["twoscale", "--ensemble", ensemble_file, "--L", "8",
-              "--samples", "3", "--precond", "spectral", "--out", out])
+              "--samples", "3", "--out", out])
         rows = open(out).read().strip().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["0", "1", "2"]
 
@@ -271,6 +341,26 @@ class TestDeterminismAndReplay:
               "--out", out])
         code = main(["replay", out + ".manifest.json"])
         assert code == EXIT_OK
+
+    def test_precond_none_manifest_replays(self, ensemble_file, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for precond, out in ((["--precond", "none"], "none.json"), ([], "default.json")):
+            assert main(["ahom", "--ensemble", ensemble_file, "--L", "8", "--samples", "2",
+                         *precond, "--out", out]) == EXIT_OK
+        none, default = (json.loads((tmp_path / (out + ".manifest.json")).read_text())
+                         for out in ("none.json", "default.json"))
+        assert none["config"]["solver"]["preconditioner"] == "none"
+        assert default["config"]["solver"]["preconditioner"] == "spectral"
+        # plain CG needs more iterations, so the replay below reruns plain CG
+        assert (none["solver_summary"]["total_iterations"]
+                > default["solver_summary"]["total_iterations"])
+        assert main(["replay", "none.json.manifest.json"]) == EXIT_OK
+
+    def test_manifest_of_0_7_0_replays_exactly(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.json").write_text(json.dumps(MANIFEST_0_7_0))
+        ok, report = replay("m.json")
+        assert ok, report
 
     def test_replay_with_different_thread_count(self, ensemble_file, tmp_path):
         out = str(tmp_path / "ahom.json")
@@ -282,7 +372,7 @@ class TestDeterminismAndReplay:
     @pytest.mark.parametrize("argv", [
         ["corrector", "--d", "2", "--L", "128", "--out", "corrector.csv"],
         ["green", "--d", "3", "--L", "16", "--radii", "2", "3", "4", "--samples", "2",
-         "--precond", "spectral", "--out", "green.json"],
+         "--out", "green.json"],
     ], ids=["corrector", "green-spectral"])
     def test_replay_is_exact_across_blas_thread_counts(self, argv, ensemble_file, tmp_path):
         written = _python(["-m", "homoglab.cli", *argv, "--ensemble", ensemble_file],
@@ -519,10 +609,19 @@ class TestExperimentTable:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "experiment": "ahom", "params": {},
-            "solver": {"tol": "1e-8", "max_iter": 500, "anchor": "site-zero"}}))
+            "solver": {"tol": "1e-8", "max_iter": 500, "anchor": "site-zero",
+                       "preconditioner": "none"}}))
         args = build_parser().parse_args(["ahom", "--config", str(path),
                                           "--ensemble", ensemble_file, "--L", "4", *flags])
         assert config_from_args(args).solver == solver
+
+    def test_config_without_solver_block_takes_the_default(self, ensemble_file, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "ahom", "params": {}}))
+        args = build_parser().parse_args(["ahom", "--config", str(path),
+                                          "--ensemble", ensemble_file, "--L", "4"])
+        solver = config_from_args(args).solver
+        assert solver == SolverConfig() and solver.preconditioner == "spectral"
 
     def test_unknown_solver_key_is_config_error(self, ensemble_file, tmp_path):
         path = tmp_path / "cfg.json"
@@ -613,8 +712,7 @@ class TestArtifactSchemas:
           "fit": FIT, "variance_zeta": float, "contraction_ok": bool}),
         (["green", "--L", "16", "--radii", "2", "3", "--samples", "2"],
          {**GREEN, "quenched_fit": None, "quenched_log_ratios": [float]}),
-        (["green", "--d", "3", "--L", "16", "--radii", "2", "3", "--samples", "2",
-          "--precond", "spectral"],
+        (["green", "--d", "3", "--L", "16", "--radii", "2", "3", "--samples", "2"],
          {**GREEN, "quenched_fit": FIT, "quenched_log_ratios": None}),
         (["meyers", "--L", "8", "--samples", "2"],
          {**STATISTIC, "q": float, "alpha_w": float, "ratios": [float], "median": float,

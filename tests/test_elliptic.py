@@ -95,7 +95,7 @@ class TestCG:
         box = BoxSpec(2, 12)
         a = random_coefficients(box, rng)
         rhs = ScalarField(box, rng.normal(size=box.n_sites))
-        plain, _ = solve_elliptic(a, rhs, SolverConfig(tol=1e-12))
+        plain, _ = solve_elliptic(a, rhs, SolverConfig(tol=1e-12, preconditioner="none"))
         pre, rep = solve_elliptic(a, rhs, SolverConfig(tol=1e-12, preconditioner="spectral"))
         assert np.max(np.abs(plain.values - pre.values)) < 1e-9
         assert rep.iterations < 60
@@ -205,7 +205,7 @@ class TestGreen:
         box = BoxSpec(3, 64)
         c = 0.5
         a = CoefficientField.constant(box, c, lam=0.25)
-        cfg = SolverConfig(tol=1e-9, preconditioner="spectral")
+        cfg = SolverConfig(tol=1e-9)
         G, _ = green(a, 0, cfg)
         oracle = green_fft_oracle(box, scale=c)
         assert np.max(np.abs(G.values - oracle)) < 1e-5

@@ -23,7 +23,6 @@ from homoglab.quant import (
 
 from conftest import constant_green, random_coefficients
 
-CFG = SolverConfig(tol=1e-10, preconditioner="spectral")
 SPEC = two_point(alpha=0.25, beta=0.75, master_seed=2026)
 
 
@@ -112,15 +111,15 @@ class TestSpectralGap:
 class TestCorrectorGrowth:
     def test_constant_ensemble_gives_zero_moments(self):
         fit = corrector_growth(constant(0.5, master_seed=1), BoxSpec(2, 16),
-                               [2, 4], p=1, n=3, cfg=CFG)
+                               [2, 4], p=1, n=3)
         assert all(m.value == 0.0 for m in fit.moments)
 
     def test_radius_beyond_window_rejected(self):
         with pytest.raises(ValueError):
-            corrector_growth(SPEC, BoxSpec(2, 16), [8], n=2, cfg=CFG)
+            corrector_growth(SPEC, BoxSpec(2, 16), [8], n=2)
 
     def test_d2_moments_grow_with_radius(self):
-        fit = corrector_growth(SPEC, BoxSpec(2, 64), [4, 8, 16], p=1, n=25, cfg=CFG)
+        fit = corrector_growth(SPEC, BoxSpec(2, 64), [4, 8, 16], p=1, n=25)
         sq = fit.squared_moments
         ses = np.array([m.stderr for m in fit.moments])
         for k in range(len(sq) - 1):
@@ -128,7 +127,7 @@ class TestCorrectorGrowth:
         assert fit.model == "log-fit" and fit.slope > 0
 
     def test_d3_plateau(self):
-        fit = corrector_growth(SPEC, BoxSpec(3, 32), [4, 6, 8], p=1, n=8, cfg=CFG)
+        fit = corrector_growth(SPEC, BoxSpec(3, 32), [4, 6, 8], p=1, n=8)
         assert fit.model == "constant-fit"
         assert fit.plateau_ratio <= 1.5
 
@@ -166,18 +165,18 @@ class TestSemigroup:
 
 class TestGreenDecay:
     def test_d3_quenched_exponent(self):
-        rep = green_decay(SPEC, BoxSpec(3, 32), n=6, radii=[2, 3, 4], cfg=CFG)
+        rep = green_decay(SPEC, BoxSpec(3, 32), n=6, radii=[2, 3, 4])
         assert abs(rep.quenched_fit.slope - (-1.0)) <= 0.35  # small-box window
         assert rep.quenched_log_ratios is None
 
     def test_d2_log_ratios_bounded(self):
-        rep = green_decay(SPEC, BoxSpec(2, 64), n=6, cfg=CFG)
+        rep = green_decay(SPEC, BoxSpec(2, 64), n=6)
         ratios = rep.quenched_log_ratios
         assert np.all(np.isfinite(ratios)) and np.all(ratios > 0)
         assert np.max(ratios) <= 1.5 * np.median(ratios)
 
     def test_d2_annealed_exponent(self):
-        rep = green_decay(SPEC, BoxSpec(2, 64), n=10, cfg=CFG)
+        rep = green_decay(SPEC, BoxSpec(2, 64), n=10)
         assert abs(rep.annealed_fit.slope - (-2.0)) <= 0.3
 
     def test_dimension_guard(self):
@@ -187,7 +186,7 @@ class TestGreenDecay:
     def test_non_positive_quenched_profile_is_a_config_error(self, monkeypatch):
         monkeypatch.setattr(quant, "green", constant_green)
         with pytest.raises(ValueError, match="--radii") as exc:
-            green_decay(SPEC, BoxSpec(3, 16), n=2, radii=[2, 3], cfg=CFG)
+            green_decay(SPEC, BoxSpec(3, 16), n=2, radii=[2, 3])
         assert "--L" in str(exc.value)
 
 
@@ -212,7 +211,7 @@ class TestMeyers:
             assert r <= 1.0 / lam**2 + 1e-9
 
     def test_probe_stable_at_default_parameters(self):
-        rep = meyers_probe(SPEC, BoxSpec(2, 16), n=20, q=1.1, alpha_w=0.1, cfg=CFG)
+        rep = meyers_probe(SPEC, BoxSpec(2, 16), n=20, q=1.1, alpha_w=0.1)
         assert not rep.blowup_flag
         assert np.all(np.isfinite(rep.ratios))
 
@@ -254,7 +253,7 @@ def test_linear_fit_needs_two_distinct_abscissae(xs):
 
 
 def test_d3_growth_takes_a_single_radius_but_not_none():
-    rep = corrector_growth(constant(0.5), BoxSpec(3, 8), [2], n=2, cfg=CFG)
+    rep = corrector_growth(constant(0.5), BoxSpec(3, 8), [2], n=2)
     assert rep.model == "constant-fit" and len(rep.moments) == 1
     with pytest.raises(ValueError, match="non-empty"):
-        corrector_growth(constant(0.5), BoxSpec(3, 8), [], n=2, cfg=CFG)
+        corrector_growth(constant(0.5), BoxSpec(3, 8), [], n=2)

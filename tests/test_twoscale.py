@@ -16,7 +16,7 @@ from homoglab.twoscale import (
 
 from conftest import random_coefficients
 
-CFG = SolverConfig(tol=1e-11, preconditioner="spectral")
+CFG = SolverConfig(tol=1e-11)
 
 
 class TestSolveHeterogeneous:
