@@ -560,7 +560,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = config_from_args(args)
         manifest = run(cfg, threads=args.threads)
-    except (ConfigError, EnsembleError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    # OSError: a config file that cannot be read, or an --out path that cannot be
+    # written, such as a directory; <out> is written first, so then nothing is
+    except (ConfigError, EnsembleError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except SolverError as exc:

@@ -45,7 +45,7 @@ from .lattice import (
     neighbours,
     stencil,
 )
-from .spectral import inverse, smooth, symbol
+from .spectral import inverse, smooth
 
 __all__ = [
     "SolverConfig",
@@ -56,7 +56,6 @@ __all__ = [
     "solve_shifted",
     "green",
     "heat_kernel",
-    "heat_kernel_diagonal",
     "elliptic_matrix",
 ]
 
@@ -301,11 +300,6 @@ def heat_kernel(t: float, box: BoxSpec) -> ScalarField:
     p = smooth(ScalarField.delta(box).grid(), t)
     np.clip(p, 0.0, None, out=p)  # wrap sum of nonnegatives; clip FFT rounding dust
     return ScalarField.from_grid(box, p)
-
-
-def heat_kernel_diagonal(t: float, box: BoxSpec) -> float:
-    """p(t, 0) without materializing the full kernel."""
-    return float(np.mean(np.exp(-t * symbol(box))))
 
 
 def elliptic_matrix(a: CoefficientField) -> np.ndarray:

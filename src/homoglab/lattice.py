@@ -38,7 +38,6 @@ __all__ = [
     "grad",
     "div_star",
     "apply_elliptic",
-    "apply_constant",
     "stencil",
     "inner",
     "neighbours",
@@ -314,18 +313,6 @@ def stencil(a: CoefficientField) -> tuple[np.ndarray, scipy.sparse.csr_array]:
     return D, W
 
 
-def apply_constant(A: np.ndarray, u: ScalarField) -> ScalarField:
-    """div*(A grad u) for a constant (possibly non-diagonal) d x d matrix A."""
-    d = u.box.d
-    A = np.asarray(A, dtype=np.float64)
-    if A.shape != (d, d):
-        raise ValueError(f"matrix shape {A.shape} does not match dimension {d}")
-    g = u.grid()
-    grads = [_grad_arr(g, j) for j in range(d)]
-    comps = [sum(A[i, j] * grads[j] for j in range(d)) for i in range(d)]
-    return ScalarField.from_grid(u.box, _div_star_arr(comps))
-
-
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
     """sum(x * y) by ``np.einsum`` over both arrays in x's memory order.
 
@@ -366,16 +353,170 @@ def torus_radii(box: BoxSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _column_text(column):
-    values = np.asarray(column)
-    fmt = "{:.17g}".format if values.dtype.kind == "f" else str
-    return map(fmt, values.tolist())
+# Whole columns become text at once, in numpy.  A float cell is exactly what
+# ``format(v, ".17g")`` writes: 17 correctly rounded significant digits, laid
+# out by the ``%g`` rules.  The digits come from a double-double product of |v|
+# with a power of ten, after Grisu (Loitsch, PLDI 2010): the product certifies
+# its rounding or hands the value to ``format`` itself.  Cells are NUL-padded
+# byte rows; the NULs are dropped when a block of rows is joined.
+
+_K_MIN, _K_MAX = -324, 308  # floor(log10 |v|) over the finite nonzero float64
+_TIE_GUARD = 2.0**-20  # far wider than the product's error, under 2**-45 of a unit
+_BLOCK_ROWS = 1 << 14  # rows per pass: bounds the scratch arrays, not the output
+_NUL, _MINUS, _PLUS = 0, ord("-"), ord("+")
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split: x = hi + lo with 26-bit halves, so products of halves are exact."""
+    c = 134217729.0 * x  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _power_table() -> tuple[np.ndarray, ...]:
+    """Per p = 16 - k: ``(hi, hi_hi, hi_lo, lo, b)`` with hi + lo = 10**p * 2**-b in
+    [1, 2) to within 2**-104, from Python ints only; (hi_hi, hi_lo) splits hi."""
+    hi, lo, b = [], [], []
+    for p in range(16 - _K_MAX, 16 - _K_MIN + 1):
+        n = 10 ** abs(p)
+        shift = n.bit_length() - 1 if p >= 0 else -n.bit_length()
+        t = (n << 120) >> shift if p >= 0 else (1 << (120 - shift)) // n  # floor(2**(120 - b) * 10**p)
+        top = t >> 68  # the leading 53 bits
+        hi.append(top / 2**52)
+        lo.append((t - (top << 68)) / 2**120)
+        b.append(shift)
+    hi = np.array(hi)
+    return (hi, *_split(hi), np.array(lo), np.array(b, dtype=np.int32))
+
+
+def _group_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Per 4-digit group 0..9999: its ASCII digits as one 32-bit word, and its
+    trailing zeros (4 for 0000)."""
+    g = np.arange(10000, dtype=np.int16)
+    digits = (g[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10 + ord("0")).astype(np.uint8)
+    zeros = sum((g % 10**j == 0).astype(np.uint8) for j in range(1, 5))
+    return digits.view(np.uint32).ravel(), zeros
+
+
+_POW_HI, _POW_HI_HI, _POW_HI_LO, _POW_LO, _POW_EXP = _power_table()
+_DIGITS4, _TRAILING_ZEROS4 = _group_tables()
+_POW10_U64 = np.array([10**j for j in range(1, 20)], dtype=np.uint64)
+
+# Byte columns of the per-value source row: 17 digits, the 3 exponent digits,
+# the signs and the constant bytes a layout may copy.
+_SRC_DIGITS, _SRC_EXP, _SRC_SIGN, _SRC_EXP_SIGN, _SRC_DOT, _SRC_ZERO, _SRC_E, _SRC_NUL = (
+    3, 21, 24, 25, 26, 27, 28, 29)
+_SRC_CONSTANTS = np.frombuffer(b".0e\0\0\0", np.uint8)  # bytes 26..31
+
+
+def _layout_table() -> np.ndarray:
+    """(23 * 18, 24) source byte of each output byte, for layout ``c * 18 + nz``:
+    nz significant digits, c = k + 4 for the fixed notation of -4 <= k <= 16,
+    and c = 21, 22 for a 2- and 3-digit exponent; NUL padded."""
+    table = np.full((23 * 18, 24), _SRC_NUL, np.intp)
+    d = list(range(_SRC_DIGITS, _SRC_DIGITS + 17))
+    for c in range(23):
+        k = c - 4
+        for nz in range(1, 18):
+            if c > 20:
+                src = d[:1] + ([_SRC_DOT, *d[1:nz]] if nz > 1 else []) + [_SRC_E, _SRC_EXP_SIGN]
+                src += [_SRC_EXP + j for j in range(22 - c, 3)]
+            elif k >= 0:
+                src = d[:k + 1] + ([_SRC_DOT, *d[k + 1:nz]] if nz > k + 1 else [])
+            else:
+                src = [_SRC_ZERO, _SRC_DOT] + [_SRC_ZERO] * (-k - 1) + d[:nz]
+            table[c * 18 + nz, :len(src) + 1] = [_SRC_SIGN, *src]
+    return table
+
+
+_LAYOUT = _layout_table()
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """(m, 24) NUL-padded ASCII rows, each ``format(v, ".17g")`` of a float64 v."""
+    m = len(x)
+    a = np.abs(x)
+    zero, finite = a == 0, np.isfinite(a)
+    a[zero | ~finite] = 1.0
+    k = np.floor(np.log10(a)).astype(np.intp)  # may be one off; then D is out of range
+    i = _K_MAX - k
+    f, e = np.frexp(a)  # exact, subnormals too: f in [0.5, 1)
+    f_hi, f_lo = _split(f)
+    hh, hl = _POW_HI_HI[i], _POW_HI_LO[i]
+    head = f * _POW_HI[i]
+    tail = ((f_hi * hh - head) + f_hi * hl + f_lo * hh) + f_lo * hl + f * _POW_LO[i]
+    s = e + _POW_EXP[i]
+    head, tail = np.ldexp(head, s), np.ldexp(tail, s)  # head + tail = |v| * 10**(16 - k)
+    rounded = np.rint(tail)
+    D = head.astype(np.int64) + rounded.astype(np.int64)  # head >= 2**53 is an integer
+    # 10**16 < D < 10**17 - 1 proves k right and that rounding carries into no new decade
+    certified = (np.abs(tail - rounded) < 0.5 - _TIE_GUARD) & (D > 10**16) & (D < 10**17 - 1)
+    fallback = np.flatnonzero(~(certified & finite | zero))
+    D[zero] = 0
+    k[zero] = 0
+    high, low = np.divmod(D, 10**8)
+    groups = [high // 10**8, high // 10**4 % 10**4, high % 10**4, low // 10**4, low % 10**4]
+    src = np.empty((m, 8), np.uint32)
+    for j, g in enumerate(groups):  # the leading digit group reads "000d"
+        src[:, j] = _DIGITS4[g]
+    src[:, 5] = _DIGITS4[np.abs(k)]
+    src = src.view(np.uint8)
+    src[:, _SRC_SIGN] = np.where(np.signbit(x), _MINUS, _NUL)
+    src[:, _SRC_EXP_SIGN] = np.where(k < 0, _MINUS, _PLUS)
+    src[:, _SRC_DOT:] = _SRC_CONSTANTS
+    tz = _TRAILING_ZEROS4[groups[4]]
+    for j in (3, 2, 1):
+        tz = np.where(tz == 16 - 4 * j, 16 - 4 * j + _TRAILING_ZEROS4[groups[j]], tz)
+    c = np.where((k < -4) | (k > 16), np.where(np.abs(k) < 100, 21, 22), k + 4)
+    index = np.take(_LAYOUT, c * 18 + 17 - tz, axis=0)
+    index += np.arange(0, src.size, src.shape[1])[:, None]
+    cells = np.take(src.ravel(), index)
+    if len(fallback):
+        text = [format(v, ".17g") for v in x[fallback].tolist()]
+        cells[fallback] = np.array(text, dtype="S24").view(np.uint8).reshape(-1, 24)
+    return cells
+
+
+def _int_cells(v: np.ndarray) -> np.ndarray:
+    """(m, width) NUL-padded ASCII rows, each the decimal ``str`` of an integer."""
+    u = v.astype(np.uint64)
+    negative = v < 0
+    magnitude = np.where(negative, ~u + np.uint64(1), u)  # |v|, int64 minimum included
+    n_digits = np.searchsorted(_POW10_U64, magnitude, side="right") + 1
+    width = int(n_digits.max(initial=1))
+    groups = []
+    for _ in range(-(-width // 4)):
+        magnitude, g = np.divmod(magnitude, np.uint64(10000))
+        groups.append(_DIGITS4[g])
+    digits = np.stack(groups[::-1], axis=1).view(np.uint8)[:, -width:]
+    digits[np.arange(width) < width - n_digits[:, None]] = _NUL
+    cells = np.empty((len(v), width + 1), np.uint8)
+    cells[:, 0] = np.where(negative, _MINUS, _NUL)
+    cells[:, 1:] = digits
+    return cells
+
+
+def _cells(column: np.ndarray) -> np.ndarray:
+    if column.dtype.kind == "f":
+        return _float_cells(column.astype(np.float64, copy=False))
+    if column.dtype.kind in "iu":
+        return _int_cells(column)
+    raise TypeError(f"CSV columns hold integers or floats, not {column.dtype}")
 
 
 def _csv_text(header: list[str], columns: list) -> str:
-    """CSV of equal-length columns: floats in 17 significant digits, else str."""
-    rows = zip(*map(_column_text, columns))
-    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
+    """CSV of equal-length columns: floats as ``format(v, ".17g")``, integers in decimal."""
+    columns = [np.asarray(c) for c in columns]
+    n = len(columns[0]) if columns else 0
+    text = [",".join(header) + "\n"]
+    for start in range(0, n, _BLOCK_ROWS):
+        cells = [_cells(c[start:start + _BLOCK_ROWS]) for c in columns]
+        ends = np.full((len(cells[0]), len(cells)), ord(","), np.uint8)
+        ends[:, -1] = ord("\n")
+        rows = np.concatenate([b for j, c in enumerate(cells) for b in (c, ends[:, j:j + 1])],
+                              axis=1).ravel()
+        text.append(rows[rows != _NUL].tobytes().decode("ascii"))
+    return "".join(text)
 
 
 def _field_table(f) -> tuple[str, np.ndarray, list[str]]:

@@ -3,6 +3,7 @@ import pytest
 
 from homoglab.elliptic import SolveReport
 from homoglab.lattice import BoxSpec, CoefficientField, ScalarField
+from homoglab.spectral import symbol
 
 
 def operator_matrix(apply_fn, box: BoxSpec) -> np.ndarray:
@@ -17,6 +18,37 @@ def operator_matrix(apply_fn, box: BoxSpec) -> np.ndarray:
         e[j] = 1.0
         A[:, j] = apply_fn(ScalarField(box, e)).values
     return A
+
+
+def apply_constant(A: np.ndarray, u: ScalarField) -> ScalarField:
+    """div*(A grad u) for a constant (possibly non-diagonal) d x d matrix A,
+    by periodic shifts of the grid: the stencil oracle of the spectral inverse."""
+    d = u.box.d
+    A = np.asarray(A, dtype=np.float64)
+    g = u.grid()
+    grads = [np.roll(g, -1, axis=j) - g for j in range(d)]
+    out = np.zeros(g.shape)
+    for i in range(d):
+        flux = sum(A[i, j] * grads[j] for j in range(d))
+        out += np.roll(flux, 1, axis=i) - flux
+    return ScalarField.from_grid(u.box, out)
+
+
+def heat_kernel_diagonal(t: float, box: BoxSpec) -> float:
+    """p(t, 0) of the lattice heat kernel, as the mean of exp(-t symbol) over the dual box."""
+    return float(np.mean(np.exp(-t * symbol(box))))
+
+
+def reference_csv_text(header: list[str], columns: list) -> str:
+    """The per-value CSV writer that ``lattice._csv_text`` replaced, kept as its
+    oracle: ``format(v, ".17g")`` for each float, ``str`` for anything else."""
+    def column_text(column):
+        values = np.asarray(column)
+        fmt = "{:.17g}".format if values.dtype.kind == "f" else str
+        return map(fmt, values.tolist())
+
+    rows = zip(*map(column_text, columns))
+    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
 
 def random_coefficients(box: BoxSpec, rng: np.random.Generator,

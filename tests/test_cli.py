@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import homoglab
+import homoglab.cli
 import homoglab.correctors
 import homoglab.ensembles
 import homoglab.quant
-from conftest import constant_green
+from conftest import constant_green, reference_csv_text
 from homoglab.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
@@ -29,7 +30,7 @@ from homoglab.cli import (
 from homoglab.correctors import ahom_rve
 from homoglab.elliptic import SolverConfig, collecting_reports
 from homoglab.ensembles import EnsembleSpec, SampleId, sample
-from homoglab.lattice import BoxSpec
+from homoglab.lattice import BoxSpec, _csv_text
 
 
 def _python(args, cwd, **env):
@@ -282,6 +283,18 @@ class TestDispatchAndErrors:
             main(argv)
         assert exc.value.code == EXIT_OK
 
+    @pytest.mark.parametrize("out", ["existing-dir", "regular-file/x.json"])
+    def test_unwritable_out_exits_3_and_writes_nothing(self, out, ensemble_file, tmp_path,
+                                                       capsys):
+        (tmp_path / "existing-dir").mkdir()
+        (tmp_path / "regular-file").write_text("")
+        before = sorted(tmp_path.rglob("*"))
+        code = main(["sg", "--ensemble", ensemble_file, "--d", "2", "--L", "4",
+                     "--samples", "2", "--out", str(tmp_path / out)])
+        assert code == EXIT_CONFIG_ERROR
+        assert "config error" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_corrector_writes_csv_and_meta(self, ensemble_file, tmp_path):
         out = str(tmp_path / "set.csv")
         code = main(["corrector", "--ensemble", ensemble_file, "--L", "8",
@@ -335,6 +348,22 @@ class TestDeterminismAndReplay:
         rows = open(out).read().strip().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["0", "1", "2"]
 
+    @pytest.mark.parametrize("argv", [
+        ["corrector", "--d", "2", "--L", "32"],
+        ["twoscale", "--L", "8", "--samples", "3"],
+        ["oned"],
+    ], ids=lambda argv: argv[0])
+    def test_csv_bytes_equal_the_per_value_writer(self, argv, ensemble_file, oned_config,
+                                                  tmp_path, monkeypatch):
+        inputs = ["--config", oned_config] if argv[0] == "oned" else ["--ensemble", ensemble_file]
+        written = []
+        for writer in (_csv_text, reference_csv_text):
+            monkeypatch.setattr(homoglab.cli, "_csv_text", writer)
+            out = tmp_path / f"{writer.__name__}.csv"
+            assert main([*argv, *inputs, "--out", str(out)]) == EXIT_OK
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
     def test_replay_immediately_after_run(self, ensemble_file, tmp_path):
         out = str(tmp_path / "ahom.json")
         main(["ahom", "--ensemble", ensemble_file, "--L", "8", "--samples", "3",
@@ -384,8 +413,8 @@ class TestDeterminismAndReplay:
 
     def test_cli_import_loads_no_scipy_integrate_or_optimize(self, tmp_path):
         probe = ("import sys, homoglab.cli; "
-                 "print([m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.linalg') "
-                 "if m in sys.modules])")
+                 "print([m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.linalg', "
+                 "'fractions', 'decimal') if m in sys.modules])")
         done = _python(["-c", probe], tmp_path)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"

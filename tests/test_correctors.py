@@ -25,7 +25,7 @@ from homoglab.correctors import (
     verify_ahom_properties,
 )
 
-from conftest import operator_matrix, random_coefficients
+from conftest import apply_constant, operator_matrix, random_coefficients
 
 CFG = SolverConfig(tol=1e-11)
 
@@ -155,8 +155,6 @@ class TestFluxCorrector:
         phi, _ = solve_corrector(a, xi, SolverConfig(tol=1e-12))
         q = flux(a, phi, xi)
         sigma, _ = solve_flux_corrector(q, SolverConfig(tol=1e-12))
-
-        from homoglab.lattice import apply_constant
 
         lap = operator_matrix(lambda u: apply_constant(np.eye(2), u), box)
         g1 = q.grid(0)

@@ -7,7 +7,6 @@ from homoglab.lattice import (
     CoefficientField,
     ScalarField,
     VectorField,
-    apply_constant,
     apply_elliptic,
     div_star,
     grad,
@@ -21,13 +20,12 @@ from homoglab.elliptic import (
     elliptic_matrix,
     green,
     heat_kernel,
-    heat_kernel_diagonal,
     solve_elliptic,
     solve_shifted,
 )
 from homoglab.spectral import inverse, symbol
 
-from conftest import operator_matrix, random_coefficients
+from conftest import apply_constant, heat_kernel_diagonal, operator_matrix, random_coefficients
 
 
 def green_fft_oracle(box: BoxSpec, scale: float = 1.0) -> np.ndarray:

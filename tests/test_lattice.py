@@ -1,8 +1,12 @@
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from homoglab import lattice
 
 from homoglab.lattice import (
     BoxSpec,
@@ -10,6 +14,7 @@ from homoglab.lattice import (
     ScalarField,
     SkewField,
     VectorField,
+    _csv_text,
     _dot,
     apply_elliptic,
     div_star,
@@ -20,7 +25,7 @@ from homoglab.lattice import (
     write_field_csv,
 )
 
-from conftest import operator_matrix, random_coefficients
+from conftest import operator_matrix, random_coefficients, reference_csv_text
 
 
 def brute_force_grad(u: ScalarField) -> np.ndarray:
@@ -203,7 +208,7 @@ class TestSkewField:
 
 class TestSerialization:
     @pytest.mark.parametrize("kind", ["scalar", "vector", "coefficient", "skew"])
-    def test_exact_round_trip(self, kind, rng, tmp_path):
+    def test_exact_round_trip(self, kind, rng, tmp_path, monkeypatch):
         box = BoxSpec(2, 4)
         if kind == "scalar":
             f = ScalarField(box, rng.normal(size=box.n_sites))
@@ -223,6 +228,9 @@ class TestSerialization:
         table_g = g.diag if kind == "coefficient" else g.values
         assert g.box == box
         assert np.array_equal(table_f, table_g)
+        monkeypatch.setattr(lattice, "_csv_text", reference_csv_text)
+        write_field_csv(f, tmp_path / "reference.csv")
+        assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def _scalar_file(self, rng, tmp_path):
         box = BoxSpec(2, 4)
@@ -281,3 +289,73 @@ class TestSerialization:
         g = read_field_csv(path)
         assert g.box == box and g.lam == a.lam
         assert np.array_equal(g.diag, a.diag)
+
+
+def _hard_floats() -> np.ndarray:
+    """Values next to the kernel's edges: decades, the %g switch points, 2**53..2**63."""
+    values = [float(f"1e{p}") for p in range(-320, 309)]
+    values += [1e-5, 1e-4, 1e16, 1e17, 0.0, 5e-324, 2.2250738585072014e-308]
+    values += [float(2**j) for j in range(53, 64)]
+    values += [float(v) for v in np.random.default_rng(5).integers(2**53, 2**63, 200)]
+    values = np.array(values)
+    values = np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, np.inf)])
+    return np.concatenate([values, -values])
+
+
+def _decade_carries(v: float) -> bool:
+    """True when the 17-digit rounding of v is a power of ten above v."""
+    digits, exponent = format(abs(v), ".16e").split("e")
+    return digits == "1.0000000000000000" and Fraction(abs(v)) < Fraction(10) ** int(exponent)
+
+
+class TestCsvText:
+    """``_csv_text`` writes the bytes of the per-value reference writer."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    @example([0x7FF8000000000000, 0xFFF0000000000000, 0x7FF0000000000000, 1, 0x8000000000000000,
+              0x000FFFFFFFFFFFFF, 0x7FEFFFFFFFFFFFFF, 0x0010000000000000, 0xFFEFFFFFFFFFFFFF])
+    def test_float_bit_patterns(self, bits):
+        # raw patterns reach subnormals, +-0, +-inf, NaN and both extremes
+        x = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert _csv_text(["v"], [x]) == reference_csv_text(["v"], [x])
+
+    def test_hard_cases(self):
+        x = _hard_floats()
+        assert any(map(_decade_carries, x.tolist()))
+        assert _csv_text(["v"], [x]) == reference_csv_text(["v"], [x])
+
+    def test_uncertified_value_falls_back_to_format(self, monkeypatch):
+        calls = []
+
+        def spy(v, spec):
+            calls.append(v)
+            return format(v, spec)
+
+        monkeypatch.setattr(lattice, "format", spy, raising=False)
+        # 1000000000000000.25 is exact: a tie at 17 digits, rounded half to even
+        x = np.array([0.1, 1000000000000000.25, -2.5e-300])
+        text = _csv_text(["v"], [x])
+        assert calls == [1000000000000000.25]
+        assert text == reference_csv_text(["v"], [x])
+        assert text.split("\n")[2] == "1000000000000000.2"
+
+    @pytest.mark.parametrize("n", [0, 1, lattice._BLOCK_ROWS + 3])
+    def test_columns_of_every_dtype(self, n):
+        rng = np.random.default_rng(n)
+        columns = [
+            rng.integers(-2**63, 2**63 - 1, n, dtype=np.int64, endpoint=True),
+            rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True),
+            np.arange(n, dtype=np.uint8),
+            rng.normal(size=n).astype(np.float32),
+            rng.normal(size=n) * 10.0 ** rng.integers(-30, 30, n),
+        ]
+        header = ["i64", "u64", "u8", "f32", "f64"]
+        assert _csv_text(header, columns) == reference_csv_text(header, columns)
+
+    def test_tuple_columns(self):
+        # ``oned`` passes ``list(zip(*rows))``: tuples of Python floats
+        rows = [[0.125, 3e-3, 1e-17, 2.0, 0.5], [0.0625, 7.5e-4, 2e-18, 1.0, 0.25]]
+        columns = list(zip(*rows))
+        header = ["eps", "sup_error", "h1_twoscale_error", "bound_rhs", "ratio"]
+        assert _csv_text(header, columns) == reference_csv_text(header, columns)

@@ -21,7 +21,7 @@ from homoglab.quant import (
     vertical_derivative,
 )
 
-from conftest import constant_green, random_coefficients
+from conftest import constant_green, heat_kernel_diagonal, random_coefficients
 
 SPEC = two_point(alpha=0.25, beta=0.75, master_seed=2026)
 
@@ -145,8 +145,6 @@ class TestSemigroup:
     def test_monte_carlo_matches_independent_product_formula(self):
         # for iid single-site observables E|P(t)zeta - E zeta|^2 equals
         # Var(zeta) * sum_x p(t,x)^2 = Var(zeta) * p(2t, 0)
-        from homoglab.elliptic import heat_kernel_diagonal
-
         box = BoxSpec(2, 64)
         t_grid = [1.0, 4.0, 16.0]
         rep = semigroup_decay(SPEC, box, t_grid, n=600)

@@ -4,8 +4,10 @@ import pytest
 from homoglab.correctors import corrector_set
 from homoglab.elliptic import SolverConfig, collecting_reports, heat_kernel
 from homoglab.ensembles import SampleId, sample, two_point
-from homoglab.lattice import BoxSpec, ScalarField, apply_constant
+from homoglab.lattice import BoxSpec, ScalarField
 from homoglab.spectral import inverse, smooth, symbol
+
+from conftest import apply_constant
 
 MATRICES = {
     1: np.array([[0.7]]),

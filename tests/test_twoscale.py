@@ -14,7 +14,7 @@ from homoglab.twoscale import (
     two_scale_report,
 )
 
-from conftest import random_coefficients
+from conftest import apply_constant, random_coefficients
 
 CFG = SolverConfig(tol=1e-11)
 
@@ -72,8 +72,6 @@ class TestSolveHomogenized:
         assert np.max(np.abs(u.values - f.values / (alpha + s))) < 1e-12
 
     def test_residual_of_operator_form(self, rng):
-        from homoglab.lattice import apply_constant
-
         box = BoxSpec(2, 8)
         A = np.array([[0.6, 0.1], [0.1, 0.5]])
         f = ScalarField(box, rng.normal(size=box.n_sites))
