@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .lattice import BoxSpec, _csv_text, _exact_int
-from .ensembles import EnsembleError, EnsembleSpec, SampleId, sample
+from .ensembles import EnsembleSpec, SampleId, sample
 from .elliptic import SolverConfig, SolverError, collecting_reports
 from .correctors import ahom_cell, ahom_rve, corrector_set, verify_ahom_properties
 from .twoscale import two_scale_experiment
@@ -300,14 +300,11 @@ def _run_twoscale(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, str]:
 
 # Rows call the library through this module's globals at call time, so code
 # that rebinds a name such as ``cli.corrector_set`` reaches the runner.
-# Every experiment accepts ``--samples``; oned, cell and corrector ignore it.
 EXPERIMENTS: dict[str, Experiment] = {
-    "oned": Experiment(_run_oned, {"samples": Param(int)}, needs_ensemble=False),
-    "cell": Experiment(_run_cell, {"samples": Param(int), "sample": Param(int, 0)}),
+    "oned": Experiment(_run_oned, {}, needs_ensemble=False),
+    "cell": Experiment(_run_cell, {"sample": Param(int, 0)}),
     "ahom": Experiment(_run_ahom, {"samples": Param(int, 16)}),
-    "corrector": Experiment(
-        _run_corrector,
-        {"samples": Param(int), "dir": Param(int, 0), "sample": Param(int, 0)}),
+    "corrector": Experiment(_run_corrector, {"dir": Param(int, 0), "sample": Param(int, 0)}),
     "twoscale": Experiment(
         _run_twoscale, {"samples": Param(int, 50), "alpha": Param(float, 0.1)}),
     "growth": Experiment(
@@ -546,33 +543,31 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error(f"--threads (or HOMOGLAB_THREADS) must be at least 1, got {args.threads}")
-    if args.command == "replay":
-        try:
-            ok, report = replay(args.manifest, threads=args.threads)
-        except (OSError, ValueError) as exc:  # ConfigError, EnsembleError, JSONDecodeError
-            print(f"replay error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
-        except SolverError as exc:
-            print(f"solver failure: {exc}", file=sys.stderr)
-            return EXIT_SOLVER_FAILURE
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return EXIT_OK if ok else EXIT_REPLAY_MISMATCH
     try:
-        cfg = config_from_args(args)
-        manifest = run(cfg, threads=args.threads)
-    # OSError: a config file that cannot be read, or an --out path that cannot be
-    # written, such as a directory; <out> is written first, so then nothing is
-    except (ConfigError, EnsembleError, OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        if args.command == "replay":
+            ok, report = replay(args.manifest, threads=args.threads)
+            message = json.dumps(report, indent=2, sort_keys=True)
+            code = EXIT_OK if ok else EXIT_REPLAY_MISMATCH
+        else:
+            cfg = config_from_args(args)
+            manifest = run(cfg, threads=args.threads)
+            if args.gnuplot_script and cfg.out.endswith(".csv"):
+                _atomic_write(cfg.out + ".gp", _GNUPLOT.format(csv=cfg.out))
+            message = (f"wrote {', '.join(sorted(manifest['outputs']))} "
+                       f"(manifest {cfg.out}.manifest.json)")
+            code = EXIT_OK
+    # ValueError: ConfigError, EnsembleError, JSONDecodeError. OSError: a file that
+    # cannot be read or a path that cannot be written, such as a directory; <out>
+    # is written first, so then nothing is, unless it is the gnuplot script's, last
+    except (OSError, ValueError) as exc:
+        prefix = "replay error" if args.command == "replay" else "config error"
+        print(f"{prefix}: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
-    if getattr(args, "gnuplot_script", False) and cfg.out.endswith(".csv"):
-        _atomic_write(cfg.out + ".gp", _GNUPLOT.format(csv=cfg.out))
-    print(f"wrote {', '.join(sorted(manifest['outputs']))} "
-          f"(manifest {cfg.out}.manifest.json)")
-    return EXIT_OK
+    print(message)
+    return code
 
 
 if __name__ == "__main__":

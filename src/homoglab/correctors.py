@@ -250,8 +250,9 @@ def ahom_rve(spec: EnsembleSpec, box: BoxSpec, n_samples: int,
     return HomogenizedTensor(mean, sd, n_samples)
 
 
-def unit_direction_grid(d: int, count: int = 64) -> np.ndarray:
-    """Deterministic grid of unit vectors used for ellipticity checks."""
+def unit_direction_grid(d: int) -> np.ndarray:
+    """Deterministic grid of 64 unit vectors used for ellipticity checks."""
+    count = 64
     if d == 1:
         return np.array([[1.0], [-1.0]])
     if d == 2:
@@ -278,9 +279,7 @@ class AhomPropertyReport:
         return self.ellipticity_pass and self.symmetry_pass
 
 
-def verify_ahom_properties(A: HomogenizedTensor, lam: float,
-                           ensemble_symmetric: bool = True,
-                           directions: int = 64) -> AhomPropertyReport:
+def verify_ahom_properties(A: HomogenizedTensor, lam: float) -> AhomPropertyReport:
     """Check ellipticity and symmetry of a homogenized tensor.
 
     Ellipticity: xi . A xi >= lam |xi|^2 over a grid of unit directions.
@@ -289,7 +288,7 @@ def verify_ahom_properties(A: HomogenizedTensor, lam: float,
     the transposition identity degenerates to this symmetry check.
     """
     M = A.matrix
-    xis = unit_direction_grid(M.shape[0], directions)
+    xis = unit_direction_grid(M.shape[0])
     qf = np.einsum("ki,ij,kj->k", xis, M, xis)
     min_qf = float(qf.min())
     gap = float(np.max(np.abs(M - M.T)))
@@ -297,11 +296,10 @@ def verify_ahom_properties(A: HomogenizedTensor, lam: float,
     # floor at solver-tolerance scale for deterministic cell problems
     scale = float(np.max(A.stderr + A.stderr.T)) if A.stderr.any() else 0.0
     tol = 3.0 * scale + 1e-8 * max(1.0, float(np.abs(M).max()))
-    sym_pass = (gap <= tol) if ensemble_symmetric else True
     return AhomPropertyReport(
         ellipticity_pass=bool(min_qf >= lam - 1e-12),
         min_quadratic_form=min_qf,
-        symmetry_pass=bool(sym_pass),
+        symmetry_pass=bool(gap <= tol),
         symmetry_gap=gap,
         symmetry_tolerance=tol,
     )

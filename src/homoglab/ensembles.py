@@ -3,7 +3,8 @@
 Reproducibility contract: the stream for sample ``i`` of a given spec is
 ``np.random.default_rng(SeedSequence(entropy=master_seed, spawn_key=(i,)))``.
 Streams are independent of evaluation order and of how many samples other
-workers draw, so Monte Carlo loops parallelize without coordination.
+workers draw, so Monte Carlo loops parallelize without coordination.  Draws
+of a sample that are not coefficients take ``spawn_key=(i, k)`` with k >= 1.
 
 Supported kinds:
 
@@ -191,8 +192,9 @@ def uniform(low: float = 0.25, high: float = 0.75, lam: float = 0.2, master_seed
 # ---------------------------------------------------------------------------
 
 
-def _rng_for(spec: EnsembleSpec, sid: SampleId) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=spec.master_seed, spawn_key=(sid.index,))
+def _rng_for(spec: EnsembleSpec, sid: SampleId, *key: int) -> np.random.Generator:
+    """Sample ``sid``'s stream; an extra ``key`` names another, independent one."""
+    ss = np.random.SeedSequence(entropy=spec.master_seed, spawn_key=(sid.index, *key))
     return np.random.default_rng(ss)
 
 

@@ -3,13 +3,13 @@
 Everything here is quadrature on aligned grids: the heterogeneous two-point
 boundary value problem
 
-    -d/dx ( a(x/eps) du/dx ) = f   on (0, L),  u(0) = u(L) = 0
+    -d/dx ( a(x/eps) du/dx ) = f   on (0, 1),  u(0) = u(1) = 0
 
 has the closed-form solution
 
     u_eps(x) = int_0^x a_eps^{-1}(x') (c_eps - int_0^{x'} f) dx',
 
-with the flux constant c_eps fixed by u(L) = 0, so "solving" means
+with the flux constant c_eps fixed by u(1) = 0, so "solving" means
 evaluating nested cumulative trapezoid integrals.  The homogenized problem
 replaces a_eps by the harmonic mean a_0 of the unit-period profile, and
 the first-order two-scale approximation is
@@ -74,7 +74,6 @@ class Profile1D:
     a_unit: callable
     f: callable
     eps: float
-    L_domain: float = 1.0
     points_per_period: int = 64
 
     def __post_init__(self):
@@ -94,8 +93,8 @@ class Profile1D:
             )
 
     def grid(self) -> np.ndarray:
-        n = round(self.L_domain / self.eps) * self.points_per_period
-        return np.linspace(0.0, self.L_domain, n + 1)
+        n = round(1.0 / self.eps) * self.points_per_period
+        return np.linspace(0.0, 1.0, n + 1)
 
     def a_eps(self, x: np.ndarray) -> np.ndarray:
         a = np.asarray(self.a_unit(x / self.eps), dtype=np.float64)
@@ -217,7 +216,7 @@ def two_scale_check_1d(profile: Profile1D) -> TwoScaleError1D:
 class OscillatoryAverageReport:
     eps: np.ndarray
     errors: np.ndarray
-    fitted_constant: float   # max over eps of err / (eps * (|b-a| + 1))
+    fitted_constant: float   # max over eps of err / (2 eps)
 
     @property
     def error_over_eps(self) -> np.ndarray:
@@ -242,19 +241,19 @@ def _period_average(F, yq: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def oscillatory_average_check(F, eps_list, a: float = 0.0, b: float = 1.0,
-                              points_per_period: int = 256,
+def oscillatory_average_check(F, eps_list, points_per_period: int = 256,
                               y_points: int = 256) -> OscillatoryAverageReport:
-    """Error of int_a^b F(x/eps, x) dx against the period-averaged integrand.
+    """Error of int_0^1 F(x/eps, x) dx against the period-averaged integrand.
 
     F(y, x) must be 1-periodic and smooth in y and act elementwise on
     arrays of equal shape; the report carries
     |int F(x/eps, x) - Fbar(x) dx| per eps and the fitted constant of the
-    first-order bound C * (|b - a| + 1) * eps.  Fbar takes the trapezoid
-    rule on ``y_points`` intervals, which converges geometrically there.
+    first-order bound C * (|b - a| + 1) * eps = 2 C eps on (a, b) = (0, 1).
+    Fbar takes the trapezoid rule on ``y_points`` intervals, which converges
+    geometrically there.
     """
     eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=np.float64)
-    grids = [np.linspace(a, b, max(1024, int(np.ceil((b - a) / eps)) * points_per_period) + 1)
+    grids = [np.linspace(0.0, 1.0, max(1024, int(np.ceil(1.0 / eps)) * points_per_period) + 1)
              for eps in eps_arr]
     # Fbar does not depend on eps: average once per distinct node of all grids
     nodes = np.unique(np.concatenate(grids))
@@ -265,7 +264,7 @@ def oscillatory_average_check(F, eps_list, a: float = 0.0, b: float = 1.0,
         fbar = trapezoid(fbar_nodes[np.searchsorted(nodes, x)], x)
         errors.append(abs(osc - fbar))
     errors = np.asarray(errors)
-    C = float(np.max(errors / (eps_arr * (abs(b - a) + 1.0))))
+    C = float(np.max(errors / (2.0 * eps_arr)))
     return OscillatoryAverageReport(eps_arr, errors, C)
 
 
@@ -279,21 +278,23 @@ class SupErrorReport:
     weak_gradient_pairings: np.ndarray  # (n_eps, n_tests) of int (u_eps'-u_0') phi_test
 
 
-def sup_error_check(profile: Profile1D, eps_list, test_functions=None) -> SupErrorReport:
+# smooth test functions on (0, 1) for the weak-convergence pairings
+_TEST_FUNCTIONS = (
+    lambda x: np.ones_like(x),
+    lambda x: x,
+    lambda x: np.sin(np.pi * x),
+    lambda x: np.cos(2 * np.pi * x),
+    lambda x: x * (1.0 - x),
+)
+
+
+def sup_error_check(profile: Profile1D, eps_list) -> SupErrorReport:
     """Max-norm error u_eps vs u_0 across an eps list, plus gradient diagnostics.
 
     The gradient columns document weak-but-not-strong convergence: the L2
     gradient error stays bounded away from zero for oscillatory a, while
     the pairings against smooth test functions vanish with eps.
     """
-    if test_functions is None:
-        test_functions = [
-            lambda x: np.ones_like(x),
-            lambda x: x,
-            lambda x: np.sin(np.pi * x),
-            lambda x: np.cos(2 * np.pi * x),
-            lambda x: x * (1.0 - x),
-        ]
     eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=np.float64)
     sups, grads, weaks = [], [], []
     for eps in eps_arr:
@@ -304,7 +305,7 @@ def sup_error_check(profile: Profile1D, eps_list, test_functions=None) -> SupErr
         sups.append(float(np.max(np.abs(het.u - hom.u))))
         diff = het.du - hom.du
         grads.append(float(trapezoid(diff**2, x)))
-        weaks.append([float(trapezoid(diff * tf(x), x)) for tf in test_functions])
+        weaks.append([float(trapezoid(diff * tf(x), x)) for tf in _TEST_FUNCTIONS])
     sups = np.asarray(sups)
     if np.all(sups > 0):
         slope = float(np.polyfit(np.log(eps_arr), np.log(sups), 1)[0])

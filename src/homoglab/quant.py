@@ -25,8 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ensembles import (EnsembleSpec, _sub_box_sites, per_sample, site_assignments,
-                        site_variants, spatial_average_observable)
+from .ensembles import (EnsembleSpec, SampleId, _rng_for, _sub_box_sites, per_sample,
+                        site_assignments, site_variants, spatial_average_observable)
 from .lattice import (
     BoxSpec,
     CoefficientField,
@@ -94,6 +94,26 @@ def _check_fit_grid(xs: np.ndarray, name: str) -> None:
     if np.unique(xs).size < 2:
         raise ValueError(f"{name} needs at least two distinct values for the fit, "
                          f"got {np.asarray(xs).tolist()}")
+
+
+def _abscissae(values: np.ndarray, name: str, limit: float, window: str,
+               fit: bool = True) -> np.ndarray:
+    """``values`` sorted; ``ValueError`` unless each is positive (the fit is in
+    log-log), distinct (the fit would count a repeat twice) and at most ``limit``,
+    the edge of ``window``, with two of them where a line is ``fit``."""
+    xs = np.sort(values)
+    if xs.size == 0:
+        raise ValueError(f"{name} must be a non-empty list of positive values")
+    if not np.all(xs > 0):
+        raise ValueError(f"{name} must be positive, got {xs.tolist()}")
+    if np.any(xs[1:] == xs[:-1]):
+        raise ValueError(f"{name} must be distinct, got {xs.tolist()}: the fit would "
+                         f"count a repeated point twice")
+    if fit:
+        _check_fit_grid(xs, name)
+    if xs[-1] > limit:
+        raise ValueError(f"{name} value {xs[-1]} outside {window} = {limit}")
+    return xs
 
 
 def _linear_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
@@ -402,15 +422,8 @@ def corrector_growth(spec: EnsembleSpec, box: BoxSpec, radii: Sequence[int],
     moments are then fitted against log(|x| + 2) in d = 2 and against a
     constant in d >= 3.
     """
-    radii = np.asarray(sorted(radii), dtype=np.int64)
-    if box.d == 2:
-        _check_fit_grid(radii, "radii")
-    if radii.size == 0 or radii[0] < 1:
-        raise ValueError("radii must be a non-empty list of values >= 1")
-    if radii[-1] > box.L // 4:
-        raise ValueError(
-            f"max radius {radii[-1]} exceeds the periodization window L/4 = {box.L // 4}"
-        )
+    radii = _abscissae(np.asarray(radii, dtype=np.int64), "radii", box.L // 4,
+                       "the periodization window L/4", fit=box.d == 2)
     d = box.d
     xi = np.zeros(d)
     xi[0] = 1.0
@@ -463,22 +476,16 @@ class SemigroupDecayReport:
 
 
 def semigroup_decay(spec: EnsembleSpec, box: BoxSpec, t_grid: Sequence[float],
-                    n: int = 1000, component: int = 0,
-                    map_fn: Callable = map) -> SemigroupDecayReport:
+                    n: int = 1000, map_fn: Callable = map) -> SemigroupDecayReport:
     """Decay of E|P(t) zeta - E zeta|^2 for the single-site observable.
 
     P(t) zeta(a) = sum_x p(t, x) zeta(shift_x a) with the exact torus heat
-    kernel; for zeta(a) = a_component(0) the shifted values are just the
+    kernel; for zeta(a) = a_1(0) the shifted values are just the first
     coefficient column, so each sample contributes one dot product per t.
     Times outside the wrap-validity window t <= (L/8)^2 are rejected.
     """
-    t_grid = np.asarray(sorted(t_grid), dtype=np.float64)
-    _check_fit_grid(t_grid, "t_grid")
-    t_max_valid = (box.L / 8.0) ** 2
-    if t_grid[-1] > t_max_valid:
-        raise ValueError(
-            f"t={t_grid[-1]} outside the torus validity window t <= (L/8)^2 = {t_max_valid}"
-        )
+    t_grid = _abscissae(np.asarray(t_grid, dtype=np.float64), "t_grid", (box.L / 8.0) ** 2,
+                        "the torus validity window t <= (L/8)^2")
     kernels = []
     for t in t_grid:
         p = heat_kernel(float(t), box)
@@ -489,7 +496,7 @@ def semigroup_decay(spec: EnsembleSpec, box: BoxSpec, t_grid: Sequence[float],
     mean_zeta = spec.marginal_mean()
 
     def one(a: CoefficientField, i: int) -> np.ndarray:
-        col = a.diag[:, component]
+        col = a.diag[:, 0]
         out = np.empty(len(t_grid) + 1)
         out[0] = col[0]  # zeta itself (t = 0 reference for the contraction check)
         for k, pk in enumerate(kernels):
@@ -544,13 +551,11 @@ def green_decay(spec: EnsembleSpec, box: BoxSpec, n: int,
         raise ValueError("green_decay supports d in {2, 3}")
     if radii is None:
         radii = [r for r in (2, 3, 4, 5, 6, 8, 12, 16) if r <= box.L // 8]
-    radii = np.asarray(sorted(radii), dtype=np.int64)
-    if radii.size == 0:
-        raise ValueError(f"no radii: the default radii r <= L/8 need L >= 16, got "
-                         f"L={box.L}; give them with --radii")
-    _check_fit_grid(radii, "radii")
-    if radii[-1] > box.L // 4:
-        raise ValueError("radii must stay within the periodization window L/4")
+        if not radii:
+            raise ValueError(f"no radii: the default radii r <= L/8 need L >= 16, got "
+                             f"L={box.L}; give them with --radii")
+    radii = _abscissae(np.asarray(radii, dtype=np.int64), "radii", box.L // 4,
+                       "the periodization window L/4")
     r = torus_radii(box)
     shells = [np.flatnonzero(np.abs(r - rad) <= 0.5) for rad in radii]  # within 1/2 of rad
     far = np.flatnonzero(r >= 3.0 * box.L / 8.0)  # the antipodal region
@@ -636,10 +641,9 @@ class MeyersProbeReport:
     blowup_flag: bool   # any ratio exceeding 10x the median
 
 
-def smooth_random_field(box: BoxSpec, rng: np.random.Generator,
-                        smoothing_time: float = 2.0) -> ScalarField:
-    """Mean-zero heat-smoothed white noise; the stock right-hand side h."""
-    out = smooth(rng.normal(size=box.shape), smoothing_time)
+def smooth_random_field(box: BoxSpec, rng: np.random.Generator) -> ScalarField:
+    """Mean-zero white noise, heat-smoothed to time 2; the stock right-hand side h."""
+    out = smooth(rng.normal(size=box.shape), 2.0)
     out -= out.mean()
     return ScalarField.from_grid(box, out)
 
@@ -651,10 +655,7 @@ def meyers_probe(spec: EnsembleSpec, box: BoxSpec, n: int = 50, q: float = 1.1,
     """Ratio stability across random (a, h) pairs; flags a blow-up of the constant."""
 
     def one(a: CoefficientField, i: int) -> float:
-        h_rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=spec.master_seed, spawn_key=(i, 1))
-        )
-        h = smooth_random_field(box, h_rng)
+        h = smooth_random_field(box, _rng_for(spec, SampleId(i), 1))
         return meyers_ratio(a, h, q, alpha_w, cfg)
 
     ratios = np.array(per_sample(spec, box, n, one, map_fn))
@@ -681,10 +682,7 @@ def birkhoff_rate(spec: EnsembleSpec, box: BoxSpec, R_list: Sequence[int],
     For i.i.d. entries the exact rate is sd * R^{-d/2}; the log-log slope of
     the fitted profile is the reported quantity.
     """
-    R_arr = np.asarray(sorted(R_list), dtype=np.int64)
-    _check_fit_grid(R_arr, "R_list")
-    if R_arr[-1] > box.L:
-        raise ValueError("R exceeds the box side")
+    R_arr = _abscissae(np.asarray(R_list, dtype=np.int64), "R_list", box.L, "the box side L")
     mean_val = spec.marginal_mean()
 
     devs = np.stack(per_sample(spec, box, n, lambda a, i: np.array(

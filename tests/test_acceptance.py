@@ -111,7 +111,7 @@ def test_criterion_05_ahom_properties():
         spec = (two_point(alpha=lo, beta=hi, master_seed=1000 + k) if k % 2 == 0
                 else uniform(low=lo, high=hi, master_seed=1000 + k))
         t = ahom_rve(spec, box, 6)
-        rep = verify_ahom_properties(t, lam=0.2, directions=64)
+        rep = verify_ahom_properties(t, lam=0.2)
         worst_margin = min(worst_margin, rep.min_quadratic_form)
         all_ok = all_ok and rep.ellipticity_pass and rep.symmetry_pass
     report(5, all_ok, f"20 random ensembles: min quadratic form {worst_margin:.4f} >= 0.2, "

@@ -117,6 +117,17 @@ class TestOned:
         assert code == EXIT_OK
         assert os.path.exists(out + ".gp")
 
+    def test_unwritable_gnuplot_script_exits_3(self, oned_config, tmp_path, capsys):
+        out = str(tmp_path / "table.csv")
+        os.mkdir(out + ".gp")
+        code = main(["oned", "--config", oned_config, "--out", out, "--gnuplot-script"])
+        assert code == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        # the script is written after the table and its manifest
+        assert sorted(os.listdir(tmp_path)) == ["fig1.json", "table.csv", "table.csv.gp",
+                                                "table.csv.manifest.json"]
+
 
 class TestDispatchAndErrors:
     def test_growth_dispatch(self, ensemble_file, tmp_path):
@@ -248,14 +259,19 @@ class TestDispatchAndErrors:
         assert "--radii" in err and "--L" in err
         assert os.listdir(tmp_path) == ["ens.json"]
 
-    @pytest.mark.parametrize("argv", [
-        ["green", "--d", "3", "--L", "16", "--radii", "2"],
-        ["semigroup", "--L", "32", "--t-grid", "4"],
-        ["birkhoff", "--L", "16", "--R-list", "8"],
-        ["growth", "--d", "2", "--L", "16", "--radii", "4"],
-    ], ids=lambda argv: argv[0])
-    def test_single_point_fit_exits_3_before_sampling(self, argv, ensemble_file, tmp_path,
-                                                      capsys, monkeypatch):
+    @pytest.mark.parametrize("argv,message", [
+        (["green", "--d", "3", "--L", "16", "--radii", "2"], "two distinct values"),
+        (["semigroup", "--L", "32", "--t-grid", "4"], "two distinct values"),
+        (["birkhoff", "--L", "16", "--R-list", "8"], "two distinct values"),
+        (["growth", "--d", "2", "--L", "16", "--radii", "4"], "two distinct values"),
+        (["green", "--d", "3", "--L", "16", "--radii", "0", "2"], "must be positive"),
+        (["semigroup", "--L", "32", "--t-grid", "0", "4"], "must be positive"),
+        (["birkhoff", "--L", "16", "--R-list", "0", "4"], "must be positive"),
+        (["green", "--d", "3", "--L", "16", "--radii", "2", "2", "4"], "must be distinct"),
+    ], ids=["green", "semigroup", "birkhoff", "growth", "green-zero", "semigroup-zero",
+            "birkhoff-zero", "green-repeated"])
+    def test_single_point_fit_exits_3_before_sampling(self, argv, message, ensemble_file,
+                                                      tmp_path, capfd, monkeypatch):
         def no_sample(*args):
             raise AssertionError("sampled before checking the fit grid")
 
@@ -263,7 +279,8 @@ class TestDispatchAndErrors:
         code = main([*argv, "--ensemble", ensemble_file, "--samples", "2",
                      "--out", str(tmp_path / "out.json")])
         assert code == EXIT_CONFIG_ERROR
-        assert "two distinct values" in capsys.readouterr().err
+        err = capfd.readouterr().err  # at the file descriptor, where LAPACK prints
+        assert message in err and "DLASCL" not in err
         assert os.listdir(tmp_path) == ["ens.json"]
 
     @pytest.mark.parametrize("argv", [
@@ -384,6 +401,22 @@ class TestDeterminismAndReplay:
         assert (none["solver_summary"]["total_iterations"]
                 > default["solver_summary"]["total_iterations"])
         assert main(["replay", "none.json.manifest.json"]) == EXIT_OK
+
+    @pytest.mark.parametrize("experiment,out", [("cell", "cell.json"),
+                                                ("corrector", "set.csv")])
+    def test_manifest_with_an_unread_samples_param_replays(self, experiment, out,
+                                                           ensemble_file, tmp_path,
+                                                           monkeypatch):
+        # cell and corrector once took --samples and ignored it; manifests
+        # that recorded it must still replay
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"experiment": experiment, "params": {"samples": 5}, "out": out}))
+        assert main([experiment, "--config", "cfg.json", "--ensemble", ensemble_file,
+                     "--L", "4"]) == EXIT_OK
+        manifest = json.loads((tmp_path / (out + ".manifest.json")).read_text())
+        assert manifest["config"]["params"] == {"samples": 5}
+        assert main(["replay", out + ".manifest.json"]) == EXIT_OK
 
     def test_manifest_of_0_7_0_replays_exactly(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -542,22 +575,23 @@ class TestConfigRoundTrip:
 COMMON_OPTIONS = {
     "-h": (None, 0), "--help": (None, 0), "--config": (None, None),
     "--ensemble": (None, None), "--L": (int, None), "--d": (int, None),
-    "--seed": (int, None), "--samples": (int, None), "--threads": (int, None),
+    "--seed": (int, None), "--threads": (int, None),
     "--tol": (float, None), "--max-iter": (int, None), "--precond": (None, None),
     "--out": (None, None), "--gnuplot-script": (None, 0),
 }
+SAMPLES = {"--samples": (int, None)}
 EXPERIMENT_OPTIONS = {
     "oned": {},
     "cell": {"--sample": (int, None)},
-    "ahom": {},
+    "ahom": SAMPLES,
     "corrector": {"--dir": (int, None), "--sample": (int, None)},
-    "twoscale": {"--alpha": (float, None)},
-    "growth": {"--radii": (int, "+"), "--p": (int, None)},
-    "sg": {},
-    "semigroup": {"--t-grid": (float, "+")},
-    "green": {"--radii": (int, "+")},
-    "meyers": {"--q": (float, None), "--alpha-w": (float, None)},
-    "birkhoff": {"--R-list": (int, "+")},
+    "twoscale": {**SAMPLES, "--alpha": (float, None)},
+    "growth": {**SAMPLES, "--radii": (int, "+"), "--p": (int, None)},
+    "sg": SAMPLES,
+    "semigroup": {**SAMPLES, "--t-grid": (float, "+")},
+    "green": {**SAMPLES, "--radii": (int, "+")},
+    "meyers": {**SAMPLES, "--q": (float, None), "--alpha-w": (float, None)},
+    "birkhoff": {**SAMPLES, "--R-list": (int, "+")},
 }
 
 

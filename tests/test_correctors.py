@@ -306,7 +306,7 @@ class TestAhomProperties:
     def test_diagonal_ensemble_symmetry_is_the_transposition_check(self):
         spec = two_point(master_seed=21)
         t = ahom_rve(spec, BoxSpec(2, 8), 8, CFG)
-        rep = verify_ahom_properties(t, lam=0.2, ensemble_symmetric=True)
+        rep = verify_ahom_properties(t, lam=0.2)
         assert rep.symmetry_pass
         assert rep.symmetry_gap <= rep.symmetry_tolerance
 
