@@ -382,6 +382,7 @@ def run(cfg: ExperimentConfig, threads: int = 1, write: bool = True) -> dict:
         "outputs": {name: _sha256_hex(text.encode()) for name, text in sorted(outputs.items())},
         "wall_time_s": wall,
         "solver_summary": collector.summary(),
+        "dense_solves": collector.dense_solves,
     }
     if write:
         for name, text in sorted(outputs.items()):

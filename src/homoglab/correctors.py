@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, per_sample
+from .ensembles import EnsembleSpec, _sample_count, per_sample
 from .lattice import (
     BoxSpec,
     CoefficientField,
@@ -240,9 +240,7 @@ def ahom_rve(spec: EnsembleSpec, box: BoxSpec, n_samples: int,
     Deterministic in (spec.master_seed, box, n_samples); ``map_fn`` may be a
     parallel map, the aggregation below runs in fixed sample order either way.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
-
+    _sample_count(n_samples, 2)
     mats = np.stack(per_sample(spec, box, n_samples,
                                lambda a, i: ahom_cell(a, cfg).matrix, map_fn))
     mean = mats.mean(axis=0)

@@ -99,7 +99,8 @@ class ReportCollector:
     """Thread-safe aggregation of solve reports for run manifests.
 
     Only order-independent aggregates are kept, so manifests do not depend
-    on worker scheduling.
+    on worker scheduling.  ``dense_solves`` counts inverted dense matrices,
+    which ``summary`` (the CG solves) leaves out.
     """
 
     def __init__(self):
@@ -109,6 +110,7 @@ class ReportCollector:
         self.max_iterations = 0
         self.max_residual = 0.0
         self.all_converged = True
+        self.dense_solves = 0
 
     def add(self, rep: "SolveReport") -> None:
         with self._lock:
@@ -117,6 +119,10 @@ class ReportCollector:
             self.max_iterations = max(self.max_iterations, rep.iterations)
             self.max_residual = max(self.max_residual, rep.final_relative_residual)
             self.all_converged = self.all_converged and rep.converged
+
+    def add_dense(self, count: int) -> None:
+        with self._lock:
+            self.dense_solves += count
 
     def summary(self) -> dict:
         return {
@@ -133,11 +139,12 @@ _scopes = ContextVar("report_scopes", default=())  # collectors of the enclosing
 
 @contextmanager
 def collecting_reports():
-    """Route every cg_solve report of this context into a fresh collector.
+    """Route every cg_solve report and dense inverse of this context into a
+    fresh collector.
 
     Scopes nest: a report reaches the collector of every enclosing scope.
     The scope is context-local, so concurrent runs in separate threads keep
-    separate counts; ``ensembles.per_sample`` carries it into pool workers.
+    separate counts; ``ensembles.per_block`` carries it into pool workers.
     """
     collector = ReportCollector()
     token = _scopes.set(_scopes.get() + (collector,))
@@ -151,6 +158,12 @@ def _report(rep: SolveReport) -> SolveReport:
     for collector in _scopes.get():
         collector.add(rep)
     return rep
+
+
+def _report_dense(count: int) -> None:
+    """Count ``count`` inverted dense matrices in every enclosing report scope."""
+    for collector in _scopes.get():
+        collector.add_dense(count)
 
 
 def cg_solve(operator, rhs: ScalarField, cfg: SolverConfig = SolverConfig(),
@@ -309,17 +322,23 @@ def elliptic_matrix(a: CoefficientField) -> np.ndarray:
     is assembled from the coefficient table without going through the
     operator, so it doubles as an independent cross-check of apply_elliptic.
     """
-    n = a.box.n_sites
-    fwd, _ = neighbours(a.box)
-    A = np.zeros((n, n))
+    return _elliptic_matrices(a.box, a.diag[None])[0]
+
+
+def _elliptic_matrices(box: BoxSpec, diag: np.ndarray) -> np.ndarray:
+    """:func:`elliptic_matrix` of each field of a (B, N, d) stack of diagonals, (B, N, N)."""
+    n = box.n_sites
+    fwd, _ = neighbours(box)
+    A = np.zeros((diag.shape[0], n, n))
     idx = np.arange(n)
-    for i in range(a.box.d):
+    every = slice(None)
+    for i in range(box.d):
         j = fwd[:, i]
-        ai = a.diag[:, i]
+        ai = diag[:, :, i]
         # edge x -> x+e_i with conductance a_i(x) contributes the usual
         # graph-Laplacian pattern
-        np.add.at(A, (idx, idx), ai)
-        np.add.at(A, (j, j), ai)
-        np.add.at(A, (idx, j), -ai)
-        np.add.at(A, (j, idx), -ai)
+        np.add.at(A, (every, idx, idx), ai)
+        np.add.at(A, (every, j, j), ai)
+        np.add.at(A, (every, idx, j), -ai)
+        np.add.at(A, (every, j, idx), -ai)
     return A

@@ -37,6 +37,7 @@ __all__ = [
     "SampleId",
     "sample",
     "per_sample",
+    "per_block",
     "site_assignments",
     "site_variants",
     "spatial_average_observable",
@@ -257,20 +258,40 @@ def sample(spec: EnsembleSpec, box: BoxSpec, sid: SampleId) -> CoefficientField:
     return CoefficientField(box, diag, lam=spec.lam)
 
 
-def per_sample(spec: EnsembleSpec, box: BoxSpec, n: int, fn: Callable,
-               map_fn: Callable = map) -> list:
-    """The Monte Carlo loop: ``[fn(sample(spec, box, SampleId(i)), i) for i < n]``, in order.
+def _sample_count(n: int, least: int = 1) -> None:
+    """Check a sample count before the first sample: ``ValueError`` below
+    ``least``, which is 2 for a statistic with a ``ddof=1`` standard error."""
+    if n < least:
+        raise ValueError(f"the number of samples must be at least {least}, got {n}")
 
-    ``map_fn`` may be a thread pool's ``map``.  A pool does not pass contexts
-    on, so each sample runs in a copy of the caller's: the report scope of
+
+def per_block(spec: EnsembleSpec, box: BoxSpec, n: int, fn: Callable,
+              map_fn: Callable, size: int) -> list:
+    """The Monte Carlo loop on runs of ``size`` consecutive sample ids.
+
+    ``fn(fields, ids)`` gets the fields of ``ids``, drawn by :func:`sample` in
+    id order, and returns one result per id; the results come back flattened
+    in sample order.  ``map_fn`` may be a thread pool's ``map``, whose tasks
+    are then the runs.  A pool does not pass contexts on, so each run goes in
+    a copy of the caller's: the report scope of
     ``elliptic.collecting_reports`` reaches the workers.
     """
+    _sample_count(n)
     ctx = contextvars.copy_context()
 
-    def one(i: int):
-        return ctx.copy().run(fn, sample(spec, box, SampleId(i)), i)
+    def run(start: int) -> list:
+        ids = range(start, min(start + size, n))
+        fields = [sample(spec, box, SampleId(i)) for i in ids]
+        return ctx.copy().run(fn, fields, ids)
 
-    return list(map_fn(one, range(n)))
+    return [r for results in map_fn(run, range(0, n, size)) for r in results]
+
+
+def per_sample(spec: EnsembleSpec, box: BoxSpec, n: int, fn: Callable,
+               map_fn: Callable = map) -> list:
+    """``[fn(sample(spec, box, SampleId(i)), i) for i < n]``: :func:`per_block`
+    with runs of one sample, one ``map_fn`` task each."""
+    return per_block(spec, box, n, lambda fields, ids: [fn(fields[0], ids[0])], map_fn, 1)
 
 
 def site_assignments(spec: EnsembleSpec, d: int) -> np.ndarray:

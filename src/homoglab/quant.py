@@ -25,8 +25,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ensembles import (EnsembleSpec, SampleId, _rng_for, _sub_box_sites, per_sample,
-                        site_assignments, site_variants, spatial_average_observable)
+from .ensembles import (EnsembleSpec, SampleId, _rng_for, _sample_count, _sub_box_sites,
+                        per_block, per_sample, site_assignments, site_variants,
+                        spatial_average_observable)
 from .lattice import (
     BoxSpec,
     CoefficientField,
@@ -41,7 +42,8 @@ from .lattice import (
 from .elliptic import (
     SolverConfig,
     SolverError,
-    elliptic_matrix,
+    _elliptic_matrices,
+    _report_dense,
     green,
     heat_kernel,
     solve_elliptic,
@@ -179,7 +181,20 @@ def lipschitz_derivative(func, a: CoefficientField, site: int, spec: EnsembleSpe
 # ---------------------------------------------------------------------------
 
 
-class SingleSiteEntry:
+class _Functional:
+    """A spectral-gap functional: ``block_values(box, diag, values)`` gives f
+    and f at every (support site, variant) pair for a (B, N, d) stack of
+    diagonals and the (V, d) site values."""
+
+    def variant_values(self, a: CoefficientField,
+                       values: np.ndarray) -> tuple[float, np.ndarray]:
+        """f(a) and f at every (support site, variant) pair, (len(support), V):
+        ``block_values`` of the one field ``a``."""
+        fa, table = self.block_values(a.box, a.diag[None], values)
+        return float(fa[0]), table[0]
+
+
+class SingleSiteEntry(_Functional):
     """f(a) = a_component(site): the equality case of the spectral gap."""
 
     name = "single-site"
@@ -194,13 +209,15 @@ class SingleSiteEntry:
     def __call__(self, a: CoefficientField) -> float:
         return float(a.diag[self.site, self.component])
 
-    def variant_values(self, a: CoefficientField,
-                       values: np.ndarray) -> tuple[float, np.ndarray]:
-        """f(a) and f at every site variant, (1, V), for the (V, d) site values."""
-        return float(a.diag[self.site, self.component]), values[None, :, self.component].copy()
+    def block_values(self, box: BoxSpec, diag: np.ndarray,
+                     values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """f and f at every site variant, (B,) and (B, 1, V), for a (B, N, d)
+        stack of diagonals and the (V, d) site values."""
+        table = np.broadcast_to(values[:, self.component], (diag.shape[0], 1, len(values)))
+        return diag[:, self.site, self.component], table.copy()
 
 
-class BoxAverageEntry:
+class BoxAverageEntry(_Functional):
     """f(a) = average of a_component over the centered R-sub-box."""
 
     name = "box-average"
@@ -215,21 +232,22 @@ class BoxAverageEntry:
     def __call__(self, a: CoefficientField) -> float:
         return spatial_average_observable(a, self.R, self.component)
 
-    def variant_values(self, a: CoefficientField,
-                       values: np.ndarray) -> tuple[float, np.ndarray]:
-        """f(a) and f at every site variant, (len(support), V), for the (V, d) site values."""
-        held = a.diag[_sub_box_sites(a.box, self.R), self.component]
-        fa = held.mean()
-        return float(fa), fa + (values[None, :, self.component] - held[:, None]) / held.size
+    def block_values(self, box: BoxSpec, diag: np.ndarray,
+                     values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """f and f at every site variant, (B,) and (B, len(support), V)."""
+        held = diag[:, _sub_box_sites(box, self.R), self.component]
+        fa = held.mean(axis=1)
+        table = (values[None, None, :, self.component] - held[:, :, None]) / held.shape[1]
+        return fa, fa[:, None, None] + table
 
 
-class CellAhomEntry:
+class CellAhomEntry(_Functional):
     """f(a) = entry (row, col) of the periodic cell homogenized matrix.
 
     A genuinely nonlinear functional of the whole box.  Small boxes only:
     the cell problem is solved directly through the dense pinned inverse
     (site 0 pinned; the extracted entry is gauge independent), which also
-    gives every single-site variant in closed form (:meth:`variant_values`).
+    gives every single-site variant in closed form (:meth:`block_values`).
     """
 
     name = "ahom-entry"
@@ -241,79 +259,116 @@ class CellAhomEntry:
     def support(self, box: BoxSpec) -> list[int]:
         return list(range(box.n_sites))
 
-    def _solve(self, a: CoefficientField):
-        """Pinned inverse G and the edge differences of phi_row, phi_col.
+    def _solve(self, box: BoxSpec, diag: np.ndarray):
+        """Pinned inverses G and the edge differences of phi_row, phi_col,
+        for a (B, N, d) stack of diagonals.
 
-        G inverts the cell matrix div*(a grad .) with site 0 pinned (row and
-        column 0 are zero) by one ``np.linalg.inv``, whose LAPACK call
-        releases the GIL, so the samples of a thread pool invert in parallel.
-        phi_k = G (-div*(a e_k)) is the cell corrector in direction k; the
-        returned tables hold b_{x,i}^T phi_k = phi_k(x+e_i) - phi_k(x), (N, d).
+        G inverts each cell matrix div*(a grad .) with site 0 pinned (row and
+        column 0 are zero).  One ``np.linalg.inv`` inverts the whole stack: it
+        runs LAPACK on each matrix in turn without the GIL, so the runs of a
+        thread pool invert in parallel, and each matrix gets the bits of its
+        own call.  phi_k = G (-div*(a e_k)) is the cell corrector in direction
+        k; the returned tables hold b_{x,i}^T phi_k = phi_k(x+e_i) - phi_k(x),
+        (B, N, d).
         """
-        fwd, bwd = neighbours(a.box)
-        n = a.box.n_sites
-        G = np.zeros((n, n))
-        G[1:, 1:] = np.linalg.inv(elliptic_matrix(a)[1:, 1:])
+        fwd, bwd = neighbours(box)
+        n = box.n_sites
+        G = np.zeros((len(diag), n, n))
+        G[:, 1:, 1:] = np.linalg.inv(_elliptic_matrices(box, diag)[:, 1:, 1:])
+        _report_dense(len(diag))
 
         def edges(k: int) -> np.ndarray:
-            ak = a.diag[:, k]
-            phi = G @ (ak - ak[bwd[:, k]])  # -div*(a e_k)
-            return phi[fwd] - phi[:, None]
+            ak = diag[:, :, k]
+            phi = (G @ (ak - ak[:, bwd[:, k]])[:, :, None])[:, :, 0]  # -div*(a e_k)
+            return phi[:, fwd] - phi[:, :, None]
 
         t_col = edges(self.col)
         t_row = t_col if self.row == self.col else edges(self.row)
         return G, t_row, t_col
 
-    def _entry(self, a: CoefficientField, t_col: np.ndarray) -> float:
-        arow = a.diag[:, self.row]
-        entry = float(np.mean(arow * t_col[:, self.row]))
+    def _entry(self, diag: np.ndarray, t_col: np.ndarray) -> np.ndarray:
+        arow = diag[:, :, self.row]
+        entry = np.mean(arow * t_col[:, :, self.row], axis=1)
         if self.row == self.col:
-            entry += float(np.mean(arow))
+            entry += np.mean(arow, axis=1)
         return entry
 
     def __call__(self, a: CoefficientField) -> float:
-        _, _, t_col = self._solve(a)
-        return self._entry(a, t_col)
+        diag = a.diag[None]
+        _, _, t_col = self._solve(a.box, diag)
+        return float(self._entry(diag, t_col)[0])
 
-    def variant_values(self, a: CoefficientField,
-                       values: np.ndarray) -> tuple[float, np.ndarray]:
-        """f(a) and f at every site variant, (N, V), for the (V, d) site values.
+    def block_values(self, box: BoxSpec, diag: np.ndarray,
+                     values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """f and f at every site variant, (B,) and (B, N, V), for a (B, N, d)
+        stack of diagonals and the (V, d) site values.
 
         Setting the diagonal at site x to ``values[v]`` moves a_i(x) by
         delta_i and the cell matrix by the rank-d update U D U^T, with
         U = [b_{x,1} .. b_{x,d}], b_{x,i} = e_{x+e_i} - e_x, D = diag(delta);
         the right-hand side -div*(a e_col) moves by -delta_col b_{x,col}.
-        Sherman-Morrison-Woodbury on the one pinned inverse G gives
+        Sherman-Morrison-Woodbury on the pinned inverse G gives
 
             phi' = G r' - G U (I + D U^T G U)^{-1} D U^T G r',
 
         and only the projections of phi' on c = sum_x a_row(x) b_{x,row} and
         on U enter the entry, so each variant costs one d x d solve.
         """
-        n = a.box.n_sites
-        fwd, _ = neighbours(a.box)
+        n, d = box.n_sites, box.d
+        fwd, _ = neighbours(box)
         row, col = self.row, self.col
-        G, t_row, t_col = self._solve(a)
+        G, t_row, t_col = self._solve(box, diag)
         x = np.arange(n)[:, None]
-        M = (G[fwd[:, :, None], fwd[:, None, :]] - G[fwd, x][:, :, None]
-             - G[x, fwd][:, None, :] + G[x, x][:, :, None])  # U^T G U per site
-        delta = values[None, :, :] - a.diag[:, None, :]      # (N, V, d)
-        s = t_col[:, None, :] - delta[..., col, None] * M[:, None, :, col]  # U^T G r'
-        DM = delta[..., :, None] * M[:, None]
-        w = np.linalg.solve(np.eye(a.box.d) + DM, (delta * s)[..., None])[..., 0]
-        u = s - np.einsum("xij,xvj->xvi", M, w)                             # U^T phi'
+        M = (G[:, fwd[:, :, None], fwd[:, None, :]] - G[:, fwd, x][..., None]
+             - G[:, x, fwd][:, :, None, :] + G[:, x, x][..., None])  # U^T G U per site
+        delta = values[None, None] - diag[:, :, None, :]           # (B, N, V, d)
+        s = t_col[:, :, None, :] - delta[..., col, None] * M[:, :, None, :, col]  # U^T G r'
+        w = _small_solve(np.eye(d) + delta[..., :, None] * M[:, :, None], delta * s)
+        u_row = s[..., row] - (M[:, :, None, row] * w).sum(axis=-1)      # e_row^T U^T phi'
         # c^T phi' - c^T G r, with c^T G b_{x,i} = -t_row[x, i] since G c = -phi_row
-        dc = delta[..., col] * t_row[:, None, col] + np.einsum("xi,xvi->xv", t_row, w)
-        fa = self._entry(a, t_col)
-        out = fa + (dc + delta[..., row] * u[..., row]) / n
+        dc = delta[..., col] * t_row[:, :, None, col] + (t_row[:, :, None] * w).sum(axis=-1)
+        fa = self._entry(diag, t_col)
+        out = fa[:, None, None] + (dc + delta[..., row] * u_row) / n
         if row == col:
             out += delta[..., row] / n
         return fa, out
 
 
+def _small_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with A x = b for a stack of small (d, d) systems, by Gaussian
+    elimination without pivoting, each step one numpy operation on the stack.
+
+    For the Woodbury systems I + D U^T G U of :meth:`CellAhomEntry.block_values`
+    the k-th leading principal minor is det(A_k) / det(A) > 0, with A_k the
+    pinned cell matrix after the first k edges of the site are updated (matrix
+    determinant lemma), so no pivot vanishes.  ``np.linalg.solve`` would make
+    one LAPACK call per system: the thousands of 2 x 2 calls of a run cost
+    more than their arithmetic, and run slower in two threads than in one.
+    """
+    A = A.copy()
+    x = b.copy()
+    d = A.shape[-1]
+    for k in range(d):
+        for i in range(k + 1, d):
+            m = A[..., i, k] / A[..., k, k]
+            A[..., i, k + 1:] -= m[..., None] * A[..., k, k + 1:]
+            x[..., i] -= m * x[..., k]
+    for k in reversed(range(d)):
+        for j in range(k + 1, d):
+            x[..., k] -= A[..., k, j] * x[..., j]
+        x[..., k] /= A[..., k, k]
+    return x
+
+
 def default_functional_family(box: BoxSpec) -> list:
     R = max(2, box.L // 2)
     return [SingleSiteEntry(), BoxAverageEntry(R), CellAhomEntry()]
+
+
+# consecutive samples per sg_check task, whatever the thread count: 16 and 32
+# measured no faster than 8, which keeps two workers evenly loaded on small
+# sample counts and a run's arrays near 1 MB at d=2, L=8
+_SG_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -338,27 +393,32 @@ def sg_check(spec: EnsembleSpec, box: BoxSpec, n: int,
     Requires an i.i.d. two-point spec: the vertical derivative
     d_x f = f - E[f | a off x] (Gloria & Otto, Ann. Probab. 39, 2011) is
     then the exact centering over the 2**d site variants.  A functional
-    has ``support(box)`` and ``variant_values(a, values)``, which returns
-    f(a) and f at every (support site, variant) pair at once; for the cell
-    entry, resampling one site is a rank-d update of the cell matrix, so
-    one dense inverse per sample serves f(a) and all of the variants.
+    has ``support(box)`` and ``block_values(box, diag, values)``, which
+    returns f and f at every (support site, variant) pair for a (B, N, d)
+    stack of diagonals at once; for the cell entry, resampling one site is
+    a rank-d update of the cell matrix, so one dense inverse per sample
+    serves f(a) and all of the variants.  The samples go in runs of
+    ``_SG_BLOCK``, each one ``map_fn`` task with one stacked inverse.
     Violations are report entries, never exceptions.
     """
     if not spec.is_two_point:
         raise ValueError("sg_check requires an iid two-point ensemble")
+    _sample_count(n, 2)
     if functionals is None:
         functionals = default_functional_family(box)
     values = site_assignments(spec, box.d)
 
-    def one(a: CoefficientField, i: int):
-        out = []
+    def block(fields: list[CoefficientField], ids: range) -> list:
+        diag = np.stack([a.diag for a in fields])
+        columns = []
         for func in functionals:
-            fa, table = func.variant_values(a, values)
-            derivs = fa - table.mean(axis=1)
-            out.append((fa, float(np.sum(derivs ** 2))))
-        return out
+            fa, table = func.block_values(box, diag, values)
+            # in C order each sample's sums add in the order of a one-sample run
+            derivs = fa[:, None] - np.ascontiguousarray(table).mean(axis=2)
+            columns.append(zip(fa.tolist(), np.sum(derivs ** 2, axis=1).tolist()))
+        return list(zip(*columns))
 
-    rows = per_sample(spec, box, n, one, map_fn)
+    rows = per_block(spec, box, n, block, map_fn, _SG_BLOCK)
     reports = []
     for j, func in enumerate(functionals):
         vals = np.array([s[j][0] for s in rows])
@@ -424,6 +484,7 @@ def corrector_growth(spec: EnsembleSpec, box: BoxSpec, radii: Sequence[int],
     """
     radii = _abscissae(np.asarray(radii, dtype=np.int64), "radii", box.L // 4,
                        "the periodization window L/4", fit=box.d == 2)
+    _sample_count(n, 2)
     d = box.d
     xi = np.zeros(d)
     xi[0] = 1.0
@@ -486,6 +547,7 @@ def semigroup_decay(spec: EnsembleSpec, box: BoxSpec, t_grid: Sequence[float],
     """
     t_grid = _abscissae(np.asarray(t_grid, dtype=np.float64), "t_grid", (box.L / 8.0) ** 2,
                         "the torus validity window t <= (L/8)^2")
+    _sample_count(n, 2)
     kernels = []
     for t in t_grid:
         p = heat_kernel(float(t), box)

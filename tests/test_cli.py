@@ -174,6 +174,37 @@ class TestDispatchAndErrors:
         assert "config error" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["bad.json"]
 
+    @pytest.mark.parametrize("argv", [
+        ["sg", "--L", "4", "--samples", "1"],
+        ["growth", "--L", "16", "--radii", "2", "4", "--samples", "1"],
+        ["semigroup", "--L", "16", "--t-grid", "1", "4", "--samples", "1"],
+        ["ahom", "--L", "4", "--samples", "1"],
+        ["sg", "--L", "4", "--samples", "0"],
+        ["green", "--L", "16", "--radii", "2", "3", "--samples", "0"],
+        ["meyers", "--L", "8", "--samples", "0"],
+        ["twoscale", "--L", "8", "--samples", "0"],
+        ["birkhoff", "--L", "8", "--R-list", "2", "4", "--samples", "-1"],
+    ], ids=["sg-1", "growth-1", "semigroup-1", "ahom-1", "sg-0", "green-0", "meyers-0",
+            "twoscale-0", "birkhoff-negative"])
+    def test_too_few_samples_exit_3_and_write_nothing(self, argv, ensemble_file, tmp_path,
+                                                      capsys):
+        # a ddof=1 standard error needs two samples (one gives NaN), every statistic one
+        code = main([*argv, "--ensemble", ensemble_file, "--out", str(tmp_path / "never")])
+        assert code == EXIT_CONFIG_ERROR
+        assert "number of samples must be at least" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["ens.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["green", "--L", "16", "--radii", "2", "3"],
+        ["meyers", "--L", "8"],
+        ["birkhoff", "--L", "8", "--R-list", "2", "4"],
+    ], ids=lambda argv: argv[0])
+    def test_one_sample_suffices_without_a_standard_error(self, argv, ensemble_file, tmp_path):
+        out = tmp_path / "one.json"
+        assert main([*argv, "--samples", "1", "--ensemble", ensemble_file,
+                     "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["n"] == 1
+
     @staticmethod
     def _birkhoff(tmp_path, monkeypatch, **edit) -> int:
         """Exit code of a ``birkhoff --config`` run in tmp_path, with ``edit``
@@ -358,6 +389,21 @@ class TestDeterminismAndReplay:
                      ["solver_summary"] for t in ("1", "4")]
         assert summaries[0] == summaries[1]
 
+    @pytest.mark.parametrize("d,L", [(2, 4), (3, 3)])
+    def test_sg_bytes_equal_at_one_two_and_three_threads(self, d, L, ensemble_file, tmp_path,
+                                                         monkeypatch):
+        # two full runs of samples and a short third, split over the workers
+        n = 2 * homoglab.quant._SG_BLOCK + 3
+        written = []
+        for threads in ("1", "2", "3"):
+            (tmp_path / threads).mkdir()
+            monkeypatch.chdir(tmp_path / threads)
+            assert main(["sg", "--d", str(d), "--L", str(L), "--samples", str(n),
+                         "--ensemble", ensemble_file, "--threads", threads,
+                         "--out", "sg.json"]) == EXIT_OK
+            written.append((tmp_path / threads / "sg.json").read_bytes())
+        assert written[0] == written[1] == written[2]
+
     def test_every_row_carries_its_sample_id(self, ensemble_file, tmp_path):
         out = str(tmp_path / "ts.csv")
         main(["twoscale", "--ensemble", ensemble_file, "--L", "8",
@@ -435,7 +481,9 @@ class TestDeterminismAndReplay:
         ["corrector", "--d", "2", "--L", "128", "--out", "corrector.csv"],
         ["green", "--d", "3", "--L", "16", "--radii", "2", "3", "4", "--samples", "2",
          "--out", "green.json"],
-    ], ids=["corrector", "green-spectral"])
+        # README: sg is exact across BLAS thread counts at L=8 in d=2
+        ["sg", "--d", "2", "--L", "8", "--samples", "19", "--out", "sg.json"],
+    ], ids=["corrector", "green-spectral", "sg-d2-L8"])
     def test_replay_is_exact_across_blas_thread_counts(self, argv, ensemble_file, tmp_path):
         written = _python(["-m", "homoglab.cli", *argv, "--ensemble", ensemble_file],
                           tmp_path, OPENBLAS_NUM_THREADS="1")
@@ -543,6 +591,19 @@ class TestReportScope:
             t.join(timeout=120)
             assert not t.is_alive()
         assert together == alone
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_manifest_counts_dense_inverses_outside_the_solver_summary(
+            self, threads, ensemble_file, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for argv in (["sg", "--L", "4", "--samples", "6"], ["ahom", "--L", "4", "--samples", "2"]):
+            assert main([*argv, "--ensemble", ensemble_file, "--threads", threads,
+                         "--out", argv[0]]) == EXIT_OK
+        sg, ahom = (json.loads((tmp_path / f"{name}.manifest.json").read_text())
+                    for name in ("sg", "ahom"))
+        assert (sg["dense_solves"], sg["solver_summary"]["n_solves"]) == (6, 0)
+        assert (ahom["dense_solves"], ahom["solver_summary"]["n_solves"]) == (0, 4)
+        assert main(["replay", "sg.manifest.json"]) == EXIT_OK
 
     def test_scope_reaches_a_callers_own_pool(self, ensemble_file):
         spec = EnsembleSpec.load(ensemble_file)
@@ -801,6 +862,18 @@ class TestArtifactSchemas:
             "direction": int, "sample": int, "seed": int, "ahom_row": [float],
             "solver_reports": [{"iterations": int, "final_relative_residual": float,
                                 "converged": bool, "rhs_mean_subtracted": float}]}
+
+    def test_manifest_json(self, ensemble_file, tmp_path):
+        out = str(tmp_path / "sg.json")
+        assert main(["sg", "--L", "3", "--samples", "2", "--ensemble", ensemble_file,
+                     "--out", out]) == EXIT_OK
+        manifest = json.loads(open(out + ".manifest.json").read())
+        manifest.pop("config")
+        assert schema(manifest) == {
+            "artifact_version": str, "experiment": str, "config_sha256": str, "seed": int,
+            "outputs": {out: str}, "wall_time_s": float, "dense_solves": int,
+            "solver_summary": {"n_solves": int, "total_iterations": int, "max_iterations": int,
+                               "max_final_relative_residual": float, "all_converged": bool}}
 
     def test_encoder_rejects_other_types(self):
         with pytest.raises(TypeError):

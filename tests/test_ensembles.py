@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from homoglab.elliptic import cg_solve, collecting_reports
+from homoglab.elliptic import _report_dense, cg_solve, collecting_reports
 from homoglab.lattice import BoxSpec, ScalarField
 from homoglab.quant import BoxAverageEntry
 from homoglab.ensembles import (
@@ -14,6 +14,7 @@ from homoglab.ensembles import (
     EnsembleSpec,
     SampleId,
     constant,
+    per_block,
     per_sample,
     sample,
     site_variants,
@@ -229,6 +230,19 @@ class TestPerSample:
         for i, diag in got:
             assert np.array_equal(diag, sample(spec, box, SampleId(i)).diag)
 
+    def test_runs_are_consecutive_ids_and_results_come_back_in_order(self):
+        spec, box = two_point(master_seed=4), BoxSpec(2, 4)
+
+        def fn(fields, ids):
+            assert all(np.array_equal(a.diag, sample(spec, box, SampleId(i)).diag)
+                       for a, i in zip(fields, ids))
+            return [(ids.start, i) for i in ids]
+
+        with ThreadPoolExecutor(3) as pool:
+            got = per_block(spec, box, 10, fn, pool.map, 4)
+        assert got == [(0, 0), (0, 1), (0, 2), (0, 3), (4, 4), (4, 5), (4, 6), (4, 7),
+                       (8, 8), (8, 9)]
+
     def test_report_scope_counts_every_solve_under_contention(self):
         # more workers than cores and a short switch interval: a lost update
         # in the collector or a worker outside the scope shows as a short count
@@ -238,6 +252,7 @@ class TestPerSample:
         def solves(a, i):
             for _ in range(5):
                 cg_solve(lambda u: u, zero)
+                _report_dense(3)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -249,3 +264,4 @@ class TestPerSample:
         finally:
             sys.setswitchinterval(interval)
         assert inner.n_solves == outer.n_solves == 2000
+        assert inner.dense_solves == outer.dense_solves == 6000

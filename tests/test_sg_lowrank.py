@@ -1,28 +1,35 @@
 """Batched site-variant values of the spectral-gap functionals.
 
-``variant_values`` returns f(a) and the functional at every (site, variant)
-pair of a sample at once: in closed form for the single-site and
+``block_values`` returns f and the functional at every (site, variant)
+pair for a stack of samples at once: in closed form for the single-site and
 box-average entries, by a rank-d Sherman-Morrison-Woodbury update of one
-pinned cell inverse for the cell entry.  The oracle is the definition:
-build each variant field with ``site_variants`` and call the functional on
-it.
+pinned cell inverse per sample for the cell entry.  ``variant_values`` is
+its call on one field.  The oracle is the definition: build each variant
+field with ``site_variants`` and call the functional on it.
 """
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from concurrent.futures import ThreadPoolExecutor
+from hypothesis import example, given, settings, strategies as st
 
-from homoglab.elliptic import elliptic_matrix
+import homoglab.ensembles
+from homoglab.elliptic import collecting_reports, elliptic_matrix
 from homoglab.ensembles import SampleId, sample, site_assignments, site_variants, two_point
 from homoglab.lattice import BoxSpec
 from homoglab.quant import (
+    _SG_BLOCK,
+    _small_solve,
     BoxAverageEntry,
     CellAhomEntry,
     SingleSiteEntry,
     default_functional_family,
     sg_check,
 )
+
+# a sample count that fills two runs of the sg loop and leaves a short third
+STRADDLING = 2 * _SG_BLOCK + 3
 
 MAX_L = {1: 9, 2: 5, 3: 3}
 SETTINGS = settings(max_examples=25, deadline=None, database=None)
@@ -102,8 +109,10 @@ def brute_force_sg(spec, box, n, functionals):
 
 
 @settings(max_examples=8, deadline=None, database=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6),
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, STRADDLING),
        row=st.integers(0, 1), col=st.integers(0, 1))
+@example(seed=11, n=STRADDLING, row=0, col=1)
+@example(seed=12, n=_SG_BLOCK + 1, row=1, col=1)
 def test_sg_check_matches_brute_force_loop(seed, n, row, col):
     spec = two_point(alpha=0.25, beta=0.75, master_seed=seed)
     box = BoxSpec(2, 4)
@@ -121,22 +130,81 @@ def test_sg_check_matches_brute_force_loop(seed, n, row, col):
 def test_pinned_inverse_matches_cholesky_solve(field):
     _, a = field
     n = a.box.n_sites
-    G, _, _ = CellAhomEntry()._solve(a)
+    G, _, _ = CellAhomEntry()._solve(a.box, a.diag[None])
     expected = scipy.linalg.cho_solve(
         scipy.linalg.cho_factor(elliptic_matrix(a)[1:, 1:]), np.eye(n - 1))
-    assert not G[0].any() and not G[:, 0].any()
-    np.testing.assert_allclose(G[1:, 1:], expected, rtol=0, atol=1e-12)
+    assert G.shape == (1, n, n)
+    assert not G[0, 0].any() and not G[0, :, 0].any()
+    np.testing.assert_allclose(G[0, 1:, 1:], expected, rtol=0, atol=1e-12)
 
 
-def test_sg_check_inverts_once_per_sample(monkeypatch):
-    inverted = []
+@settings(max_examples=10, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), data=st.data())
+def test_block_values_equal_each_samples_own_bits(seed, d, data):
+    # what makes sg bytes independent of the run length: sample b of a stack
+    # gets exactly the values of its own one-field call
+    box = BoxSpec(d, data.draw(st.integers(2, MAX_L[d])))
+    spec = two_point(master_seed=seed)
+    fields = [sample(spec, box, SampleId(i)) for i in range(data.draw(st.integers(2, 9)))]
+    diag = np.stack([a.diag for a in fields])
+    values = site_assignments(spec, d)
+    for func in (CellAhomEntry(d - 1, 0), BoxAverageEntry(max(1, box.L // 2)), SingleSiteEntry(1)):
+        fa, table = func.block_values(box, diag, values)
+        for b, a in enumerate(fields):
+            one_fa, one_table = func.variant_values(a, values)
+            assert fa[b] == one_fa
+            assert np.array_equal(table[b], one_table)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_small_solve_matches_lapack(d, seed):
+    # elimination without pivoting, on systems whose leading minors stay
+    # away from 0 as the Woodbury systems' do (diagonally dominant here)
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-1, 1, (64, 4, d, d))
+    A[..., range(d), range(d)] = (np.abs(A).sum(axis=-1) + rng.uniform(0.1, 1, (64, 4, d)))
+    A[..., range(d), range(d)] *= rng.choice([-1.0, 1.0], (64, 4, d))
+    b = rng.uniform(-1, 1, (64, 4, d))
+    np.testing.assert_allclose(_small_solve(A, b), np.linalg.solve(A, b[..., None])[..., 0],
+                               rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [5, STRADDLING])
+def test_sg_check_inverts_once_per_sample(n, monkeypatch):
+    # one np.linalg.inv per run of samples; its stack holds one matrix per sample
+    stacks = []
     inv = np.linalg.inv
 
     def counted(m):
-        inverted.append(m.shape)
+        stacks.append(m.shape)
         return inv(m)
 
     monkeypatch.setattr(np.linalg, "inv", counted)
     box = BoxSpec(2, 4)
-    sg_check(two_point(master_seed=7), box, 5)
-    assert inverted == [(box.n_sites - 1, box.n_sites - 1)] * 5
+    with collecting_reports() as scope:
+        sg_check(two_point(master_seed=7), box, n)
+    assert all(shape[1:] == (box.n_sites - 1, box.n_sites - 1) for shape in stacks)
+    assert [shape[0] for shape in stacks] == [min(_SG_BLOCK, n - k)
+                                             for k in range(0, n, _SG_BLOCK)]
+    assert sum(shape[0] for shape in stacks) == scope.dense_solves == n
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sg_check_draws_each_sample_once_through_the_module_global(threads, monkeypatch):
+    drawn = []
+
+    def recorded(spec, box, sid):
+        drawn.append(sid.index)
+        return sample(spec, box, sid)
+
+    monkeypatch.setattr(homoglab.ensembles, "sample", recorded)
+    with ThreadPoolExecutor(threads) as pool:
+        sg_check(two_point(master_seed=3), BoxSpec(2, 4), STRADDLING, map_fn=pool.map)
+    if threads == 1:
+        assert drawn == list(range(STRADDLING))
+    else:  # runs interleave across workers; each run draws its own ids in order
+        assert sorted(drawn) == list(range(STRADDLING))
+        for start in range(0, STRADDLING, _SG_BLOCK):
+            run = [i for i in drawn if start <= i < start + _SG_BLOCK]
+            assert run == sorted(run)
