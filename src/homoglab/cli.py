@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -105,17 +106,24 @@ def _record(obj) -> dict:
 
 
 def _json_value(obj):
-    """JSON form of what ``json`` cannot encode: result dataclasses become
-    the dict of their fields, arrays and numpy scalars plain lists and numbers."""
+    """``obj`` in the types ``json`` encodes: result dataclasses become the dict
+    of their fields, arrays and numpy scalars plain lists and numbers, and a
+    non-finite float, which strict JSON has no token for, becomes null."""
     if is_dataclass(obj) and not isinstance(obj, type):
-        return _record(obj)
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+        obj = _record(obj)
+    elif isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _json_value(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_value(value) for value in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, default=_json_value) + "\n"
+    return json.dumps(_json_value(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -355,12 +363,9 @@ def _typed_params(cfg: ExperimentConfig) -> dict:
         raise ConfigError(f"{cfg.experiment}: bad parameter: {exc}") from exc
 
 
-def run(cfg: ExperimentConfig, threads: int = 1, write: bool = True) -> dict:
-    """Execute an experiment config; returns the manifest dictionary.
-
-    Output files and ``<out>.manifest.json`` are written atomically next to
-    the configured paths when ``write`` is true.
-    """
+def _execute(cfg: ExperimentConfig, threads: int) -> tuple[dict[str, str], dict]:
+    """Run an experiment config in memory: its outputs {filename: text} and
+    its manifest, which records their hashes."""
     config_json = cfg.to_json()
     config_blob = json.dumps(config_json, sort_keys=True).encode()
     params = _typed_params(cfg)
@@ -384,11 +389,19 @@ def run(cfg: ExperimentConfig, threads: int = 1, write: bool = True) -> dict:
         "solver_summary": collector.summary(),
         "dense_solves": collector.dense_solves,
     }
-    if write:
-        for name, text in sorted(outputs.items()):
-            _atomic_write(name, text)
-        _atomic_write(cfg.out + ".manifest.json", _json_text(manifest))
-    manifest["_outputs_text"] = outputs  # in-memory copy for replay diffing
+    return outputs, manifest
+
+
+def run(cfg: ExperimentConfig, threads: int = 1) -> dict:
+    """Execute an experiment config and return its manifest.
+
+    The output files and ``<out>.manifest.json`` are written atomically next
+    to the configured paths.
+    """
+    outputs, manifest = _execute(cfg, threads)
+    for name, text in sorted(outputs.items()):
+        _atomic_write(name, text)
+    _atomic_write(cfg.out + ".manifest.json", _json_text(manifest))
     return manifest
 
 
@@ -406,11 +419,10 @@ def replay(manifest_path: str, threads: int = 1) -> tuple[bool, dict]:
             and isinstance(manifest.get("outputs"), dict)):
         raise ConfigError(f"malformed manifest {manifest_path}: needs 'config' and "
                           f"'outputs' objects")
-    cfg = ExperimentConfig.from_json(manifest["config"])
-    fresh = run(cfg, threads=threads, write=False)
+    outputs, _ = _execute(ExperimentConfig.from_json(manifest["config"]), threads)
     report = {"files": {}, "max_abs_deviation": 0.0, "match": True}
     for name, sha in manifest["outputs"].items():
-        new_text = fresh["_outputs_text"].get(name)
+        new_text = outputs.get(name)
         entry = {"recorded_sha256": sha}
         if new_text is None:
             entry["status"] = "missing"

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, _sample_count, per_sample
+from .ensembles import EnsembleSpec, _mean_stderr, _sample_count, per_sample
 from .lattice import (
     BoxSpec,
     CoefficientField,
@@ -243,9 +243,7 @@ def ahom_rve(spec: EnsembleSpec, box: BoxSpec, n_samples: int,
     _sample_count(n_samples, 2)
     mats = np.stack(per_sample(spec, box, n_samples,
                                lambda a, i: ahom_cell(a, cfg).matrix, map_fn))
-    mean = mats.mean(axis=0)
-    sd = mats.std(axis=0, ddof=1) / np.sqrt(n_samples)
-    return HomogenizedTensor(mean, sd, n_samples)
+    return HomogenizedTensor(*_mean_stderr(mats), n_samples)
 
 
 def unit_direction_grid(d: int) -> np.ndarray:

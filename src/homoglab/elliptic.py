@@ -83,9 +83,6 @@ class SolverConfig:
         if self.preconditioner not in ("none", "spectral"):
             raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
 
-    def iterations_for(self, n: int) -> int:
-        return self.max_iter if self.max_iter is not None else 50 * n
-
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -192,7 +189,7 @@ def cg_solve(operator, rhs: ScalarField, cfg: SolverConfig = SolverConfig(),
     p = z.copy(order="K")
     step = np.empty_like(b)
     rz = _dot(r, z)
-    max_iter = cfg.iterations_for(box.n_sites)
+    max_iter = cfg.max_iter if cfg.max_iter is not None else 50 * box.n_sites
     it = 0
     rel = 1.0
     while it < max_iter:
@@ -259,20 +256,23 @@ def _elliptic_op(a: CoefficientField, shift: float = 0.0):
     return op
 
 
-def _precond_for(a: CoefficientField, shift: float, cfg: SolverConfig):
-    if cfg.preconditioner != "spectral":
-        return None
-    return inverse(a.box, shift, float(a.diag.mean()) * np.eye(a.box.d), np.float32)
+def _solve(a: CoefficientField, shift: float, rhs: ScalarField, cfg: SolverConfig,
+           what: str) -> tuple[ScalarField, SolveReport]:
+    """CG for shift * u + div*(a grad u) = rhs, on the mean-zero subspace when
+    shift is 0, preconditioned by the spectral inverse of shift + mean(a) div* grad
+    unless ``cfg`` asks for plain CG; a ``SolverError`` naming ``what`` unless
+    it converges."""
+    precond = None
+    if cfg.preconditioner == "spectral":
+        precond = inverse(a.box, shift, float(a.diag.mean()) * np.eye(a.box.d), np.float32)
+    return _checked(cg_solve(_elliptic_op(a, shift), rhs, cfg, singular=shift == 0,
+                             precond=precond), what)
 
 
 def solve_elliptic(a: CoefficientField, rhs: ScalarField,
                    cfg: SolverConfig = SolverConfig()) -> tuple[ScalarField, SolveReport]:
     """Solve div*(a grad u) = rhs on the mean-zero subspace."""
-    op = _elliptic_op(a)
-    return _checked(
-        cg_solve(op, rhs, cfg, singular=True, precond=_precond_for(a, 0.0, cfg)),
-        "solve_elliptic",
-    )
+    return _solve(a, 0.0, rhs, cfg, "solve_elliptic")
 
 
 def solve_shifted(a: CoefficientField, shift: float, rhs: ScalarField,
@@ -280,11 +280,7 @@ def solve_shifted(a: CoefficientField, shift: float, rhs: ScalarField,
     """Solve shift * u + div*(a grad u) = rhs for shift > 0 (strictly positive)."""
     if shift <= 0:
         raise ValueError("shift must be positive")
-    op = _elliptic_op(a, shift=shift)
-    return _checked(
-        cg_solve(op, rhs, cfg, singular=False, precond=_precond_for(a, shift, cfg)),
-        "solve_shifted",
-    )
+    return _solve(a, shift, rhs, cfg, "solve_shifted")
 
 
 def green(a: CoefficientField, y: int = 0,

@@ -265,6 +265,11 @@ def _sample_count(n: int, least: int = 1) -> None:
         raise ValueError(f"the number of samples must be at least {least}, got {n}")
 
 
+def _mean_stderr(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sample mean over axis 0 and its standard error, std(ddof=1)/sqrt(n)."""
+    return rows.mean(axis=0), rows.std(axis=0, ddof=1) / np.sqrt(len(rows))
+
+
 def per_block(spec: EnsembleSpec, box: BoxSpec, n: int, fn: Callable,
               map_fn: Callable, size: int) -> list:
     """The Monte Carlo loop on runs of ``size`` consecutive sample ids.

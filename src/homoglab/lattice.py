@@ -81,13 +81,6 @@ class BoxSpec:
             idx = idx * self.L + (int(x[k]) % self.L)
         return idx
 
-    def coordinates_of(self, index: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.d):
-            out.append(index % self.L)
-            index //= self.L
-        return tuple(out)
-
     def coordinate_arrays(self) -> np.ndarray:
         """(N, d) integer array of site coordinates in index order."""
         grids = np.meshgrid(*[np.arange(self.L)] * self.d, indexing="ij")
@@ -140,10 +133,6 @@ class ScalarField:
         return ScalarField(box, np.zeros(box.n_sites))
 
     @staticmethod
-    def constant(box: BoxSpec, c: float) -> "ScalarField":
-        return ScalarField(box, np.full(box.n_sites, float(c)))
-
-    @staticmethod
     def delta(box: BoxSpec, site: int = 0) -> "ScalarField":
         v = np.zeros(box.n_sites)
         v[site] = 1.0
@@ -163,10 +152,6 @@ class VectorField:
 
     def grid(self, i: int) -> np.ndarray:
         return self.values[:, i].reshape(self.box.shape, order="F")
-
-    @staticmethod
-    def zeros(box: BoxSpec) -> "VectorField":
-        return VectorField(box, np.zeros((box.n_sites, box.d)))
 
 
 @dataclass(frozen=True)
@@ -257,6 +242,16 @@ def shift(u: ScalarField, offset) -> ScalarField:
 
 def _grad_arr(g: np.ndarray, axis: int) -> np.ndarray:
     return np.roll(g, -1, axis=axis) - g
+
+
+def _grad_energy(grids) -> np.ndarray:
+    """sum_g sum_i (grad_i g)^2 per site, in index order, over an iterable of
+    grids, consumed one at a time and summed in their order."""
+    total = 0.0
+    for g in grids:
+        for i in range(g.ndim):
+            total += _grad_arr(g, i).ravel(order="F") ** 2
+    return total
 
 
 def _div_star_arr(comps: list[np.ndarray]) -> np.ndarray:

@@ -25,15 +25,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ensembles import (EnsembleSpec, SampleId, _rng_for, _sample_count, _sub_box_sites,
-                        per_block, per_sample, site_assignments, site_variants,
-                        spatial_average_observable)
+from .ensembles import (EnsembleSpec, SampleId, _mean_stderr, _rng_for, _sample_count,
+                        _sub_box_sites, per_block, per_sample, site_assignments,
+                        site_variants, spatial_average_observable)
 from .lattice import (
     BoxSpec,
     CoefficientField,
     ScalarField,
     _dot,
-    _grad_arr,
+    _grad_energy,
     div_star,
     grad,
     neighbours,
@@ -181,20 +181,7 @@ def lipschitz_derivative(func, a: CoefficientField, site: int, spec: EnsembleSpe
 # ---------------------------------------------------------------------------
 
 
-class _Functional:
-    """A spectral-gap functional: ``block_values(box, diag, values)`` gives f
-    and f at every (support site, variant) pair for a (B, N, d) stack of
-    diagonals and the (V, d) site values."""
-
-    def variant_values(self, a: CoefficientField,
-                       values: np.ndarray) -> tuple[float, np.ndarray]:
-        """f(a) and f at every (support site, variant) pair, (len(support), V):
-        ``block_values`` of the one field ``a``."""
-        fa, table = self.block_values(a.box, a.diag[None], values)
-        return float(fa[0]), table[0]
-
-
-class SingleSiteEntry(_Functional):
+class SingleSiteEntry:
     """f(a) = a_component(site): the equality case of the spectral gap."""
 
     name = "single-site"
@@ -203,21 +190,18 @@ class SingleSiteEntry(_Functional):
         self.site = site
         self.component = component
 
-    def support(self, box: BoxSpec) -> list[int]:
-        return [self.site]
-
     def __call__(self, a: CoefficientField) -> float:
         return float(a.diag[self.site, self.component])
 
     def block_values(self, box: BoxSpec, diag: np.ndarray,
                      values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """f and f at every site variant, (B,) and (B, 1, V), for a (B, N, d)
-        stack of diagonals and the (V, d) site values."""
+        """f and f at every variant of the one site it reads, (B,) and (B, 1, V),
+        for a (B, N, d) stack of diagonals and the (V, d) site values."""
         table = np.broadcast_to(values[:, self.component], (diag.shape[0], 1, len(values)))
         return diag[:, self.site, self.component], table.copy()
 
 
-class BoxAverageEntry(_Functional):
+class BoxAverageEntry:
     """f(a) = average of a_component over the centered R-sub-box."""
 
     name = "box-average"
@@ -226,22 +210,19 @@ class BoxAverageEntry(_Functional):
         self.R = R
         self.component = component
 
-    def support(self, box: BoxSpec) -> list[int]:
-        return list(_sub_box_sites(box, self.R))
-
     def __call__(self, a: CoefficientField) -> float:
         return spatial_average_observable(a, self.R, self.component)
 
     def block_values(self, box: BoxSpec, diag: np.ndarray,
                      values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """f and f at every site variant, (B,) and (B, len(support), V)."""
+        """f and f at every variant of each sub-box site, (B,) and (B, R**d, V)."""
         held = diag[:, _sub_box_sites(box, self.R), self.component]
         fa = held.mean(axis=1)
         table = (values[None, None, :, self.component] - held[:, :, None]) / held.shape[1]
         return fa, fa[:, None, None] + table
 
 
-class CellAhomEntry(_Functional):
+class CellAhomEntry:
     """f(a) = entry (row, col) of the periodic cell homogenized matrix.
 
     A genuinely nonlinear functional of the whole box.  Small boxes only:
@@ -255,9 +236,6 @@ class CellAhomEntry(_Functional):
     def __init__(self, row: int = 0, col: int = 0):
         self.row = row
         self.col = col
-
-    def support(self, box: BoxSpec) -> list[int]:
-        return list(range(box.n_sites))
 
     def _solve(self, box: BoxSpec, diag: np.ndarray):
         """Pinned inverses G and the edge differences of phi_row, phi_col,
@@ -392,42 +370,45 @@ def sg_check(spec: EnsembleSpec, box: BoxSpec, n: int,
 
     Requires an i.i.d. two-point spec: the vertical derivative
     d_x f = f - E[f | a off x] (Gloria & Otto, Ann. Probab. 39, 2011) is
-    then the exact centering over the 2**d site variants.  A functional
-    has ``support(box)`` and ``block_values(box, diag, values)``, which
-    returns f and f at every (support site, variant) pair for a (B, N, d)
-    stack of diagonals at once; for the cell entry, resampling one site is
-    a rank-d update of the cell matrix, so one dense inverse per sample
-    serves f(a) and all of the variants.  The samples go in runs of
-    ``_SG_BLOCK``, each one ``map_fn`` task with one stacked inverse.
-    Violations are report entries, never exceptions.
+    then the exact centering over the 2**d site variants.  A functional's
+    ``block_values(box, diag, values)`` returns f and f at every variant of
+    each site it reads (elsewhere d_x f = 0), for a (B, N, d) stack of
+    diagonals at once; for the cell entry, resampling one site is a rank-d
+    update of the cell matrix, so one dense inverse per sample serves f(a)
+    and all of the variants.  The samples go in runs of ``_SG_BLOCK``, each
+    one ``map_fn`` task with one stacked inverse.  Violations are report
+    entries, never exceptions; alpha == beta, where every ratio is 0/0, is a
+    ``ValueError``.
     """
     if not spec.is_two_point:
         raise ValueError("sg_check requires an iid two-point ensemble")
+    if float(spec.params["alpha"]) == float(spec.params["beta"]):
+        raise ValueError("sg_check needs alpha < beta: with alpha == beta every "
+                         "functional is constant and its ratio is 0/0")
     _sample_count(n, 2)
     if functionals is None:
         functionals = default_functional_family(box)
     values = site_assignments(spec, box.d)
 
-    def block(fields: list[CoefficientField], ids: range) -> list:
+    def block(fields: list[CoefficientField], ids: range) -> np.ndarray:
+        """(B, functionals, 2): f and the sum of its squared derivatives per sample."""
         diag = np.stack([a.diag for a in fields])
-        columns = []
-        for func in functionals:
+        out = np.empty((len(fields), len(functionals), 2))
+        for j, func in enumerate(functionals):
             fa, table = func.block_values(box, diag, values)
             # in C order each sample's sums add in the order of a one-sample run
             derivs = fa[:, None] - np.ascontiguousarray(table).mean(axis=2)
-            columns.append(zip(fa.tolist(), np.sum(derivs ** 2, axis=1).tolist()))
-        return list(zip(*columns))
+            out[:, j, 0] = fa
+            out[:, j, 1] = np.sum(derivs ** 2, axis=1)
+        return out
 
-    rows = per_block(spec, box, n, block, map_fn, _SG_BLOCK)
+    # (functionals, 2, n): each functional's values and sums contiguous in sample order
+    table = np.stack(per_block(spec, box, n, block, map_fn, _SG_BLOCK), axis=-1)
     reports = []
-    for j, func in enumerate(functionals):
-        vals = np.array([s[j][0] for s in rows])
-        dsums = np.array([s[j][1] for s in rows])
-        centered_sq = (vals - vals.mean()) ** 2
+    for func, (vals, dsums) in zip(functionals, table):
         var = float(vals.var(ddof=1))
-        var_se = float(centered_sq.std(ddof=1) / np.sqrt(n))
-        den = float(dsums.mean())
-        den_se = float(dsums.std(ddof=1) / np.sqrt(n))
+        var_se = float(_mean_stderr((vals - vals.mean()) ** 2)[1])
+        den, den_se = map(float, _mean_stderr(dsums))
         ratio = var / den if den > 0 else float("inf")
         ratio_se = ratio * float(np.hypot(var_se / var if var > 0 else 0.0,
                                           den_se / den if den > 0 else 0.0))
@@ -501,9 +482,7 @@ def corrector_growth(spec: EnsembleSpec, box: BoxSpec, radii: Sequence[int],
             out[k] = acc / d
         return out
 
-    rows = np.stack(per_sample(spec, box, n, one, map_fn))
-    means = rows.mean(axis=0)
-    ses = rows.std(axis=0, ddof=1) / np.sqrt(n)
+    means, ses = _mean_stderr(np.stack(per_sample(spec, box, n, one, map_fn)))
     moments = []
     for k in range(len(radii)):
         raw, se = float(means[k]), float(ses[k])
@@ -568,8 +547,7 @@ def semigroup_decay(spec: EnsembleSpec, box: BoxSpec, t_grid: Sequence[float],
     rows = np.stack(per_sample(spec, box, n, one, map_fn))
     zeta_var = float(rows[:, 0].var(ddof=1))
     dev = (rows[:, 1:] - mean_zeta) ** 2
-    m2 = dev.mean(axis=0)
-    se = dev.std(axis=0, ddof=1) / np.sqrt(n)
+    m2, se = _mean_stderr(dev)
     pt_var = rows[:, 1:].var(axis=0, ddof=1)
     # 3 stderr headroom on the Monte Carlo contraction comparison
     contraction = bool(np.all(pt_var <= zeta_var * (1.0 + 3.0 / np.sqrt(n))))
@@ -621,8 +599,7 @@ def green_decay(spec: EnsembleSpec, box: BoxSpec, n: int,
     r = torus_radii(box)
     shells = [np.flatnonzero(np.abs(r - rad) <= 0.5) for rad in radii]  # within 1/2 of rad
     far = np.flatnonzero(r >= 3.0 * box.L / 8.0)  # the antipodal region
-    source_sites = [0] + [box.index_of(tuple(int(k == j) for k in range(d)))
-                          for j in range(d)]
+    unit_sites = [box.index_of(tuple(int(k == j) for k in range(d))) for j in range(d)]
 
     def one(a: CoefficientField, i: int):
         G0, _ = green(a, 0, cfg)
@@ -630,14 +607,9 @@ def green_decay(spec: EnsembleSpec, box: BoxSpec, n: int,
         far_level = float(g0[far].mean())
         quenched = np.array([np.median(g0[s]) - far_level for s in shells])
         center = float(g0[0]) - far_level
-        # mixed second derivative via the extra sources
-        hess_sq = np.zeros(box.n_sites)
-        for j in range(d):
-            Gj, _ = green(a, source_sites[1 + j], cfg)
-            dj = (Gj.values - g0).reshape(box.shape, order="F")
-            for axis in range(d):
-                gij = _grad_arr(dj, axis)
-                hess_sq += gij.ravel(order="F") ** 2
+        # mixed second derivative via the extra sources, one solve at a time
+        hess_sq = _grad_energy((green(a, y, cfg)[0].values - g0).reshape(box.shape, order="F")
+                               for y in unit_sites)
         ann = np.array([float(hess_sq[s].mean()) for s in shells])
         return quenched, center, ann
 

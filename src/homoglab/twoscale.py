@@ -32,7 +32,7 @@ import numpy as np
 from .correctors import CorrectorSet, corrector_set
 from .elliptic import SolverConfig, solve_shifted
 from .ensembles import EnsembleSpec, per_sample
-from .lattice import BoxSpec, CoefficientField, ScalarField, _grad_arr, grad
+from .lattice import BoxSpec, CoefficientField, ScalarField, _grad_arr, _grad_energy, grad
 from .spectral import inverse
 
 __all__ = [
@@ -81,19 +81,6 @@ def remainder(u: ScalarField, u0: ScalarField, phis: list[ScalarField]) -> Scala
     for i, phi in enumerate(phis):
         z = z - phi.values * g0[:, i]
     return ScalarField(box, z)
-
-
-def hessian_squared(u0: ScalarField) -> np.ndarray:
-    """|grad grad u_0|^2(x) = sum_ij (grad_i grad_j u_0)^2 per site."""
-    box = u0.box
-    g = u0.grid()
-    out = np.zeros(box.n_sites)
-    for j in range(box.d):
-        gj = _grad_arr(g, j)
-        for i in range(box.d):
-            gij = _grad_arr(gj, i)
-            out += gij.ravel(order="F") ** 2
-    return out
 
 
 def default_forcing(box: BoxSpec, wavelength: int | None = None) -> ScalarField:
@@ -145,7 +132,7 @@ def two_scale_report(a: CoefficientField, alpha: float, f: ScalarField,
 
     sigma_sq = sum(np.sum(s.sigma.values**2, axis=(1, 2)) for s in sets)
     a_frob = np.sum(a.diag**2, axis=1)
-    hess = hessian_squared(u0)
+    hess = _grad_energy(_grad_arr(u0.grid(), j) for j in range(d))  # |grad grad u_0|^2
     rhs_sigma = float(np.sum((sigma_sq + a_frob * phi_sq) * hess))
 
     rhs = rhs_phi + rhs_sigma

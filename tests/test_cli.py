@@ -20,12 +20,12 @@ from homoglab.cli import (
     EXIT_REPLAY_MISMATCH,
     EXIT_SOLVER_FAILURE,
     ExperimentConfig,
+    _execute,
     _json_text,
     build_parser,
     config_from_args,
     main,
     replay,
-    run,
 )
 from homoglab.correctors import ahom_rve
 from homoglab.elliptic import SolverConfig, collecting_reports
@@ -554,6 +554,55 @@ class TestDeterminismAndReplay:
         assert report["max_abs_deviation"] > 0.0
 
 
+def _strict_json(text: str):
+    """``json.loads`` that rejects the bare NaN, Infinity and -Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    """Outputs are strict JSON: a value with no finite estimate is written as null."""
+
+    @pytest.mark.parametrize("argv,ensemble", [
+        (["birkhoff", "--L", "8", "--R-list", "2", "4", "--samples", "3"], "constant"),
+        (["semigroup", "--L", "16", "--t-grid", "1", "4", "--samples", "3"], "constant"),
+        (["birkhoff", "--L", "8", "--R-list", "2", "4", "--samples", "1"], "two-point"),
+    ], ids=["birkhoff-constant", "semigroup-constant", "birkhoff-one-sample"])
+    def test_a_rate_with_no_fit_is_written_as_null(self, argv, ensemble, ensemble_file,
+                                                   tmp_path):
+        # the constant ensemble at 0.3 leaves a moment of exactly 0 at one abscissa or
+        # more; at master seed 321 the one sample's R=4 box average equals the mean
+        if ensemble == "constant":
+            ensemble_file = str(tmp_path / "constant.json")
+            with open(ensemble_file, "w") as fh:
+                json.dump({"kind": "constant", "params": {"value": 0.3}, "master_seed": 0}, fh)
+        out = tmp_path / "rate.json"
+        assert main([*argv, "--ensemble", ensemble_file, "--out", str(out)]) == EXIT_OK
+        report = _strict_json(out.read_text())
+        assert report["fit"]["slope"] is None
+        assert report["fit"]["intercept"] is None and report["fit"]["r_squared"] is None
+        assert _strict_json((tmp_path / "rate.json.manifest.json").read_text())
+        assert main(["replay", str(out) + ".manifest.json"]) == EXIT_OK
+
+    def test_sg_with_alpha_equal_beta_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        # every functional is then constant: Var f and sum_x E[(d_x f)^2] are both 0
+        ensemble = tmp_path / "flat.json"
+        ensemble.write_text(json.dumps({"kind": "iid-two-point", "master_seed": 0,
+                                        "params": {"alpha": 0.5, "beta": 0.5}}))
+        assert main(["sg", "--L", "4", "--samples", "6", "--ensemble", str(ensemble),
+                     "--out", str(tmp_path / "sg.json")]) == EXIT_CONFIG_ERROR
+        assert "alpha < beta" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["flat.json"]
+
+    def test_encoder_writes_every_non_finite_float_as_null(self):
+        text = _json_text({"array": np.array([1.5, np.nan]), "scalar": np.float64(-np.inf),
+                           "nested": [{"x": float("inf")}, (2, float("nan"))]})
+        assert _strict_json(text) == {"array": [1.5, None], "scalar": None,
+                                      "nested": [{"x": None}, [2, None]]}
+
+
 class TestReportScope:
     """The solver summary of a run counts that run's solves and no others."""
 
@@ -564,8 +613,8 @@ class TestReportScope:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_concurrent_runs_keep_separate_counts(self, threads, ensemble_file, monkeypatch):
-        alone = [run(self._ahom(ensemble_file, n), threads=threads, write=False)
-                 ["solver_summary"] for n in (4, 12)]
+        alone = [_execute(self._ahom(ensemble_file, n), threads)[1]["solver_summary"]
+                 for n in (4, 12)]
         assert [s["n_solves"] for s in alone] == [8, 24]
         # each run waits in its sample 0 until the other run has opened its scope
         barrier = threading.Barrier(2, timeout=60)
@@ -581,8 +630,7 @@ class TestReportScope:
         together = [None, None]
 
         def go(k, n):
-            together[k] = run(self._ahom(ensemble_file, n), threads=threads,
-                              write=False)["solver_summary"]
+            together[k] = _execute(self._ahom(ensemble_file, n), threads)[1]["solver_summary"]
 
         workers = [threading.Thread(target=go, args=(k, n)) for k, n in enumerate((4, 12))]
         for t in workers:

@@ -127,7 +127,7 @@ class TestFlux:
 class TestFluxCorrector:
     def test_zero_flux_gives_zero(self):
         box = BoxSpec(2, 8)
-        sigma, _ = solve_flux_corrector(VectorField.zeros(box), CFG)
+        sigma, _ = solve_flux_corrector(VectorField(box, np.zeros((box.n_sites, box.d))), CFG)
         assert np.all(sigma.values == 0.0)
 
     def test_d1_has_no_offdiagonal_pairs(self, rng):

@@ -137,7 +137,7 @@ class TestMassive:
     def test_zero_forcing(self, rng):
         box = BoxSpec(2, 8)
         a = random_coefficients(box, rng)
-        u, rep = solve_massive(a, 10.0, VectorField.zeros(box))
+        u, rep = solve_massive(a, 10.0, VectorField(box, np.zeros((box.n_sites, box.d))))
         assert np.all(u.values == 0.0)
 
     def test_constant_vector_field_has_zero_divergence(self, rng):
@@ -184,8 +184,7 @@ class TestGreen:
         y = box.index_of((3, 5))
         G0, _ = green(a, 0)
         Gy, _ = green(a, y)
-        for idx in range(box.n_sites):
-            xx = box.coordinates_of(idx)
+        for idx, xx in enumerate(box.coordinate_arrays().tolist()):
             shifted = box.index_of(((xx[0] + 3) % 8, (xx[1] + 5) % 8))
             assert Gy.values[shifted] == pytest.approx(G0.values[idx], abs=1e-8)
 

@@ -115,7 +115,7 @@ class TestSampling:
             box = BoxSpec(d, L)
             a = sample(spec, box, SampleId(0))
             expected = np.array([cell[cell_box.index_of(np.array(x) % tile_L)]
-                                 for x in map(box.coordinates_of, range(box.n_sites))])
+                                 for x in box.coordinate_arrays()])
             assert np.array_equal(a.diag, expected), (d, tile_L, L)
 
 

@@ -1,9 +1,12 @@
 """Every name a module exports resolves, so no deleted name stays exported,
-and every public solver entry point shares one solver default."""
+every public solver entry point shares one solver default, and no module
+relies on ``assert``."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,7 @@ import homoglab
 from homoglab.elliptic import SolverConfig
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(homoglab.__path__))
+SOURCES = sorted(Path(homoglab.__file__).parent.glob("*.py"))
 
 
 def test_package_init_imports():
@@ -34,3 +38,10 @@ def test_every_cfg_parameter_defaults_to_solver_config(name):
                 and "cfg" in inspect.signature(fn).parameters}
     assert defaults, f"{name} has no public function with a cfg parameter"
     assert {f: d for f, d in defaults.items() if d != SolverConfig()} == {}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_assert_statements(path):
+    # python -O strips asserts, so an invariant must raise an explicit exception
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []

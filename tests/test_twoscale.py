@@ -103,8 +103,7 @@ class TestRemainder:
         u0 = ScalarField(box, rng.normal(size=box.n_sites))
         phis = [ScalarField(box, rng.normal(size=box.n_sites)) for _ in range(2)]
         Z = remainder(u, u0, phis)
-        for idx in range(box.n_sites):
-            x = list(box.coordinates_of(idx))
+        for idx, x in enumerate(box.coordinate_arrays().tolist()):
             acc = u.values[idx] - u0.values[idx]
             for i in range(2):
                 xp = x.copy()
