@@ -12,6 +12,7 @@ __version__ = "0.9.1"
 from .lattice import (  # noqa: F401
     BoxSpec,
     CoefficientField,
+    ParameterError,
     ScalarField,
     SkewField,
     VectorField,

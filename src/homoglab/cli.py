@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .lattice import BoxSpec, _csv_text, _exact_int
+from .lattice import BoxSpec, ParameterError, _csv_text, _exact_int
 from .ensembles import EnsembleSpec, SampleId, sample
 from .elliptic import SolverConfig, SolverError, collecting_reports
 from .correctors import ahom_cell, ahom_rve, corrector_set, verify_ahom_properties
@@ -45,10 +45,6 @@ EXIT_OK = 0
 EXIT_REPLAY_MISMATCH = 1
 EXIT_SOLVER_FAILURE = 2
 EXIT_CONFIG_ERROR = 3
-
-class ConfigError(ValueError):
-    pass
-
 
 @dataclass
 class ExperimentConfig:
@@ -74,7 +70,7 @@ class ExperimentConfig:
         try:
             experiment = obj["experiment"]
             if experiment not in EXPERIMENTS:
-                raise ConfigError(f"unknown experiment {experiment!r}")
+                raise ParameterError(f"unknown experiment {experiment!r}")
             ens = obj.get("ensemble")
             box = obj.get("box")
             solver = dict(obj.get("solver") or {})
@@ -91,7 +87,7 @@ class ExperimentConfig:
                 out=obj.get("out", "out"),
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ParameterError(str(exc)) from exc
 
 
 def _sha256_hex(data: bytes) -> str:
@@ -163,13 +159,13 @@ def profile_from_config(p: dict) -> "oned_mod.Profile1D":
     elif kind == "shifted-sine":
         off, amp = float(a_cfg.get("offset", 2.0)), float(a_cfg.get("amplitude", 1.0))
         if off - abs(amp) <= 0:
-            raise ConfigError("shifted-sine profile must stay positive")
+            raise ParameterError("shifted-sine profile must stay positive")
         a_unit = lambda y: off + amp * np.sin(2.0 * np.pi * np.asarray(y, dtype=np.float64))
     elif kind == "layered":
         lo, hi = float(a_cfg["alpha"]), float(a_cfg["beta"])
         frac = float(a_cfg.get("fraction", 0.5))
         if not (0 < lo and 0 < hi and 0 < frac < 1):
-            raise ConfigError("layered profile needs positive values and 0 < fraction < 1")
+            raise ParameterError("layered profile needs positive values and 0 < fraction < 1")
         # nodes on a jump carry the harmonic midpoint: the pipeline
         # integrates 1/a, and this convention keeps the trapezoid rule exact
         mid = 2.0 / (1.0 / lo + 1.0 / hi)
@@ -180,7 +176,7 @@ def profile_from_config(p: dict) -> "oned_mod.Profile1D":
             at_jump = np.isclose(yy, frac) | np.isclose(yy, 0.0) | np.isclose(yy, 1.0)
             return np.where(at_jump, mid, out)
     else:
-        raise ConfigError(f"unknown 1d conductivity kind {kind!r}")
+        raise ParameterError(f"unknown 1d conductivity kind {kind!r}")
 
     fkind = f_cfg.get("kind")
     if fkind == "one":
@@ -195,9 +191,11 @@ def profile_from_config(p: dict) -> "oned_mod.Profile1D":
         k = _exact_int(f_cfg.get("k", 1))
         f = lambda x: np.sin(2.0 * np.pi * k * np.asarray(x, dtype=np.float64))
     else:
-        raise ConfigError(f"unknown 1d forcing kind {fkind!r}")
+        raise ParameterError(f"unknown 1d forcing kind {fkind!r}")
 
     eps_list = p.get("eps_list", [1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128])
+    if len(eps_list) == 0:
+        raise ParameterError("eps_list must not be empty")
     ppp = _exact_int(p.get("points_per_period", 64))
     return oned_mod.Profile1D(a_unit=a_unit, f=f, eps=float(max(eps_list)),
                               points_per_period=ppp), [float(e) for e in eps_list]
@@ -253,8 +251,8 @@ def _statistic(compute: Callable) -> Callable:
 def _run_oned(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, str]:
     try:
         profile, eps_list = profile_from_config(cfg.params)
-    except (KeyError, TypeError) as exc:  # a missing or mistyped key; bad values raise ValueError
-        raise ConfigError(f"oned: bad profile parameter: {exc!r}") from exc
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # only config parsing runs
+        raise ParameterError(f"oned: bad profile parameter: {exc}") from exc
     sup = oned_mod.sup_error_check(profile, eps_list)
     rows = []
     for eps in sorted(eps_list, reverse=True):
@@ -353,14 +351,14 @@ def _typed_params(cfg: ExperimentConfig) -> dict:
     """
     exp = EXPERIMENTS[cfg.experiment]
     if exp.needs_ensemble and cfg.ensemble is None:
-        raise ConfigError(f"{cfg.experiment}: --ensemble is required")
+        raise ParameterError(f"{cfg.experiment}: --ensemble is required")
     if exp.needs_ensemble and cfg.box is None:
-        raise ConfigError(f"{cfg.experiment}: --L (and --d) are required")
+        raise ParameterError(f"{cfg.experiment}: --L (and --d) are required")
     try:
         return {name: param.typed(cfg.params.get(name, param.default))
                 for name, param in exp.params.items()}
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{cfg.experiment}: bad parameter: {exc}") from exc
+        raise ParameterError(f"{cfg.experiment}: bad parameter: {exc}") from exc
 
 
 def _execute(cfg: ExperimentConfig, threads: int) -> tuple[dict[str, str], dict]:
@@ -411,14 +409,14 @@ def replay(manifest_path: str, threads: int = 1) -> tuple[bool, dict]:
     Returns (match, report).  Under fixed-order aggregation the diff must be
     empty at any thread count; numeric deviation is reported for diagnosis.
     A manifest without its ``config`` and ``outputs`` objects is a
-    ``ConfigError``, raised before anything runs.
+    ``ParameterError``, raised before anything runs.
     """
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)
             and isinstance(manifest.get("outputs"), dict)):
-        raise ConfigError(f"malformed manifest {manifest_path}: needs 'config' and "
-                          f"'outputs' objects")
+        raise ParameterError(f"malformed manifest {manifest_path}: needs 'config' and "
+                             f"'outputs' objects")
     outputs, _ = _execute(ExperimentConfig.from_json(manifest["config"]), threads)
     report = {"files": {}, "max_abs_deviation": 0.0, "match": True}
     for name, sha in manifest["outputs"].items():
@@ -519,7 +517,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         with open(args.config) as fh:
             cfg = ExperimentConfig.from_json(json.load(fh))
         if cfg.experiment != args.command:
-            raise ConfigError(
+            raise ParameterError(
                 f"config is for {cfg.experiment!r}, invoked as {args.command!r}")
     else:
         cfg = ExperimentConfig(experiment=args.command, params={})
@@ -527,7 +525,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         cfg.ensemble = EnsembleSpec.load(args.ensemble)
     if args.seed is not None:
         if cfg.ensemble is None:
-            raise ConfigError("--seed needs an ensemble")
+            raise ParameterError("--seed needs an ensemble")
         cfg.ensemble = EnsembleSpec(cfg.ensemble.kind, cfg.ensemble.params,
                                     cfg.ensemble.lam, args.seed)
     d = args.d if args.d is not None else (cfg.box.d if cfg.box else 2)
@@ -569,10 +567,10 @@ def main(argv: list[str] | None = None) -> int:
             message = (f"wrote {', '.join(sorted(manifest['outputs']))} "
                        f"(manifest {cfg.out}.manifest.json)")
             code = EXIT_OK
-    # ValueError: ConfigError, EnsembleError, JSONDecodeError. OSError: a file that
-    # cannot be read or a path that cannot be written, such as a directory; <out>
-    # is written first, so then nothing is, unless it is the gnuplot script's, last
-    except (OSError, ValueError) as exc:
+    # bad input: a rejected parameter, a file that cannot be read or parsed, or a
+    # path that cannot be written (<out> goes first, so then nothing is written,
+    # unless the path is the gnuplot script's, last); anything else is a bug
+    except (ParameterError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         prefix = "replay error" if args.command == "replay" else "config error"
         print(f"{prefix}: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -33,6 +33,7 @@ from .ensembles import EnsembleSpec, _mean_stderr, _sample_count, per_sample
 from .lattice import (
     BoxSpec,
     CoefficientField,
+    ParameterError,
     ScalarField,
     SkewField,
     VectorField,
@@ -113,7 +114,7 @@ def solve_corrector(a: CoefficientField, xi, cfg: SolverConfig = SolverConfig()
     """
     xi = np.asarray(xi, dtype=np.float64)
     if xi.shape != (a.box.d,) or not np.any(xi):
-        raise ValueError(f"direction must be a nonzero vector of length {a.box.d}")
+        raise ParameterError(f"direction must be a nonzero vector of length {a.box.d}")
     rhs = div_star(VectorField(a.box, -a.diag * xi))
     phi, rep = solve_elliptic(a, rhs, cfg)
     _energy_checks(a, phi, xi)
@@ -147,7 +148,7 @@ def solve_flux_corrector(q: VectorField, cfg: SolverConfig = SolverConfig()
     box = q.box
     means = q.values.mean(axis=0)
     if np.max(np.abs(means)) > 1e-12 * (1.0 + np.abs(q.values).max()):
-        raise ValueError(f"flux must have zero mean per component; got {means}")
+        raise ParameterError(f"flux must have zero mean per component; got {means}")
     d = box.d
     sigma = np.zeros((box.n_sites, d, d))
     reports: list[SolveReport] = []
@@ -189,7 +190,7 @@ def solve_modified_corrector(a: CoefficientField, xi, T: float,
     <= (2/lam + 4/lam^2) |xi|^2.
     """
     if T <= 0:
-        raise ValueError("T must be positive")
+        raise ParameterError("T must be positive")
     xi = np.asarray(xi, dtype=np.float64)
     rhs = div_star(VectorField(a.box, -a.diag * xi))
     phi_T, rep = solve_shifted(a, 1.0 / T, rhs, cfg)
@@ -207,8 +208,9 @@ def corrector_set(a: CoefficientField, direction: int,
                   cfg: SolverConfig = SolverConfig()) -> CorrectorSet:
     """Solve the full (phi, q, sigma, a_hom row) chain for one direction."""
     d = a.box.d
-    xi = np.zeros(d)
-    xi[direction] = 1.0
+    if direction not in range(d):
+        raise ParameterError(f"direction must be one of 0..{d - 1}, got {direction}")
+    xi = np.eye(d)[direction]
     phi, rep_phi = solve_corrector(a, xi, cfg)
     row = flux_average(a, phi, xi)
     q = flux(a, phi, xi)
@@ -224,8 +226,7 @@ def ahom_cell(a: CoefficientField, cfg: SolverConfig = SolverConfig()) -> Homoge
     d = a.box.d
     A = np.zeros((d, d))
     for i in range(d):
-        xi = np.zeros(d)
-        xi[i] = 1.0
+        xi = np.eye(d)[i]
         phi, _ = solve_corrector(a, xi, cfg)
         A[:, i] = flux_average(a, phi, xi)
     return HomogenizedTensor(A, np.zeros((d, d)), 1)

@@ -39,6 +39,7 @@ import numpy as np
 from .lattice import (
     BoxSpec,
     CoefficientField,
+    ParameterError,
     ScalarField,
     _dot,
     _norm,
@@ -76,12 +77,14 @@ class SolverConfig:
     preconditioner: str = "spectral"  # or "none": plain CG
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ParameterError(f"tol must be positive and finite, got {self.tol}")
+        if self.max_iter is not None and self.max_iter < 1:
+            raise ParameterError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.anchor not in ("mean-zero", "site-zero"):
-            raise ValueError(f"unknown anchor {self.anchor!r}")
+            raise ParameterError(f"unknown anchor {self.anchor!r}")
         if self.preconditioner not in ("none", "spectral"):
-            raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
+            raise ParameterError(f"unknown preconditioner {self.preconditioner!r}")
 
 
 @dataclass(frozen=True)
@@ -278,8 +281,8 @@ def solve_elliptic(a: CoefficientField, rhs: ScalarField,
 def solve_shifted(a: CoefficientField, shift: float, rhs: ScalarField,
                   cfg: SolverConfig = SolverConfig()) -> tuple[ScalarField, SolveReport]:
     """Solve shift * u + div*(a grad u) = rhs for shift > 0 (strictly positive)."""
-    if shift <= 0:
-        raise ValueError("shift must be positive")
+    if not 0 < shift < np.inf:
+        raise ParameterError(f"shift must be positive and finite, got {shift}")
     return _solve(a, shift, rhs, cfg, "solve_shifted")
 
 
@@ -305,7 +308,7 @@ def heat_kernel(t: float, box: BoxSpec) -> ScalarField:
     (experiments keep t <= (L/8)^2).
     """
     if t < 0:
-        raise ValueError("t must be >= 0")
+        raise ParameterError("t must be >= 0")
     p = smooth(ScalarField.delta(box).grid(), t)
     np.clip(p, 0.0, None, out=p)  # wrap sum of nonnegatives; clip FFT rounding dust
     return ScalarField.from_grid(box, p)

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import BoxSpec, CoefficientField, _exact_int
+from .lattice import BoxSpec, CoefficientField, ParameterError, _exact_int
 
 __all__ = [
     "EnsembleSpec",
@@ -49,17 +49,13 @@ __all__ = [
 KINDS = ("constant", "iid-two-point", "iid-uniform", "correlated-two-point", "periodic-tile")
 
 
-class EnsembleError(ValueError):
-    """Invalid ensemble parameters."""
-
-
 @dataclass(frozen=True)
 class SampleId:
     index: int
 
     def __post_init__(self):
         if self.index < 0:
-            raise ValueError("sample index must be non-negative")
+            raise ParameterError("sample index must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -72,45 +68,45 @@ class EnsembleSpec:
     def __post_init__(self):
         try:
             self._check()
+        except ParameterError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, EnsembleError):
-                raise
-            raise EnsembleError(f"{self.kind!r} ensemble: bad parameter {exc!r}") from exc
+            raise ParameterError(f"{self.kind!r} ensemble: bad parameter {exc!r}") from exc
 
     def _check(self):
         if self.kind not in KINDS:
-            raise EnsembleError(f"unknown ensemble kind {self.kind!r}")
+            raise ParameterError(f"unknown ensemble kind {self.kind!r}")
         if not (0.0 < self.lam < 1.0):
-            raise EnsembleError(f"lambda={self.lam} must be in (0,1)")
+            raise ParameterError(f"lambda={self.lam} must be in (0,1)")
         p = self.params
         if self.kind == "constant":
             v = float(p["value"])
             if not (self.lam < v < 1.0):
-                raise EnsembleError(f"constant value {v} outside ({self.lam}, 1)")
+                raise ParameterError(f"constant value {v} outside ({self.lam}, 1)")
         elif self.kind in ("iid-two-point", "correlated-two-point"):
             a, b = float(p["alpha"]), float(p["beta"])
             if not (self.lam < a <= b < 1.0):
-                raise EnsembleError(
+                raise ParameterError(
                     f"two-point values must satisfy {self.lam} < alpha <= beta < 1; "
                     f"got alpha={a}, beta={b}"
                 )
             if self.kind == "correlated-two-point":
                 r = int(p.get("radius", 1))
                 if r < 0:
-                    raise EnsembleError("kernel radius must be >= 0")
+                    raise ParameterError("kernel radius must be >= 0")
         elif self.kind == "iid-uniform":
             lo, hi = float(p["low"]), float(p["high"])
             if not (self.lam < lo < hi < 1.0):
-                raise EnsembleError(
+                raise ParameterError(
                     f"uniform bounds must satisfy {self.lam} < low < high < 1; "
                     f"got low={lo}, high={hi}"
                 )
         elif self.kind == "periodic-tile":
             cell = np.asarray(p["unit_cell"], dtype=np.float64)
             if cell.ndim != 2:
-                raise EnsembleError("unit_cell must be a (tile sites, d) table")
+                raise ParameterError("unit_cell must be a (tile sites, d) table")
             if cell.size == 0 or not np.all((cell > self.lam) & (cell < 1.0)):
-                raise EnsembleError(f"unit_cell entries must lie in ({self.lam}, 1)")
+                raise ParameterError(f"unit_cell entries must lie in ({self.lam}, 1)")
 
     # -- helpers ----------------------------------------------------------
 
@@ -127,9 +123,7 @@ class EnsembleSpec:
             return 0.5 * (float(p["alpha"]) + float(p["beta"]))
         if self.kind == "iid-uniform":
             return 0.5 * (float(p["low"]) + float(p["high"]))
-        if self.kind == "periodic-tile":
-            return float(np.mean(np.asarray(p["unit_cell"], dtype=np.float64)[:, 0]))
-        raise EnsembleError(f"no closed-form mean for kind {self.kind!r}")
+        return float(np.mean(np.asarray(p["unit_cell"], dtype=np.float64)[:, 0]))  # periodic-tile
 
     def marginal_sd(self, d: int | None = None) -> float:
         p = self.params
@@ -139,14 +133,12 @@ class EnsembleSpec:
             return 0.5 * (float(p["beta"]) - float(p["alpha"]))
         if self.kind == "iid-uniform":
             return (float(p["high"]) - float(p["low"])) / np.sqrt(12.0)
-        if self.kind == "correlated-two-point":
-            if d is None:
-                raise EnsembleError("correlated marginal sd depends on the dimension d")
-            w = _kernel_weights(self, d)
-            return 0.5 * (float(p["beta"]) - float(p["alpha"])) * float(
-                np.sqrt(sum(v**2 for v in w.values()))
-            )
-        raise EnsembleError(f"no closed-form sd for kind {self.kind!r}")
+        if d is None:  # correlated-two-point
+            raise ParameterError("correlated marginal sd depends on the dimension d")
+        w = _kernel_weights(self, d)
+        return 0.5 * (float(p["beta"]) - float(p["alpha"])) * float(
+            np.sqrt(sum(v**2 for v in w.values()))
+        )
 
     def to_json(self) -> dict:
         return {
@@ -162,7 +154,7 @@ class EnsembleSpec:
             kind, params = obj["kind"], dict(obj["params"])
             lam, seed = float(obj.get("lambda", 0.2)), _exact_int(obj["master_seed"])
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise EnsembleError(f"ensemble needs kind, params and master_seed: {exc!r}") from exc
+            raise ParameterError(f"ensemble needs kind, params and master_seed: {exc!r}") from exc
         return EnsembleSpec(kind, params, lam, seed)
 
     @staticmethod
@@ -210,9 +202,7 @@ def _kernel_weights(spec: EnsembleSpec, d: int) -> dict[tuple[int, ...], float]:
     decay = float(spec.params.get("decay", 1.0))
     offsets = list(itertools.product(range(-r, r + 1), repeat=d))
     w = {k: float(np.exp(-decay * np.linalg.norm(k))) for k in offsets}
-    total = sum(w.values())
-    if total <= 0:
-        raise EnsembleError("empty kernel")
+    total = sum(w.values())  # >= 1, the weight at offset 0
     return {k: v / total for k, v in w.items()}
 
 
@@ -241,28 +231,26 @@ def sample(spec: EnsembleSpec, box: BoxSpec, sid: SampleId) -> CoefficientField:
             for off, weight in sorted(w.items()):
                 acc += weight * np.roll(g, shift=tuple(-o for o in off), axis=tuple(range(d)))
             diag[:, comp] = acc.ravel(order="F")
-    elif spec.kind == "periodic-tile":
+    else:  # periodic-tile
         cell = np.asarray(p["unit_cell"], dtype=np.float64)
         tile_n, cell_d = cell.shape
         tile_L = round(tile_n ** (1.0 / box.d))
         if tile_L**box.d != tile_n or cell_d != d:
-            raise EnsembleError(
+            raise ParameterError(
                 f"unit_cell with {tile_n} sites x {cell_d} components does not fit a "
                 f"d={d} cubic tile"
             )
         if box.L % tile_L != 0:
-            raise EnsembleError(f"box L={box.L} not divisible by tile L={tile_L}")
+            raise ParameterError(f"box L={box.L} not divisible by tile L={tile_L}")
         diag = cell[(box.coordinate_arrays() % tile_L) @ tile_L ** np.arange(d)]
-    else:  # pragma: no cover - guarded by EnsembleSpec validation
-        raise EnsembleError(spec.kind)
     return CoefficientField(box, diag, lam=spec.lam)
 
 
 def _sample_count(n: int, least: int = 1) -> None:
-    """Check a sample count before the first sample: ``ValueError`` below
+    """Check a sample count before the first sample: ``ParameterError`` below
     ``least``, which is 2 for a statistic with a ``ddof=1`` standard error."""
     if n < least:
-        raise ValueError(f"the number of samples must be at least {least}, got {n}")
+        raise ParameterError(f"the number of samples must be at least {least}, got {n}")
 
 
 def _mean_stderr(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -306,7 +294,7 @@ def site_assignments(spec: EnsembleSpec, d: int) -> np.ndarray:
     order, the order of :func:`site_variants`.  Two-point kinds only.
     """
     if not spec.is_two_point:
-        raise EnsembleError(
+        raise ParameterError(
             f"site variants require a two-point kind, got {spec.kind!r}"
         )
     alpha, beta = float(spec.params["alpha"]), float(spec.params["beta"])
@@ -332,7 +320,7 @@ def site_variants(spec: EnsembleSpec, a: CoefficientField, site: int) -> list[Co
 def _sub_box_sites(box: BoxSpec, R: int) -> np.ndarray:
     """Site indices of the centered R-sub-box, cached per (box, R) and read-only."""
     if not (1 <= R <= box.L):
-        raise ValueError(f"sub-box size R={R} must satisfy 1 <= R <= L={box.L}")
+        raise ParameterError(f"sub-box size R={R} must satisfy 1 <= R <= L={box.L}")
     lo = (box.L - R) // 2
     coords = box.coordinate_arrays()
     sites = np.flatnonzero(np.all((coords >= lo) & (coords < lo + R), axis=1))

@@ -30,6 +30,7 @@ import numpy as np
 import scipy.sparse
 
 __all__ = [
+    "ParameterError",
     "BoxSpec",
     "ScalarField",
     "VectorField",
@@ -49,8 +50,8 @@ __all__ = [
 ]
 
 
-class BoxMismatchError(ValueError):
-    """Two fields that must share a box do not."""
+class ParameterError(ValueError):
+    """Rejected input: a parameter, config or file the library cannot use."""
 
 
 @dataclass(frozen=True)
@@ -62,9 +63,9 @@ class BoxSpec:
 
     def __post_init__(self):
         if self.d not in (1, 2, 3):
-            raise ValueError(f"dimension d={self.d} not supported (d in {{1,2,3}})")
+            raise ParameterError(f"dimension d={self.d} not supported (d in {{1,2,3}})")
         if self.L < 2:
-            raise ValueError(f"side length L={self.L} must be >= 2")
+            raise ParameterError(f"side length L={self.L} must be >= 2")
 
     @property
     def n_sites(self) -> int:
@@ -104,9 +105,9 @@ def _exact_int(value) -> int:
 
 def _check_values(values: np.ndarray, expected_shape: tuple[int, ...], what: str):
     if values.shape != expected_shape:
-        raise ValueError(f"{what}: expected shape {expected_shape}, got {values.shape}")
+        raise ParameterError(f"{what}: expected shape {expected_shape}, got {values.shape}")
     if not np.all(np.isfinite(values)):
-        raise ValueError(f"{what}: values must be finite")
+        raise ParameterError(f"{what}: values must be finite")
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,7 @@ class SkewField:
         d = self.box.d
         _check_values(self.values, (self.box.n_sites, d, d), "SkewField")
         if not np.array_equal(self.values, -np.swapaxes(self.values, 1, 2)):
-            raise ValueError("SkewField: values must be exactly antisymmetric in (j,k)")
+            raise ParameterError("SkewField: values must be exactly antisymmetric in (j,k)")
 
 
 @dataclass(frozen=True)
@@ -189,10 +190,10 @@ class CoefficientField:
         object.__setattr__(self, "diag", np.asarray(self.diag, dtype=np.float64))
         _check_values(self.diag, (self.box.n_sites, self.box.d), "CoefficientField")
         if not (0.0 < self.lam < 1.0):
-            raise ValueError(f"ellipticity constant lam={self.lam} must be in (0,1)")
+            raise ParameterError(f"ellipticity constant lam={self.lam} must be in (0,1)")
         lo, hi = self.diag.min(), self.diag.max()
         if lo <= self.lam or hi >= 1.0:
-            raise ValueError(
+            raise ParameterError(
                 f"coefficient entries must lie in ({self.lam}, 1); got [{lo}, {hi}]"
             )
 
@@ -211,7 +212,7 @@ class CoefficientField:
 
 def _require_same_box(a, b):
     if a.box != b.box:
-        raise BoxMismatchError(f"box mismatch: {a.box} vs {b.box}")
+        raise ParameterError(f"box mismatch: {a.box} vs {b.box}")
 
 
 @functools.lru_cache(maxsize=16)
@@ -551,17 +552,18 @@ def read_field_csv(path):
     with open(path) as fh:
         first = fh.readline()
         if not first.startswith("#"):
-            raise ValueError(f"{path}: missing JSON header line")
+            raise ParameterError(f"{path}: missing JSON header line")
         header = json.loads(first[1:])
         try:
             box, kind = BoxSpec.from_json(header), header["kind"]
             lam = float(header["lambda"]) if kind == "coefficient" else None
         except (KeyError, TypeError) as exc:
-            raise ValueError(f"{path}: header needs d, L, kind (lambda for a coefficient)") from exc
+            raise ParameterError(
+                f"{path}: header needs d, L, kind (lambda for a coefficient)") from exc
         rows = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
     n, d = box.n_sites, box.d
     if not np.array_equal(rows[:, 0], np.arange(n)):
-        raise ValueError(f"{path}: expected one row for each site 0..{n - 1}, in order")
+        raise ParameterError(f"{path}: expected one row for each site 0..{n - 1}, in order")
     table = rows[:, 1 + d:]
     if kind == "scalar":
         f = ScalarField(box, table[:, 0])
@@ -572,7 +574,7 @@ def read_field_csv(path):
     elif kind == "skew":
         f = SkewField(box, table.reshape(n, d, d))
     else:
-        raise ValueError(f"unknown field kind {kind!r}")
+        raise ParameterError(f"unknown field kind {kind!r}")
     if _field_table(f)[1].shape != table.shape:
-        raise ValueError(f"{path}: {table.shape[1]} value columns do not fit a {kind} field")
+        raise ParameterError(f"{path}: {table.shape[1]} value columns do not fit a {kind} field")
     return f

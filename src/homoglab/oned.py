@@ -30,6 +30,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .lattice import ParameterError
+
 __all__ = [
     "Profile1D",
     "Solution1D",
@@ -77,11 +79,13 @@ class Profile1D:
     points_per_period: int = 64
 
     def __post_init__(self):
+        if not 0 < self.eps <= 1:
+            raise ParameterError(f"eps must lie in (0, 1]; got eps={self.eps}")
         inv = 1.0 / self.eps
         if abs(inv - round(inv)) > 1e-9:
-            raise ValueError(f"1/eps must be an integer; got eps={self.eps}")
+            raise ParameterError(f"1/eps must be an integer; got eps={self.eps}")
         if self.points_per_period < MIN_POINTS_PER_PERIOD:
-            raise ValueError(
+            raise ParameterError(
                 f"grid must resolve the microstructure: need at least "
                 f"{MIN_POINTS_PER_PERIOD} points per period, got {self.points_per_period}"
             )
@@ -98,8 +102,8 @@ class Profile1D:
 
     def a_eps(self, x: np.ndarray) -> np.ndarray:
         a = np.asarray(self.a_unit(x / self.eps), dtype=np.float64)
-        if np.any(a <= 0):
-            raise ValueError("conductivity must be positive")
+        if not np.all(np.isfinite(a) & (a > 0)):
+            raise ParameterError("conductivity must be positive and finite")
         return a
 
     def ellipticity(self) -> float:
@@ -120,8 +124,8 @@ def harmonic_mean(a_unit, M: int = 4096) -> float:
     """(int_0^1 1/a)^{-1} by composite trapezoid on M intervals."""
     y = np.linspace(0.0, 1.0, M + 1)
     a = np.asarray(a_unit(y), dtype=np.float64)
-    if np.any(a <= 0):
-        raise ValueError("conductivity must be positive for the harmonic mean")
+    if not np.all(np.isfinite(a) & (a > 0)):
+        raise ParameterError("conductivity must be positive and finite for the harmonic mean")
     return float(1.0 / trapezoid(1.0 / a, y))
 
 
@@ -307,10 +311,10 @@ def sup_error_check(profile: Profile1D, eps_list) -> SupErrorReport:
         grads.append(float(trapezoid(diff**2, x)))
         weaks.append([float(trapezoid(diff * tf(x), x)) for tf in _TEST_FUNCTIONS])
     sups = np.asarray(sups)
-    if np.all(sups > 0):
+    if np.all(sups > 0) and np.unique(eps_arr).size > 1:
         slope = float(np.polyfit(np.log(eps_arr), np.log(sups), 1)[0])
     else:
-        slope = float("nan")  # homogeneous profile: no error to rate-fit
+        slope = float("nan")  # homogeneous profile or one eps: nothing to rate-fit
     return SupErrorReport(
         eps_arr, sups, slope, float(np.max(sups / eps_arr)),
         np.asarray(grads), np.asarray(weaks),

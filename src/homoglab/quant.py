@@ -31,6 +31,7 @@ from .ensembles import (EnsembleSpec, SampleId, _mean_stderr, _rng_for, _sample_
 from .lattice import (
     BoxSpec,
     CoefficientField,
+    ParameterError,
     ScalarField,
     _dot,
     _grad_energy,
@@ -92,29 +93,29 @@ class DecayFit:
 
 
 def _check_fit_grid(xs: np.ndarray, name: str) -> None:
-    """Raise ``ValueError`` unless ``xs`` holds two distinct abscissae to fit a line to."""
+    """Raise ``ParameterError`` unless ``xs`` holds two distinct abscissae to fit a line to."""
     if np.unique(xs).size < 2:
-        raise ValueError(f"{name} needs at least two distinct values for the fit, "
-                         f"got {np.asarray(xs).tolist()}")
+        raise ParameterError(f"{name} needs at least two distinct values for the fit, "
+                             f"got {np.asarray(xs).tolist()}")
 
 
 def _abscissae(values: np.ndarray, name: str, limit: float, window: str,
                fit: bool = True) -> np.ndarray:
-    """``values`` sorted; ``ValueError`` unless each is positive (the fit is in
+    """``values`` sorted; ``ParameterError`` unless each is positive (the fit is in
     log-log), distinct (the fit would count a repeat twice) and at most ``limit``,
     the edge of ``window``, with two of them where a line is ``fit``."""
     xs = np.sort(values)
     if xs.size == 0:
-        raise ValueError(f"{name} must be a non-empty list of positive values")
+        raise ParameterError(f"{name} must be a non-empty list of positive values")
     if not np.all(xs > 0):
-        raise ValueError(f"{name} must be positive, got {xs.tolist()}")
+        raise ParameterError(f"{name} must be positive, got {xs.tolist()}")
     if np.any(xs[1:] == xs[:-1]):
-        raise ValueError(f"{name} must be distinct, got {xs.tolist()}: the fit would "
-                         f"count a repeated point twice")
+        raise ParameterError(f"{name} must be distinct, got {xs.tolist()}: the fit would "
+                             f"count a repeated point twice")
     if fit:
         _check_fit_grid(xs, name)
     if xs[-1] > limit:
-        raise ValueError(f"{name} value {xs[-1]} outside {window} = {limit}")
+        raise ParameterError(f"{name} value {xs[-1]} outside {window} = {limit}")
     return xs
 
 
@@ -162,7 +163,7 @@ def vertical_derivative(func, a: CoefficientField, site: int, spec: EnsembleSpec
             diag[site] = rng.uniform(lo, hi, size=a.box.d)
             vals.append(func(CoefficientField(a.box, diag, lam=a.lam)))
         return fa - float(np.mean(vals))
-    raise ValueError(f"vertical derivative unsupported for kind {spec.kind!r}")
+    raise ParameterError(f"vertical derivative unsupported for kind {spec.kind!r}")
 
 
 def lipschitz_derivative(func, a: CoefficientField, site: int, spec: EnsembleSpec) -> float:
@@ -378,13 +379,13 @@ def sg_check(spec: EnsembleSpec, box: BoxSpec, n: int,
     and all of the variants.  The samples go in runs of ``_SG_BLOCK``, each
     one ``map_fn`` task with one stacked inverse.  Violations are report
     entries, never exceptions; alpha == beta, where every ratio is 0/0, is a
-    ``ValueError``.
+    ``ParameterError``.
     """
     if not spec.is_two_point:
-        raise ValueError("sg_check requires an iid two-point ensemble")
+        raise ParameterError("sg_check requires an iid two-point ensemble")
     if float(spec.params["alpha"]) == float(spec.params["beta"]):
-        raise ValueError("sg_check needs alpha < beta: with alpha == beta every "
-                         "functional is constant and its ratio is 0/0")
+        raise ParameterError("sg_check needs alpha < beta: with alpha == beta every "
+                             "functional is constant and its ratio is 0/0")
     _sample_count(n, 2)
     if functionals is None:
         functionals = default_functional_family(box)
@@ -465,10 +466,11 @@ def corrector_growth(spec: EnsembleSpec, box: BoxSpec, radii: Sequence[int],
     """
     radii = _abscissae(np.asarray(radii, dtype=np.int64), "radii", box.L // 4,
                        "the periodization window L/4", fit=box.d == 2)
+    if p < 1:
+        raise ParameterError(f"the moment order p must be at least 1, got {p}")
     _sample_count(n, 2)
     d = box.d
-    xi = np.zeros(d)
-    xi[0] = 1.0
+    xi = np.eye(d)[0]
 
     def one(a: CoefficientField, i: int) -> np.ndarray:
         phi, _ = solve_corrector(a, xi, cfg)
@@ -588,12 +590,12 @@ def green_decay(spec: EnsembleSpec, box: BoxSpec, n: int,
     """
     d = box.d
     if d not in (2, 3):
-        raise ValueError("green_decay supports d in {2, 3}")
+        raise ParameterError("green_decay supports d in {2, 3}")
     if radii is None:
         radii = [r for r in (2, 3, 4, 5, 6, 8, 12, 16) if r <= box.L // 8]
         if not radii:
-            raise ValueError(f"no radii: the default radii r <= L/8 need L >= 16, got "
-                             f"L={box.L}; give them with --radii")
+            raise ParameterError(f"no radii: the default radii r <= L/8 need L >= 16, got "
+                                 f"L={box.L}; give them with --radii")
     radii = _abscissae(np.asarray(radii, dtype=np.int64), "radii", box.L // 4,
                        "the periodization window L/4")
     r = torus_radii(box)
@@ -624,7 +626,7 @@ def green_decay(spec: EnsembleSpec, box: BoxSpec, n: int,
     annealed_fit = _loglog_fit(radii.astype(np.float64), annealed)
     if d == 3:
         if np.any(quenched <= 0):
-            raise ValueError(
+            raise ParameterError(
                 f"quenched Green profile not positive at radii {radii.tolist()} on "
                 f"L={box.L}: the box is too small for these radii; raise --L or "
                 f"lower --radii")
@@ -651,9 +653,9 @@ def meyers_ratio(a: CoefficientField, h: ScalarField, q: float = 1.1,
     estimate bounds the ratio by 1/lam^2.
     """
     if not (1.0 <= q <= 1.25):
-        raise ValueError("q must lie in [1, 1.25]")
-    if alpha_w < 0:
-        raise ValueError("alpha_w must be >= 0")
+        raise ParameterError("q must lie in [1, 1.25]")
+    if not 0 <= alpha_w < np.inf:
+        raise ParameterError(f"alpha_w must be >= 0 and finite, got {alpha_w}")
     grad_h = grad(h)
     v, _ = solve_elliptic(a, div_star(grad_h), cfg)
     w = (torus_radii(a.box) + 1.0) ** alpha_w
@@ -662,7 +664,7 @@ def meyers_ratio(a: CoefficientField, h: ScalarField, q: float = 1.1,
     num = float(np.sum(gv**q * w))
     den = float(np.sum(gh**q * w))
     if den == 0:
-        raise ValueError("h must be non-constant")
+        raise ParameterError("h must be non-constant")
     return num / den
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.fft
 
-from .lattice import BoxSpec
+from .lattice import BoxSpec, ParameterError
 
 __all__ = ["symbol", "inverse", "smooth"]
 
@@ -34,7 +34,7 @@ def symbol(box: BoxSpec, A: np.ndarray | None = None) -> np.ndarray:
     L, d = box.L, box.d
     A = np.eye(d) if A is None else np.asarray(A, dtype=np.float64)
     if A.shape != (d, d):
-        raise ValueError(f"matrix shape {A.shape} does not match dimension {d}")
+        raise ParameterError(f"matrix shape {A.shape} does not match dimension {d}")
     k = [np.arange(L).reshape([L if a == i else 1 for a in range(d)]) for i in range(d)]
     m = [np.exp(2j * np.pi * ki / L) - 1.0 for ki in k]
     sym = np.zeros(box.shape)

@@ -32,7 +32,8 @@ import numpy as np
 from .correctors import CorrectorSet, corrector_set
 from .elliptic import SolverConfig, solve_shifted
 from .ensembles import EnsembleSpec, per_sample
-from .lattice import BoxSpec, CoefficientField, ScalarField, _grad_arr, _grad_energy, grad
+from .lattice import (BoxSpec, CoefficientField, ParameterError, ScalarField, _grad_arr,
+                      _grad_energy, grad)
 from .spectral import inverse
 
 __all__ = [
@@ -62,12 +63,12 @@ def solve_homogenized(A: np.ndarray, alpha: float, f: ScalarField) -> ScalarFiel
     A must be symmetric positive definite (it is symmetrized here to guard
     against solver-tolerance asymmetry in per-sample cell matrices).
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < np.inf:
+        raise ParameterError(f"alpha must be positive and finite, got {alpha}")
     A = np.asarray(A, dtype=np.float64)
     A = 0.5 * (A + A.T)
     if np.any(np.linalg.eigvalsh(A) <= 0):
-        raise ValueError("homogenized matrix must be positive definite")
+        raise ParameterError("homogenized matrix must be positive definite")
     return ScalarField.from_grid(f.box, inverse(f.box, alpha, A)(f.grid()))
 
 
@@ -75,7 +76,7 @@ def remainder(u: ScalarField, u0: ScalarField, phis: list[ScalarField]) -> Scala
     """Z = u - (u_0 + sum_i phi_i grad_i u_0), pointwise."""
     box = u.box
     if len(phis) != box.d:
-        raise ValueError(f"need one corrector per direction, got {len(phis)}")
+        raise ParameterError(f"need one corrector per direction, got {len(phis)}")
     g0 = grad(u0).values
     z = u.values - u0.values
     for i, phi in enumerate(phis):
@@ -92,7 +93,7 @@ def default_forcing(box: BoxSpec, wavelength: int | None = None) -> ScalarField:
     """
     w = box.L if wavelength is None else int(wavelength)
     if box.L % w != 0:
-        raise ValueError(f"wavelength {w} does not divide the box side {box.L}")
+        raise ParameterError(f"wavelength {w} does not divide the box side {box.L}")
     c = box.coordinate_arrays()
     vals = np.ones(box.n_sites)
     for i in range(box.d):

@@ -1,5 +1,6 @@
 import functools
 import json
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -7,10 +8,9 @@ import numpy as np
 import pytest
 
 from homoglab.elliptic import _report_dense, cg_solve, collecting_reports
-from homoglab.lattice import BoxSpec, ScalarField
+from homoglab.lattice import BoxSpec, ParameterError, ScalarField
 from homoglab.quant import BoxAverageEntry
 from homoglab.ensembles import (
-    EnsembleError,
     EnsembleSpec,
     SampleId,
     constant,
@@ -26,28 +26,35 @@ from homoglab.ensembles import (
 
 class TestValidation:
     def test_alpha_at_or_below_lambda_rejected(self):
-        with pytest.raises(EnsembleError):
+        with pytest.raises(ParameterError, match=re.escape(
+                "two-point values must satisfy 0.2 < alpha <= beta < 1; "
+                "got alpha=0.2, beta=0.75")):
             two_point(alpha=0.2, beta=0.75, lam=0.2)
 
     def test_beta_at_or_above_one_rejected(self):
-        with pytest.raises(EnsembleError):
+        with pytest.raises(ParameterError, match=re.escape(
+                "two-point values must satisfy 0.2 < alpha <= beta < 1; "
+                "got alpha=0.25, beta=1.0")):
             two_point(alpha=0.25, beta=1.0)
 
     def test_alpha_above_beta_rejected(self):
-        with pytest.raises(EnsembleError):
+        with pytest.raises(ParameterError, match=re.escape(
+                "two-point values must satisfy 0.2 < alpha <= beta < 1; "
+                "got alpha=0.7, beta=0.3")):
             two_point(alpha=0.7, beta=0.3)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(EnsembleError):
+        with pytest.raises(ParameterError, match="unknown ensemble kind 'gaussian'"):
             EnsembleSpec("gaussian", {}, 0.2, 0)
 
     def test_negative_kernel_radius_rejected(self):
-        with pytest.raises(EnsembleError):
+        with pytest.raises(ParameterError, match="kernel radius must be >= 0"):
             EnsembleSpec("correlated-two-point",
                          {"alpha": 0.25, "beta": 0.75, "radius": -1}, 0.2, 0)
 
     def test_uniform_bounds_validated(self):
-        with pytest.raises(EnsembleError):
+        with pytest.raises(ParameterError, match=re.escape(
+                "uniform bounds must satisfy 0.2 < low < high < 1; got low=0.1, high=0.75")):
             uniform(low=0.1, high=0.75, lam=0.2)
 
 
@@ -158,7 +165,8 @@ class TestSiteVariants:
     def test_continuous_law_rejected(self):
         spec = uniform(master_seed=0)
         a = sample(spec, BoxSpec(2, 4), SampleId(0))
-        with pytest.raises(EnsembleError):
+        with pytest.raises(ParameterError,
+                           match="site variants require a two-point kind, got 'iid-uniform'"):
             site_variants(spec, a, 0)
 
 

@@ -1,0 +1,111 @@
+"""The exit-code contract of ``homoglab.cli.main`` over every experiment.
+
+Whatever the flags, ``main`` returns 0, 2 (solver failure) or 3 (config
+error), lets no exception escape, and on a failure leaves the output
+directory empty.  A usage error's ``SystemExit`` carries its code.
+
+A case is ``argv`` and ``files``: each ``files[name]`` is written to an
+input directory, and an argument ``@name`` stands for its path; every
+experiment reads ``configs/ensemble_2pt.json`` unless ``files`` gives an
+``ensemble``.  A pinned example also gives the ``expected`` code.
+"""
+
+import json
+import math
+import os
+import tempfile
+from pathlib import Path
+
+from hypothesis import example, given, settings, strategies as st
+
+from homoglab.cli import (EXIT_CONFIG_ERROR, EXIT_OK, EXIT_SOLVER_FAILURE, EXPERIMENTS,
+                          main)
+
+ENSEMBLE = (Path(__file__).parents[1] / "configs" / "ensemble_2pt.json").read_bytes()
+INTS = [-1, 0, 1, 2, 3, 5]
+FLOATS = [-1.0, 0.0, 0.05, 1.0, 1.1, math.nan, math.inf]
+
+
+def _oned(**params) -> dict:
+    return {"config": json.dumps({"experiment": "oned", "params": params}).encode()}
+
+
+def _values(name: str, kind: type, nargs: str | None):
+    one = (st.integers(0, 3) if name == "samples"
+           else st.sampled_from(INTS if kind is int else FLOATS))
+    return st.lists(one, max_size=3) if nargs else one.map(lambda v: [v])
+
+
+@st.composite
+def cases(draw) -> tuple[list[str], dict]:
+    """A command with d in {1, 2, 3}, L in 1..8 and a random subset of its
+    parameters and solver flags; ``oned`` takes its parameters by ``--config``."""
+    command = draw(st.sampled_from(sorted(EXPERIMENTS)))
+    argv = [command, "--d", str(draw(st.sampled_from([1, 2, 3]))),
+            "--L", str(draw(st.integers(1, 8)))]
+    flags = {"tol": ("tol", float, None), "max-iter": ("max_iter", int, None)}
+    flags.update({name.replace("_", "-"): (name, param.type, param.nargs)
+                  for name, param in EXPERIMENTS[command].params.items()})
+    for flag, spec in flags.items():
+        values = draw(st.none() | _values(*spec))
+        if values is not None:
+            argv += ["--" + flag, *map(str, values)]
+    files = {}
+    if command == "oned":
+        params = {"eps_list": draw(st.none() | st.lists(st.sampled_from(FLOATS), max_size=3)),
+                  "points_per_period": draw(st.none() | st.sampled_from(INTS))}
+        files = _oned(**{k: v for k, v in params.items() if v is not None})
+        argv += ["--config", "@config"]
+    return argv, files
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(case=cases(), expected=st.none())
+# the faults these guard against: a traceback, a run that ignores its
+# parameter (exit 0), or a parameter error reported as a solver failure (exit 2)
+@example(case=(["corrector", "--d", "2", "--L", "8", "--dir", "2"], {}), expected=3)
+@example(case=(["corrector", "--d", "2", "--L", "8", "--dir", "-1"], {}), expected=3)
+@example(case=(["oned", "--config", "@config"], _oned(eps_list=[0])), expected=3)
+@example(case=(["corrector", "--L", "8", "--tol", "inf"], {}), expected=3)
+@example(case=(["corrector", "--L", "8", "--tol", "nan"], {}), expected=3)
+@example(case=(["corrector", "--L", "8", "--max-iter", "-1"], {}), expected=3)
+@example(case=(["corrector", "--L", "8", "--max-iter", "0"], {}), expected=3)
+@example(case=(["twoscale", "--L", "8", "--samples", "2", "--alpha", "nan"], {}), expected=3)
+@example(case=(["twoscale", "--L", "8", "--samples", "2", "--alpha", "inf"], {}), expected=3)
+@example(case=(["meyers", "--L", "8", "--samples", "2", "--alpha-w", "nan"], {}), expected=3)
+@example(case=(["meyers", "--L", "8", "--samples", "2", "--alpha-w", "inf"], {}), expected=3)
+@example(case=(["growth", "--L", "8", "--radii", "1", "2", "--samples", "2", "--p", "0"], {}),
+         expected=3)
+@example(case=(["oned", "--config", "@config"], _oned(a={"kind": "constant", "value": "nan"})),
+         expected=3)
+@example(case=(["oned", "--config", "@config"], _oned(a={"kind": "constant", "value": "inf"})),
+         expected=3)
+@example(case=(["oned", "--config", "@config"], _oned(a=5)), expected=3)
+# unreadable or unparsable input files
+@example(case=(["ahom", "--config", "@config", "--L", "4"], {"config": b"\xff{}"}), expected=3)
+@example(case=(["ahom", "--L", "4"], {"ensemble": b"\xff{}"}), expected=3)
+@example(case=(["ahom", "--config", "@config", "--L", "4"], {"config": b"{"}), expected=3)
+@example(case=(["replay", "@manifest"], {"manifest": b"not json"}), expected=3)
+@example(case=(["oned", "--config", "@config"], _oned(eps_list=[])), expected=3)
+@example(case=(["oned", "--config", "@config"],
+               _oned(a={"kind": "constant", "value": "abc"})), expected=3)
+def test_exit_code_is_0_2_or_3_and_a_failure_writes_nothing(case, expected):
+    argv, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs, out = Path(tmp, "in"), Path(tmp, "out")
+        inputs.mkdir()
+        out.mkdir()
+        for name, data in {"ensemble": ENSEMBLE, **files}.items():
+            (inputs / name).write_bytes(data)
+        argv = [str(inputs / a[1:]) if a.startswith("@") else a for a in argv]
+        if argv[0] != "replay":
+            argv += ["--ensemble", str(inputs / "ensemble"), "--out", str(out / "result")]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # usage errors
+            code = exc.code
+        assert code in (EXIT_OK, EXIT_SOLVER_FAILURE, EXIT_CONFIG_ERROR)
+        if expected is not None:
+            assert code == expected
+        if code != EXIT_OK:
+            assert os.listdir(out) == []

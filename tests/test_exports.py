@@ -1,6 +1,7 @@
 """Every name a module exports resolves, so no deleted name stays exported,
-every public solver entry point shares one solver default, and no module
-relies on ``assert``."""
+every public solver entry point shares one solver default, no module
+relies on ``assert``, and rejected input has one exception type, which
+``main`` catches without catching every ``ValueError``."""
 
 import ast
 import importlib
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import homoglab
+import homoglab.cli
 from homoglab.elliptic import SolverConfig
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(homoglab.__path__))
@@ -45,3 +47,23 @@ def test_no_assert_statements(path):
     # python -O strips asserts, so an invariant must raise an explicit exception
     tree = ast.parse(path.read_text(), filename=str(path))
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
+def test_one_exception_type_for_rejected_input():
+    # ParameterError for bad input, SolverError for a failed solve, and no other
+    defined = {node.name for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)
+               and any(getattr(base, "id", "").endswith(("Error", "Exception"))
+                       for base in node.bases)}
+    assert defined == {"ParameterError", "SolverError"}
+    assert issubclass(homoglab.ParameterError, ValueError)
+
+
+def test_main_catches_no_broad_exception():
+    # a bug raised mid-run must keep its traceback, not pass for a config error
+    main = next(node for node in ast.walk(ast.parse(inspect.getsource(homoglab.cli)))
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = {ast.unparse(handler.type) for node in ast.walk(main)
+              if isinstance(node, ast.Try) for handler in node.handlers}
+    assert caught == {"(ParameterError, OSError, json.JSONDecodeError, UnicodeDecodeError)",
+                      "SolverError"}
