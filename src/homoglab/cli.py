@@ -78,13 +78,16 @@ class ExperimentConfig:
                 solver["tol"] = float(solver["tol"])
             if solver.get("max_iter") is not None:
                 solver["max_iter"] = _exact_int(solver["max_iter"])
+            out = obj.get("out", "out")
+            if not isinstance(out, str):
+                raise ParameterError(f"out must be a path string, got {out!r}")
             return ExperimentConfig(
                 experiment=experiment,
                 params=dict(obj.get("params") or {}),
                 ensemble=EnsembleSpec.from_json(ens) if ens else None,
                 box=BoxSpec.from_json(box) if box else None,
                 solver=SolverConfig(**solver),
-                out=obj.get("out", "out"),
+                out=out,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParameterError(str(exc)) from exc
@@ -489,8 +492,6 @@ def _add_common(p: argparse.ArgumentParser, threads: str) -> None:
     p.add_argument("--precond", choices=["none", "spectral"],
                    help="CG preconditioner: spectral (default) or none (plain CG)")
     p.add_argument("--out", help="output file path")
-    p.add_argument("--gnuplot-script", action="store_true",
-                   help="also emit a gnuplot script next to CSV outputs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -542,13 +543,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-_GNUPLOT = """set datafile separator ','
-set logscale xy
-set key autotitle columnhead
-plot '{csv}' using 1:2 with linespoints
-"""
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -562,14 +556,12 @@ def main(argv: list[str] | None = None) -> int:
         else:
             cfg = config_from_args(args)
             manifest = run(cfg, threads=args.threads)
-            if args.gnuplot_script and cfg.out.endswith(".csv"):
-                _atomic_write(cfg.out + ".gp", _GNUPLOT.format(csv=cfg.out))
             message = (f"wrote {', '.join(sorted(manifest['outputs']))} "
                        f"(manifest {cfg.out}.manifest.json)")
             code = EXIT_OK
     # bad input: a rejected parameter, a file that cannot be read or parsed, or a
-    # path that cannot be written (<out> goes first, so then nothing is written,
-    # unless the path is the gnuplot script's, last); anything else is a bug
+    # path that cannot be written (<out> goes first, so then nothing is written);
+    # anything else is a bug
     except (ParameterError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         prefix = "replay error" if args.command == "replay" else "config error"
         print(f"{prefix}: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Seeded generators for stationary random coefficient fields.
 
 Reproducibility contract: the stream for sample ``i`` of a given spec is
-``np.random.default_rng(SeedSequence(entropy=master_seed, spawn_key=(i,)))``.
+``_rng_for``'s generator of ``SeedSequence(entropy=master_seed, spawn_key=(i,))``.
 Streams are independent of evaluation order and of how many samples other
 workers draw, so Monte Carlo loops parallelize without coordination.  Draws
 of a sample that are not coefficients take ``spawn_key=(i, k)`` with k >= 1.
@@ -91,9 +91,10 @@ class EnsembleSpec:
                     f"got alpha={a}, beta={b}"
                 )
             if self.kind == "correlated-two-point":
-                r = int(p.get("radius", 1))
-                if r < 0:
-                    raise ParameterError("kernel radius must be >= 0")
+                r, decay = _exact_int(p.get("radius", 1)), float(p.get("decay", 1.0))
+                if r < 0 or not (0.0 <= decay < np.inf):
+                    raise ParameterError(f"kernel radius must be >= 0 and decay finite and "
+                                         f">= 0; got radius={r}, decay={decay}")
         elif self.kind == "iid-uniform":
             lo, hi = float(p["low"]), float(p["high"])
             if not (self.lam < lo < hi < 1.0):
@@ -125,21 +126,6 @@ class EnsembleSpec:
             return 0.5 * (float(p["low"]) + float(p["high"]))
         return float(np.mean(np.asarray(p["unit_cell"], dtype=np.float64)[:, 0]))  # periodic-tile
 
-    def marginal_sd(self, d: int | None = None) -> float:
-        p = self.params
-        if self.kind == "constant" or self.kind == "periodic-tile":
-            return 0.0
-        if self.kind == "iid-two-point":
-            return 0.5 * (float(p["beta"]) - float(p["alpha"]))
-        if self.kind == "iid-uniform":
-            return (float(p["high"]) - float(p["low"])) / np.sqrt(12.0)
-        if d is None:  # correlated-two-point
-            raise ParameterError("correlated marginal sd depends on the dimension d")
-        w = _kernel_weights(self, d)
-        return 0.5 * (float(p["beta"]) - float(p["alpha"])) * float(
-            np.sqrt(sum(v**2 for v in w.values()))
-        )
-
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
@@ -161,11 +147,6 @@ class EnsembleSpec:
     def load(path) -> "EnsembleSpec":
         with open(path) as fh:
             return EnsembleSpec.from_json(json.load(fh))
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def constant(value: float, lam: float = 0.2, master_seed: int = 0) -> EnsembleSpec:
@@ -198,7 +179,7 @@ def _kernel_weights(spec: EnsembleSpec, d: int) -> dict[tuple[int, ...], float]:
     explicit roll-and-add (bitwise identity with the iid field when the
     kernel is the point mass at 0).
     """
-    r = int(spec.params.get("radius", 1))
+    r = _exact_int(spec.params.get("radius", 1))
     decay = float(spec.params.get("decay", 1.0))
     offsets = list(itertools.product(range(-r, r + 1), repeat=d))
     w = {k: float(np.exp(-decay * np.linalg.norm(k))) for k in offsets}
@@ -304,9 +285,8 @@ def site_assignments(spec: EnsembleSpec, d: int) -> np.ndarray:
 def site_variants(spec: EnsembleSpec, a: CoefficientField, site: int) -> list[CoefficientField]:
     """All coefficient fields agreeing with ``a`` off ``site``.
 
-    Only meaningful for finite-support marginals; enumerates the 2**d
-    diagonal assignments at the site for the two-point kinds.  Continuous
-    laws raise, signalling the caller to fall back to inner Monte Carlo.
+    Enumerates the 2**d diagonal assignments at the site; other kinds than
+    ``iid-two-point`` raise ``ParameterError`` (see :func:`site_assignments`).
     """
     out = []
     for combo in site_assignments(spec, a.box.d):

@@ -22,7 +22,6 @@ product, which is the summation-by-parts identity the solvers rely on.
 from __future__ import annotations
 
 import functools
-import json
 import operator
 from dataclasses import dataclass
 
@@ -45,8 +44,6 @@ __all__ = [
     "shift",
     "torus_coordinates",
     "torus_radii",
-    "write_field_csv",
-    "read_field_csv",
 ]
 
 
@@ -513,68 +510,3 @@ def _csv_text(header: list[str], columns: list) -> str:
                               axis=1).ravel()
         text.append(rows[rows != _NUL].tobytes().decode("ascii"))
     return "".join(text)
-
-
-def _field_table(f) -> tuple[str, np.ndarray, list[str]]:
-    """A field's kind, its (N, columns) value table and the column names."""
-    r = range(f.box.d)
-    if isinstance(f, ScalarField):
-        return "scalar", f.values.reshape(-1, 1), ["value"]
-    if isinstance(f, VectorField):
-        return "vector", f.values, [f"value_{i+1}" for i in r]
-    if isinstance(f, CoefficientField):
-        return "coefficient", f.diag, [f"a_{i+1}" for i in r]
-    if isinstance(f, SkewField):
-        return ("skew", f.values.reshape(f.box.n_sites, -1),
-                [f"sigma_{j+1}{k+1}" for j in r for k in r])
-    raise TypeError(f"not a lattice field: {type(f)}")
-
-
-def write_field_csv(f, path) -> None:
-    """Write a field as CSV: header comment with box JSON, then one row per site.
-
-    Values are formatted with 17 significant digits so the decimal text
-    round-trips to the exact same float64.
-    """
-    kind, table, names = _field_table(f)
-    box = f.box
-    header = {"kind": kind, **box.to_json()}
-    if isinstance(f, CoefficientField):
-        header["lambda"] = f.lam
-    body = _csv_text(["site", *(f"x{k+1}" for k in range(box.d)), *names],
-                     [np.arange(box.n_sites), *box.coordinate_arrays().T, *table.T])
-    with open(path, "w") as fh:
-        fh.write("# " + json.dumps(header, sort_keys=True) + "\n" + body)
-
-
-def read_field_csv(path):
-    """Exact inverse of :func:`write_field_csv`; rejects missing or misplaced rows and columns."""
-    with open(path) as fh:
-        first = fh.readline()
-        if not first.startswith("#"):
-            raise ParameterError(f"{path}: missing JSON header line")
-        header = json.loads(first[1:])
-        try:
-            box, kind = BoxSpec.from_json(header), header["kind"]
-            lam = float(header["lambda"]) if kind == "coefficient" else None
-        except (KeyError, TypeError) as exc:
-            raise ParameterError(
-                f"{path}: header needs d, L, kind (lambda for a coefficient)") from exc
-        rows = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
-    n, d = box.n_sites, box.d
-    if not np.array_equal(rows[:, 0], np.arange(n)):
-        raise ParameterError(f"{path}: expected one row for each site 0..{n - 1}, in order")
-    table = rows[:, 1 + d:]
-    if kind == "scalar":
-        f = ScalarField(box, table[:, 0])
-    elif kind == "vector":
-        f = VectorField(box, table)
-    elif kind == "coefficient":
-        f = CoefficientField(box, table, lam=lam)
-    elif kind == "skew":
-        f = SkewField(box, table.reshape(n, d, d))
-    else:
-        raise ParameterError(f"unknown field kind {kind!r}")
-    if _field_table(f)[1].shape != table.shape:
-        raise ParameterError(f"{path}: {table.shape[1]} value columns do not fit a {kind} field")
-    return f

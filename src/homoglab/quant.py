@@ -142,28 +142,15 @@ def _loglog_fit(xs: np.ndarray, ys: np.ndarray) -> DecayFit:
 # ---------------------------------------------------------------------------
 
 
-def vertical_derivative(func, a: CoefficientField, site: int, spec: EnsembleSpec,
-                        resamples: int = 64, rng: np.random.Generator | None = None) -> float:
+def vertical_derivative(func, a: CoefficientField, site: int, spec: EnsembleSpec) -> float:
     """f(a) - E[f | everything except site]: sensitivity to resampling one site.
 
-    Exact for two-point laws (equal-weight average over the site variants);
-    continuous laws fall back to inner Monte Carlo with ``resamples`` draws.
+    Exact for two-point laws: the equal-weight average over the site variants.
+    Other kinds raise ``ParameterError`` (see :func:`site_assignments`).
     """
     fa = float(func(a))
-    if spec.is_two_point:
-        variants = site_variants(spec, a, site)
-        return fa - float(np.mean([func(v) for v in variants]))
-    if spec.kind == "iid-uniform":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        lo, hi = float(spec.params["low"]), float(spec.params["high"])
-        vals = []
-        for _ in range(resamples):
-            diag = a.diag.copy()
-            diag[site] = rng.uniform(lo, hi, size=a.box.d)
-            vals.append(func(CoefficientField(a.box, diag, lam=a.lam)))
-        return fa - float(np.mean(vals))
-    raise ParameterError(f"vertical derivative unsupported for kind {spec.kind!r}")
+    variants = site_variants(spec, a, site)
+    return fa - float(np.mean([func(v) for v in variants]))
 
 
 def lipschitz_derivative(func, a: CoefficientField, site: int, spec: EnsembleSpec) -> float:

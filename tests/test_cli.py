@@ -111,22 +111,13 @@ class TestOned:
         assert "config error" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["oned.json"]
 
-    def test_gnuplot_script_flag(self, oned_config, tmp_path):
-        out = str(tmp_path / "table.csv")
-        code = main(["oned", "--config", oned_config, "--out", out, "--gnuplot-script"])
-        assert code == EXIT_OK
-        assert os.path.exists(out + ".gp")
-
-    def test_unwritable_gnuplot_script_exits_3(self, oned_config, tmp_path, capsys):
-        out = str(tmp_path / "table.csv")
-        os.mkdir(out + ".gp")
-        code = main(["oned", "--config", oned_config, "--out", out, "--gnuplot-script"])
-        assert code == EXIT_CONFIG_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and "Traceback" not in err
-        # the script is written after the table and its manifest
-        assert sorted(os.listdir(tmp_path)) == ["fig1.json", "table.csv", "table.csv.gp",
-                                                "table.csv.manifest.json"]
+    def test_gnuplot_script_flag_is_a_usage_error(self, oned_config, tmp_path):
+        # the flag and its script are gone; config errors write no files
+        with pytest.raises(SystemExit) as exc:
+            main(["oned", "--config", oned_config, "--out", str(tmp_path / "table.csv"),
+                  "--gnuplot-script"])
+        assert exc.value.code == EXIT_CONFIG_ERROR
+        assert os.listdir(tmp_path) == ["fig1.json"]
 
 
 class TestDispatchAndErrors:
@@ -242,6 +233,38 @@ class TestDispatchAndErrors:
         assert self._birkhoff(tmp_path, monkeypatch, **edit) == EXIT_CONFIG_ERROR
         assert "config error" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("out", [5, None], ids=["int", "null"])
+    def test_non_string_out_exits_3_and_writes_nothing(self, out, tmp_path, monkeypatch,
+                                                       capsys):
+        assert self._birkhoff(tmp_path, monkeypatch, out=out) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "config error: out must be a path string" in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("kernel,message", [
+        ({"radius": 1.7}, "cannot be interpreted as an integer"),
+        ({"decay": -50}, "decay=-50.0"),
+        ({"decay": "inf"}, "decay=inf"),
+    ], ids=["radius-float", "decay-negative", "decay-inf"])
+    def test_bad_kernel_exits_3_before_sampling(self, kernel, message, tmp_path, capsys,
+                                                monkeypatch):
+        def no_sample(*args):
+            raise AssertionError("sampled before checking the kernel")
+
+        monkeypatch.setattr(homoglab.ensembles, "sample", no_sample)
+        ens = tmp_path / "ens.json"
+        ens.write_text(json.dumps({
+            "kind": "correlated-two-point",
+            "params": {"alpha": 0.25, "beta": 0.75, **kernel},
+            "lambda": 0.2,
+            "master_seed": 1,
+        }))
+        code = main(["ahom", "--ensemble", str(ens), "--L", "4", "--samples", "2",
+                     "--out", str(tmp_path / "never.json")])
+        assert code == EXIT_CONFIG_ERROR
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["ens.json"]
 
     def test_missing_box_is_config_error(self, ensemble_file, tmp_path):
         code = main(["ahom", "--ensemble", ensemble_file,
@@ -530,6 +553,21 @@ class TestDeterminismAndReplay:
         assert main(["replay", mpath]) == EXIT_CONFIG_ERROR
         assert "malformed manifest" in capsys.readouterr().err
 
+    def test_manifest_with_non_string_out_exits_3(self, ensemble_file, tmp_path, capsys):
+        out = str(tmp_path / "ahom.json")
+        assert main(["ahom", "--ensemble", ensemble_file, "--L", "4", "--samples", "2",
+                     "--out", out]) == EXIT_OK
+        mpath = out + ".manifest.json"
+        manifest = json.loads(open(mpath).read())
+        manifest["config"]["out"] = 5
+        open(mpath, "w").write(json.dumps(manifest))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert main(["replay", mpath]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "replay error: out must be a path string" in err and "Traceback" not in err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_replay_detects_tampered_seed(self, ensemble_file, tmp_path):
         out = str(tmp_path / "ahom.json")
         main(["ahom", "--ensemble", ensemble_file, "--L", "8", "--samples", "3",
@@ -686,7 +724,7 @@ COMMON_OPTIONS = {
     "--ensemble": (None, None), "--L": (int, None), "--d": (int, None),
     "--seed": (int, None), "--threads": (int, None),
     "--tol": (float, None), "--max-iter": (int, None), "--precond": (None, None),
-    "--out": (None, None), "--gnuplot-script": (None, 0),
+    "--out": (None, None),
 }
 SAMPLES = {"--samples": (int, None)}
 EXPERIMENT_OPTIONS = {

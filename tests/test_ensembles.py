@@ -52,6 +52,25 @@ class TestValidation:
             EnsembleSpec("correlated-two-point",
                          {"alpha": 0.25, "beta": 0.75, "radius": -1}, 0.2, 0)
 
+    @pytest.mark.parametrize("kernel", [
+        {"radius": 1.7}, {"radius": "1"}, {"radius": True},
+        {"decay": -50}, {"decay": "inf"}, {"decay": float("nan")},
+    ], ids=["radius-float", "radius-string", "radius-bool", "decay-negative", "decay-inf",
+            "decay-nan"])
+    def test_bad_kernel_rejected(self, kernel):
+        # a fractional radius used to truncate, and a negative decay grew with distance
+        with pytest.raises(ParameterError):
+            EnsembleSpec("correlated-two-point",
+                         {"alpha": 0.25, "beta": 0.75, **kernel}, 0.2, 0)
+
+    @pytest.mark.parametrize("kernel", [{"radius": 0}, {"decay": 0}, {"decay": 0.0, "radius": 2}],
+                             ids=["point-mass", "flat", "flat-radius-2"])
+    def test_kernel_edges_accepted(self, kernel):
+        spec = EnsembleSpec("correlated-two-point",
+                            {"alpha": 0.25, "beta": 0.75, **kernel}, 0.2, 0)
+        a = sample(spec, BoxSpec(2, 6), SampleId(0))
+        assert np.all((a.diag >= 0.25) & (a.diag <= 0.75))
+
     def test_uniform_bounds_validated(self):
         with pytest.raises(ParameterError, match=re.escape(
                 "uniform bounds must satisfy 0.2 < low < high < 1; got low=0.1, high=0.75")):
@@ -219,7 +238,7 @@ class TestJsonRoundTrip:
     def test_spec_serializes(self, tmp_path):
         spec = two_point(alpha=0.3, beta=0.6, lam=0.25, master_seed=11)
         path = tmp_path / "spec.json"
-        spec.save(path)
+        path.write_text(json.dumps(spec.to_json()))
         loaded = EnsembleSpec.load(path)
         assert loaded == spec
 

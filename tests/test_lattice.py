@@ -1,4 +1,3 @@
-import csv
 import math
 from fractions import Fraction
 
@@ -21,9 +20,7 @@ from homoglab.lattice import (
     div_star,
     grad,
     inner,
-    read_field_csv,
     shift,
-    write_field_csv,
 )
 
 from conftest import operator_matrix, random_coefficients, reference_csv_text
@@ -209,91 +206,6 @@ class TestSkewField:
         vals[0, 1, 0] = 1.0
         with pytest.raises(ValueError):
             SkewField(box, vals)
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("kind", ["scalar", "vector", "coefficient", "skew"])
-    def test_exact_round_trip(self, kind, rng, tmp_path, monkeypatch):
-        box = BoxSpec(2, 4)
-        if kind == "scalar":
-            f = ScalarField(box, rng.normal(size=box.n_sites))
-        elif kind == "vector":
-            f = VectorField(box, rng.normal(size=(box.n_sites, 2)))
-        elif kind == "coefficient":
-            f = random_coefficients(box, rng)
-        else:
-            vals = np.zeros((box.n_sites, 2, 2))
-            vals[:, 0, 1] = rng.normal(size=box.n_sites)
-            vals[:, 1, 0] = -vals[:, 0, 1]
-            f = SkewField(box, vals)
-        path = tmp_path / f"{kind}.csv"
-        write_field_csv(f, path)
-        g = read_field_csv(path)
-        table_f = f.diag if kind == "coefficient" else f.values
-        table_g = g.diag if kind == "coefficient" else g.values
-        assert g.box == box
-        assert np.array_equal(table_f, table_g)
-        monkeypatch.setattr(lattice, "_csv_text", reference_csv_text)
-        write_field_csv(f, tmp_path / "reference.csv")
-        assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
-
-    def _scalar_file(self, rng, tmp_path):
-        box = BoxSpec(2, 4)
-        path = tmp_path / "scalar.csv"
-        write_field_csv(ScalarField(box, rng.normal(size=box.n_sites)), path)
-        return path, path.read_text().splitlines(keepends=True)
-
-    def test_truncated_file_rejected(self, rng, tmp_path):
-        path, lines = self._scalar_file(rng, tmp_path)
-        path.write_text("".join(lines[:-3]))
-        with pytest.raises(ValueError):
-            read_field_csv(path)
-
-    def test_repeated_site_rejected(self, rng, tmp_path):
-        path, lines = self._scalar_file(rng, tmp_path)
-        lines[3] = "0" + lines[3][1:]  # site 1 becomes a second site 0
-        path.write_text("".join(lines))
-        with pytest.raises(ValueError):
-            read_field_csv(path)
-
-    @pytest.mark.parametrize("kind", ["scalar", "skew"])
-    def test_wrong_column_count_rejected(self, kind, rng, tmp_path):
-        path, lines = self._scalar_file(rng, tmp_path)
-        header = lines[0].replace('"scalar"', f'"{kind}"')
-        extra = [line.rstrip("\n") + ",0.5\n" for line in lines[1:]]
-        path.write_text(header + "".join(extra))
-        with pytest.raises(ValueError):
-            read_field_csv(path)
-
-    @pytest.mark.parametrize("header", [
-        '{"L": 3, "d": 2}',
-        '{"L": 3, "kind": "scalar"}',
-        '{"L": 3, "d": 2, "kind": "coefficient"}',
-        '[1, 2]',
-        '"scalar"',
-    ], ids=["no-kind", "no-d", "coefficient-no-lambda", "list", "string"])
-    def test_incomplete_header_rejected(self, header, tmp_path):
-        path = tmp_path / "field.csv"
-        path.write_text(f"# {header}\nsite,x1,x2,u\n" + "".join(
-            f"{i},{i % 3},{i // 3},0.5\n" for i in range(9)))
-        with pytest.raises(ValueError, match="header"):
-            read_field_csv(path)
-
-    def test_legacy_crlf_file_round_trips(self, rng, tmp_path):
-        # the per-row csv.writer format of 0.7.0 and before: \r\n line ends
-        box = BoxSpec(2, 3)
-        a = random_coefficients(box, rng)
-        path = tmp_path / "legacy.csv"
-        with open(path, "w", newline="") as fh:
-            fh.write('# {"L": 3, "d": 2, "kind": "coefficient", "lambda": %r}\n' % a.lam)
-            w = csv.writer(fh)
-            w.writerow(["site", "x1", "x2", "a_1", "a_2"])
-            for idx, x in enumerate(box.coordinate_arrays()):
-                w.writerow([idx, *x, *(format(v, ".17g") for v in a.diag[idx])])
-        assert b"\r\n" in path.read_bytes()
-        g = read_field_csv(path)
-        assert g.box == box and g.lam == a.lam
-        assert np.array_equal(g.diag, a.diag)
 
 
 def _hard_floats() -> np.ndarray:

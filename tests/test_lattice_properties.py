@@ -1,16 +1,14 @@
 """Property tests of the lattice calculus over random boxes, d <= 3.
 
 Summation by parts and self-adjointness hold up to the rounding of one
-inner product; translation covariance and the field CSV round trip are
-exact, because shifting only relabels sites and the CSV writes 17
-significant digits.  The solvers' half stencil agrees with the grid form
+inner product; translation covariance is exact, because shifting only
+relabels sites.  The solvers' half stencil agrees with the grid form
 ``apply_elliptic`` up to the rounding of one site's sum and with the dense
 assembly ``elliptic_matrix`` exactly; the real-FFT solves give the same
 bits for C- and F-ordered grids.
 """
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from homoglab.elliptic import _elliptic_op, elliptic_matrix
@@ -18,16 +16,13 @@ from homoglab.lattice import (
     BoxSpec,
     CoefficientField,
     ScalarField,
-    SkewField,
     VectorField,
     apply_elliptic,
     div_star,
     grad,
     inner,
-    read_field_csv,
     shift,
     stencil,
-    write_field_csv,
 )
 from homoglab.spectral import inverse, smooth, symbol
 
@@ -157,50 +152,3 @@ def test_spectral_solves_agree_on_c_and_f_ordered_grids(case):
         ref = fft_reference(g, sym)
         scale = np.max(np.abs(g)) + np.max(np.abs(ref))
         assert np.max(np.abs(out - ref)) <= 64 * EPS * box.n_sites * scale
-
-
-finite = st.floats(allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def fields(draw):
-    box = draw(boxes())
-    n, d = box.n_sites, box.d
-    kind = draw(st.sampled_from(["scalar", "vector", "coefficient", "skew"]))
-    if kind == "scalar":
-        return ScalarField(box, np.array(draw(st.lists(finite, min_size=n, max_size=n))))
-    if kind == "vector":
-        vals = draw(st.lists(finite, min_size=n * d, max_size=n * d))
-        return VectorField(box, np.array(vals).reshape(n, d))
-    if kind == "coefficient":
-        lam = draw(st.floats(0.01, 0.5))
-        inside = st.floats(lam, 1.0, exclude_min=True, exclude_max=True)
-        vals = draw(st.lists(inside, min_size=n * d, max_size=n * d))
-        return CoefficientField(box, np.array(vals).reshape(n, d), lam=lam)
-    upper = np.triu_indices(d, k=1)
-    vals = np.zeros((n, d, d))
-    m = len(upper[0])
-    vals[:, upper[0], upper[1]] = np.array(
-        draw(st.lists(finite, min_size=n * m, max_size=n * m))).reshape(n, m)
-    vals[:, upper[1], upper[0]] = -vals[:, upper[0], upper[1]]
-    return SkewField(box, vals)
-
-
-def table(f) -> np.ndarray:
-    return f.diag if isinstance(f, CoefficientField) else f.values
-
-
-@pytest.fixture(scope="module")
-def csv_path(tmp_path_factory):
-    return tmp_path_factory.mktemp("fields") / "field.csv"
-
-
-@SETTINGS
-@given(f=fields())
-def test_field_csv_round_trip_is_exact(f, csv_path):
-    write_field_csv(f, csv_path)
-    g = read_field_csv(csv_path)
-    assert type(g) is type(f) and g.box == f.box
-    assert table(g).tobytes() == table(f).tobytes()
-    if isinstance(f, CoefficientField):
-        assert g.lam == f.lam

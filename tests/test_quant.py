@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from homoglab import quant
-from homoglab.lattice import BoxSpec, CoefficientField
+from homoglab.lattice import BoxSpec, CoefficientField, ParameterError
 from homoglab.elliptic import SolverConfig
-from homoglab.ensembles import EnsembleSpec, SampleId, constant, sample, two_point, uniform
+from homoglab.ensembles import (EnsembleSpec, SampleId, _kernel_weights, constant, sample,
+                                two_point, uniform)
 from homoglab.quant import (
     BoxAverageEntry,
     CellAhomEntry,
@@ -71,13 +72,18 @@ class TestDerivatives:
             assert (lipschitz_derivative(f, a, site, SPEC)
                     >= abs(vertical_derivative(f, a, site, SPEC)) - 1e-12)
 
-    def test_inner_monte_carlo_for_continuous_law(self):
-        uspec = uniform(master_seed=4)
-        a = sample(uspec, BoxSpec(2, 4), SampleId(0))
-        f = SingleSiteEntry(site=2)
-        rng = np.random.default_rng(11)
-        d = vertical_derivative(f, a, 2, uspec, resamples=4000, rng=rng)
-        assert d == pytest.approx(a.diag[2, 0] - 0.5, abs=0.02)
+    @pytest.mark.parametrize("spec", [
+        uniform(master_seed=4),
+        constant(0.5),
+        EnsembleSpec("correlated-two-point", {"alpha": 0.25, "beta": 0.75}, 0.2, 4),
+        EnsembleSpec("periodic-tile", {"unit_cell": [[0.3, 0.7], [0.7, 0.3]] * 2}, 0.2, 4),
+    ], ids=lambda spec: spec.kind)
+    def test_only_two_point_laws_have_a_vertical_derivative(self, spec):
+        # the exact two-point average is the only evaluation; no inner Monte Carlo
+        a = sample(spec, BoxSpec(2, 4), SampleId(0))
+        with pytest.raises(ParameterError,
+                           match=f"site variants require a two-point kind, got '{spec.kind}'"):
+            vertical_derivative(SingleSiteEntry(site=2), a, 2, spec)
 
 
 class TestSpectralGap:
@@ -239,8 +245,10 @@ class TestBirkhoff:
                             {"alpha": 0.25, "beta": 0.75, "radius": 1}, 0.2, 12)
         r_iid = birkhoff_rate(iid, box, [4, 8, 16], n=150)
         r_corr = birkhoff_rate(corr, box, [4, 8, 16], n=150)
-        normalized_iid = r_iid.rms / iid.marginal_sd()
-        normalized_corr = r_corr.rms / corr.marginal_sd(d=box.d)
+        half_gap = (0.75 - 0.25) / 2
+        weights = np.array(list(_kernel_weights(corr, box.d).values()))
+        normalized_iid = r_iid.rms / half_gap
+        normalized_corr = r_corr.rms / (half_gap * np.linalg.norm(weights))
         assert np.all(normalized_corr > normalized_iid)
 
 
