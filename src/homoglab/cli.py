@@ -182,9 +182,7 @@ def profile_from_config(p: dict) -> "oned_mod.Profile1D":
         raise ParameterError(f"unknown 1d conductivity kind {kind!r}")
 
     fkind = f_cfg.get("kind")
-    if fkind == "one":
-        f = lambda x: np.ones_like(np.asarray(x, dtype=np.float64))
-    elif fkind == "constant":
+    if fkind == "constant":
         fv = float(f_cfg["value"])
         f = lambda x: np.full_like(np.asarray(x, dtype=np.float64), fv)
     elif fkind == "linear-odd":
@@ -256,14 +254,12 @@ def _run_oned(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, str]:
         profile, eps_list = profile_from_config(cfg.params)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:  # only config parsing runs
         raise ParameterError(f"oned: bad profile parameter: {exc}") from exc
-    sup = oned_mod.sup_error_check(profile, eps_list)
-    rows = []
-    for eps in sorted(eps_list, reverse=True):
-        ts = oned_mod.two_scale_check_1d(replace(profile, eps=eps))
-        k = int(np.argmin(np.abs(sup.eps - eps)))
-        rows.append([eps, sup.sup_errors[k], ts.error, ts.bound_statement, ts.ratio_statement])
+    sup = oned_mod.sup_error_check(profile, eps_list)  # rows in sup.eps order, coarsest first
+    ts = [oned_mod.two_scale_check_1d(replace(profile, eps=eps)) for eps in sup.eps.tolist()]
+    columns = [sup.eps, sup.sup_errors, [t.error for t in ts],
+               [t.bound_statement for t in ts], [t.ratio_statement for t in ts]]
     return {cfg.out: _csv_text(
-        ["eps", "sup_error", "h1_twoscale_error", "bound_rhs", "ratio"], list(zip(*rows)))}
+        ["eps", "sup_error", "h1_twoscale_error", "bound_rhs", "ratio"], columns)}
 
 
 def _run_cell(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, str]:

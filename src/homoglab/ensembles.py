@@ -115,6 +115,13 @@ class EnsembleSpec:
     def is_two_point(self) -> bool:
         return self.kind == "iid-two-point"
 
+    @property
+    def is_deterministic(self) -> bool:
+        """Every sample is the same field: a constant, a tiling, or two equal values."""
+        if self.kind in ("iid-two-point", "correlated-two-point"):
+            return float(self.params["alpha"]) == float(self.params["beta"])
+        return self.kind in ("constant", "periodic-tile")
+
     def marginal_mean(self) -> float:
         """Expectation of a single diagonal entry, where it is known in closed form."""
         p = self.params

@@ -222,10 +222,6 @@ class OscillatoryAverageReport:
     errors: np.ndarray
     fitted_constant: float   # max over eps of err / (2 eps)
 
-    @property
-    def error_over_eps(self) -> np.ndarray:
-        return self.errors / self.eps
-
 
 def _period_average(F, yq: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Fbar(x) = int_0^1 F(y, x) dy at every node of x, by the trapezoid rule on yq.

@@ -92,13 +92,6 @@ class DecayFit:
     r_squared: float
 
 
-def _check_fit_grid(xs: np.ndarray, name: str) -> None:
-    """Raise ``ParameterError`` unless ``xs`` holds two distinct abscissae to fit a line to."""
-    if np.unique(xs).size < 2:
-        raise ParameterError(f"{name} needs at least two distinct values for the fit, "
-                             f"got {np.asarray(xs).tolist()}")
-
-
 def _abscissae(values: np.ndarray, name: str, limit: float, window: str,
                fit: bool = True) -> np.ndarray:
     """``values`` sorted; ``ParameterError`` unless each is positive (the fit is in
@@ -112,15 +105,15 @@ def _abscissae(values: np.ndarray, name: str, limit: float, window: str,
     if np.any(xs[1:] == xs[:-1]):
         raise ParameterError(f"{name} must be distinct, got {xs.tolist()}: the fit would "
                              f"count a repeated point twice")
-    if fit:
-        _check_fit_grid(xs, name)
+    if fit and xs.size < 2:
+        raise ParameterError(f"{name} needs at least two distinct values for the fit, "
+                             f"got {xs.tolist()}")
     if xs[-1] > limit:
         raise ParameterError(f"{name} value {xs[-1]} outside {window} = {limit}")
     return xs
 
 
 def _linear_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
-    _check_fit_grid(xs, "the abscissae")
     slope, intercept = np.polyfit(xs, ys, 1)
     pred = slope * xs + intercept
     ss_res = float(np.sum((ys - pred) ** 2))
@@ -129,10 +122,12 @@ def _linear_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-def _loglog_fit(xs: np.ndarray, ys: np.ndarray) -> DecayFit:
+def _loglog_fit(xs: np.ndarray, ys: np.ndarray, deterministic: bool = False) -> DecayFit:
+    """The fit, or nan in every number (null in JSON) where there is no rate: a
+    value <= 0, or a ``deterministic`` ensemble, whose moments are rounding residue."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    if np.any(ys <= 0):  # nothing to rate-fit (e.g. deterministic ensembles)
+    if deterministic or np.any(ys <= 0):
         return DecayFit(xs, ys, float("nan"), float("nan"), float("nan"))
     return DecayFit(xs, ys, *_linear_fit(np.log(xs), np.log(ys)))
 
@@ -370,7 +365,7 @@ def sg_check(spec: EnsembleSpec, box: BoxSpec, n: int,
     """
     if not spec.is_two_point:
         raise ParameterError("sg_check requires an iid two-point ensemble")
-    if float(spec.params["alpha"]) == float(spec.params["beta"]):
+    if spec.is_deterministic:
         raise ParameterError("sg_check needs alpha < beta: with alpha == beta every "
                              "functional is constant and its ratio is 0/0")
     _sample_count(n, 2)
@@ -423,19 +418,6 @@ class GrowthFit:
     slope: float
     intercept: float
     residual: float                 # 1 - R^2 for log-fit; rms/mean for constant-fit
-
-    @property
-    def squared_moments(self) -> np.ndarray:
-        return np.array([m.value**2 for m in self.moments])
-
-    @property
-    def r_squared(self) -> float:
-        return 1.0 - self.residual
-
-    @property
-    def plateau_ratio(self) -> float:
-        sq = self.squared_moments
-        return float(sq.max() / sq.min())
 
 
 def corrector_growth(spec: EnsembleSpec, box: BoxSpec, radii: Sequence[int],
@@ -511,7 +493,8 @@ def semigroup_decay(spec: EnsembleSpec, box: BoxSpec, t_grid: Sequence[float],
     P(t) zeta(a) = sum_x p(t, x) zeta(shift_x a) with the exact torus heat
     kernel; for zeta(a) = a_1(0) the shifted values are just the first
     coefficient column, so each sample contributes one dot product per t.
-    Times outside the wrap-validity window t <= (L/8)^2 are rejected.
+    Times outside the wrap-validity window t <= (L/8)^2 are rejected.  A
+    deterministic ensemble has no decay rate, and its fit is nan.
     """
     t_grid = _abscissae(np.asarray(t_grid, dtype=np.float64), "t_grid", (box.L / 8.0) ** 2,
                         "the torus validity window t <= (L/8)^2")
@@ -540,7 +523,7 @@ def semigroup_decay(spec: EnsembleSpec, box: BoxSpec, t_grid: Sequence[float],
     pt_var = rows[:, 1:].var(axis=0, ddof=1)
     # 3 stderr headroom on the Monte Carlo contraction comparison
     contraction = bool(np.all(pt_var <= zeta_var * (1.0 + 3.0 / np.sqrt(n))))
-    fit = _loglog_fit(t_grid, m2)
+    fit = _loglog_fit(t_grid, m2, spec.is_deterministic)
     return SemigroupDecayReport(t_grid, m2, se, fit, zeta_var, contraction)
 
 
@@ -703,7 +686,7 @@ def birkhoff_rate(spec: EnsembleSpec, box: BoxSpec, R_list: Sequence[int],
     """RMS deviation of R-box spatial averages from the ensemble mean vs R.
 
     For i.i.d. entries the exact rate is sd * R^{-d/2}; the log-log slope of
-    the fitted profile is the reported quantity.
+    the fitted profile is the reported quantity; a deterministic ensemble's is nan.
     """
     R_arr = _abscissae(np.asarray(R_list, dtype=np.int64), "R_list", box.L, "the box side L")
     mean_val = spec.marginal_mean()
@@ -711,5 +694,5 @@ def birkhoff_rate(spec: EnsembleSpec, box: BoxSpec, R_list: Sequence[int],
     devs = np.stack(per_sample(spec, box, n, lambda a, i: np.array(
         [spatial_average_observable(a, int(R)) - mean_val for R in R_arr]), map_fn))
     rms = np.sqrt((devs**2).mean(axis=0))
-    fit = _loglog_fit(R_arr.astype(np.float64), rms)
+    fit = _loglog_fit(R_arr.astype(np.float64), rms, spec.is_deterministic)
     return BirkhoffReport(R_arr, rms, fit)

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .correctors import CorrectorSet, corrector_set
+from .correctors import corrector_set
 from .elliptic import SolverConfig, solve_shifted
 from .ensembles import EnsembleSpec, per_sample
 from .lattice import (BoxSpec, CoefficientField, ParameterError, ScalarField, _grad_arr,
@@ -110,13 +110,11 @@ def growth_weight(x, d: int) -> float:
 
 def two_scale_report(a: CoefficientField, alpha: float, f: ScalarField,
                      sample_index: int = 0,
-                     cfg: SolverConfig = SolverConfig(),
-                     sets: list[CorrectorSet] | None = None) -> TwoScaleReport:
+                     cfg: SolverConfig = SolverConfig()) -> TwoScaleReport:
     """Assemble the two-scale error report for one coefficient sample."""
     box = a.box
     d = box.d
-    if sets is None:
-        sets = [corrector_set(a, i, cfg) for i in range(d)]
+    sets = [corrector_set(a, i, cfg) for i in range(d)]
     A = np.stack([s.ahom_row for s in sets], axis=1)  # column i = a_hom e_i
 
     u, _ = solve_shifted(a, alpha, f, cfg)

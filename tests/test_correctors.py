@@ -12,6 +12,7 @@ from homoglab.lattice import (
 from homoglab.elliptic import SolverConfig, SolverError
 from homoglab.ensembles import SampleId, constant, sample, two_point
 from homoglab.correctors import (
+    HomogenizedTensor,
     _energy_checks,
     ahom_cell,
     ahom_rve,
@@ -292,7 +293,7 @@ class TestAhomProperties:
     def test_constant_tensor_passes(self):
         t = ahom_rve(constant(0.5, master_seed=1), BoxSpec(2, 4), 2, CFG)
         rep = verify_ahom_properties(t, lam=0.2)
-        assert rep.all_pass
+        assert rep.ellipticity_pass and rep.symmetry_pass
 
     def test_ellipticity_margin_from_random_ensembles(self):
         # lam = 0.2 floor over a direction grid; modest Monte Carlo here,
@@ -302,6 +303,16 @@ class TestAhomProperties:
             t = ahom_rve(spec, BoxSpec(2, 8), 4, CFG)
             rep = verify_ahom_properties(t, lam=0.2)
             assert rep.ellipticity_pass and rep.min_quadratic_form >= 0.2
+
+    def test_ellipticity_is_the_smallest_eigenvalue_not_the_direction_grid(self):
+        # the weak axis of this rotated diag(0.15, 0.9, 0.9) falls between the grid's
+        # 64 directions, whose minimum (0.2035) passes lam = 0.2; the eigenvalue does not
+        rng = np.random.default_rng(257)
+        Q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        M = Q @ np.diag([0.15, 0.9, 0.9]) @ Q.T
+        rep = verify_ahom_properties(HomogenizedTensor(M, np.zeros((3, 3)), 1), lam=0.2)
+        assert rep.min_quadratic_form > 0.2
+        assert not rep.ellipticity_pass and rep.symmetry_pass
 
     def test_diagonal_ensemble_symmetry_is_the_transposition_check(self):
         spec = two_point(master_seed=21)

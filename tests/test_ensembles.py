@@ -234,6 +234,22 @@ class TestSpatialAverage:
         assert abs(slope - (-1.0)) < 0.15
 
 
+@pytest.mark.parametrize("spec,deterministic", [
+    (constant(0.5), True),
+    (EnsembleSpec("periodic-tile", {"unit_cell": [[0.3, 0.7], [0.7, 0.3]] * 2}, 0.2, 0), True),
+    (two_point(alpha=0.4, beta=0.4), True),
+    (EnsembleSpec("correlated-two-point", {"alpha": 0.4, "beta": 0.4}, 0.2, 0), True),
+    (two_point(), False),
+    (EnsembleSpec("correlated-two-point", {"alpha": 0.25, "beta": 0.75}, 0.2, 0), False),
+    (uniform(), False),
+], ids=["constant", "periodic-tile", "two-point-equal", "correlated-equal", "two-point",
+        "correlated", "uniform"])
+def test_is_deterministic(spec, deterministic):
+    assert spec.is_deterministic == deterministic
+    draws = [sample(spec, BoxSpec(2, 4), SampleId(i)).diag for i in range(3)]
+    assert all(np.array_equal(draws[0], d) for d in draws) == deterministic
+
+
 class TestJsonRoundTrip:
     def test_spec_serializes(self, tmp_path):
         spec = two_point(alpha=0.3, beta=0.6, lam=0.25, master_seed=11)

@@ -1,9 +1,11 @@
 """Every name a module exports resolves, so no deleted name stays exported,
-every public solver entry point shares one solver default, no module
-relies on ``assert``, and rejected input has one exception type, which
-``main`` catches without catching every ``ValueError``."""
+every public solver entry point shares one solver default, a result type
+is exactly its fields, no module relies on ``assert``, and rejected input
+has one exception type, which ``main`` catches without catching every
+``ValueError``."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -47,6 +49,16 @@ def test_no_assert_statements(path):
     # python -O strips asserts, so an invariant must raise an explicit exception
     tree = ast.parse(path.read_text(), filename=str(path))
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
+@pytest.mark.parametrize("name", ["quant", "correctors", "oned", "twoscale", "elliptic"])
+def test_result_types_are_their_fields(name):
+    # a derived view is not written to JSON, so a check must not read one
+    module = importlib.import_module(f"homoglab.{name}")
+    views = [f"{cls.__name__}.{attr}" for cls in vars(module).values()
+             if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+             for attr, value in vars(cls).items() if isinstance(value, property)]
+    assert views == []
 
 
 def test_one_exception_type_for_rejected_input():

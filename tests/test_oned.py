@@ -243,7 +243,7 @@ class TestOscillatoryAverage:
     def test_modulated_oscillation_error_linear_in_eps(self):
         rep = oscillatory_average_check(lambda y, x: np.sin(2 * np.pi * y) * x,
                                         [1 / 4, 1 / 16, 1 / 64, 1 / 256])
-        ratios = rep.error_over_eps
+        ratios = rep.errors / rep.eps
         assert np.max(ratios) < 2.0 * np.min(ratios) + 1e-12
         assert np.isfinite(rep.fitted_constant)
 

@@ -126,7 +126,7 @@ class TestCorrectorGrowth:
 
     def test_d2_moments_grow_with_radius(self):
         fit = corrector_growth(SPEC, BoxSpec(2, 64), [4, 8, 16], p=1, n=25)
-        sq = fit.squared_moments
+        sq = np.array([m.value ** 2 for m in fit.moments])
         ses = np.array([m.stderr for m in fit.moments])
         for k in range(len(sq) - 1):
             assert sq[k + 1] >= sq[k] - 3.0 * (ses[k] + ses[k + 1])
@@ -135,7 +135,8 @@ class TestCorrectorGrowth:
     def test_d3_plateau(self):
         fit = corrector_growth(SPEC, BoxSpec(3, 32), [4, 6, 8], p=1, n=8)
         assert fit.model == "constant-fit"
-        assert fit.plateau_ratio <= 1.5
+        sq = np.array([m.value ** 2 for m in fit.moments])
+        assert sq.max() / sq.min() <= 1.5
 
 
 class TestSemigroup:
@@ -232,6 +233,13 @@ class TestBirkhoff:
         rep = birkhoff_rate(constant(0.5, master_seed=3), BoxSpec(2, 16), [4, 8], n=5)
         assert np.max(rep.rms) == 0.0
 
+    def test_periodic_tile_has_deviations_but_no_fit(self):
+        tile = EnsembleSpec("periodic-tile", {"unit_cell": [[0.3, 0.3], [0.7, 0.7]] * 2},
+                            0.2, 0)
+        rep = birkhoff_rate(tile, BoxSpec(2, 8), [1, 3], n=2)
+        assert np.all(rep.rms > 0)
+        assert np.isnan([rep.fit.slope, rep.fit.intercept, rep.fit.r_squared]).all()
+
     def test_iid_slope_matches_clt(self):
         rep = birkhoff_rate(SPEC, BoxSpec(2, 32), [4, 8, 16, 32], n=300)
         assert abs(rep.fit.slope - (-1.0)) <= 0.15
@@ -252,10 +260,11 @@ class TestBirkhoff:
         assert np.all(normalized_corr > normalized_iid)
 
 
-@pytest.mark.parametrize("xs", [[], [2.0], [3.0, 3.0]])
-def test_linear_fit_needs_two_distinct_abscissae(xs):
-    with pytest.raises(ValueError, match="two distinct values"):
-        quant._linear_fit(np.array(xs), np.ones(len(xs)))
+@pytest.mark.parametrize("xs,message", [
+    ([], "non-empty"), ([2.0], "two distinct values"), ([3.0, 3.0], "must be distinct")])
+def test_abscissae_needs_two_distinct_values(xs, message):
+    with pytest.raises(ValueError, match=message):
+        quant._abscissae(np.array(xs), "xs", 10.0, "the window")
 
 
 def test_d3_growth_takes_a_single_radius_but_not_none():

@@ -4,7 +4,6 @@ import pytest
 from homoglab.lattice import BoxSpec, CoefficientField, ScalarField, grad, inner
 from homoglab.elliptic import SolverConfig, solve_shifted
 from homoglab.ensembles import SampleId, constant, sample, two_point
-from homoglab.correctors import corrector_set
 from homoglab.twoscale import (
     default_forcing,
     growth_weight,
@@ -156,8 +155,7 @@ class TestExperiment:
         spec = two_point(master_seed=8)
         box = BoxSpec(2, 16)
         a = sample(spec, box, SampleId(0))
-        sets = [corrector_set(a, i, CFG) for i in range(2)]
-        big = two_scale_report(a, 1.0, default_forcing(box), cfg=CFG, sets=sets)
-        tiny = two_scale_report(a, 1e-6, default_forcing(box), cfg=CFG, sets=sets)
+        big = two_scale_report(a, 1.0, default_forcing(box), cfg=CFG)
+        tiny = two_scale_report(a, 1e-6, default_forcing(box), cfg=CFG)
         assert tiny.rhs_phi / tiny.rhs_sigma < 1e-4
         assert big.rhs_phi / big.rhs_sigma > tiny.rhs_phi / tiny.rhs_sigma
