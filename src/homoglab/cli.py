@@ -195,10 +195,9 @@ def profile_from_config(p: dict) -> "oned_mod.Profile1D":
         raise ParameterError(f"unknown 1d forcing kind {fkind!r}")
 
     eps_list = p.get("eps_list", [1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128])
-    if len(eps_list) == 0:
-        raise ParameterError("eps_list must not be empty")
     ppp = _exact_int(p.get("points_per_period", 64))
-    return oned_mod.Profile1D(a_unit=a_unit, f=f, eps=float(max(eps_list)),
+    # sup_error_check reads eps_list; an empty one is its error, not max()'s
+    return oned_mod.Profile1D(a_unit=a_unit, f=f, eps=float(max(eps_list, default=1.0)),
                               points_per_period=ppp), [float(e) for e in eps_list]
 
 

@@ -104,6 +104,15 @@ def _energy_checks(a: CoefficientField, phi: ScalarField, xi: np.ndarray) -> Non
             f"> (1-lam^2)/lam^2 |xi|^2 = {(1.0 - lam**2) / lam**2 * xi_norm2}")
 
 
+def _direction(a: CoefficientField, xi) -> tuple[np.ndarray, ScalarField]:
+    """``xi`` as an array and the right-hand side -div*(a xi) of both corrector
+    solves; ``ParameterError`` unless xi is a nonzero vector of length d."""
+    xi = np.asarray(xi, dtype=np.float64)
+    if xi.shape != (a.box.d,) or not np.any(xi):
+        raise ParameterError(f"direction must be a nonzero vector of length {a.box.d}")
+    return xi, div_star(VectorField(a.box, -a.diag * xi))
+
+
 def solve_corrector(a: CoefficientField, xi, cfg: SolverConfig = SolverConfig()
                     ) -> tuple[ScalarField, SolveReport]:
     """Mean-zero phi with div*(a (grad phi + xi)) = 0 to tolerance.
@@ -111,26 +120,19 @@ def solve_corrector(a: CoefficientField, xi, cfg: SolverConfig = SolverConfig()
     Linear in xi to solver tolerance.  The right-hand side -div*(a xi) has
     exactly zero sum, so the singular solve is well posed.
     """
-    xi = np.asarray(xi, dtype=np.float64)
-    if xi.shape != (a.box.d,) or not np.any(xi):
-        raise ParameterError(f"direction must be a nonzero vector of length {a.box.d}")
-    rhs = div_star(VectorField(a.box, -a.diag * xi))
+    xi, rhs = _direction(a, xi)
     phi, rep = solve_elliptic(a, rhs, cfg)
     _energy_checks(a, phi, xi)
     return phi, rep
 
 
-def flux(a: CoefficientField, phi: ScalarField, xi) -> VectorField:
-    """Centered flux q = a (grad phi + xi) - box average; exactly mean zero."""
+def flux(a: CoefficientField, phi: ScalarField, xi) -> tuple[VectorField, np.ndarray]:
+    """``(q, row)``: ``row`` is the box average of a (grad phi + xi), the a_hom
+    column, and q = a (grad phi + xi) - row the centered flux, exactly mean zero."""
     xi = np.asarray(xi, dtype=np.float64)
     raw = a.diag * (grad(phi).values + xi)
-    return VectorField(a.box, raw - raw.mean(axis=0))
-
-
-def flux_average(a: CoefficientField, phi: ScalarField, xi) -> np.ndarray:
-    """Box average of the uncentered flux a (grad phi + xi): the a_hom column."""
-    xi = np.asarray(xi, dtype=np.float64)
-    return (a.diag * (grad(phi).values + xi)).mean(axis=0)
+    row = raw.mean(axis=0)
+    return VectorField(a.box, raw - row), row
 
 
 def solve_flux_corrector(q: VectorField, cfg: SolverConfig = SolverConfig()
@@ -190,8 +192,7 @@ def solve_modified_corrector(a: CoefficientField, xi, T: float,
     """
     if T <= 0:
         raise ParameterError("T must be positive")
-    xi = np.asarray(xi, dtype=np.float64)
-    rhs = div_star(VectorField(a.box, -a.diag * xi))
+    xi, rhs = _direction(a, xi)
     phi_T, rep = solve_shifted(a, 1.0 / T, rhs, cfg)
     lam = a.lam
     xi_norm2 = float(xi @ xi)
@@ -211,8 +212,7 @@ def corrector_set(a: CoefficientField, direction: int,
         raise ParameterError(f"direction must be one of 0..{d - 1}, got {direction}")
     xi = np.eye(d)[direction]
     phi, rep_phi = solve_corrector(a, xi, cfg)
-    row = flux_average(a, phi, xi)
-    q = flux(a, phi, xi)
+    q, row = flux(a, phi, xi)
     sigma, reps_sigma = solve_flux_corrector(q, cfg)
     return CorrectorSet(direction, phi, q, sigma, row, (rep_phi, *reps_sigma))
 
@@ -224,10 +224,9 @@ def ahom_cell(a: CoefficientField, cfg: SolverConfig = SolverConfig()) -> Homoge
     """
     d = a.box.d
     A = np.zeros((d, d))
-    for i in range(d):
-        xi = np.eye(d)[i]
+    for i, xi in enumerate(np.eye(d)):
         phi, _ = solve_corrector(a, xi, cfg)
-        A[:, i] = flux_average(a, phi, xi)
+        A[:, i] = flux(a, phi, xi)[1]
     return HomogenizedTensor(A, np.zeros((d, d)), 1)
 
 

@@ -25,7 +25,7 @@ import contextvars
 import functools
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -64,16 +64,20 @@ class EnsembleSpec:
     params: dict
     lam: float = 0.2
     master_seed: int = 0
+    # (low, high) of one diagonal entry's law, read from params by _read; None for a tile
+    marginal: tuple[float, float] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
-            self._check()
+            marginal = self._read()
         except ParameterError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ParameterError(f"{self.kind!r} ensemble: bad parameter {exc!r}") from exc
+        object.__setattr__(self, "marginal", marginal)
 
-    def _check(self):
+    def _read(self) -> tuple[float, float] | None:
+        """The params, checked, as :attr:`marginal`; the one place that parses them."""
         if self.kind not in KINDS:
             raise ParameterError(f"unknown ensemble kind {self.kind!r}")
         if not (0.0 < self.lam < 1.0):
@@ -83,31 +87,34 @@ class EnsembleSpec:
             v = float(p["value"])
             if not (self.lam < v < 1.0):
                 raise ParameterError(f"constant value {v} outside ({self.lam}, 1)")
-        elif self.kind in ("iid-two-point", "correlated-two-point"):
-            a, b = float(p["alpha"]), float(p["beta"])
-            if not (self.lam < a <= b < 1.0):
-                raise ParameterError(
-                    f"two-point values must satisfy {self.lam} < alpha <= beta < 1; "
-                    f"got alpha={a}, beta={b}"
-                )
-            if self.kind == "correlated-two-point":
-                r, decay = _exact_int(p.get("radius", 1)), float(p.get("decay", 1.0))
-                if r < 0 or not (0.0 <= decay < np.inf):
-                    raise ParameterError(f"kernel radius must be >= 0 and decay finite and "
-                                         f">= 0; got radius={r}, decay={decay}")
-        elif self.kind == "iid-uniform":
+            return v, v
+        if self.kind == "iid-uniform":
             lo, hi = float(p["low"]), float(p["high"])
             if not (self.lam < lo < hi < 1.0):
                 raise ParameterError(
                     f"uniform bounds must satisfy {self.lam} < low < high < 1; "
                     f"got low={lo}, high={hi}"
                 )
-        elif self.kind == "periodic-tile":
+            return lo, hi
+        if self.kind == "periodic-tile":
             cell = np.asarray(p["unit_cell"], dtype=np.float64)
             if cell.ndim != 2:
                 raise ParameterError("unit_cell must be a (tile sites, d) table")
             if cell.size == 0 or not np.all((cell > self.lam) & (cell < 1.0)):
                 raise ParameterError(f"unit_cell entries must lie in ({self.lam}, 1)")
+            return None
+        a, b = float(p["alpha"]), float(p["beta"])  # the two-point kinds
+        if not (self.lam < a <= b < 1.0):
+            raise ParameterError(
+                f"two-point values must satisfy {self.lam} < alpha <= beta < 1; "
+                f"got alpha={a}, beta={b}"
+            )
+        if self.kind == "correlated-two-point":
+            r, decay = _exact_int(p.get("radius", 1)), float(p.get("decay", 1.0))
+            if r < 0 or not (0.0 <= decay < np.inf):
+                raise ParameterError(f"kernel radius must be >= 0 and decay finite and "
+                                     f">= 0; got radius={r}, decay={decay}")
+        return a, b
 
     # -- helpers ----------------------------------------------------------
 
@@ -118,20 +125,15 @@ class EnsembleSpec:
     @property
     def is_deterministic(self) -> bool:
         """Every sample is the same field: a constant, a tiling, or two equal values."""
-        if self.kind in ("iid-two-point", "correlated-two-point"):
-            return float(self.params["alpha"]) == float(self.params["beta"])
-        return self.kind in ("constant", "periodic-tile")
+        return self.marginal is None or self.marginal[0] == self.marginal[1]
 
     def marginal_mean(self) -> float:
-        """Expectation of a single diagonal entry, where it is known in closed form."""
-        p = self.params
-        if self.kind == "constant":
-            return float(p["value"])
-        if self.kind in ("iid-two-point", "correlated-two-point"):
-            return 0.5 * (float(p["alpha"]) + float(p["beta"]))
-        if self.kind == "iid-uniform":
-            return 0.5 * (float(p["low"]) + float(p["high"]))
-        return float(np.mean(np.asarray(p["unit_cell"], dtype=np.float64)[:, 0]))  # periodic-tile
+        """Expectation of a single diagonal entry; for a tile, the mean of the
+        unit cell's first column."""
+        if self.marginal is None:
+            return float(np.mean(np.asarray(self.params["unit_cell"], dtype=np.float64)[:, 0]))
+        low, high = self.marginal
+        return 0.5 * (low + high)
 
     def to_json(self) -> dict:
         return {
@@ -197,30 +199,23 @@ def _kernel_weights(spec: EnsembleSpec, d: int) -> dict[tuple[int, ...], float]:
 def sample(spec: EnsembleSpec, box: BoxSpec, sid: SampleId) -> CoefficientField:
     """Draw the coefficient field for (spec, box, sample id); deterministic."""
     n, d = box.n_sites, box.d
-    p = spec.params
     if spec.kind == "constant":
-        diag = np.full((n, d), float(p["value"]))
-    elif spec.kind == "iid-two-point":
-        rng = _rng_for(spec, sid)
-        a, b = float(p["alpha"]), float(p["beta"])
-        diag = np.where(rng.integers(0, 2, size=(n, d)) == 0, a, b)
+        diag = np.full((n, d), spec.marginal[0])
     elif spec.kind == "iid-uniform":
-        rng = _rng_for(spec, sid)
-        diag = rng.uniform(float(p["low"]), float(p["high"]), size=(n, d))
-    elif spec.kind == "correlated-two-point":
-        rng = _rng_for(spec, sid)
-        a, b = float(p["alpha"]), float(p["beta"])
-        base = np.where(rng.integers(0, 2, size=(n, d)) == 0, a, b)
-        w = _kernel_weights(spec, d)
-        diag = np.zeros((n, d))
-        for comp in range(d):
-            g = base[:, comp].reshape(box.shape, order="F")
-            acc = np.zeros_like(g)
-            for off, weight in sorted(w.items()):
-                acc += weight * np.roll(g, shift=tuple(-o for o in off), axis=tuple(range(d)))
-            diag[:, comp] = acc.ravel(order="F")
+        diag = _rng_for(spec, sid).uniform(*spec.marginal, size=(n, d))
+    elif spec.kind in ("iid-two-point", "correlated-two-point"):  # low or high, p = 1/2
+        diag = np.where(_rng_for(spec, sid).integers(0, 2, size=(n, d)) == 0, *spec.marginal)
+        if spec.kind == "correlated-two-point":
+            base, w = diag, _kernel_weights(spec, d)
+            diag = np.zeros((n, d))
+            for comp in range(d):
+                g = base[:, comp].reshape(box.shape, order="F")
+                acc = np.zeros_like(g)
+                for off, weight in sorted(w.items()):
+                    acc += weight * np.roll(g, shift=tuple(-o for o in off), axis=tuple(range(d)))
+                diag[:, comp] = acc.ravel(order="F")
     else:  # periodic-tile
-        cell = np.asarray(p["unit_cell"], dtype=np.float64)
+        cell = np.asarray(spec.params["unit_cell"], dtype=np.float64)
         tile_n, cell_d = cell.shape
         tile_L = round(tile_n ** (1.0 / box.d))
         if tile_L**box.d != tile_n or cell_d != d:
@@ -285,8 +280,7 @@ def site_assignments(spec: EnsembleSpec, d: int) -> np.ndarray:
         raise ParameterError(
             f"site variants require a two-point kind, got {spec.kind!r}"
         )
-    alpha, beta = float(spec.params["alpha"]), float(spec.params["beta"])
-    return np.array(list(itertools.product((alpha, beta), repeat=d)))
+    return np.array(list(itertools.product(spec.marginal, repeat=d)))
 
 
 def site_variants(spec: EnsembleSpec, a: CoefficientField, site: int) -> list[CoefficientField]:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import ParameterError
+from .lattice import ParameterError, _abscissae
 
 __all__ = [
     "Profile1D",
@@ -49,9 +49,9 @@ MIN_POINTS_PER_PERIOD = 8
 RECOMMENDED_POINTS_PER_PERIOD = 32
 
 
-def trapezoid(y: np.ndarray, x: np.ndarray) -> np.float64:
-    """Composite trapezoid rule of y over the 1-d grid x (scipy's formula)."""
-    return np.add.reduce(np.diff(x) * (y[1:] + y[:-1]) / 2.0)
+def trapezoid(y: np.ndarray, x: np.ndarray) -> np.float64 | np.ndarray:
+    """Trapezoid rule of y along its last axis over the 1-d grid x (scipy's formula)."""
+    return np.add.reduce(np.diff(x) * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
 
 
 def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -61,6 +61,14 @@ def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     does not load ``scipy.integrate``.
     """
     return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
+def _conductivity(a_unit, y: np.ndarray) -> np.ndarray:
+    """a_unit(y) as floats; ``ParameterError`` unless every value is positive and finite."""
+    a = np.asarray(a_unit(y), dtype=np.float64)
+    if not np.all(np.isfinite(a) & (a > 0)):
+        raise ParameterError("conductivity must be positive and finite")
+    return a
 
 
 @dataclass(frozen=True)
@@ -101,10 +109,7 @@ class Profile1D:
         return np.linspace(0.0, 1.0, n + 1)
 
     def a_eps(self, x: np.ndarray) -> np.ndarray:
-        a = np.asarray(self.a_unit(x / self.eps), dtype=np.float64)
-        if not np.all(np.isfinite(a) & (a > 0)):
-            raise ParameterError("conductivity must be positive and finite")
-        return a
+        return _conductivity(self.a_unit, x / self.eps)
 
     def ellipticity(self) -> float:
         """min of the sampled unit profile (the lambda of the error bounds)."""
@@ -123,10 +128,7 @@ class Solution1D:
 def harmonic_mean(a_unit, M: int = 4096) -> float:
     """(int_0^1 1/a)^{-1} by composite trapezoid on M intervals."""
     y = np.linspace(0.0, 1.0, M + 1)
-    a = np.asarray(a_unit(y), dtype=np.float64)
-    if not np.all(np.isfinite(a) & (a > 0)):
-        raise ParameterError("conductivity must be positive and finite for the harmonic mean")
-    return float(1.0 / trapezoid(1.0 / a, y))
+    return float(1.0 / trapezoid(1.0 / _conductivity(a_unit, y), y))
 
 
 def _explicit_solution(x: np.ndarray, a_vals: np.ndarray, f_vals: np.ndarray) -> Solution1D:
@@ -163,9 +165,7 @@ def corrector_1d(a_unit, M: int = 4096) -> tuple[np.ndarray, np.ndarray]:
     a_0 is computed with the same quadrature rule.
     """
     y = np.linspace(0.0, 1.0, M + 1)
-    a = np.asarray(a_unit(y), dtype=np.float64)
-    a0 = 1.0 / trapezoid(1.0 / a, y)
-    phi = cumulative_trapezoid(a0 / a - 1.0, y)
+    phi = cumulative_trapezoid(harmonic_mean(a_unit, M) / _conductivity(a_unit, y) - 1.0, y)
     return y, phi
 
 
@@ -227,17 +227,14 @@ def _period_average(F, yq: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Fbar(x) = int_0^1 F(y, x) dy at every node of x, by the trapezoid rule on yq.
 
     F is evaluated on blocks of nodes times the whole yq grid, and each
-    block is reduced along y at once with ``trapezoid``'s formula, so every
-    value is bitwise the one ``trapezoid(F(yq, xv), yq)`` gives.
+    block is reduced along y at once by ``trapezoid``, so every value is
+    bitwise the one ``trapezoid(F(yq, xv), yq)`` gives.
     """
     rows = max(16, 2**16 // yq.size)  # blocks of ~2**16 values stay in cache
-    dy = np.diff(yq)
     out = np.empty(x.size)
     for lo in range(0, x.size, rows):
-        xs = x[lo:lo + rows, None]
-        shape = (xs.shape[0], yq.size)
-        vals = F(np.broadcast_to(yq, shape), np.broadcast_to(xs, shape))
-        out[lo:lo + rows] = np.add.reduce(dy * (vals[:, 1:] + vals[:, :-1]) / 2.0, axis=1)
+        ys, xs = np.broadcast_arrays(yq, x[lo:lo + rows, None])
+        out[lo:lo + rows] = trapezoid(F(ys, xs), yq)
     return out
 
 
@@ -252,7 +249,8 @@ def oscillatory_average_check(F, eps_list, points_per_period: int = 256,
     Fbar takes the trapezoid rule on ``y_points`` intervals, which converges
     geometrically there.
     """
-    eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=np.float64)
+    eps_arr = _abscissae(np.asarray(eps_list, dtype=np.float64), "eps_list", 1.0, "(0, 1]",
+                         fit=False)[::-1]  # coarsest first
     grids = [np.linspace(0.0, 1.0, max(1024, int(np.ceil(1.0 / eps)) * points_per_period) + 1)
              for eps in eps_arr]
     # Fbar does not depend on eps: average once per distinct node of all grids
@@ -295,7 +293,8 @@ def sup_error_check(profile: Profile1D, eps_list) -> SupErrorReport:
     gradient error stays bounded away from zero for oscillatory a, while
     the pairings against smooth test functions vanish with eps.
     """
-    eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=np.float64)
+    eps_arr = _abscissae(np.asarray(eps_list, dtype=np.float64), "eps_list", 1.0, "(0, 1]",
+                         fit=False)[::-1]  # coarsest first
     sups, grads, weaks = [], [], []
     for eps in eps_arr:
         p = replace(profile, eps=eps)
@@ -307,7 +306,7 @@ def sup_error_check(profile: Profile1D, eps_list) -> SupErrorReport:
         grads.append(float(trapezoid(diff**2, x)))
         weaks.append([float(trapezoid(diff * tf(x), x)) for tf in _TEST_FUNCTIONS])
     sups = np.asarray(sups)
-    if np.all(sups > 0) and np.unique(eps_arr).size > 1:
+    if np.all(sups > 0) and eps_arr.size > 1:
         slope = float(np.polyfit(np.log(eps_arr), np.log(sups), 1)[0])
     else:
         slope = float("nan")  # homogeneous profile or one eps: nothing to rate-fit

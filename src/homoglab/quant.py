@@ -33,6 +33,7 @@ from .lattice import (
     CoefficientField,
     ParameterError,
     ScalarField,
+    _abscissae,
     _dot,
     _grad_energy,
     div_star,
@@ -90,27 +91,6 @@ class DecayFit:
     slope: float
     intercept: float
     r_squared: float
-
-
-def _abscissae(values: np.ndarray, name: str, limit: float, window: str,
-               fit: bool = True) -> np.ndarray:
-    """``values`` sorted; ``ParameterError`` unless each is positive (the fit is in
-    log-log), distinct (the fit would count a repeat twice) and at most ``limit``,
-    the edge of ``window``, with two of them where a line is ``fit``."""
-    xs = np.sort(values)
-    if xs.size == 0:
-        raise ParameterError(f"{name} must be a non-empty list of positive values")
-    if not np.all(xs > 0):
-        raise ParameterError(f"{name} must be positive, got {xs.tolist()}")
-    if np.any(xs[1:] == xs[:-1]):
-        raise ParameterError(f"{name} must be distinct, got {xs.tolist()}: the fit would "
-                             f"count a repeated point twice")
-    if fit and xs.size < 2:
-        raise ParameterError(f"{name} needs at least two distinct values for the fit, "
-                             f"got {xs.tolist()}")
-    if xs[-1] > limit:
-        raise ParameterError(f"{name} value {xs[-1]} outside {window} = {limit}")
-    return xs
 
 
 def _linear_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:

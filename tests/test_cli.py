@@ -101,8 +101,9 @@ class TestOned:
         {"a": {"kind": "constant"}},
         {"a": {"kind": "layered", "alpha": 0.5}},
         {"f": {"kind": "one"}},
+        {"eps_list": [0.0625, 0.25, 0.125, 0.125]},
     ], ids=["points-per-period-float", "sine-k-float", "constant-without-value",
-            "layered-without-beta", "forcing-one"])
+            "layered-without-beta", "forcing-one", "eps-list-repeated"])
     def test_bad_profile_exits_3_and_writes_nothing(self, params, tmp_path, capsys):
         path = tmp_path / "oned.json"
         path.write_text(json.dumps({"experiment": "oned",

@@ -4,6 +4,7 @@ import pytest
 from homoglab.lattice import (
     BoxSpec,
     CoefficientField,
+    ParameterError,
     ScalarField,
     VectorField,
     div_star,
@@ -19,7 +20,6 @@ from homoglab.correctors import (
     corrector_set,
     div_star_skew,
     flux,
-    flux_average,
     solve_corrector,
     solve_flux_corrector,
     solve_modified_corrector,
@@ -104,14 +104,14 @@ class TestFlux:
         box = BoxSpec(2, 8)
         a = CoefficientField.constant(box, 0.5, lam=0.25)
         phi, _ = solve_corrector(a, [1.0, 0.0], CFG)
-        q = flux(a, phi, [1.0, 0.0])
+        q, _ = flux(a, phi, [1.0, 0.0])
         assert np.max(np.abs(q.values)) < 1e-14
 
     def test_mean_exactly_zero(self, rng):
         box = BoxSpec(2, 8)
         a = random_coefficients(box, rng)
         phi, _ = solve_corrector(a, [1.0, 0.0], CFG)
-        q = flux(a, phi, [1.0, 0.0])
+        q, _ = flux(a, phi, [1.0, 0.0])
         assert np.max(np.abs(q.values.mean(axis=0))) < 1e-15
 
     def test_divergence_free_to_tolerance(self, rng):
@@ -119,7 +119,7 @@ class TestFlux:
         a = random_coefficients(box, rng)
         xi = [1.0, 0.0]
         phi, _ = solve_corrector(a, xi, CFG)
-        q = flux(a, phi, xi)
+        q, _ = flux(a, phi, xi)
         raw = a.diag * (grad(phi).values + np.asarray(xi))
         resid = np.linalg.norm(div_star(q).values)
         assert resid <= 10 * CFG.tol * np.linalg.norm(raw)
@@ -154,7 +154,7 @@ class TestFluxCorrector:
         a = random_coefficients(box, rng)
         xi = [1.0, 0.0]
         phi, _ = solve_corrector(a, xi, SolverConfig(tol=1e-12))
-        q = flux(a, phi, xi)
+        q, _ = flux(a, phi, xi)
         sigma, _ = solve_flux_corrector(q, SolverConfig(tol=1e-12))
 
         lap = operator_matrix(lambda u: apply_constant(np.eye(2), u), box)
@@ -202,6 +202,15 @@ class TestModifiedCorrector:
         lhs = float(np.sum(phi_T.values**2)) / T + float(np.sum(g * (a.diag * (g + xi))))
         scale = float(np.sum(phi_T.values**2)) / T + float(np.sum(np.abs(g * (a.diag * (g + xi))))) + 1.0
         assert abs(lhs) < 1e-9 * scale
+
+    @pytest.mark.parametrize("xi", [[1.0], [0.0, 0.0], [1.0, 0.0, 0.0]],
+                             ids=["short", "zero", "long"])
+    def test_bad_direction_rejected(self, xi, rng):
+        # the same check as solve_corrector's: a short xi broadcast, a zero xi
+        # gave phi = 0 and a long one a numpy broadcasting error
+        a = random_coefficients(BoxSpec(2, 4), rng)
+        with pytest.raises(ParameterError, match="nonzero vector of length 2"):
+            solve_modified_corrector(a, xi, 4.0)
 
 
 class TestAhomCell:
@@ -332,4 +341,4 @@ class TestCorrectorSetBundle:
         assert abs(np.mean(cs.phi.values)) < 1e-12
         assert all(r.converged for r in cs.reports)
         xi = np.array([0.0, 1.0])
-        assert np.allclose(cs.ahom_row, flux_average(a, cs.phi, xi))
+        assert np.allclose(cs.ahom_row, flux(a, cs.phi, xi)[1])

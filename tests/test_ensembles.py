@@ -250,6 +250,22 @@ def test_is_deterministic(spec, deterministic):
     assert all(np.array_equal(draws[0], d) for d in draws) == deterministic
 
 
+@pytest.mark.parametrize("spec,marginal", [
+    (constant(0.5), (0.5, 0.5)),
+    (two_point(alpha=0.3, beta=0.6), (0.3, 0.6)),
+    (EnsembleSpec("correlated-two-point", {"alpha": "0.25", "beta": 0.75, "radius": 2}, 0.2, 0),
+     (0.25, 0.75)),
+    (uniform(low=0.3, high=0.9), (0.3, 0.9)),
+    (EnsembleSpec("periodic-tile", {"unit_cell": [[0.3, 0.7]] * 4}, 0.2, 0), None),
+], ids=["constant", "two-point", "correlated", "uniform", "periodic-tile"])
+def test_marginal_is_read_at_construction(spec, marginal):
+    assert spec.marginal == marginal
+    assert all(type(v) is float for v in spec.marginal or ())
+    # a derived field: not an argument, not in the repr, equality or JSON
+    assert spec == EnsembleSpec(spec.kind, spec.params, spec.lam, spec.master_seed)
+    assert "marginal" not in repr(spec) and "marginal" not in spec.to_json()
+
+
 class TestJsonRoundTrip:
     def test_spec_serializes(self, tmp_path):
         spec = two_point(alpha=0.3, beta=0.6, lam=0.25, master_seed=11)

@@ -7,7 +7,9 @@ directory empty.  A usage error's ``SystemExit`` carries its code.
 A case is ``argv`` and ``files``: each ``files[name]`` is written to an
 input directory, and an argument ``@name`` stands for its path; every
 experiment reads ``configs/ensemble_2pt.json`` unless ``files`` gives an
-``ensemble``.  A pinned example also gives the ``expected`` code.
+``ensemble``, which a drawn case often does, of any of the five
+kinds and with degenerate parameters among the rest.  A pinned example
+also gives the ``expected`` code.
 """
 
 import json
@@ -20,14 +22,42 @@ from hypothesis import example, given, settings, strategies as st
 
 from homoglab.cli import (EXIT_CONFIG_ERROR, EXIT_OK, EXIT_SOLVER_FAILURE, EXPERIMENTS,
                           main)
+from homoglab.ensembles import KINDS
 
 ENSEMBLE = (Path(__file__).parents[1] / "configs" / "ensemble_2pt.json").read_bytes()
 INTS = [-1, 0, 1, 2, 3, 5]
 FLOATS = [-1.0, 0.0, 0.05, 1.0, 1.1, math.nan, math.inf]
+# coefficient values: inside (lambda, 1) = (0.2, 1), on its edges, and nan
+VALUES = [0.3, 0.5, 0.9, 0.2, 1.0, math.nan]
 
 
 def _oned(**params) -> dict:
     return {"config": json.dumps({"experiment": "oned", "params": params}).encode()}
+
+
+def _ensemble(kind: str, **params) -> dict:
+    return {"ensemble": json.dumps({"kind": kind, "params": params, "lambda": 0.2,
+                                    "master_seed": 7}).encode()}
+
+
+@st.composite
+def ensembles(draw) -> dict:
+    """An ensemble file of any kind; equal two-point values, a one-site tile or
+    a tile that fits no box are degenerate cases among the drawn ones."""
+    kind = draw(st.sampled_from(KINDS))
+    value = st.sampled_from(VALUES)
+    if kind == "constant":
+        return _ensemble(kind, value=draw(value))
+    if kind == "iid-uniform":
+        return _ensemble(kind, low=draw(value), high=draw(value))
+    if kind == "periodic-tile":
+        d = draw(st.integers(1, 3))
+        rows = st.lists(value, min_size=d, max_size=d)
+        return _ensemble(kind, unit_cell=draw(st.lists(rows, min_size=1, max_size=8)))
+    params = {"alpha": draw(value), "beta": draw(value)}
+    if kind == "correlated-two-point":
+        params.update(radius=draw(st.sampled_from(INTS)), decay=draw(st.sampled_from(FLOATS)))
+    return _ensemble(kind, **params)
 
 
 def _values(name: str, kind: type, nargs: str | None):
@@ -50,7 +80,7 @@ def cases(draw) -> tuple[list[str], dict]:
         values = draw(st.none() | _values(*spec))
         if values is not None:
             argv += ["--" + flag, *map(str, values)]
-    files = {}
+    files = draw(st.just({}) | ensembles())
     if command == "oned":
         params = {"eps_list": draw(st.none() | st.lists(st.sampled_from(FLOATS), max_size=3)),
                   "points_per_period": draw(st.none() | st.sampled_from(INTS))}
@@ -87,6 +117,12 @@ def cases(draw) -> tuple[list[str], dict]:
 @example(case=(["ahom", "--config", "@config", "--L", "4"], {"config": b"{"}), expected=3)
 @example(case=(["replay", "@manifest"], {"manifest": b"not json"}), expected=3)
 @example(case=(["oned", "--config", "@config"], _oned(eps_list=[])), expected=3)
+@example(case=(["oned", "--config", "@config"], _oned(eps_list=[0.0625, 0.25, 0.125, 0.125])),
+         expected=3)
+@example(case=(["cell", "--d", "2", "--L", "8"],
+               _ensemble("periodic-tile", unit_cell=[[0.5, 0.5]] * 3)), expected=3)
+@example(case=(["semigroup", "--d", "2", "--L", "16", "--samples", "2", "--t-grid", "1", "4"],
+               _ensemble("constant", value=0.5)), expected=0)
 @example(case=(["oned", "--config", "@config"],
                _oned(a={"kind": "constant", "value": "abc"})), expected=3)
 def test_exit_code_is_0_2_or_3_and_a_failure_writes_nothing(case, expected):

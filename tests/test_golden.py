@@ -3,6 +3,8 @@
 One tiny config per experiment, plus the d=3 corrector, growth, green and
 sg, with the SHA-256 of every output as homoglab 0.9.0 wrote it.  Each is
 replayed from a manifest at one and two threads and must match exactly.
+Those run on the iid two-point ensemble; the cases named after another
+ensemble kind hold the bytes that homoglab 0.9.2 wrote on that kind.
 """
 
 import json
@@ -11,13 +13,21 @@ import pytest
 
 from homoglab.cli import replay
 
-ENSEMBLE = {"kind": "iid-two-point", "params": {"alpha": 0.25, "beta": 0.75},
-            "lambda": 0.2, "master_seed": 321}
+
+def _ensemble(kind, **params):
+    return {"kind": kind, "params": params, "lambda": 0.2, "master_seed": 321}
 
 
-def _config(experiment, out, params, d=None, L=None):
+ENSEMBLE = _ensemble("iid-two-point", alpha=0.25, beta=0.75)
+UNIFORM = _ensemble("iid-uniform", low=0.25, high=0.75)
+CORRELATED = _ensemble("correlated-two-point", alpha=0.25, beta=0.75, radius=1, decay=0.5)
+CONSTANT = _ensemble("constant", value=0.5)
+TILE = _ensemble("periodic-tile", unit_cell=[[0.3, 0.5], [0.7, 0.4], [0.6, 0.9], [0.25, 0.8]])
+
+
+def _config(experiment, out, params, d=None, L=None, ensemble=ENSEMBLE):
     return {"experiment": experiment, "params": params, "out": out,
-            "ensemble": ENSEMBLE if d else None,
+            "ensemble": ensemble if d else None,
             "box": {"d": d, "L": L} if d else None}
 
 
@@ -39,15 +49,31 @@ CASES = {
     "green-d3": _config("green", "green3.json", {"samples": 2, "radii": [2, 3, 4]}, 3, 16),
     "meyers": _config("meyers", "meyers.json", {"samples": 4}, 2, 8),
     "birkhoff": _config("birkhoff", "birkhoff.json", {"samples": 8, "R_list": [2, 4]}, 2, 8),
+    "birkhoff-uniform": _config("birkhoff", "birkhoff.json", {"samples": 8, "R_list": [2, 4]},
+                                2, 8, UNIFORM),
+    "ahom-correlated": _config("ahom", "ahom.json", {"samples": 4}, 2, 8, CORRELATED),
+    "semigroup-constant": _config("semigroup", "semigroup.json",
+                                  {"samples": 4, "t_grid": [1, 4]}, 2, 16, CONSTANT),
+    "cell-tile": _config("cell", "cell.json", {"sample": 1}, 2, 8, TILE),
+    "birkhoff-tile": _config("birkhoff", "birkhoff.json", {"samples": 4, "R_list": [2, 4]},
+                             2, 8, TILE),
 }
 
 OUTPUTS = {
     "ahom": {"ahom.json":
         "dfef3a9c54b41e0c57108afaa60f865e3ab48ece7baba71d7d867a74961f6f26"},
+    "ahom-correlated": {"ahom.json":
+        "d4605fef0b2147ec20ef0527a6e28d12491c46de09096654d5002de9c11e798a"},
     "birkhoff": {"birkhoff.json":
         "78347c19cd627a6aaa3d664afe90cde4259905e9ab01c63651bba55752a2879a"},
+    "birkhoff-tile": {"birkhoff.json":
+        "1fa9e590cfe6eda25bdbc3d8f090adfde248b07cbd1e66d8b5a10ce6899c20c0"},
+    "birkhoff-uniform": {"birkhoff.json":
+        "676de704d87651db2c0bd727c6380b1f3f81ca0d402b8eceac165e29e32fdcf8"},
     "cell": {"cell.json":
         "1b414a144cd5d88bdb3467d1d8e513c247d91b4f4286830b34328b8bfc618761"},
+    "cell-tile": {"cell.json":
+        "079a805384badacec21b35961ee84892fd1a9de1f9fb6d33e1dd8248592c9a01"},
     "corrector": {
         "corrector.csv":
             "fe1cde436c3a1121b22b538245acd9089cc970776fba1a5be69405ba74a55601",
@@ -74,6 +100,8 @@ OUTPUTS = {
         "34a49db9e2853fd38c6775c8a608c0619ba7f0ae3f7d8f4fdcb32f4dfcaeb8b0"},
     "semigroup": {"semigroup.json":
         "d4c938acfe769a3a635de053c6c95f48857997c90cf7b9326e11e4f74fcf8641"},
+    "semigroup-constant": {"semigroup.json":
+        "f5d57e11d185bfb99759ce3521a2c7b92f582ed58f45446f23ba7215006d5a99"},
     "sg": {"sg.json":
         "5b5b601e2d002e7f750aef49b8bf370098c71f69ae18e404f2bbe30d0cbc2735"},
     "sg-d3": {"sg3.json":

@@ -3,6 +3,7 @@ import pytest
 import scipy.integrate
 import scipy.optimize
 
+from homoglab.lattice import ParameterError
 from homoglab.oned import (
     Profile1D,
     corrector_1d,
@@ -247,12 +248,25 @@ class TestOscillatoryAverage:
         assert np.max(ratios) < 2.0 * np.min(ratios) + 1e-12
         assert np.isfinite(rep.fitted_constant)
 
+    @pytest.mark.parametrize("eps_list,message", [
+        ([], "a non-empty"), ([1 / 4, 1 / 4], "distinct")], ids=["empty", "repeated"])
+    def test_bad_eps_list_rejected(self, eps_list, message):
+        with pytest.raises(ParameterError, match=f"eps_list must be {message}"):
+            oscillatory_average_check(lambda y, x: np.sin(2 * np.pi * y) * x, eps_list)
+
 
 class TestSupError:
     def test_constant_profile_error_tiny(self):
         p = Profile1D(a_unit=lambda y: np.full_like(np.asarray(y), 0.5), f=ODD_F, eps=1 / 8)
         rep = sup_error_check(p, [1 / 8, 1 / 16])
         assert np.max(rep.sup_errors) < 1e-12
+
+    @pytest.mark.parametrize("eps_list,message", [
+        ([], "a non-empty"), ([1 / 8, 1 / 8], "distinct")], ids=["empty", "repeated"])
+    def test_bad_eps_list_rejected(self, eps_list, message):
+        # the same reader as the rate statistics' abscissae
+        with pytest.raises(ParameterError, match=f"eps_list must be {message}"):
+            sup_error_check(sine_profile(), eps_list)
 
     def test_first_order_rate(self):
         rep = sup_error_check(sine_profile(), EPS_LIST)
