@@ -139,13 +139,6 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _map_fn(threads: int):
-    if threads <= 1:
-        return map, None
-    pool = ThreadPoolExecutor(max_workers=threads)
-    return pool.map, pool
-
-
 # ---------------------------------------------------------------------------
 # 1d profile / forcing catalog (declarative so configs stay data-only)
 # ---------------------------------------------------------------------------
@@ -365,14 +358,10 @@ def _execute(cfg: ExperimentConfig, threads: int) -> tuple[dict[str, str], dict]
     config_json = cfg.to_json()
     config_blob = json.dumps(config_json, sort_keys=True).encode()
     params = _typed_params(cfg)
-    map_fn, pool = _map_fn(threads)
     t0 = time.monotonic()
-    try:
-        with collecting_reports() as collector:
-            outputs = EXPERIMENTS[cfg.experiment].run(cfg, params, map_fn)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    # no worker starts before the first task, and one thread maps serially
+    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool, collecting_reports() as collector:
+        outputs = EXPERIMENTS[cfg.experiment].run(cfg, params, pool.map if threads > 1 else map)
     wall = time.monotonic() - t0
     manifest = {
         "artifact_version": __version__,
@@ -416,26 +405,23 @@ def replay(manifest_path: str, threads: int = 1) -> tuple[bool, dict]:
         raise ParameterError(f"malformed manifest {manifest_path}: needs 'config' and "
                              f"'outputs' objects")
     outputs, _ = _execute(ExperimentConfig.from_json(manifest["config"]), threads)
-    report = {"files": {}, "max_abs_deviation": 0.0, "match": True}
+    report = {"files": {}, "max_abs_deviation": 0.0}
     for name, sha in manifest["outputs"].items():
         new_text = outputs.get(name)
-        entry = {"recorded_sha256": sha}
-        if new_text is None:
-            entry["status"] = "missing"
-            report["match"] = False
-        else:
-            new_sha = _sha256_hex(new_text.encode())
-            entry["recomputed_sha256"] = new_sha
-            entry["status"] = "identical" if new_sha == sha else "differs"
-            if new_sha != sha:
-                report["match"] = False
-                if os.path.exists(name):
-                    with open(name) as fh:
-                        old_text = fh.read()
-                    dev = _numeric_deviation(old_text, new_text)
-                    entry["max_abs_deviation"] = dev
-                    report["max_abs_deviation"] = max(report["max_abs_deviation"], dev)
+        entry = {"recorded_sha256": sha, "status": "missing"}
         report["files"][name] = entry
+        if new_text is None:
+            continue
+        new_sha = _sha256_hex(new_text.encode())
+        entry["recomputed_sha256"] = new_sha
+        entry["status"] = "identical" if new_sha == sha else "differs"
+        if new_sha != sha and os.path.exists(name):
+            with open(name) as fh:
+                old_text = fh.read()
+            dev = _numeric_deviation(old_text, new_text)
+            entry["max_abs_deviation"] = dev
+            report["max_abs_deviation"] = max(report["max_abs_deviation"], dev)
+    report["match"] = all(e["status"] == "identical" for e in report["files"].values())
     return report["match"], report
 
 
@@ -522,8 +508,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if args.seed is not None:
         if cfg.ensemble is None:
             raise ParameterError("--seed needs an ensemble")
-        cfg.ensemble = EnsembleSpec(cfg.ensemble.kind, cfg.ensemble.params,
-                                    cfg.ensemble.lam, args.seed)
+        cfg.ensemble = replace(cfg.ensemble, master_seed=args.seed)
     d = args.d if args.d is not None else (cfg.box.d if cfg.box else 2)
     L = args.L if args.L is not None else (cfg.box.L if cfg.box else None)
     if L is not None:

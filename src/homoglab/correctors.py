@@ -162,11 +162,10 @@ def solve_flux_corrector(q: VectorField, cfg: SolverConfig = SolverConfig()
             residual = rhs - _div_star_arr([_grad_arr(s, i) for i in range(d)])
             bnorm = _norm(rhs)
             rel = _norm(residual) / bnorm if bnorm else 0.0
-            s, rep = _checked((ScalarField.from_grid(box, s), SolveReport(0, rel, rel <= cfg.tol)),
-                              f"flux corrector ({j},{k})")
-            reports.append(rep)
-            sigma[:, j, k] = s.values
-            sigma[:, k, j] = -s.values
+            reports.append(_checked(SolveReport(0, rel, rel <= cfg.tol),
+                                    f"flux corrector ({j},{k})"))
+            sigma[:, j, k] = s.ravel(order="F")
+            sigma[:, k, j] = -sigma[:, j, k]
     return SkewField(box, sigma), reports
 
 

@@ -96,41 +96,36 @@ class SolveReport:
 
 
 class ReportCollector:
-    """Thread-safe aggregation of solve reports for run manifests.
+    """Thread-safe record of a scope's solve reports for run manifests.
 
-    Only order-independent aggregates are kept, so manifests do not depend
-    on worker scheduling.  ``dense_solves`` counts inverted dense matrices,
-    which ``summary`` (the CG solves) leaves out.
+    ``reports`` holds every CG solve report in completion order; ``summary``
+    reduces it with order-independent aggregates only, so manifests do not
+    depend on worker scheduling.  ``dense_solves`` counts inverted dense
+    matrices, which ``summary`` (the CG solves) leaves out.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self.n_solves = 0
-        self.total_iterations = 0
-        self.max_iterations = 0
-        self.max_residual = 0.0
-        self.all_converged = True
+        self.reports: list[SolveReport] = []
         self.dense_solves = 0
 
     def add(self, rep: "SolveReport") -> None:
         with self._lock:
-            self.n_solves += 1
-            self.total_iterations += rep.iterations
-            self.max_iterations = max(self.max_iterations, rep.iterations)
-            self.max_residual = max(self.max_residual, rep.final_relative_residual)
-            self.all_converged = self.all_converged and rep.converged
+            self.reports.append(rep)
 
     def add_dense(self, count: int) -> None:
         with self._lock:
             self.dense_solves += count
 
     def summary(self) -> dict:
+        reps = self.reports
         return {
-            "n_solves": self.n_solves,
-            "total_iterations": self.total_iterations,
-            "max_iterations": self.max_iterations,
-            "max_final_relative_residual": self.max_residual,
-            "all_converged": self.all_converged,
+            "n_solves": len(reps),
+            "total_iterations": sum(r.iterations for r in reps),
+            "max_iterations": max((r.iterations for r in reps), default=0),
+            "max_final_relative_residual": max((r.final_relative_residual for r in reps),
+                                               default=0.0),
+            "all_converged": all(r.converged for r in reps),
         }
 
 
@@ -197,7 +192,11 @@ def cg_solve(operator, rhs: ScalarField, cfg: SolverConfig = SolverConfig(),
     rel = 1.0
     while it < max_iter:
         Ap = operator(p)
-        alpha = rz / _dot(p, Ap)
+        pAp = _dot(p, Ap)
+        if not pAp > 0:  # p = 0 (a preconditioner that rounds r to 0) or non-finite
+            raise SolverError(f"CG breakdown: p^T A p = {pAp} at iteration {it}",
+                              SolveReport(it, rel, False, removed))
+        alpha = rz / pAp
         x += np.multiply(p, alpha, out=step)
         it += 1
         if it % 50 == 0:
@@ -231,15 +230,14 @@ def _fix_gauge(x: np.ndarray, cfg: SolverConfig) -> None:
         x -= x.ravel(order="F")[0]
 
 
-def _checked(result: tuple[ScalarField, SolveReport], what: str) -> tuple[ScalarField, SolveReport]:
-    u, rep = result
+def _checked(rep: SolveReport, what: str) -> SolveReport:
     if not rep.converged:
         raise SolverError(
             f"{what}: not converged after {rep.iterations} iterations "
             f"(residual {rep.final_relative_residual:.3e})",
             rep,
         )
-    return u, rep
+    return rep
 
 
 def _elliptic_op(a: CoefficientField, shift: float = 0.0):
@@ -268,8 +266,8 @@ def _solve(a: CoefficientField, shift: float, rhs: ScalarField, cfg: SolverConfi
     precond = None
     if cfg.preconditioner == "spectral":
         precond = inverse(a.box, shift, float(a.diag.mean()) * np.eye(a.box.d), np.float32)
-    return _checked(cg_solve(_elliptic_op(a, shift), rhs, cfg, singular=shift == 0,
-                             precond=precond), what)
+    u, rep = cg_solve(_elliptic_op(a, shift), rhs, cfg, singular=shift == 0, precond=precond)
+    return u, _checked(rep, what)
 
 
 def solve_elliptic(a: CoefficientField, rhs: ScalarField,

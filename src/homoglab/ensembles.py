@@ -82,6 +82,9 @@ class EnsembleSpec:
             raise ParameterError(f"unknown ensemble kind {self.kind!r}")
         if not (0.0 < self.lam < 1.0):
             raise ParameterError(f"lambda={self.lam} must be in (0,1)")
+        if _exact_int(self.master_seed) < 0:
+            raise ParameterError(f"master_seed must be a non-negative integer, "
+                                 f"got {self.master_seed}")
         p = self.params
         if self.kind == "constant":
             v = float(p["value"])

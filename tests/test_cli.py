@@ -153,9 +153,10 @@ class TestDispatchAndErrors:
         {"kind": "iid-two-point", "params": {"alpha": 0.25, "beta": 0.75}, "master_seed": "x"},
         {"kind": "iid-two-point", "params": {"alpha": 0.25, "beta": 0.75}, "master_seed": 1.9},
         {"kind": "iid-two-point", "params": {"alpha": 0.25, "beta": 0.75}, "master_seed": True},
+        {"kind": "iid-two-point", "params": {"alpha": 0.25, "beta": 0.75}, "master_seed": -1},
         [1, 2],
     ], ids=["no-master-seed", "no-beta", "null-beta", "params-list", "seed-string",
-            "seed-float", "seed-bool", "not-an-object"])
+            "seed-float", "seed-bool", "seed-negative", "not-an-object"])
     @pytest.mark.parametrize("experiment", ["ahom", "sg"])
     def test_incomplete_ensemble_file_exits_3_and_writes_nothing(
             self, ensemble, experiment, tmp_path, capsys):
@@ -166,6 +167,23 @@ class TestDispatchAndErrors:
         assert code == EXIT_CONFIG_ERROR
         assert "config error" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["bad.json"]
+
+    @pytest.mark.parametrize("argv,ensemble", [
+        (["cell", "--L", "4", "--seed", "-1"], None),
+        (["cell", "--L", "4"], {"kind": "constant", "master_seed": -1, "params": {"value": 0.5}}),
+    ], ids=["seed-flag", "constant-file"])
+    def test_negative_seed_exits_3_and_writes_nothing(self, argv, ensemble, ensemble_file,
+                                                      tmp_path, capsys):
+        if ensemble is not None:
+            ensemble_file = str(tmp_path / "negative.json")
+            with open(ensemble_file, "w") as fh:
+                json.dump(ensemble, fh)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main([*argv, "--ensemble", ensemble_file,
+                     "--out", str(out / "never.json")]) == EXIT_CONFIG_ERROR
+        assert "master_seed must be a non-negative integer" in capsys.readouterr().err
+        assert os.listdir(out) == []
 
     @pytest.mark.parametrize("argv", [
         ["sg", "--L", "4", "--samples", "1"],
@@ -537,6 +555,18 @@ class TestDeterminismAndReplay:
         assert main(["replay", mpath]) == EXIT_SOLVER_FAILURE
         assert "solver failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha", ["1e40", "1e100"])
+    def test_cg_breakdown_exits_2_and_writes_nothing(self, alpha, ensemble_file, tmp_path,
+                                                     capsys):
+        # the float32 preconditioner rounds 1/(alpha + symbol) to 0, so p^T A p = 0
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["twoscale", "--L", "8", "--samples", "2", "--alpha", alpha,
+                     "--ensemble", ensemble_file,
+                     "--out", str(out / "never.csv")]) == EXIT_SOLVER_FAILURE
+        assert "CG breakdown" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
     @pytest.mark.parametrize("edit", [
         lambda m: m.pop("outputs"),
         lambda m: m.pop("config"),
@@ -580,6 +610,25 @@ class TestDeterminismAndReplay:
         open(mpath, "w").write(json.dumps(manifest))
         code = main(["replay", mpath])
         assert code == EXIT_REPLAY_MISMATCH
+
+    def test_replay_reports_each_file_and_matches_only_if_all_are_identical(
+            self, ensemble_file, tmp_path):
+        out = str(tmp_path / "ahom.json")
+        assert main(["ahom", "--ensemble", ensemble_file, "--L", "4", "--samples", "2",
+                     "--out", out]) == EXIT_OK
+        mpath = out + ".manifest.json"
+        manifest = json.loads(open(mpath).read())
+        sha = manifest["outputs"][out]
+        for outputs, statuses in (
+                ({out: sha, "extra.json": sha}, {out: "identical", "extra.json": "missing"}),
+                ({out: "0" * 64}, {out: "differs"}),
+                ({out: sha}, {out: "identical"})):
+            manifest["outputs"] = outputs
+            open(mpath, "w").write(json.dumps(manifest))
+            ok, report = replay(mpath)
+            assert {name: e["status"] for name, e in report["files"].items()} == statuses
+            assert ok is report["match"] is (set(statuses.values()) == {"identical"})
+            assert report["files"][out]["recomputed_sha256"] == sha
 
     def test_replay_reports_numeric_deviation(self, ensemble_file, tmp_path):
         out = str(tmp_path / "ahom.json")
@@ -698,12 +747,27 @@ class TestReportScope:
         assert (ahom["dense_solves"], ahom["solver_summary"]["n_solves"]) == (0, 4)
         assert main(["replay", "sg.manifest.json"]) == EXIT_OK
 
+    @pytest.mark.parametrize("threads", [0, 1, 2])
+    def test_run_leaves_no_worker_thread_and_one_thread_starts_none(
+            self, threads, ensemble_file, monkeypatch):
+        cell, ran_in = homoglab.correctors.ahom_cell, set()
+
+        def ahom_cell(a, cfg):
+            ran_in.add(threading.current_thread())
+            return cell(a, cfg)
+
+        monkeypatch.setattr(homoglab.correctors, "ahom_cell", ahom_cell)
+        before = set(threading.enumerate())
+        _execute(self._ahom(ensemble_file, 4), threads)
+        assert set(threading.enumerate()) == before
+        assert (ran_in == {threading.current_thread()}) is (threads <= 1)
+
     def test_scope_reaches_a_callers_own_pool(self, ensemble_file):
         spec = EnsembleSpec.load(ensemble_file)
         with collecting_reports() as outer, ThreadPoolExecutor(2) as pool:
             with collecting_reports() as inner:
                 ahom_rve(spec, BoxSpec(2, 8), 6, map_fn=pool.map)
-        assert inner.n_solves == outer.n_solves == 12
+        assert len(inner.reports) == len(outer.reports) == 12
 
 
 class TestConfigRoundTrip:

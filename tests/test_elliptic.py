@@ -13,6 +13,8 @@ from homoglab.lattice import (
     torus_coordinates,
 )
 from homoglab.elliptic import (
+    ReportCollector,
+    SolveReport,
     SolverConfig,
     SolverError,
     _elliptic_op,
@@ -89,6 +91,19 @@ class TestCG:
         with pytest.raises(SolverError):
             solve_elliptic(a, rhs, cfg)
 
+    @pytest.mark.parametrize("shift", [1e40, 1e100])
+    def test_breakdown_is_a_solver_error(self, shift, rng):
+        # the float32 preconditioner rounds 1/(shift + symbol) to 0, so p^T A p = 0;
+        # plain CG converges at once on this nearly diagonal operator
+        box = BoxSpec(2, 8)
+        a = random_coefficients(box, rng)
+        rhs = ScalarField(box, rng.normal(size=box.n_sites))
+        with pytest.raises(SolverError, match="CG breakdown") as info:
+            solve_shifted(a, shift, rhs)
+        assert not info.value.report.converged
+        _, rep = solve_shifted(a, shift, rhs, SolverConfig(preconditioner="none"))
+        assert rep.converged
+
     def test_spectral_preconditioner_changes_nothing_beyond_tol(self, rng):
         box = BoxSpec(2, 12)
         a = random_coefficients(box, rng)
@@ -131,6 +146,27 @@ class TestCG:
 def solve_massive(a, T, F, cfg=SolverConfig()):
     """Solve (1/T) u + div*(a grad u) = div* F."""
     return solve_shifted(a, 1.0 / T, div_star(F), cfg)
+
+
+class TestReportCollector:
+    REPORTS = [SolveReport(3, 1e-11, True), SolveReport(7, 5e-12, True),
+               SolveReport(0, 0.0, True, 0.5), SolveReport(2, 0.25, False)]
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["in-order", "reversed"])
+    def test_summary_reduces_the_kept_reports(self, order):
+        collector = ReportCollector()
+        for rep in self.REPORTS[::order]:
+            collector.add(rep)
+        assert collector.reports == self.REPORTS[::order]
+        assert collector.summary() == {"n_solves": 4, "total_iterations": 12,
+                                       "max_iterations": 7,
+                                       "max_final_relative_residual": 0.25,
+                                       "all_converged": False}
+
+    def test_empty_summary(self):
+        summary = ReportCollector().summary()
+        assert list(summary.values()) == [0, 0, 0, 0.0, True]
+        assert type(summary["max_final_relative_residual"]) is float
 
 
 class TestMassive:

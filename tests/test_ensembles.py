@@ -43,6 +43,14 @@ class TestValidation:
                 "got alpha=0.7, beta=0.3")):
             two_point(alpha=0.7, beta=0.3)
 
+    @pytest.mark.parametrize("make", [
+        lambda: two_point(master_seed=-1), lambda: constant(0.5, master_seed=-1),
+        lambda: EnsembleSpec("iid-uniform", {"low": 0.3, "high": 0.9}, 0.2, -5),
+    ], ids=["two-point", "constant", "uniform"])
+    def test_negative_master_seed_rejected(self, make):
+        with pytest.raises(ParameterError, match="master_seed must be a non-negative integer"):
+            make()
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParameterError, match="unknown ensemble kind 'gaussian'"):
             EnsembleSpec("gaussian", {}, 0.2, 0)
@@ -322,5 +330,5 @@ class TestPerSample:
                                functools.partial(pool.map, timeout=60))
         finally:
             sys.setswitchinterval(interval)
-        assert inner.n_solves == outer.n_solves == 2000
+        assert len(inner.reports) == len(outer.reports) == 2000
         assert inner.dense_solves == outer.dense_solves == 6000

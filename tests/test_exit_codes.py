@@ -35,9 +35,9 @@ def _oned(**params) -> dict:
     return {"config": json.dumps({"experiment": "oned", "params": params}).encode()}
 
 
-def _ensemble(kind: str, **params) -> dict:
+def _ensemble(kind: str, master_seed: int = 7, **params) -> dict:
     return {"ensemble": json.dumps({"kind": kind, "params": params, "lambda": 0.2,
-                                    "master_seed": 7}).encode()}
+                                    "master_seed": master_seed}).encode()}
 
 
 @st.composite
@@ -69,11 +69,13 @@ def _values(name: str, kind: type, nargs: str | None):
 @st.composite
 def cases(draw) -> tuple[list[str], dict]:
     """A command with d in {1, 2, 3}, L in 1..8 and a random subset of its
-    parameters and solver flags; ``oned`` takes its parameters by ``--config``."""
+    parameters, solver flags and ``--seed``; ``oned`` takes its parameters by
+    ``--config``."""
     command = draw(st.sampled_from(sorted(EXPERIMENTS)))
     argv = [command, "--d", str(draw(st.sampled_from([1, 2, 3]))),
             "--L", str(draw(st.integers(1, 8)))]
-    flags = {"tol": ("tol", float, None), "max-iter": ("max_iter", int, None)}
+    flags = {"tol": ("tol", float, None), "max-iter": ("max_iter", int, None),
+             "seed": ("seed", int, None)}
     flags.update({name.replace("_", "-"): (name, param.type, param.nargs)
                   for name, param in EXPERIMENTS[command].params.items()})
     for flag, spec in flags.items():
@@ -125,6 +127,10 @@ def cases(draw) -> tuple[list[str], dict]:
                _ensemble("constant", value=0.5)), expected=0)
 @example(case=(["oned", "--config", "@config"],
                _oned(a={"kind": "constant", "value": "abc"})), expected=3)
+@example(case=(["cell", "--L", "4", "--seed", "-1"], {}), expected=3)
+@example(case=(["cell", "--L", "4"], _ensemble("iid-two-point", master_seed=-1, alpha=0.25,
+                                               beta=0.75)), expected=3)
+@example(case=(["twoscale", "--L", "8", "--samples", "2", "--alpha", "1e100"], {}), expected=2)
 def test_exit_code_is_0_2_or_3_and_a_failure_writes_nothing(case, expected):
     argv, files = case
     with tempfile.TemporaryDirectory() as tmp:

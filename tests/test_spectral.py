@@ -66,7 +66,7 @@ def test_flux_corrector_reports_are_direct_solves():
         a = sample(two_point(master_seed=8), box, SampleId(0))
         with collecting_reports() as collector:
             cs = corrector_set(a, 0, cfg)
-        assert collector.n_solves == 1  # the CG corrector solve only
+        assert len(collector.reports) == 1  # the CG corrector solve only
         flux_reports = cs.reports[1:]
         assert len(flux_reports) == box.d * (box.d - 1) // 2
         for rep in flux_reports:
