@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, _mean_stderr, _sample_count, per_sample
+from .ensembles import EnsembleSpec, _mean_stderr, per_sample
 from .lattice import (
     BoxSpec,
     CoefficientField,
@@ -238,9 +238,8 @@ def ahom_rve(spec: EnsembleSpec, box: BoxSpec, n_samples: int,
     Deterministic in (spec.master_seed, box, n_samples); ``map_fn`` may be a
     parallel map, the aggregation below runs in fixed sample order either way.
     """
-    _sample_count(n_samples, 2)
-    mats = np.stack(per_sample(spec, box, n_samples,
-                               lambda a, i: ahom_cell(a, cfg).matrix, map_fn))
+    mats = per_sample(spec, box, n_samples, lambda a, i: ahom_cell(a, cfg).matrix, map_fn,
+                      least=2)
     return HomogenizedTensor(*_mean_stderr(mats), n_samples)
 
 

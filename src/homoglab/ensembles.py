@@ -267,10 +267,12 @@ def per_block(spec: EnsembleSpec, box: BoxSpec, n: int, fn: Callable,
 
 
 def per_sample(spec: EnsembleSpec, box: BoxSpec, n: int, fn: Callable,
-               map_fn: Callable = map) -> list:
-    """``[fn(sample(spec, box, SampleId(i)), i) for i < n]``: :func:`per_block`
+               map_fn: Callable = map, least: int = 1) -> np.ndarray:
+    """``np.stack([fn(sample(spec, box, SampleId(i)), i) for i < n])``, once
+    ``n`` is at least ``least`` (see :func:`_sample_count`): :func:`per_block`
     with runs of one sample, one ``map_fn`` task each."""
-    return per_block(spec, box, n, lambda fields, ids: [fn(fields[0], ids[0])], map_fn, 1)
+    _sample_count(n, least)
+    return np.stack(per_block(spec, box, n, lambda f, ids: [fn(f[0], ids[0])], map_fn, 1))
 
 
 def site_assignments(spec: EnsembleSpec, d: int) -> np.ndarray:

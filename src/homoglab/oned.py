@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lattice import ParameterError, _abscissae
+from .quant import _loglog_fit
 
 __all__ = [
     "Profile1D",
@@ -306,11 +307,7 @@ def sup_error_check(profile: Profile1D, eps_list) -> SupErrorReport:
         grads.append(float(trapezoid(diff**2, x)))
         weaks.append([float(trapezoid(diff * tf(x), x)) for tf in _TEST_FUNCTIONS])
     sups = np.asarray(sups)
-    if np.all(sups > 0) and eps_arr.size > 1:
-        slope = float(np.polyfit(np.log(eps_arr), np.log(sups), 1)[0])
-    else:
-        slope = float("nan")  # homogeneous profile or one eps: nothing to rate-fit
-    return SupErrorReport(
-        eps_arr, sups, slope, float(np.max(sups / eps_arr)),
+    return SupErrorReport(  # a homogeneous profile or one eps has no rate: nan
+        eps_arr, sups, _loglog_fit(eps_arr, sups).slope, float(np.max(sups / eps_arr)),
         np.asarray(grads), np.asarray(weaks),
     )

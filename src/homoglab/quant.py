@@ -103,11 +103,11 @@ def _linear_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
 
 
 def _loglog_fit(xs: np.ndarray, ys: np.ndarray, deterministic: bool = False) -> DecayFit:
-    """The fit, or nan in every number (null in JSON) where there is no rate: a
-    value <= 0, or a ``deterministic`` ensemble, whose moments are rounding residue."""
+    """The fit, or nan in every number (null in JSON) where there is no rate: fewer than two
+    points, a value <= 0 or a ``deterministic`` ensemble, whose moments are rounding residue."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    if deterministic or np.any(ys <= 0):
+    if deterministic or ys.size < 2 or np.any(ys <= 0):
         return DecayFit(xs, ys, float("nan"), float("nan"), float("nan"))
     return DecayFit(xs, ys, *_linear_fit(np.log(xs), np.log(ys)))
 
@@ -417,7 +417,6 @@ def corrector_growth(spec: EnsembleSpec, box: BoxSpec, radii: Sequence[int],
                        "the periodization window L/4", fit=box.d == 2)
     if p < 1:
         raise ParameterError(f"the moment order p must be at least 1, got {p}")
-    _sample_count(n, 2)
     d = box.d
     xi = np.eye(d)[0]
 
@@ -425,21 +424,24 @@ def corrector_growth(spec: EnsembleSpec, box: BoxSpec, radii: Sequence[int],
         phi, _ = solve_corrector(a, xi, cfg)
         g = phi.grid()
         out = np.empty(len(radii))
-        for k, r in enumerate(radii):
-            acc = 0.0
-            for axis in range(d):
-                diff = np.roll(g, -int(r), axis=axis) - g
-                acc += float(np.mean(np.abs(diff) ** (2 * p)))
-            out[k] = acc / d
+        with np.errstate(over="ignore"):  # a large p overflows: checked after the draws
+            for k, r in enumerate(radii):
+                acc = 0.0
+                for axis in range(d):
+                    diff = np.roll(g, -int(r), axis=axis) - g
+                    acc += float(np.mean(np.abs(diff) ** (2 * p)))
+                out[k] = acc / d
         return out
 
-    means, ses = _mean_stderr(np.stack(per_sample(spec, box, n, one, map_fn)))
-    moments = []
-    for k in range(len(radii)):
-        raw, se = float(means[k]), float(ses[k])
-        root = raw ** (1.0 / (2 * p))
-        root_se = se / (2 * p) * raw ** (1.0 / (2 * p) - 1.0) if raw > 0 else 0.0
-        moments.append(MomentEstimate(root, root_se, p, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        means, ses = _mean_stderr(per_sample(spec, box, n, one, map_fn, least=2))
+        moments = [MomentEstimate(
+            float(raw ** (1.0 / (2 * p))),
+            float(se / (2 * p) * raw ** (1.0 / (2 * p) - 1.0) if raw > 0 else 0.0), p, n)
+            for raw, se in zip(means, ses)]
+    if not np.isfinite([(m.value, m.stderr) for m in moments]).all():
+        raise ParameterError(f"the moments E|phi(x) - phi(0)|^(2p) overflow the float range "
+                             f"at p={p}; lower --p")
 
     sq = means ** (1.0 / p)
     if d == 2:
@@ -478,7 +480,6 @@ def semigroup_decay(spec: EnsembleSpec, box: BoxSpec, t_grid: Sequence[float],
     """
     t_grid = _abscissae(np.asarray(t_grid, dtype=np.float64), "t_grid", (box.L / 8.0) ** 2,
                         "the torus validity window t <= (L/8)^2")
-    _sample_count(n, 2)
     kernels = []
     for t in t_grid:
         p = heat_kernel(float(t), box)
@@ -496,7 +497,7 @@ def semigroup_decay(spec: EnsembleSpec, box: BoxSpec, t_grid: Sequence[float],
             out[k + 1] = _dot(pk, col)
         return out
 
-    rows = np.stack(per_sample(spec, box, n, one, map_fn))
+    rows = per_sample(spec, box, n, one, map_fn, least=2)
     zeta_var = float(rows[:, 0].var(ddof=1))
     dev = (rows[:, 1:] - mean_zeta) ** 2
     m2, se = _mean_stderr(dev)
@@ -553,34 +554,33 @@ def green_decay(spec: EnsembleSpec, box: BoxSpec, n: int,
     far = np.flatnonzero(r >= 3.0 * box.L / 8.0)  # the antipodal region
     unit_sites = [box.index_of(tuple(int(k == j) for k in range(d))) for j in range(d)]
 
-    def one(a: CoefficientField, i: int):
+    def one(a: CoefficientField, i: int) -> np.ndarray:
         G0, _ = green(a, 0, cfg)
         g0 = G0.values
         far_level = float(g0[far].mean())
-        quenched = np.array([np.median(g0[s]) - far_level for s in shells])
-        center = float(g0[0]) - far_level
+        quenched = [np.median(g0[s]) - far_level for s in shells]
         # mixed second derivative via the extra sources, one solve at a time
         hess_sq = _grad_energy((green(a, y, cfg)[0].values - g0).reshape(box.shape, order="F")
                                for y in unit_sites)
-        ann = np.array([float(hess_sq[s].mean()) for s in shells])
-        return quenched, center, ann
+        return np.array([*quenched, g0[0] - far_level, *(hess_sq[s].mean() for s in shells)])
 
-    results = per_sample(spec, box, n, one, map_fn)
-    quenched = np.median(np.stack([r[0] for r in results]), axis=0)
-    center = float(np.median([r[1] for r in results]))
-    annealed = np.sqrt(np.stack([r[2] for r in results]).mean(axis=0))
+    rows = per_sample(spec, box, n, one, map_fn)  # quenched (k), center, annealed (k)
+    k = len(radii)
+    quenched = np.median(rows[:, :k], axis=0)
+    center = float(np.median(rows[:, k]))
+    annealed = np.sqrt(rows[:, k + 1:].mean(axis=0))
 
     # power-law exponents are fitted against r itself; the +1 shift in the
     # bounds only regularizes the origin and would bias the slope at the
     # small radii a torus can afford
-    annealed_fit = _loglog_fit(radii.astype(np.float64), annealed)
+    annealed_fit = _loglog_fit(radii, annealed)
     if d == 3:
         if np.any(quenched <= 0):
             raise ParameterError(
                 f"quenched Green profile not positive at radii {radii.tolist()} on "
                 f"L={box.L}: the box is too small for these radii; raise --L or "
                 f"lower --radii")
-        quenched_fit = _loglog_fit(radii.astype(np.float64), quenched)
+        quenched_fit = _loglog_fit(radii, quenched)
         log_ratios = None
     else:
         quenched_fit = None
@@ -602,20 +602,34 @@ def meyers_ratio(a: CoefficientField, h: ScalarField, q: float = 1.1,
     half-exponent of the norm.  At q = 1, alpha_w = 0 the plain energy
     estimate bounds the ratio by 1/lam^2.
     """
+    w = _meyers_weight(a.box, q, alpha_w)
+    grad_h = grad(h)
+    v, _ = solve_elliptic(a, div_star(grad_h), cfg)
+    gv = np.sum(grad(v).values**2, axis=1)
+    gh = np.sum(grad_h.values**2, axis=1)
+    with np.errstate(over="ignore"):  # an overflow is the error below, not a warning
+        num = float(np.sum(gv**q * w))
+        den = float(np.sum(gh**q * w))
+    if den == 0:
+        raise ParameterError("h must be non-constant")
+    if not np.isfinite([num, den]).all():
+        raise ParameterError(f"weighted sums overflow at alpha_w={alpha_w}; lower --alpha-w")
+    return num / den
+
+
+def _meyers_weight(box: BoxSpec, q: float, alpha_w: float) -> np.ndarray:
+    """The weight (|x| + 1)^alpha_w on the torus radii; ``ParameterError`` for a q
+    outside [1, 1.25] or an alpha_w at which the largest weight is not finite."""
     if not (1.0 <= q <= 1.25):
         raise ParameterError("q must lie in [1, 1.25]")
     if not 0 <= alpha_w < np.inf:
         raise ParameterError(f"alpha_w must be >= 0 and finite, got {alpha_w}")
-    grad_h = grad(h)
-    v, _ = solve_elliptic(a, div_star(grad_h), cfg)
-    w = (torus_radii(a.box) + 1.0) ** alpha_w
-    gv = np.sum(grad(v).values**2, axis=1)
-    gh = np.sum(grad_h.values**2, axis=1)
-    num = float(np.sum(gv**q * w))
-    den = float(np.sum(gh**q * w))
-    if den == 0:
-        raise ParameterError("h must be non-constant")
-    return num / den
+    with np.errstate(over="ignore"):  # an overflow is the error below, not a warning
+        w = (torus_radii(box) + 1.0) ** alpha_w
+    if not np.isfinite(w).all():
+        raise ParameterError(f"the weight (|x| + 1)^alpha_w overflows on L={box.L} at "
+                             f"alpha_w={alpha_w}; lower --alpha-w")
+    return w
 
 
 @dataclass(frozen=True)
@@ -639,12 +653,13 @@ def meyers_probe(spec: EnsembleSpec, box: BoxSpec, n: int = 50, q: float = 1.1,
                  cfg: SolverConfig = SolverConfig(),
                  map_fn: Callable = map) -> MeyersProbeReport:
     """Ratio stability across random (a, h) pairs; flags a blow-up of the constant."""
+    _meyers_weight(box, q, alpha_w)  # its checks, before the first sample
 
     def one(a: CoefficientField, i: int) -> float:
         h = smooth_random_field(box, _rng_for(spec, SampleId(i), 1))
         return meyers_ratio(a, h, q, alpha_w, cfg)
 
-    ratios = np.array(per_sample(spec, box, n, one, map_fn))
+    ratios = per_sample(spec, box, n, one, map_fn)
     med = float(np.median(ratios))
     return MeyersProbeReport(q, alpha_w, ratios, med, bool(np.any(ratios > 10.0 * med)))
 
@@ -671,8 +686,8 @@ def birkhoff_rate(spec: EnsembleSpec, box: BoxSpec, R_list: Sequence[int],
     R_arr = _abscissae(np.asarray(R_list, dtype=np.int64), "R_list", box.L, "the box side L")
     mean_val = spec.marginal_mean()
 
-    devs = np.stack(per_sample(spec, box, n, lambda a, i: np.array(
-        [spatial_average_observable(a, int(R)) - mean_val for R in R_arr]), map_fn))
+    devs = per_sample(spec, box, n, lambda a, i: np.array(
+        [spatial_average_observable(a, int(R)) - mean_val for R in R_arr]), map_fn)
     rms = np.sqrt((devs**2).mean(axis=0))
-    fit = _loglog_fit(R_arr.astype(np.float64), rms, spec.is_deterministic)
+    fit = _loglog_fit(R_arr, rms, spec.is_deterministic)
     return BirkhoffReport(R_arr, rms, fit)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .correctors import corrector_set
 from .elliptic import SolverConfig, solve_shifted
-from .ensembles import EnsembleSpec, per_sample
+from .ensembles import EnsembleSpec, per_block
 from .lattice import (BoxSpec, CoefficientField, ParameterError, ScalarField, _grad_arr,
                       _grad_energy, grad)
 from .spectral import inverse
@@ -148,6 +148,5 @@ def two_scale_experiment(spec: EnsembleSpec, box: BoxSpec, alpha: float,
     if f is None:
         f = default_forcing(box)
 
-    return per_sample(spec, box, n_samples,
-                      lambda a, i: two_scale_report(a, alpha, f, sample_index=i, cfg=cfg),
-                      map_fn)
+    return per_block(spec, box, n_samples, lambda fields, ids: [
+        two_scale_report(fields[0], alpha, f, sample_index=ids[0], cfg=cfg)], map_fn, 1)

@@ -292,10 +292,10 @@ class TestPerSample:
     def test_results_in_sample_order(self):
         spec, box = two_point(master_seed=4), BoxSpec(2, 4)
         with ThreadPoolExecutor(3) as pool:
-            got = per_sample(spec, box, 9, lambda a, i: (i, a.diag.copy()), pool.map)
-        assert [i for i, _ in got] == list(range(9))
-        for i, diag in got:
-            assert np.array_equal(diag, sample(spec, box, SampleId(i)).diag)
+            got = per_sample(spec, box, 9, lambda a, i: np.append(a.diag, i), pool.map)
+        assert got[:, -1].tolist() == list(range(9))
+        for i, row in enumerate(got):
+            assert np.array_equal(row[:-1], sample(spec, box, SampleId(i)).diag.ravel())
 
     def test_runs_are_consecutive_ids_and_results_come_back_in_order(self):
         spec, box = two_point(master_seed=4), BoxSpec(2, 4)

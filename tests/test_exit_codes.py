@@ -131,6 +131,10 @@ def cases(draw) -> tuple[list[str], dict]:
 @example(case=(["cell", "--L", "4"], _ensemble("iid-two-point", master_seed=-1, alpha=0.25,
                                                beta=0.75)), expected=3)
 @example(case=(["twoscale", "--L", "8", "--samples", "2", "--alpha", "1e100"], {}), expected=2)
+@example(case=(["meyers", "--L", "8", "--samples", "2", "--alpha-w", "400"], {}), expected=3)
+@example(case=(["meyers", "--L", "8", "--samples", "2", "--alpha-w", "370"], {}), expected=0)
+@example(case=(["growth", "--L", "16", "--radii", "2", "3", "4", "--samples", "2",
+                "--p", "4000"], {}), expected=3)
 def test_exit_code_is_0_2_or_3_and_a_failure_writes_nothing(case, expected):
     argv, files = case
     with tempfile.TemporaryDirectory() as tmp:

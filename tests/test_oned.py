@@ -268,6 +268,9 @@ class TestSupError:
         with pytest.raises(ParameterError, match=f"eps_list must be {message}"):
             sup_error_check(sine_profile(), eps_list)
 
+    def test_one_eps_has_no_rate(self):
+        assert np.isnan(sup_error_check(sine_profile(), [1 / 8]).rate)
+
     def test_first_order_rate(self):
         rep = sup_error_check(sine_profile(), EPS_LIST)
         assert 0.8 <= rep.rate <= 1.2

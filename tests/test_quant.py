@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from homoglab import quant
-from homoglab.lattice import BoxSpec, CoefficientField, ParameterError
+from homoglab import ensembles, quant
+from homoglab.correctors import ahom_rve
+from homoglab.lattice import BoxSpec, CoefficientField, ParameterError, ScalarField
 from homoglab.elliptic import SolverConfig
 from homoglab.ensembles import (EnsembleSpec, SampleId, _kernel_weights, constant, sample,
                                 two_point, uniform)
@@ -120,6 +121,15 @@ class TestCorrectorGrowth:
                                [2, 4], p=1, n=3)
         assert all(m.value == 0.0 for m in fit.moments)
 
+    @pytest.mark.parametrize("p,radii", [(4000, [2, 3, 4]), (1000, [2, 4])],
+                             ids=["moments", "stderr"])
+    def test_moment_overflow_is_a_config_error(self, p, radii):
+        # the seed of configs/ensemble_2pt.json, where at p = 1000 the r = 4
+        # moment is finite but its standard error is not
+        spec = two_point(master_seed=20260810)
+        with pytest.raises(ParameterError, match="--p"):
+            corrector_growth(spec, BoxSpec(2, 16), radii, p=p, n=2)
+
     def test_radius_beyond_window_rejected(self):
         with pytest.raises(ValueError):
             corrector_growth(SPEC, BoxSpec(2, 16), [8], n=2)
@@ -220,6 +230,23 @@ class TestMeyers:
         assert not rep.blowup_flag
         assert np.all(np.isfinite(rep.ratios))
 
+    def test_weight_overflow_is_a_config_error_before_the_first_sample(self, monkeypatch):
+        # at L=8 the largest weight (4 sqrt 2 + 1)^alpha_w leaves the float
+        # range above alpha_w = log(max float) / log(4 sqrt 2 + 1) = 374.4
+        rep = meyers_probe(SPEC, BoxSpec(2, 8), n=2, alpha_w=370.0)
+        assert np.all(np.isfinite(rep.ratios))
+        monkeypatch.setattr(ensembles, "sample", _no_draw)
+        with pytest.raises(ParameterError, match="--alpha-w"):
+            meyers_probe(SPEC, BoxSpec(2, 8), n=2, alpha_w=400.0)
+
+    def test_weighted_sum_overflow_is_a_config_error(self, rng):
+        # a finite weight times a large right-hand side still overflows the sums
+        box = BoxSpec(2, 8)
+        h = smooth_random_field(box, rng)
+        big = ScalarField(box, h.values * 1e10)
+        with pytest.raises(ParameterError, match="weighted sums overflow"):
+            meyers_ratio(random_coefficients(box, rng), big, alpha_w=370.0)
+
     def test_q_out_of_range_rejected(self, rng):
         box = BoxSpec(2, 8)
         a = random_coefficients(box, rng)
@@ -272,3 +299,28 @@ def test_d3_growth_takes_a_single_radius_but_not_none():
     assert rep.model == "constant-fit" and len(rep.moments) == 1
     with pytest.raises(ValueError, match="non-empty"):
         corrector_growth(constant(0.5), BoxSpec(3, 8), [], n=2)
+
+
+def test_loglog_fit_of_one_point_has_no_rate():
+    fit = quant._loglog_fit(np.array([2]), np.array([3.0]))
+    assert np.isnan([fit.slope, fit.intercept, fit.r_squared]).all()
+
+
+def _no_draw(*args):
+    raise AssertionError("a sample was drawn")
+
+
+@pytest.mark.parametrize("run", [
+    lambda box: ahom_rve(SPEC, box, 1),
+    lambda box: corrector_growth(SPEC, box, [2, 4], n=1),
+    lambda box: semigroup_decay(SPEC, box, [1, 4], n=1),
+    lambda box: green_decay(SPEC, box, 0, radii=[2, 4]),
+    lambda box: meyers_probe(SPEC, box, n=0),
+    lambda box: birkhoff_rate(SPEC, box, [2, 4], n=0),
+], ids=["ahom_rve", "corrector_growth", "semigroup_decay", "green_decay", "meyers_probe",
+        "birkhoff_rate"])
+def test_too_few_samples_raise_before_the_first_draw(run, monkeypatch):
+    # a ddof=1 standard error needs two samples, the other statistics one
+    monkeypatch.setattr(ensembles, "sample", _no_draw)
+    with pytest.raises(ParameterError, match="number of samples must be at least"):
+        run(BoxSpec(2, 16))
