@@ -140,61 +140,6 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# 1d profile / forcing catalog (declarative so configs stay data-only)
-# ---------------------------------------------------------------------------
-
-
-def profile_from_config(p: dict) -> "oned_mod.Profile1D":
-    a_cfg = p.get("a", {"kind": "shifted-sine", "offset": 2.0, "amplitude": 1.0})
-    f_cfg = p.get("f", {"kind": "linear-odd", "scale": 3.0})
-
-    kind = a_cfg.get("kind")
-    if kind == "constant":
-        val = float(a_cfg["value"])
-        a_unit = lambda y: np.full_like(np.asarray(y, dtype=np.float64), val)
-    elif kind == "shifted-sine":
-        off, amp = float(a_cfg.get("offset", 2.0)), float(a_cfg.get("amplitude", 1.0))
-        if off - abs(amp) <= 0:
-            raise ParameterError("shifted-sine profile must stay positive")
-        a_unit = lambda y: off + amp * np.sin(2.0 * np.pi * np.asarray(y, dtype=np.float64))
-    elif kind == "layered":
-        lo, hi = float(a_cfg["alpha"]), float(a_cfg["beta"])
-        frac = float(a_cfg.get("fraction", 0.5))
-        if not (0 < lo and 0 < hi and 0 < frac < 1):
-            raise ParameterError("layered profile needs positive values and 0 < fraction < 1")
-        # nodes on a jump carry the harmonic midpoint: the pipeline
-        # integrates 1/a, and this convention keeps the trapezoid rule exact
-        mid = 2.0 / (1.0 / lo + 1.0 / hi)
-
-        def a_unit(y):
-            yy = np.asarray(y, dtype=np.float64) % 1.0
-            out = np.where(yy < frac, lo, hi)
-            at_jump = np.isclose(yy, frac) | np.isclose(yy, 0.0) | np.isclose(yy, 1.0)
-            return np.where(at_jump, mid, out)
-    else:
-        raise ParameterError(f"unknown 1d conductivity kind {kind!r}")
-
-    fkind = f_cfg.get("kind")
-    if fkind == "constant":
-        fv = float(f_cfg["value"])
-        f = lambda x: np.full_like(np.asarray(x, dtype=np.float64), fv)
-    elif fkind == "linear-odd":
-        sc = float(f_cfg.get("scale", 3.0))
-        f = lambda x: -sc * (2.0 * np.asarray(x, dtype=np.float64) - 1.0)
-    elif fkind == "sine":
-        k = _exact_int(f_cfg.get("k", 1))
-        f = lambda x: np.sin(2.0 * np.pi * k * np.asarray(x, dtype=np.float64))
-    else:
-        raise ParameterError(f"unknown 1d forcing kind {fkind!r}")
-
-    eps_list = p.get("eps_list", [1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128])
-    ppp = _exact_int(p.get("points_per_period", 64))
-    # sup_error_check reads eps_list; an empty one is its error, not max()'s
-    return oned_mod.Profile1D(a_unit=a_unit, f=f, eps=float(max(eps_list, default=1.0)),
-                              points_per_period=ppp), [float(e) for e in eps_list]
-
-
-# ---------------------------------------------------------------------------
 # experiment table: one row per experiment, its parameters and its runner
 # ---------------------------------------------------------------------------
 
@@ -242,14 +187,13 @@ def _statistic(compute: Callable) -> Callable:
 
 
 def _run_oned(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, str]:
-    try:
-        profile, eps_list = profile_from_config(cfg.params)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # only config parsing runs
-        raise ParameterError(f"oned: bad profile parameter: {exc}") from exc
-    sup = oned_mod.sup_error_check(profile, eps_list)  # rows in sup.eps order, coarsest first
-    ts = [oned_mod.two_scale_check_1d(replace(profile, eps=eps)) for eps in sup.eps.tolist()]
-    columns = [sup.eps, sup.sup_errors, [t.error for t in ts],
-               [t.bound_statement for t in ts], [t.ratio_statement for t in ts]]
+    profiles = oned_mod.read_profiles(cfg.params)
+    with np.errstate(all="ignore"):  # a profile that leaves the float range: checked below
+        rows = [oned_mod.two_scale_check_1d(profile) for profile in profiles]
+    columns = [[getattr(r, k) for r in rows]
+               for k in ("eps", "sup_error", "error", "bound_statement", "ratio_statement")]
+    if not np.isfinite(columns).all():
+        raise ParameterError("oned: the table leaves the float range; scale a or f")
     return {cfg.out: _csv_text(
         ["eps", "sup_error", "h1_twoscale_error", "bound_rhs", "ratio"], columns)}
 

@@ -240,8 +240,16 @@ def _sample_count(n: int, least: int = 1) -> None:
 
 
 def _mean_stderr(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sample mean over axis 0 and its standard error, std(ddof=1)/sqrt(n)."""
-    return rows.mean(axis=0), rows.std(axis=0, ddof=1) / np.sqrt(len(rows))
+    """The sample mean over axis 0 and its standard error, std(ddof=1)/sqrt(n).
+
+    A column whose largest magnitude is below 1/2 is scaled up by an exact power
+    of two before its squares are taken, so they do not underflow; that is exact
+    where the column holds no subnormal.  No column is scaled down, so a standard
+    error that overflows stays inf.
+    """
+    shift = np.maximum(-np.frexp(np.max(np.abs(rows), axis=0))[1], 0)
+    se = np.ldexp(np.ldexp(rows, shift).std(axis=0, ddof=1), -shift)
+    return rows.mean(axis=0), se / np.sqrt(len(rows))
 
 
 def per_block(spec: EnsembleSpec, box: BoxSpec, n: int, fn: Callable,

@@ -25,12 +25,14 @@ quadrature error stays far below the homogenization error being measured.
 
 from __future__ import annotations
 
+import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import ParameterError, _abscissae
+from .lattice import ParameterError, _abscissae, _exact_int
 from .quant import _loglog_fit
 
 __all__ = [
@@ -44,6 +46,7 @@ __all__ = [
     "two_scale_check_1d",
     "oscillatory_average_check",
     "sup_error_check",
+    "read_profiles",
 ]
 
 MIN_POINTS_PER_PERIOD = 8
@@ -112,11 +115,6 @@ class Profile1D:
     def a_eps(self, x: np.ndarray) -> np.ndarray:
         return _conductivity(self.a_unit, x / self.eps)
 
-    def ellipticity(self) -> float:
-        """min of the sampled unit profile (the lambda of the error bounds)."""
-        y = np.linspace(0.0, 1.0, 4096)
-        return float(np.min(self.a_unit(y)))
-
 
 @dataclass(frozen=True)
 class Solution1D:
@@ -154,8 +152,7 @@ def solve_homogenized_1d(profile: Profile1D) -> Solution1D:
     """Same pipeline with the constant harmonic-mean coefficient."""
     x = profile.grid()
     a0 = harmonic_mean(profile.a_unit, M=max(4096, profile.points_per_period))
-    a_vals = np.full_like(x, a0)
-    return _explicit_solution(x, a_vals, np.asarray(profile.f(x), dtype=np.float64))
+    return _explicit_solution(x, np.full_like(x, a0), np.asarray(profile.f(x), dtype=np.float64))
 
 
 def corrector_1d(a_unit, M: int = 4096) -> tuple[np.ndarray, np.ndarray]:
@@ -170,9 +167,18 @@ def corrector_1d(a_unit, M: int = 4096) -> tuple[np.ndarray, np.ndarray]:
     return y, phi
 
 
+def _coarsest_first(eps_list) -> np.ndarray:
+    """``eps_list`` coarsest first; ``ParameterError`` unless distinct numbers in (0, 1]."""
+    if not isinstance(eps_list, (list, tuple, np.ndarray)):
+        raise ParameterError(f"eps_list must be a list, got {eps_list!r}")
+    eps = np.array([_number(eps, "eps_list value") for eps in eps_list], dtype=np.float64)
+    return _abscissae(eps, "eps_list", 1.0, "(0, 1]", fit=False)[::-1]
+
+
 @dataclass(frozen=True)
 class TwoScaleError1D:
     eps: float
+    sup_error: float        # max |u_eps - u_0|
     error: float            # int |u_eps - v_eps|^2 + |u_eps' - v_eps'|^2
     bound_statement: float  # (4/lam)   max|phi|^2 eps^2 int |u_0''|^2
     bound_proof: float      # (4/lam^2) max|phi|^2 eps^2 int |u_0''|^2
@@ -181,7 +187,7 @@ class TwoScaleError1D:
 
 
 def two_scale_check_1d(profile: Profile1D) -> TwoScaleError1D:
-    """H1-type error of the first-order two-scale approximation.
+    """Sup error and H1-type error of the first-order two-scale approximation.
 
     Reports the error against both candidate constants (4/lam and 4/lam^2
     times max|phi|^2); the empirical ratio is left to the caller, no
@@ -194,24 +200,22 @@ def two_scale_check_1d(profile: Profile1D) -> TwoScaleError1D:
     f_vals = np.asarray(profile.f(x), dtype=np.float64)
 
     y = (x / profile.eps) % 1.0
-    _, phi_tab = corrector_1d(profile.a_unit, M=8192)
-    ytab = np.linspace(0.0, 1.0, phi_tab.size)
+    ytab, phi_tab = corrector_1d(profile.a_unit, M=8192)
     phi = np.interp(y, ytab, phi_tab)
-    a_vals = profile.a_eps(x)
-    dphi = a0 / a_vals - 1.0          # phi'(x/eps), exact identity
-    d2u0 = -f_vals / a0               # u_0'' from the equation
+    dphi = a0 / profile.a_eps(x) - 1.0  # phi'(x/eps), exact identity
+    d2u0 = -f_vals / a0                 # u_0'' from the equation
 
     v = hom.u + profile.eps * phi * hom.du
     dv = (1.0 + dphi) * hom.du + profile.eps * phi * d2u0
 
     err = float(trapezoid((het.u - v) ** 2 + (het.du - dv) ** 2, x))
-    lam = profile.ellipticity()
+    lam = float(np.min(profile.a_unit(np.linspace(0.0, 1.0, 4096))))  # sampled ellipticity
     max_phi2 = float(np.max(np.abs(phi_tab)) ** 2)
     i2 = float(trapezoid(d2u0**2, x))
     b_stmt = (4.0 / lam) * max_phi2 * profile.eps**2 * i2
-    b_proof = (4.0 / lam**2) * max_phi2 * profile.eps**2 * i2
+    b_proof = b_stmt / lam  # not lam**2, which overflows where the bound does not
     return TwoScaleError1D(
-        profile.eps, err, b_stmt, b_proof,
+        profile.eps, float(np.max(np.abs(het.u - hom.u))), err, b_stmt, b_proof,
         err / b_stmt if b_stmt > 0 else 0.0,
         err / b_proof if b_proof > 0 else 0.0,
     )
@@ -250,8 +254,7 @@ def oscillatory_average_check(F, eps_list, points_per_period: int = 256,
     Fbar takes the trapezoid rule on ``y_points`` intervals, which converges
     geometrically there.
     """
-    eps_arr = _abscissae(np.asarray(eps_list, dtype=np.float64), "eps_list", 1.0, "(0, 1]",
-                         fit=False)[::-1]  # coarsest first
+    eps_arr = _coarsest_first(eps_list)
     grids = [np.linspace(0.0, 1.0, max(1024, int(np.ceil(1.0 / eps)) * points_per_period) + 1)
              for eps in eps_arr]
     # Fbar does not depend on eps: average once per distinct node of all grids
@@ -294,8 +297,7 @@ def sup_error_check(profile: Profile1D, eps_list) -> SupErrorReport:
     gradient error stays bounded away from zero for oscillatory a, while
     the pairings against smooth test functions vanish with eps.
     """
-    eps_arr = _abscissae(np.asarray(eps_list, dtype=np.float64), "eps_list", 1.0, "(0, 1]",
-                         fit=False)[::-1]  # coarsest first
+    eps_arr = _coarsest_first(eps_list)
     sups, grads, weaks = [], [], []
     for eps in eps_arr:
         p = replace(profile, eps=eps)
@@ -311,3 +313,63 @@ def sup_error_check(profile: Profile1D, eps_list) -> SupErrorReport:
         eps_arr, sups, _loglog_fit(eps_arr, sups).slope, float(np.max(sups / eps_arr)),
         np.asarray(grads), np.asarray(weaks),
     )
+
+
+# A 1d conductivity or forcing kind of the ``oned`` config: its parameters' defaults (None:
+# required; an int: an integer), its formula on a float array and its parameters' rule.
+Kind = namedtuple("Kind", "defaults formula rule", defaults=[lambda **values: True])
+
+
+def _layered(y, alpha, beta, fraction):
+    # a node on a jump carries the harmonic midpoint: the trapezoid rule on 1/a stays exact
+    y = y % 1.0
+    at_jump = np.isclose(y, fraction) | np.isclose(y, 0.0) | np.isclose(y, 1.0)
+    return np.where(at_jump, 2.0 / (1.0 / alpha + 1.0 / beta), np.where(y < fraction, alpha, beta))
+
+
+CONDUCTIVITY_KINDS = {
+    "constant": Kind({"value": None}, lambda y, value: np.full_like(y, value)),
+    "shifted-sine": Kind({"offset": 2.0, "amplitude": 1.0},
+                         lambda y, offset, amplitude: offset + amplitude * np.sin(2.0 * np.pi * y),
+                         lambda offset, amplitude: offset > abs(amplitude)),
+    "layered": Kind({"alpha": None, "beta": None, "fraction": 0.5}, _layered,
+                    lambda alpha, beta, fraction: alpha > 0 and beta > 0 and 0 < fraction < 1),
+}
+FORCING_KINDS = {
+    "constant": CONDUCTIVITY_KINDS["constant"],
+    "linear-odd": Kind({"scale": 3.0}, lambda x, scale: -scale * (2.0 * x - 1.0)),
+    "sine": Kind({"k": 1}, lambda x, k: np.sin(2.0 * np.pi * k * x)),
+}
+
+
+def _number(value, name: str, read: callable = float):
+    """``read(value)``; ``ParameterError`` unless it converts and is finite."""
+    try:
+        if math.isfinite(number := read(value)):
+            return number
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"oned: bad {name} {value!r}: {exc}") from exc
+    raise ParameterError(f"oned: {name} must be finite, got {value!r}")
+
+
+def _read_kind(params: dict, key: str, kinds: dict[str, Kind], default: str) -> callable:
+    """The profile of ``params[key]`` = {"kind": a key of ``kinds``, its parameters}."""
+    cfg = params.get(key, {"kind": default})
+    if not (isinstance(cfg, dict) and isinstance(cfg.get("kind"), str) and cfg["kind"] in kinds):
+        raise ParameterError(f"oned: {key} must be an object with a kind in {sorted(kinds)}")
+    kind = kinds[cfg["kind"]]
+    values = {k: _number(cfg.get(k, d), f"{key} {k}", _exact_int if isinstance(d, int) else float)
+              for k, d in kind.defaults.items()}
+    if not kind.rule(**values):
+        raise ParameterError(f"oned: the {cfg['kind']} {key} cannot take {values}")
+    return lambda t: kind.formula(np.asarray(t, dtype=np.float64), **values)
+
+
+def read_profiles(params: dict) -> list[Profile1D]:
+    """The ``oned`` config's profiles, coarsest eps first; ``ParameterError`` on a bad value."""
+    a_unit = _read_kind(params, "a", CONDUCTIVITY_KINDS, "shifted-sine")
+    f = _read_kind(params, "f", FORCING_KINDS, "linear-odd")
+    ppp = _number(params.get("points_per_period", Profile1D.points_per_period),
+                  "points_per_period", _exact_int)
+    eps_list = _coarsest_first(params.get("eps_list", (1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128)))
+    return [Profile1D(a_unit, f, eps, ppp) for eps in eps_list.tolist()]

@@ -444,13 +444,15 @@ def corrector_growth(spec: EnsembleSpec, box: BoxSpec, radii: Sequence[int],
                              f"at p={p}; lower --p")
 
     sq = means ** (1.0 / p)
+    model = "log-fit" if d == 2 else "constant-fit"
+    if spec.is_deterministic:  # its moments are rounding residue: no fit, as in _loglog_fit
+        return GrowthFit(radii, moments, model, float("nan"), float("nan"), float("nan"))
     if d == 2:
-        xs = np.log(radii + 2.0)
-        slope, intercept, r2 = _linear_fit(xs, sq)
-        return GrowthFit(radii, moments, "log-fit", slope, intercept, 1.0 - r2)
+        slope, intercept, r2 = _linear_fit(np.log(radii + 2.0), sq)
+        return GrowthFit(radii, moments, model, slope, intercept, 1.0 - r2)
     level = float(sq.mean())
     resid = float(np.sqrt(np.mean((sq - level) ** 2)) / level) if level > 0 else 0.0
-    return GrowthFit(radii, moments, "constant-fit", 0.0, level, resid)
+    return GrowthFit(radii, moments, model, 0.0, level, resid)
 
 
 # ---------------------------------------------------------------------------

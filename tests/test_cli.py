@@ -12,6 +12,7 @@ import homoglab
 import homoglab.cli
 import homoglab.correctors
 import homoglab.ensembles
+import homoglab.oned
 import homoglab.quant
 from conftest import constant_green, reference_csv_text
 from homoglab.cli import (
@@ -112,6 +113,14 @@ class TestOned:
         assert code == EXIT_CONFIG_ERROR
         assert "config error" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["oned.json"]
+
+    def test_each_eps_is_solved_once(self, oned_config, tmp_path, monkeypatch):
+        solved, solve = [], homoglab.oned.solve_explicit
+        monkeypatch.setattr(homoglab.oned, "solve_explicit",
+                            lambda profile: solved.append(profile.eps) or solve(profile))
+        assert main(["oned", "--config", oned_config,
+                     "--out", str(tmp_path / "table.csv")]) == EXIT_OK
+        assert solved == [0.125, 0.0625, 0.03125]  # coarsest first
 
     def test_gnuplot_script_flag_is_a_usage_error(self, oned_config, tmp_path):
         # the flag and its script are gone; config errors write no files
@@ -679,6 +688,18 @@ class TestStrictJson:
         assert report["fit"]["intercept"] is None and report["fit"]["r_squared"] is None
         assert _strict_json((tmp_path / "rate.json.manifest.json").read_text())
         assert main(["replay", str(out) + ".manifest.json"]) == EXIT_OK
+
+    @pytest.mark.parametrize("d,L,radii", [(2, 16, ["2", "4"]), (3, 8, ["1", "2"])])
+    def test_growth_on_a_deterministic_ensemble_has_a_null_fit(self, d, L, radii, tmp_path):
+        ensemble = tmp_path / "constant.json"
+        ensemble.write_text(json.dumps({"kind": "constant", "params": {"value": 0.5},
+                                        "master_seed": 3}))
+        out = tmp_path / "growth.json"
+        assert main(["growth", "--d", str(d), "--L", str(L), "--radii", *radii,
+                     "--samples", "2", "--ensemble", str(ensemble), "--out", str(out)]) == EXIT_OK
+        report = _strict_json(out.read_text())
+        assert [m["value"] for m in report["moments"]] == [0.0, 0.0]
+        assert report["slope"] is report["intercept"] is report["residual"] is None
 
     def test_sg_with_alpha_equal_beta_exits_3_and_writes_nothing(self, tmp_path, capsys):
         # every functional is then constant: Var f and sum_x E[(d_x f)^2] are both 0

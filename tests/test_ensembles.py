@@ -13,6 +13,7 @@ from homoglab.quant import BoxAverageEntry
 from homoglab.ensembles import (
     EnsembleSpec,
     SampleId,
+    _mean_stderr,
     constant,
     per_block,
     per_sample,
@@ -332,3 +333,20 @@ class TestPerSample:
             sys.setswitchinterval(interval)
         assert len(inner.reports) == len(outer.reports) == 2000
         assert inner.dense_solves == outer.dense_solves == 6000
+
+
+class TestMeanStderr:
+    def test_bitwise_the_textbook_formula_on_normal_columns(self, rng):
+        rows = rng.normal(size=(7, 4)) * np.array([1e3, 1.0, 1e-3, 1e-150])
+        mean, se = _mean_stderr(rows)
+        assert np.array_equal(mean, rows.mean(axis=0))
+        assert np.array_equal(se, rows.std(axis=0, ddof=1) / np.sqrt(7))
+
+    def test_squares_of_a_tiny_column_do_not_underflow(self):
+        # the deviations' squares, 1e-400, are below the float range
+        se = _mean_stderr(np.array([[1e-200], [3e-200]]))[1][0]
+        assert se == pytest.approx(1e-200, rel=1e-12, abs=0)
+
+    def test_a_subnormal_column_keeps_a_finite_scale(self):
+        _, se = _mean_stderr(np.array([[5e-324, 0.0], [1.5e-323, 0.0]]))
+        assert se.tolist() == [5e-324, 0.0]

@@ -8,7 +8,8 @@ A case is ``argv`` and ``files``: each ``files[name]`` is written to an
 input directory, and an argument ``@name`` stands for its path; every
 experiment reads ``configs/ensemble_2pt.json`` unless ``files`` gives an
 ``ensemble``, which a drawn case often does, of any of the five
-kinds and with degenerate parameters among the rest.  A pinned example
+kinds and with degenerate parameters among the rest.  An ``oned`` case
+draws its conductivity and forcing kinds the same way.  A pinned example
 also gives the ``expected`` code.
 """
 
@@ -23,6 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 from homoglab.cli import (EXIT_CONFIG_ERROR, EXIT_OK, EXIT_SOLVER_FAILURE, EXPERIMENTS,
                           main)
 from homoglab.ensembles import KINDS
+from homoglab.oned import CONDUCTIVITY_KINDS, FORCING_KINDS
 
 ENSEMBLE = (Path(__file__).parents[1] / "configs" / "ensemble_2pt.json").read_bytes()
 INTS = [-1, 0, 1, 2, 3, 5]
@@ -60,6 +62,17 @@ def ensembles(draw) -> dict:
     return _ensemble(kind, **params)
 
 
+@st.composite
+def profiles(draw, kinds: dict) -> dict:
+    """A 1d conductivity or forcing of any kind in ``kinds`` with a random subset
+    of its parameters, each a coefficient value, a float or, for an integer, an int."""
+    name = draw(st.sampled_from(sorted(kinds)))
+    drawn = {key: draw(st.none() | st.sampled_from(INTS if isinstance(default, int)
+                                                   else VALUES + FLOATS))
+             for key, default in kinds[name].defaults.items()}
+    return {"kind": name, **{key: value for key, value in drawn.items() if value is not None}}
+
+
 def _values(name: str, kind: type, nargs: str | None):
     one = (st.integers(0, 3) if name == "samples"
            else st.sampled_from(INTS if kind is int else FLOATS))
@@ -85,7 +98,9 @@ def cases(draw) -> tuple[list[str], dict]:
     files = draw(st.just({}) | ensembles())
     if command == "oned":
         params = {"eps_list": draw(st.none() | st.lists(st.sampled_from(FLOATS), max_size=3)),
-                  "points_per_period": draw(st.none() | st.sampled_from(INTS))}
+                  "points_per_period": draw(st.none() | st.sampled_from(INTS)),
+                  "a": draw(st.none() | profiles(CONDUCTIVITY_KINDS)),
+                  "f": draw(st.none() | profiles(FORCING_KINDS))}
         files = _oned(**{k: v for k, v in params.items() if v is not None})
         argv += ["--config", "@config"]
     return argv, files
@@ -135,6 +150,17 @@ def cases(draw) -> tuple[list[str], dict]:
 @example(case=(["meyers", "--L", "8", "--samples", "2", "--alpha-w", "370"], {}), expected=0)
 @example(case=(["growth", "--L", "16", "--radii", "2", "3", "4", "--samples", "2",
                 "--p", "4000"], {}), expected=3)
+# a 1d profile whose table leaves the float range, or whose parameter is not finite
+@example(case=(["oned", "--config", "@config"], _oned(f={"kind": "constant", "value": "nan"})),
+         expected=3)
+@example(case=(["oned", "--config", "@config"], _oned(f={"kind": "linear-odd", "scale": "inf"})),
+         expected=3)
+@example(case=(["oned", "--config", "@config"], _oned(a={"kind": "constant", "value": 1e-300})),
+         expected=3)
+@example(case=(["oned", "--config", "@config"], _oned(a={"kind": "constant", "value": 1e200})),
+         expected=0)
+@example(case=(["oned", "--config", "@config"],
+               _oned(a={"kind": "shifted-sine", "offset": 1e200})), expected=0)
 def test_exit_code_is_0_2_or_3_and_a_failure_writes_nothing(case, expected):
     argv, files = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -4,7 +4,8 @@ One tiny config per experiment, plus the d=3 corrector, growth, green and
 sg, with the SHA-256 of every output as homoglab 0.9.0 wrote it.  Each is
 replayed from a manifest at one and two threads and must match exactly.
 Those run on the iid two-point ensemble; the cases named after another
-ensemble kind hold the bytes that homoglab 0.9.2 wrote on that kind.
+ensemble kind hold the bytes that homoglab 0.9.2 wrote on that kind, and
+the ``oned-*`` cases the bytes it wrote for the other 1d profile kinds.
 """
 
 import json
@@ -31,9 +32,20 @@ def _config(experiment, out, params, d=None, L=None, ensemble=ENSEMBLE):
             "box": {"d": d, "L": L} if d else None}
 
 
+ONED = {"eps_list": [0.125, 0.0625, 0.03125], "points_per_period": 32}
+LAYERED = {"kind": "layered", "alpha": 0.25, "beta": 0.75}
+
 CASES = {
     "oned": _config("oned", "oned.csv", {"eps_list": [0.125, 0.0625, 0.03125],
                                          "points_per_period": 32}),
+    "oned-layered": _config("oned", "oned.csv", {**ONED, "a": LAYERED}),
+    "oned-layered-fraction": _config("oned", "oned.csv",
+                                     {**ONED, "a": {**LAYERED, "fraction": 0.3}}),
+    "oned-constant-a": _config("oned", "oned.csv", {**ONED, "a": {"kind": "constant",
+                                                                   "value": 0.7}}),
+    "oned-constant-f": _config("oned", "oned.csv", {**ONED, "f": {"kind": "constant",
+                                                                   "value": 2.0}}),
+    "oned-sine-f": _config("oned", "oned.csv", {**ONED, "f": {"kind": "sine", "k": 2}}),
     "cell": _config("cell", "cell.json", {"sample": 1}, 2, 8),
     "ahom": _config("ahom", "ahom.json", {"samples": 4}, 2, 8),
     "corrector": _config("corrector", "corrector.csv", {"dir": 1, "sample": 2}, 2, 16),
@@ -98,6 +110,16 @@ OUTPUTS = {
         "b360529a6d230d9d9a1fd81fee6e7eaf38bdfebb40fb6cdce85619d3c81cb647"},
     "oned": {"oned.csv":
         "34a49db9e2853fd38c6775c8a608c0619ba7f0ae3f7d8f4fdcb32f4dfcaeb8b0"},
+    "oned-constant-a": {"oned.csv":
+        "201f4c8a3e0e700e91b358b1c72a9ee0c036d7c00516d706c86e348c3e9d4625"},
+    "oned-constant-f": {"oned.csv":
+        "e5b1a40d4ea5a2d7c36bd9c75dd6082a45b4dd96761eb44356ace7bc8e89b94f"},
+    "oned-layered": {"oned.csv":
+        "c39436e33da93af90e4066078cba0f0dde0bfb90e29043a908ead7d9d904281f"},
+    "oned-layered-fraction": {"oned.csv":
+        "73c6131994207301f9867a13868e008ed7d08408b4e823b2ec5914da8435527e"},
+    "oned-sine-f": {"oned.csv":
+        "ff34af0f199b8b6db2bc308bfb0b062f0dc63f3edb32c29f86df8bb3477458e0"},
     "semigroup": {"semigroup.json":
         "d4c938acfe769a3a635de053c6c95f48857997c90cf7b9326e11e4f74fcf8641"},
     "semigroup-constant": {"semigroup.json":

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -10,6 +12,7 @@ from homoglab.oned import (
     cumulative_trapezoid,
     harmonic_mean,
     oscillatory_average_check,
+    read_profiles,
     solve_explicit,
     solve_homogenized_1d,
     sup_error_check,
@@ -49,6 +52,37 @@ def shooting_oracle(profile: Profile1D, x_eval: np.ndarray) -> np.ndarray:
 
     s_star = scipy.optimize.brentq(end_residual, -10.0, 10.0, xtol=1e-13)
     return end_value(s_star).sol(x_eval)[0]
+
+
+class TestReadProfiles:
+    def test_defaults_one_profile_per_eps_coarsest_first(self):
+        profiles = read_profiles({"eps_list": [0.0625, 0.25, 0.125]})
+        assert [p.eps for p in profiles] == [0.25, 0.125, 0.0625]
+        assert {p.points_per_period for p in profiles} == {Profile1D.points_per_period}
+        y = np.linspace(0.0, 1.0, 9)
+        assert np.array_equal(profiles[0].a_unit(y), SINE_A(y))
+        assert np.array_equal(profiles[0].f(y), ODD_F(y))
+        assert [p.eps for p in read_profiles({})] == EPS_LIST
+
+    @pytest.mark.parametrize("params,message", [
+        ({"f": {"kind": "constant", "value": "nan"}}, "f value must be finite"),
+        ({"f": {"kind": "linear-odd", "scale": "inf"}}, "f scale must be finite"),
+        ({"a": {"kind": "constant"}}, "bad a value None"),
+        ({"f": {"kind": "sine", "k": 1.5}}, "bad f k 1.5"),
+        ({"a": {"kind": "shifted-sine", "offset": 1.0, "amplitude": -1.0}}, "cannot take"),
+        ({"a": {"kind": "layered", "alpha": 0.2, "beta": 0.5, "fraction": 1.0}}, "cannot take"),
+        ({"a": {"kind": "layered", "alpha": 0.0, "beta": 0.5}}, "cannot take"),
+        ({"a": {"kind": ["constant"]}}, "a must be an object with a kind"),
+        ({"f": "sine"}, "f must be an object with a kind"),
+        ({"eps_list": 0.125}, "eps_list must be a list"),
+        ({"eps_list": [0.125, None]}, "bad eps_list value None"),
+        ({"points_per_period": 64.0}, "bad points_per_period 64.0"),
+    ], ids=["nan-value", "inf-scale", "missing-value", "float-k", "sine-touches-0",
+            "fraction-1", "alpha-0", "list-kind", "string-f", "scalar-eps-list",
+            "null-eps", "float-points"])
+    def test_bad_value_is_a_parameter_error_that_names_it(self, params, message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            read_profiles(params)
 
 
 class TestQuadrature:

@@ -130,6 +130,13 @@ class TestCorrectorGrowth:
         with pytest.raises(ParameterError, match="--p"):
             corrector_growth(spec, BoxSpec(2, 16), radii, p=p, n=2)
 
+    def test_stderr_of_a_high_moment_does_not_underflow(self):
+        # at p = 200 the per-sample raw moments are so small that their squared
+        # deviations fall below the float range unless they are scaled first
+        fit = corrector_growth(two_point(alpha=0.45, beta=0.55, master_seed=3),
+                               BoxSpec(2, 16), [2, 4], p=200, n=2)
+        assert all(0 < m.stderr < m.value for m in fit.moments)
+
     def test_radius_beyond_window_rejected(self):
         with pytest.raises(ValueError):
             corrector_growth(SPEC, BoxSpec(2, 16), [8], n=2)
