@@ -6,17 +6,17 @@ Streams are independent of evaluation order and of how many samples other
 workers draw, so Monte Carlo loops parallelize without coordination.  Draws
 of a sample that are not coefficients take ``spawn_key=(i, k)`` with k >= 1.
 
-Supported kinds:
+Supported kinds, whose params ``EnsembleSpec._read`` reads once, into the law
+(``marginal`` and ``structure``) that ``sample`` draws from:
 
 ``constant``              all entries equal to ``value``
 ``iid-two-point``         each diagonal entry independently alpha or beta (p=1/2)
 ``iid-uniform``           each entry independently uniform on (low, high)
 ``correlated-two-point``  normalized kernel smoothing of an iid two-point base
-                          field (periodic convolution, kernel radius ``radius``
-                          with weights exp(-decay * |k|), truncated and
-                          normalized); a zero-radius kernel reproduces the iid
-                          field bitwise
-``periodic-tile``         deterministic tiling of a given unit-cell table
+                          field (periodic convolution with weights exp(-decay
+                          * |k|) on |k|_inf <= radius, kept as (radius, decay));
+                          a zero-radius kernel reproduces the iid field bitwise
+``periodic-tile``         deterministic tiling of a read-only copy of a unit cell
 """
 
 from __future__ import annotations
@@ -64,20 +64,23 @@ class EnsembleSpec:
     params: dict
     lam: float = 0.2
     master_seed: int = 0
-    # (low, high) of one diagonal entry's law, read from params by _read; None for a tile
+    # the law, read from params by _read: (low, high) of one diagonal entry, None for a
+    # tile; and the tile's read-only (tile sites, d) table or the kernel's (radius, decay)
     marginal: tuple[float, float] | None = field(init=False, repr=False, compare=False)
+    structure: np.ndarray | tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
-            marginal = self._read()
+            marginal, structure = self._read()
         except ParameterError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ParameterError(f"{self.kind!r} ensemble: bad parameter {exc!r}") from exc
         object.__setattr__(self, "marginal", marginal)
+        object.__setattr__(self, "structure", structure)
 
-    def _read(self) -> tuple[float, float] | None:
-        """The params, checked, as :attr:`marginal`; the one place that parses them."""
+    def _read(self) -> tuple:
+        """The params, checked, as (marginal, structure); the one place that reads them."""
         if self.kind not in KINDS:
             raise ParameterError(f"unknown ensemble kind {self.kind!r}")
         if not (0.0 < self.lam < 1.0):
@@ -90,7 +93,7 @@ class EnsembleSpec:
             v = float(p["value"])
             if not (self.lam < v < 1.0):
                 raise ParameterError(f"constant value {v} outside ({self.lam}, 1)")
-            return v, v
+            return (v, v), None
         if self.kind == "iid-uniform":
             lo, hi = float(p["low"]), float(p["high"])
             if not (self.lam < lo < hi < 1.0):
@@ -98,14 +101,15 @@ class EnsembleSpec:
                     f"uniform bounds must satisfy {self.lam} < low < high < 1; "
                     f"got low={lo}, high={hi}"
                 )
-            return lo, hi
+            return (lo, hi), None
         if self.kind == "periodic-tile":
-            cell = np.asarray(p["unit_cell"], dtype=np.float64)
+            cell = np.array(p["unit_cell"], dtype=np.float64)  # a copy, never the caller's
             if cell.ndim != 2:
                 raise ParameterError("unit_cell must be a (tile sites, d) table")
             if cell.size == 0 or not np.all((cell > self.lam) & (cell < 1.0)):
                 raise ParameterError(f"unit_cell entries must lie in ({self.lam}, 1)")
-            return None
+            cell.flags.writeable = False
+            return None, cell
         a, b = float(p["alpha"]), float(p["beta"])  # the two-point kinds
         if not (self.lam < a <= b < 1.0):
             raise ParameterError(
@@ -117,7 +121,8 @@ class EnsembleSpec:
             if r < 0 or not (0.0 <= decay < np.inf):
                 raise ParameterError(f"kernel radius must be >= 0 and decay finite and "
                                      f">= 0; got radius={r}, decay={decay}")
-        return a, b
+            return (a, b), (r, decay)
+        return (a, b), None
 
     # -- helpers ----------------------------------------------------------
 
@@ -134,7 +139,7 @@ class EnsembleSpec:
         """Expectation of a single diagonal entry; for a tile, the mean of the
         unit cell's first column."""
         if self.marginal is None:
-            return float(np.mean(np.asarray(self.params["unit_cell"], dtype=np.float64)[:, 0]))
+            return float(np.mean(self.structure[:, 0]))
         low, high = self.marginal
         return 0.5 * (low + high)
 
@@ -191,8 +196,7 @@ def _kernel_weights(spec: EnsembleSpec, d: int) -> dict[tuple[int, ...], float]:
     explicit roll-and-add (bitwise identity with the iid field when the
     kernel is the point mass at 0).
     """
-    r = _exact_int(spec.params.get("radius", 1))
-    decay = float(spec.params.get("decay", 1.0))
+    r, decay = spec.structure
     offsets = list(itertools.product(range(-r, r + 1), repeat=d))
     w = {k: float(np.exp(-decay * np.linalg.norm(k))) for k in offsets}
     total = sum(w.values())  # >= 1, the weight at offset 0
@@ -208,18 +212,14 @@ def sample(spec: EnsembleSpec, box: BoxSpec, sid: SampleId) -> CoefficientField:
         diag = _rng_for(spec, sid).uniform(*spec.marginal, size=(n, d))
     elif spec.kind in ("iid-two-point", "correlated-two-point"):  # low or high, p = 1/2
         diag = np.where(_rng_for(spec, sid).integers(0, 2, size=(n, d)) == 0, *spec.marginal)
-        if spec.kind == "correlated-two-point":
-            base, w = diag, _kernel_weights(spec, d)
-            diag = np.zeros((n, d))
-            for comp in range(d):
-                g = base[:, comp].reshape(box.shape, order="F")
-                acc = np.zeros_like(g)
-                for off, weight in sorted(w.items()):
-                    acc += weight * np.roll(g, shift=tuple(-o for o in off), axis=tuple(range(d)))
-                diag[:, comp] = acc.ravel(order="F")
+        if spec.kind == "correlated-two-point":  # all d components at once, on the last axis
+            g = diag.reshape((*box.shape, d), order="F")
+            acc = np.zeros_like(g)
+            for off, weight in sorted(_kernel_weights(spec, d).items()):
+                acc += weight * np.roll(g, shift=tuple(-o for o in off), axis=tuple(range(d)))
+            diag = acc.reshape((n, d), order="F")  # acc has g's strides: a C-ordered view
     else:  # periodic-tile
-        cell = np.asarray(spec.params["unit_cell"], dtype=np.float64)
-        tile_n, cell_d = cell.shape
+        tile_n, cell_d = spec.structure.shape
         tile_L = round(tile_n ** (1.0 / box.d))
         if tile_L**box.d != tile_n or cell_d != d:
             raise ParameterError(
@@ -228,7 +228,7 @@ def sample(spec: EnsembleSpec, box: BoxSpec, sid: SampleId) -> CoefficientField:
             )
         if box.L % tile_L != 0:
             raise ParameterError(f"box L={box.L} not divisible by tile L={tile_L}")
-        diag = cell[(box.coordinate_arrays() % tile_L) @ tile_L ** np.arange(d)]
+        diag = spec.structure[(box.coordinate_arrays() % tile_L) @ tile_L ** np.arange(d)]
     return CoefficientField(box, diag, lam=spec.lam)
 
 

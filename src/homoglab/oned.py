@@ -20,7 +20,8 @@ with the periodic corrector phi(y) = int_0^y (a_0/a - 1).
 
 Grids resolve the microstructure: ``points_per_period`` nodes per length
 eps, aligned with both the period breakpoints and the macro grid, so the
-quadrature error stays far below the homogenization error being measured.
+quadrature error stays far below the homogenization error being measured;
+no grid has more than ``MAX_GRID_INTERVALS`` intervals.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ __all__ = [
 
 MIN_POINTS_PER_PERIOD = 8
 RECOMMENDED_POINTS_PER_PERIOD = 32
+# the most intervals of one grid: two_scale_check_1d on 2**20 of them peaks near 0.2 GB
+MAX_GRID_INTERVALS = 2**20
 
 
 def trapezoid(y: np.ndarray, x: np.ndarray) -> np.float64 | np.ndarray:
@@ -101,6 +104,9 @@ class Profile1D:
                 f"grid must resolve the microstructure: need at least "
                 f"{MIN_POINTS_PER_PERIOD} points per period, got {self.points_per_period}"
             )
+        if round(inv) * self.points_per_period > MAX_GRID_INTERVALS:
+            raise ParameterError(f"eps={self.eps} at {self.points_per_period} points per period "
+                                 f"needs more than {MAX_GRID_INTERVALS} grid intervals")
         if self.points_per_period < RECOMMENDED_POINTS_PER_PERIOD:
             warnings.warn(
                 f"fewer than {RECOMMENDED_POINTS_PER_PERIOD} points per period; "
@@ -255,8 +261,10 @@ def oscillatory_average_check(F, eps_list, points_per_period: int = 256,
     geometrically there.
     """
     eps_arr = _coarsest_first(eps_list)
-    grids = [np.linspace(0.0, 1.0, max(1024, int(np.ceil(1.0 / eps)) * points_per_period) + 1)
-             for eps in eps_arr]
+    sizes = [max(1024, int(np.ceil(1.0 / eps)) * points_per_period) for eps in eps_arr]
+    if (most := max(*sizes, y_points)) > MAX_GRID_INTERVALS:
+        raise ParameterError(f"a grid of {most} intervals is more than {MAX_GRID_INTERVALS}")
+    grids = [np.linspace(0.0, 1.0, n + 1) for n in sizes]
     # Fbar does not depend on eps: average once per distinct node of all grids
     nodes = np.unique(np.concatenate(grids))
     fbar_nodes = _period_average(F, np.linspace(0.0, 1.0, y_points + 1), nodes)

@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import itertools
 import json
 import re
 import sys
@@ -273,6 +275,69 @@ def test_marginal_is_read_at_construction(spec, marginal):
     # a derived field: not an argument, not in the repr, equality or JSON
     assert spec == EnsembleSpec(spec.kind, spec.params, spec.lam, spec.master_seed)
     assert "marginal" not in repr(spec) and "marginal" not in spec.to_json()
+
+
+def _correlated(radius, decay=0.7, master_seed=5):
+    return EnsembleSpec("correlated-two-point",
+                        {"alpha": 0.25, "beta": 0.75, "radius": radius, "decay": decay},
+                        0.2, master_seed)
+
+
+TILE_2D = [[0.3, 0.5], [0.7, 0.4], [0.6, 0.9], [0.25, 0.8]]
+
+
+class TestLawIsReadAtConstruction:
+    """The kernel and the tile table are read once, by ``_read``: a later edit of
+    ``params`` or of the caller's table reaches no draw and no mean."""
+
+    @pytest.mark.parametrize("spec,edit", [
+        (_correlated(2, decay=0.5), {"radius": -1}),
+        (_correlated(2, decay=0.5), {"decay": 50.0}),
+        (EnsembleSpec("periodic-tile", {"unit_cell": TILE_2D}, 0.2, 0),
+         {"unit_cell": [[5.0, 5.0]] * 4}),
+    ], ids=["radius", "decay", "unit_cell"])
+    def test_a_later_params_edit_changes_nothing(self, spec, edit):
+        box = BoxSpec(2, 6)
+        before = sample(spec, box, SampleId(1)).diag
+        mean = spec.marginal_mean()
+        spec.params.update(edit)
+        assert np.array_equal(sample(spec, box, SampleId(1)).diag, before)
+        assert spec.marginal_mean() == mean
+
+    def test_a_numpy_unit_cell_stays_the_callers(self):
+        cell = np.array(TILE_2D)
+        spec = EnsembleSpec("periodic-tile", {"unit_cell": cell}, 0.2, 0)
+        before, mean = sample(spec, BoxSpec(2, 4), SampleId(0)).diag, spec.marginal_mean()
+        assert cell.flags.writeable and not np.shares_memory(cell, spec.structure)
+        assert not spec.structure.flags.writeable
+        cell[:] = 0.9
+        assert np.array_equal(sample(spec, BoxSpec(2, 4), SampleId(0)).diag, before)
+        assert spec.marginal_mean() == mean
+
+    def test_structure_is_a_derived_field(self):
+        kernel, iid = _correlated(3, decay=0.25), two_point()
+        assert (kernel.structure, iid.structure, constant(0.5).structure) == ((3, 0.25), None, None)
+        assert "structure" not in repr(kernel) and "structure" not in kernel.to_json()
+        assert kernel == EnsembleSpec(kernel.kind, kernel.params, kernel.lam, kernel.master_seed)
+
+
+def test_draws_keep_their_bits():
+    # recorded before the d components were convolved in one pass: correlated at
+    # d = 1, 2, 3 and radius 0-3, and two tiles with their marginal_mean
+    draws = [(_correlated(r), BoxSpec(d, L))
+             for (d, L), r in itertools.product([(1, 9), (2, 8), (3, 5)], range(4))]
+    draws += [(EnsembleSpec("periodic-tile", {"unit_cell": TILE_2D}, 0.2, 0), BoxSpec(2, 6)),
+              (EnsembleSpec("periodic-tile", {"unit_cell": [[0.3], [0.45], [0.9]]}, 0.2, 0),
+               BoxSpec(1, 9))]
+    h = hashlib.sha256()
+    for spec, box in draws:
+        for i in range(2):
+            diag = sample(spec, box, SampleId(i)).diag
+            assert diag.flags.c_contiguous  # the layout the solvers' reductions see
+            h.update(diag.tobytes())
+        if spec.kind == "periodic-tile":
+            h.update(np.float64(spec.marginal_mean()).tobytes())
+    assert h.hexdigest() == "d9a4c7cd0c3f9ed480b81438fec9f766d19e8723bd3a4c6dd6d770128da6489d"
 
 
 class TestJsonRoundTrip:

@@ -161,6 +161,9 @@ def cases(draw) -> tuple[list[str], dict]:
          expected=0)
 @example(case=(["oned", "--config", "@config"],
                _oned(a={"kind": "shifted-sine", "offset": 1e200})), expected=0)
+# a 1d grid of more than 2**20 intervals
+@example(case=(["oned", "--config", "@config"], _oned(eps_list=[1e-7])), expected=3)
+@example(case=(["oned", "--config", "@config"], _oned(points_per_period=10**12)), expected=3)
 def test_exit_code_is_0_2_or_3_and_a_failure_writes_nothing(case, expected):
     argv, files = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,8 +1,8 @@
 """Every name a module exports resolves, so no deleted name stays exported,
 every public solver entry point shares one solver default, a result type
-is exactly its fields, no module relies on ``assert``, and rejected input
+is exactly its fields, no module relies on ``assert``, rejected input
 has one exception type, which ``main`` catches without catching every
-``ValueError``."""
+``ValueError``, and an ensemble's params are read in one place."""
 
 import ast
 import dataclasses
@@ -15,6 +15,7 @@ import pytest
 
 import homoglab
 import homoglab.cli
+import homoglab.ensembles
 from homoglab.elliptic import SolverConfig
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(homoglab.__path__))
@@ -59,6 +60,14 @@ def test_result_types_are_their_fields(name):
              if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
              for attr, value in vars(cls).items() if isinstance(value, property)]
     assert views == []
+
+
+def test_only_read_and_to_json_touch_an_ensembles_params():
+    # sample, marginal_mean and the kernel read the law _read stored on the spec
+    tree = ast.parse(inspect.getsource(homoglab.ensembles))
+    readers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Attribute) and node.attr == "params"}
+    assert readers == {"_read", "to_json"}
 
 
 def test_one_exception_type_for_rejected_input():

@@ -169,6 +169,16 @@ class TestSolveExplicit:
         with pytest.raises(ValueError):
             Profile1D(a_unit=SINE_A, f=ODD_F, eps=0.3)
 
+    @pytest.mark.parametrize("eps,ppp", [(1e-7, 64), (0.5, 10**12), (1 / 128, 2**13 + 1)],
+                             ids=["eps-1e-7", "ppp-1e12", "one-above-the-bound"])
+    def test_oversized_grid_rejected(self, eps, ppp):
+        # 640,000,001 and 2e12 nodes: refused when the profile is built, before any grid
+        with pytest.raises(ParameterError, match=f"needs more than {2**20} grid intervals"):
+            Profile1D(a_unit=SINE_A, f=ODD_F, eps=eps, points_per_period=ppp)
+
+    def test_grid_at_the_bound_accepted(self):
+        assert sine_profile(eps=1 / 128, ppp=2**13).grid().size == 2**20 + 1
+
 
 class TestHomogenized:
     def test_unit_forcing_maximum(self):
@@ -287,6 +297,12 @@ class TestOscillatoryAverage:
     def test_bad_eps_list_rejected(self, eps_list, message):
         with pytest.raises(ParameterError, match=f"eps_list must be {message}"):
             oscillatory_average_check(lambda y, x: np.sin(2 * np.pi * y) * x, eps_list)
+
+    @pytest.mark.parametrize("grid", [{"points_per_period": 2**19 + 1}, {"y_points": 2**20 + 1}],
+                             ids=["x", "y"])
+    def test_oversized_grid_rejected(self, grid):
+        with pytest.raises(ParameterError, match=f"intervals is more than {2**20}"):
+            oscillatory_average_check(lambda y, x: np.sin(2 * np.pi * y), [1 / 2], **grid)
 
 
 class TestSupError:
