@@ -189,14 +189,22 @@ def _rng_for(spec: EnsembleSpec, sid: SampleId, *key: int) -> np.random.Generato
     return np.random.default_rng(ss)
 
 
+# a draw rolls the field once per kernel offset: radius <= 2047, 31, 7 at d = 1, 2, 3
+MAX_KERNEL_OFFSETS = 2**12
+
+
 def _kernel_weights(spec: EnsembleSpec, d: int) -> dict[tuple[int, ...], float]:
     """Normalized nonnegative kernel on offsets with |k|_inf <= radius.
 
     The dict is keyed by offset tuple so the convolution below is an
     explicit roll-and-add (bitwise identity with the iid field when the
-    kernel is the point mass at 0).
+    kernel is the point mass at 0).  A kernel of more than
+    ``MAX_KERNEL_OFFSETS`` offsets is a ``ParameterError``.
     """
     r, decay = spec.structure
+    if (2 * r + 1) ** d > MAX_KERNEL_OFFSETS:
+        raise ParameterError(f"kernel radius {r} at d={d} has more than {MAX_KERNEL_OFFSETS} "
+                             f"offsets (2r+1)^d")
     offsets = list(itertools.product(range(-r, r + 1), repeat=d))
     w = {k: float(np.exp(-decay * np.linalg.norm(k))) for k in offsets}
     total = sum(w.values())  # >= 1, the weight at offset 0
@@ -232,13 +240,6 @@ def sample(spec: EnsembleSpec, box: BoxSpec, sid: SampleId) -> CoefficientField:
     return CoefficientField(box, diag, lam=spec.lam)
 
 
-def _sample_count(n: int, least: int = 1) -> None:
-    """Check a sample count before the first sample: ``ParameterError`` below
-    ``least``, which is 2 for a statistic with a ``ddof=1`` standard error."""
-    if n < least:
-        raise ParameterError(f"the number of samples must be at least {least}, got {n}")
-
-
 def _mean_stderr(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sample mean over axis 0 and its standard error, std(ddof=1)/sqrt(n).
 
@@ -253,8 +254,10 @@ def _mean_stderr(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def per_block(spec: EnsembleSpec, box: BoxSpec, n: int, fn: Callable,
-              map_fn: Callable, size: int) -> list:
-    """The Monte Carlo loop on runs of ``size`` consecutive sample ids.
+              map_fn: Callable, size: int, least: int = 1) -> list:
+    """The Monte Carlo loop on runs of ``size`` consecutive sample ids, once
+    ``n`` is at least ``least`` (2 for a statistic with a ``ddof=1`` standard
+    error; below it, a ``ParameterError`` before the first sample).
 
     ``fn(fields, ids)`` gets the fields of ``ids``, drawn by :func:`sample` in
     id order, and returns one result per id; the results come back flattened
@@ -263,7 +266,8 @@ def per_block(spec: EnsembleSpec, box: BoxSpec, n: int, fn: Callable,
     a copy of the caller's: the report scope of
     ``elliptic.collecting_reports`` reaches the workers.
     """
-    _sample_count(n)
+    if n < least:
+        raise ParameterError(f"the number of samples must be at least {least}, got {n}")
     ctx = contextvars.copy_context()
 
     def run(start: int) -> list:
@@ -277,10 +281,9 @@ def per_block(spec: EnsembleSpec, box: BoxSpec, n: int, fn: Callable,
 def per_sample(spec: EnsembleSpec, box: BoxSpec, n: int, fn: Callable,
                map_fn: Callable = map, least: int = 1) -> np.ndarray:
     """``np.stack([fn(sample(spec, box, SampleId(i)), i) for i < n])``, once
-    ``n`` is at least ``least`` (see :func:`_sample_count`): :func:`per_block`
-    with runs of one sample, one ``map_fn`` task each."""
-    _sample_count(n, least)
-    return np.stack(per_block(spec, box, n, lambda f, ids: [fn(f[0], ids[0])], map_fn, 1))
+    ``n`` is at least ``least``: :func:`per_block` with runs of one sample, one
+    ``map_fn`` task each."""
+    return np.stack(per_block(spec, box, n, lambda f, ids: [fn(f[0], ids[0])], map_fn, 1, least))
 
 
 def site_assignments(spec: EnsembleSpec, d: int) -> np.ndarray:
@@ -322,6 +325,6 @@ def _sub_box_sites(box: BoxSpec, R: int) -> np.ndarray:
     return sites
 
 
-def spatial_average_observable(a: CoefficientField, R: int, component: int = 0) -> float:
-    """Average of a chosen diagonal entry over the centered R-sub-box."""
-    return float(a.diag[_sub_box_sites(a.box, R), component].mean())
+def spatial_average_observable(a: CoefficientField, R: int) -> float:
+    """Average of a_1, the first diagonal entry, over the centered R-sub-box."""
+    return float(a.diag[_sub_box_sites(a.box, R), 0].mean())

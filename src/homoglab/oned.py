@@ -201,9 +201,9 @@ def two_scale_check_1d(profile: Profile1D) -> TwoScaleError1D:
     """
     x = profile.grid()
     het = solve_explicit(profile)
-    hom = solve_homogenized_1d(profile)
     a0 = harmonic_mean(profile.a_unit, M=max(4096, profile.points_per_period))
     f_vals = np.asarray(profile.f(x), dtype=np.float64)
+    hom = _explicit_solution(x, np.full_like(x, a0), f_vals)  # = solve_homogenized_1d(profile)
 
     y = (x / profile.eps) % 1.0
     ytab, phi_tab = corrector_1d(profile.a_unit, M=8192)

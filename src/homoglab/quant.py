@@ -25,9 +25,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ensembles import (EnsembleSpec, SampleId, _mean_stderr, _rng_for, _sample_count,
-                        _sub_box_sites, per_block, per_sample, site_assignments,
-                        site_variants, spatial_average_observable)
+from .ensembles import (EnsembleSpec, SampleId, _mean_stderr, _rng_for, _sub_box_sites,
+                        per_block, per_sample, site_assignments, site_variants,
+                        spatial_average_observable)
 from .lattice import (
     BoxSpec,
     CoefficientField,
@@ -145,48 +145,44 @@ def lipschitz_derivative(func, a: CoefficientField, site: int, spec: EnsembleSpe
 
 
 class SingleSiteEntry:
-    """f(a) = a_component(site): the equality case of the spectral gap."""
+    """f(a) = a_1(0), the first diagonal entry at site 0: the equality case of
+    the spectral gap."""
 
     name = "single-site"
 
-    def __init__(self, site: int = 0, component: int = 0):
-        self.site = site
-        self.component = component
-
     def __call__(self, a: CoefficientField) -> float:
-        return float(a.diag[self.site, self.component])
+        return float(a.diag[0, 0])
 
     def block_values(self, box: BoxSpec, diag: np.ndarray,
                      values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """f and f at every variant of the one site it reads, (B,) and (B, 1, V),
         for a (B, N, d) stack of diagonals and the (V, d) site values."""
-        table = np.broadcast_to(values[:, self.component], (diag.shape[0], 1, len(values)))
-        return diag[:, self.site, self.component], table.copy()
+        table = np.broadcast_to(values[:, 0], (diag.shape[0], 1, len(values)))
+        return diag[:, 0, 0], table.copy()
 
 
 class BoxAverageEntry:
-    """f(a) = average of a_component over the centered R-sub-box."""
+    """f(a) = average of a_1 over the centered R-sub-box."""
 
     name = "box-average"
 
-    def __init__(self, R: int, component: int = 0):
+    def __init__(self, R: int):
         self.R = R
-        self.component = component
 
     def __call__(self, a: CoefficientField) -> float:
-        return spatial_average_observable(a, self.R, self.component)
+        return spatial_average_observable(a, self.R)
 
     def block_values(self, box: BoxSpec, diag: np.ndarray,
                      values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """f and f at every variant of each sub-box site, (B,) and (B, R**d, V)."""
-        held = diag[:, _sub_box_sites(box, self.R), self.component]
+        held = diag[:, _sub_box_sites(box, self.R), 0]
         fa = held.mean(axis=1)
-        table = (values[None, None, :, self.component] - held[:, :, None]) / held.shape[1]
+        table = (values[None, None, :, 0] - held[:, :, None]) / held.shape[1]
         return fa, fa[:, None, None] + table
 
 
 class CellAhomEntry:
-    """f(a) = entry (row, col) of the periodic cell homogenized matrix.
+    """f(a) = entry (1, 1) of the periodic cell homogenized matrix.
 
     A genuinely nonlinear functional of the whole box.  Small boxes only:
     the cell problem is solved directly through the dense pinned inverse
@@ -196,48 +192,34 @@ class CellAhomEntry:
 
     name = "ahom-entry"
 
-    def __init__(self, row: int = 0, col: int = 0):
-        self.row = row
-        self.col = col
-
     def _solve(self, box: BoxSpec, diag: np.ndarray):
-        """Pinned inverses G and the edge differences of phi_row, phi_col,
-        for a (B, N, d) stack of diagonals.
+        """Pinned inverses G and the edge differences t of phi_1, for a
+        (B, N, d) stack of diagonals.
 
         G inverts each cell matrix div*(a grad .) with site 0 pinned (row and
         column 0 are zero).  One ``np.linalg.inv`` inverts the whole stack: it
         runs LAPACK on each matrix in turn without the GIL, so the runs of a
         thread pool invert in parallel, and each matrix gets the bits of its
-        own call.  phi_k = G (-div*(a e_k)) is the cell corrector in direction
-        k; the returned tables hold b_{x,i}^T phi_k = phi_k(x+e_i) - phi_k(x),
-        (B, N, d).
+        own call.  phi_1 = G (-div*(a e_1)) is the cell corrector in direction
+        1; t holds b_{x,i}^T phi_1 = phi_1(x+e_i) - phi_1(x), (B, N, d).
         """
         fwd, bwd = neighbours(box)
         n = box.n_sites
         G = np.zeros((len(diag), n, n))
         G[:, 1:, 1:] = np.linalg.inv(_elliptic_matrices(box, diag)[:, 1:, 1:])
         _report_dense(len(diag))
+        a1 = diag[:, :, 0]
+        phi = (G @ (a1 - a1[:, bwd[:, 0]])[:, :, None])[:, :, 0]  # -div*(a e_1)
+        return G, phi[:, fwd] - phi[:, :, None]
 
-        def edges(k: int) -> np.ndarray:
-            ak = diag[:, :, k]
-            phi = (G @ (ak - ak[:, bwd[:, k]])[:, :, None])[:, :, 0]  # -div*(a e_k)
-            return phi[:, fwd] - phi[:, :, None]
-
-        t_col = edges(self.col)
-        t_row = t_col if self.row == self.col else edges(self.row)
-        return G, t_row, t_col
-
-    def _entry(self, diag: np.ndarray, t_col: np.ndarray) -> np.ndarray:
-        arow = diag[:, :, self.row]
-        entry = np.mean(arow * t_col[:, :, self.row], axis=1)
-        if self.row == self.col:
-            entry += np.mean(arow, axis=1)
-        return entry
+    def _entry(self, diag: np.ndarray, t: np.ndarray) -> np.ndarray:
+        a1 = diag[:, :, 0]
+        return np.mean(a1 * t[:, :, 0], axis=1) + np.mean(a1, axis=1)
 
     def __call__(self, a: CoefficientField) -> float:
         diag = a.diag[None]
-        _, _, t_col = self._solve(a.box, diag)
-        return float(self._entry(diag, t_col)[0])
+        _, t = self._solve(a.box, diag)
+        return float(self._entry(diag, t)[0])
 
     def block_values(self, box: BoxSpec, diag: np.ndarray,
                      values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -247,32 +229,28 @@ class CellAhomEntry:
         Setting the diagonal at site x to ``values[v]`` moves a_i(x) by
         delta_i and the cell matrix by the rank-d update U D U^T, with
         U = [b_{x,1} .. b_{x,d}], b_{x,i} = e_{x+e_i} - e_x, D = diag(delta);
-        the right-hand side -div*(a e_col) moves by -delta_col b_{x,col}.
+        the right-hand side -div*(a e_1) moves by -delta_1 b_{x,1}.
         Sherman-Morrison-Woodbury on the pinned inverse G gives
 
             phi' = G r' - G U (I + D U^T G U)^{-1} D U^T G r',
 
-        and only the projections of phi' on c = sum_x a_row(x) b_{x,row} and
+        and only the projections of phi' on c = sum_x a_1(x) b_{x,1} and
         on U enter the entry, so each variant costs one d x d solve.
         """
         n, d = box.n_sites, box.d
         fwd, _ = neighbours(box)
-        row, col = self.row, self.col
-        G, t_row, t_col = self._solve(box, diag)
+        G, t = self._solve(box, diag)
         x = np.arange(n)[:, None]
         M = (G[:, fwd[:, :, None], fwd[:, None, :]] - G[:, fwd, x][..., None]
              - G[:, x, fwd][:, :, None, :] + G[:, x, x][..., None])  # U^T G U per site
         delta = values[None, None] - diag[:, :, None, :]           # (B, N, V, d)
-        s = t_col[:, :, None, :] - delta[..., col, None] * M[:, :, None, :, col]  # U^T G r'
+        s = t[:, :, None, :] - delta[..., 0, None] * M[:, :, None, :, 0]  # U^T G r'
         w = _small_solve(np.eye(d) + delta[..., :, None] * M[:, :, None], delta * s)
-        u_row = s[..., row] - (M[:, :, None, row] * w).sum(axis=-1)      # e_row^T U^T phi'
-        # c^T phi' - c^T G r, with c^T G b_{x,i} = -t_row[x, i] since G c = -phi_row
-        dc = delta[..., col] * t_row[:, :, None, col] + (t_row[:, :, None] * w).sum(axis=-1)
-        fa = self._entry(diag, t_col)
-        out = fa[:, None, None] + (dc + delta[..., row] * u_row) / n
-        if row == col:
-            out += delta[..., row] / n
-        return fa, out
+        u = s[..., 0] - (M[:, :, None, 0] * w).sum(axis=-1)            # e_1^T U^T phi'
+        # c^T phi' - c^T G r, with c^T G b_{x,i} = -t[x, i] since G c = -phi_1
+        dc = delta[..., 0] * t[:, :, None, 0] + (t[:, :, None] * w).sum(axis=-1)
+        fa = self._entry(diag, t)  # mean(a_1 t_1) + mean(a_1): the last moves by delta_1 / n
+        return fa, fa[:, None, None] + (dc + delta[..., 0] * u) / n + delta[..., 0] / n
 
 
 def _small_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -348,7 +326,6 @@ def sg_check(spec: EnsembleSpec, box: BoxSpec, n: int,
     if spec.is_deterministic:
         raise ParameterError("sg_check needs alpha < beta: with alpha == beta every "
                              "functional is constant and its ratio is 0/0")
-    _sample_count(n, 2)
     if functionals is None:
         functionals = default_functional_family(box)
     values = site_assignments(spec, box.d)
@@ -366,7 +343,7 @@ def sg_check(spec: EnsembleSpec, box: BoxSpec, n: int,
         return out
 
     # (functionals, 2, n): each functional's values and sums contiguous in sample order
-    table = np.stack(per_block(spec, box, n, block, map_fn, _SG_BLOCK), axis=-1)
+    table = np.stack(per_block(spec, box, n, block, map_fn, _SG_BLOCK, least=2), axis=-1)
     reports = []
     for func, (vals, dsums) in zip(functionals, table):
         var = float(vals.var(ddof=1))

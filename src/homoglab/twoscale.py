@@ -145,6 +145,8 @@ def two_scale_experiment(spec: EnsembleSpec, box: BoxSpec, alpha: float,
                          cfg: SolverConfig = SolverConfig(),
                          map_fn: Callable = map) -> list[TwoScaleReport]:
     """Per-sample two-scale error reports; deterministic in the master seed."""
+    if not 0 < alpha < np.inf:  # before the first sample's corrector solves
+        raise ParameterError(f"alpha must be positive and finite, got {alpha}")
     if f is None:
         f = default_forcing(box)
 

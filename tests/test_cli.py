@@ -14,6 +14,7 @@ import homoglab.correctors
 import homoglab.ensembles
 import homoglab.oned
 import homoglab.quant
+import homoglab.twoscale
 from conftest import constant_green, reference_csv_text
 from homoglab.cli import (
     EXIT_CONFIG_ERROR,
@@ -293,6 +294,19 @@ class TestDispatchAndErrors:
                      "--out", str(tmp_path / "never.json")])
         assert code == EXIT_CONFIG_ERROR
         assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["ens.json"]
+
+    @pytest.mark.parametrize("alpha", ["0", "-1", "nan", "inf"])
+    def test_bad_alpha_exits_3_before_the_first_solve(self, alpha, ensemble_file, tmp_path,
+                                                      capsys, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solved a corrector before checking alpha")
+
+        monkeypatch.setattr(homoglab.twoscale, "corrector_set", no_solve)
+        code = main(["twoscale", "--ensemble", ensemble_file, "--L", "8", "--samples", "2",
+                     "--alpha", alpha, "--out", str(tmp_path / "never.json")])
+        assert code == EXIT_CONFIG_ERROR
+        assert "alpha must be positive and finite" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["ens.json"]
 
     def test_missing_box_is_config_error(self, ensemble_file, tmp_path):

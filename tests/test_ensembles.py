@@ -9,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from homoglab import ensembles
 from homoglab.elliptic import _report_dense, cg_solve, collecting_reports
 from homoglab.lattice import BoxSpec, ParameterError, ScalarField
 from homoglab.quant import BoxAverageEntry
@@ -81,6 +82,19 @@ class TestValidation:
                             {"alpha": 0.25, "beta": 0.75, **kernel}, 0.2, 0)
         a = sample(spec, BoxSpec(2, 6), SampleId(0))
         assert np.all((a.diag >= 0.25) & (a.diag <= 0.75))
+
+    @pytest.mark.parametrize("d,radius", [(1, 2047), (2, 31), (3, 7)])
+    def test_kernel_offsets_are_bounded(self, d, radius):
+        # a draw rolls the field once per offset; radius + 1 has more than 2**12
+        def spec(r):
+            return EnsembleSpec("correlated-two-point",
+                                {"alpha": 0.25, "beta": 0.75, "radius": r}, 0.2, 0)
+
+        assert (2 * radius + 1) ** d <= ensembles.MAX_KERNEL_OFFSETS < (2 * radius + 3) ** d
+        a = sample(spec(radius), BoxSpec(d, 2), SampleId(0))
+        assert np.all((a.diag >= 0.25) & (a.diag <= 0.75))
+        with pytest.raises(ParameterError, match=f"kernel radius {radius + 1} at d={d} has more"):
+            sample(spec(radius + 1), BoxSpec(d, 2), SampleId(0))
 
     def test_uniform_bounds_validated(self):
         with pytest.raises(ParameterError, match=re.escape(
@@ -219,10 +233,9 @@ class TestSpatialAverage:
         a = sample(uniform(master_seed=6), box, SampleId(0))
         for R in range(1, L + 1):
             lo = (L - R) // 2
-            for comp in range(d):
-                window = a.grid(comp)[(slice(lo, lo + R),) * d]
-                assert spatial_average_observable(a, R, comp) == float(np.mean(window))
-                assert BoxAverageEntry(R, comp)(a) == float(np.mean(window))
+            window = a.grid(0)[(slice(lo, lo + R),) * d]
+            assert spatial_average_observable(a, R) == float(np.mean(window))
+            assert BoxAverageEntry(R)(a) == float(np.mean(window))
 
     def test_R_larger_than_box_rejected(self):
         a = sample(constant(0.5), BoxSpec(2, 8), SampleId(0))

@@ -164,6 +164,9 @@ def cases(draw) -> tuple[list[str], dict]:
 # a 1d grid of more than 2**20 intervals
 @example(case=(["oned", "--config", "@config"], _oned(eps_list=[1e-7])), expected=3)
 @example(case=(["oned", "--config", "@config"], _oned(points_per_period=10**12)), expected=3)
+# a kernel of more than 2**12 offsets, which would never finish a draw
+@example(case=(["cell", "--L", "4"], _ensemble("correlated-two-point", alpha=0.25, beta=0.75,
+                                               radius=10**4)), expected=3)
 def test_exit_code_is_0_2_or_3_and_a_failure_writes_nothing(case, expected):
     argv, files = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -5,6 +5,7 @@ import pytest
 import scipy.integrate
 import scipy.optimize
 
+import homoglab.oned
 from homoglab.lattice import ParameterError
 from homoglab.oned import (
     Profile1D,
@@ -240,6 +241,17 @@ class TestTwoScale1D:
             r = two_scale_check_1d(sine_profile(eps=eps))
             assert r.ratio_statement <= 1.0
             assert r.ratio_proof <= 1.0
+
+    def test_harmonic_mean_is_taken_once_per_use(self, monkeypatch):
+        # once for a_0 and u_0, once inside corrector_1d; u_0 is solve_homogenized_1d's
+        calls, mean = [], harmonic_mean
+        monkeypatch.setattr(homoglab.oned, "harmonic_mean",
+                            lambda *args, **kw: calls.append(args) or mean(*args, **kw))
+        p = sine_profile()
+        r = two_scale_check_1d(p)
+        assert len(calls) == 2
+        het, hom = solve_explicit(p), solve_homogenized_1d(p)
+        assert r.sup_error == float(np.max(np.abs(het.u - hom.u)))
 
 
 def per_node_errors(F, eps_list, points_per_period, y_points, a=0.0, b=1.0):

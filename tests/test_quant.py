@@ -37,12 +37,12 @@ class TestDerivatives:
 
     def test_single_site_functional_closed_form(self):
         box = BoxSpec(2, 4)
-        f = SingleSiteEntry(site=5)
+        f = SingleSiteEntry()
         devs = []
         for i in range(400):
             a = sample(SPEC, box, SampleId(i))
-            d = vertical_derivative(f, a, 5, SPEC)
-            assert d == pytest.approx(a.diag[5, 0] - 0.5)
+            d = vertical_derivative(f, a, 0, SPEC)
+            assert d == pytest.approx(a.diag[0, 0] - 0.5)
             devs.append(d)
         second_moment = float(np.mean(np.square(devs)))
         # Var(a_1) = (beta - alpha)^2 / 4 = 1/16
@@ -50,13 +50,13 @@ class TestDerivatives:
 
     def test_disjoint_site_gives_zero(self):
         box = BoxSpec(2, 4)
-        f = SingleSiteEntry(site=0)
+        f = SingleSiteEntry()
         a = sample(SPEC, box, SampleId(1))
         assert vertical_derivative(f, a, 7, SPEC) == 0.0
 
     def test_lipschitz_of_single_site_is_the_gap(self):
         a = sample(SPEC, BoxSpec(2, 4), SampleId(2))
-        assert lipschitz_derivative(SingleSiteEntry(site=3), a, 3, SPEC) == pytest.approx(0.5)
+        assert lipschitz_derivative(SingleSiteEntry(), a, 0, SPEC) == pytest.approx(0.5)
 
     def test_lipschitz_dominates_vertical_on_random_functionals(self):
         # sup of |f(a') - f(a'')| dominates the centered conditional average
@@ -84,7 +84,7 @@ class TestDerivatives:
         a = sample(spec, BoxSpec(2, 4), SampleId(0))
         with pytest.raises(ParameterError,
                            match=f"site variants require a two-point kind, got '{spec.kind}'"):
-            vertical_derivative(SingleSiteEntry(site=2), a, 2, spec)
+            vertical_derivative(SingleSiteEntry(), a, 0, spec)
 
 
 class TestSpectralGap:
