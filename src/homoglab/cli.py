@@ -12,14 +12,17 @@ Exit codes: 0 success, 1 replay mismatch, 2 solver failure, 3 config error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import math
 import os
 import sys
 import tempfile
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Callable
 
@@ -61,7 +64,7 @@ class ExperimentConfig:
             "params": self.params,
             "ensemble": self.ensemble.to_json() if self.ensemble else None,
             "box": self.box.to_json() if self.box else None,
-            "solver": _record(self.solver),
+            "solver": {**_record(self.solver), "anchor": "mean-zero"},
             "out": self.out,
         }
 
@@ -74,6 +77,8 @@ class ExperimentConfig:
             ens = obj.get("ensemble")
             box = obj.get("box")
             solver = dict(obj.get("solver") or {})
+            if solver.pop("anchor", "mean-zero") != "mean-zero":  # recorded, not settable
+                raise ParameterError("the solver's anchor must be 'mean-zero'")
             if "tol" in solver:
                 solver["tol"] = float(solver["tol"])
             if solver.get("max_iter") is not None:
@@ -296,6 +301,42 @@ def _typed_params(cfg: ExperimentConfig) -> dict:
         raise ParameterError(f"{cfg.experiment}: bad parameter: {exc}") from exc
 
 
+def _openblas_threads():
+    """numpy's bundled OpenBLAS (get, set) thread-count functions, or None."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for name in os.listdir(libs) if os.path.isdir(libs) else ():
+        lib = ctypes.CDLL(os.path.join(libs, name))
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+_blas_lock = threading.Lock()
+_blas_pin = {"runs": 0, "found": 1}  # runs inside the pin; the count the first one found
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread, for the same bits at any OPENBLAS_NUM_THREADS,
+    and yield whether it could; the last overlapping run restores the first's count."""
+    get, put = _openblas_threads() or (None, None)
+    with _blas_lock:
+        if put is not None and not _blas_pin["runs"]:
+            _blas_pin["found"] = get()
+            put(1)
+        _blas_pin["runs"] += 1
+    try:
+        yield put is not None
+    finally:
+        with _blas_lock:
+            _blas_pin["runs"] -= 1
+            if put is not None and not _blas_pin["runs"]:
+                put(_blas_pin["found"])
+
+
 def _execute(cfg: ExperimentConfig, threads: int) -> tuple[dict[str, str], dict]:
     """Run an experiment config in memory: its outputs {filename: text} and
     its manifest, which records their hashes."""
@@ -304,7 +345,8 @@ def _execute(cfg: ExperimentConfig, threads: int) -> tuple[dict[str, str], dict]
     params = _typed_params(cfg)
     t0 = time.monotonic()
     # no worker starts before the first task, and one thread maps serially
-    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool, collecting_reports() as collector:
+    with (ThreadPoolExecutor(max_workers=max(threads, 1)) as pool,
+          collecting_reports() as collector, _one_blas_thread() as blas_pinned):
         outputs = EXPERIMENTS[cfg.experiment].run(cfg, params, pool.map if threads > 1 else map)
     wall = time.monotonic() - t0
     manifest = {
@@ -317,6 +359,7 @@ def _execute(cfg: ExperimentConfig, threads: int) -> tuple[dict[str, str], dict]
         "wall_time_s": wall,
         "solver_summary": collector.summary(),
         "dense_solves": collector.dense_solves,
+        "blas_pinned": blas_pinned,
     }
     return outputs, manifest
 
@@ -360,11 +403,12 @@ def replay(manifest_path: str, threads: int = 1) -> tuple[bool, dict]:
         entry["recomputed_sha256"] = new_sha
         entry["status"] = "identical" if new_sha == sha else "differs"
         if new_sha != sha and os.path.exists(name):
-            with open(name) as fh:
-                old_text = fh.read()
-            dev = _numeric_deviation(old_text, new_text)
-            entry["max_abs_deviation"] = dev
-            report["max_abs_deviation"] = max(report["max_abs_deviation"], dev)
+            with open(name, "rb") as fh:
+                old = fh.read()
+            if _sha256_hex(old) == sha:  # only the recorded file measures a deviation
+                dev = _numeric_deviation(old.decode(), new_text)
+                entry["max_abs_deviation"] = dev
+                report["max_abs_deviation"] = max(report["max_abs_deviation"], dev)
     report["match"] = all(e["status"] == "identical" for e in report["files"].values())
     return report["match"], report
 
@@ -398,20 +442,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _add_threads(p: argparse.ArgumentParser, default: str) -> None:
-    # argparse converts a string default with ``type`` when the flag is absent,
-    # so a bad HOMOGLAB_THREADS is a usage error like a bad --threads value
-    p.add_argument("--threads", type=int, default=default,
-                   help="worker threads, at least 1 (default: $HOMOGLAB_THREADS, else 1)")
-
-
-def _add_common(p: argparse.ArgumentParser, threads: str) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="full experiment config JSON (given flags override)")
     p.add_argument("--ensemble", help="ensemble spec JSON file")
     p.add_argument("--L", type=int, help="box side length")
     p.add_argument("--d", type=int, help="box dimension (default: the config's, else 2)")
     p.add_argument("--seed", type=int, help="override the ensemble master seed")
-    _add_threads(p, threads)
+    p.add_argument("--threads", type=int, default=1, help="worker threads, at least 1")
     p.add_argument("--tol", type=float, help="CG relative residual target")
     p.add_argument("--max-iter", type=int, dest="max_iter")
     p.add_argument("--precond", choices=["none", "spectral"],
@@ -426,15 +463,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=f"homoglab {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-    threads = os.environ.get("HOMOGLAB_THREADS", "1")
     for name, exp in EXPERIMENTS.items():
         p = sub.add_parser(name)
-        _add_common(p, threads)
+        _add_common(p)
         for key, param in exp.params.items():
             p.add_argument("--" + key.replace("_", "-"), type=param.type, nargs=param.nargs)
     rp = sub.add_parser("replay")
     rp.add_argument("manifest", help="manifest JSON produced by a previous run")
-    _add_threads(rp, threads)
+    rp.add_argument("--threads", type=int, default=1, help="worker threads, at least 1")
     return ap
 
 
@@ -471,7 +507,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.threads < 1:
-        parser.error(f"--threads (or HOMOGLAB_THREADS) must be at least 1, got {args.threads}")
+        parser.error(f"--threads must be at least 1, got {args.threads}")
     try:
         if args.command == "replay":
             ok, report = replay(args.manifest, threads=args.threads)

@@ -50,7 +50,6 @@ from .elliptic import (
     solve_elliptic,
     solve_shifted,
     _checked,
-    _fix_gauge,
 )
 from .spectral import inverse
 
@@ -158,7 +157,7 @@ def solve_flux_corrector(q: VectorField, cfg: SolverConfig = SolverConfig()
         for k in range(j + 1, d):
             rhs = _grad_arr(q.grid(j), k) - _grad_arr(q.grid(k), j)
             s = poisson(rhs)
-            _fix_gauge(s, cfg)
+            s -= s.mean()
             residual = rhs - _div_star_arr([_grad_arr(s, i) for i in range(d)])
             bnorm = _norm(rhs)
             rel = _norm(residual) / bnorm if bnorm else 0.0

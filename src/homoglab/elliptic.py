@@ -73,7 +73,6 @@ class SolverError(RuntimeError):
 class SolverConfig:
     tol: float = 1e-10          # relative residual target
     max_iter: int | None = None  # default 50 * n_sites
-    anchor: str = "mean-zero"    # or "site-zero"
     preconditioner: str = "spectral"  # or "none": plain CG
 
     def __post_init__(self):
@@ -81,8 +80,6 @@ class SolverConfig:
             raise ParameterError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter is not None and self.max_iter < 1:
             raise ParameterError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.anchor not in ("mean-zero", "site-zero"):
-            raise ParameterError(f"unknown anchor {self.anchor!r}")
         if self.preconditioner not in ("none", "spectral"):
             raise ParameterError(f"unknown preconditioner {self.preconditioner!r}")
 
@@ -167,8 +164,7 @@ def cg_solve(operator, rhs: ScalarField, cfg: SolverConfig = SolverConfig(),
 
     ``operator`` maps grid arrays to grid arrays.  With ``singular=True`` the
     operator is assumed to have the constants as kernel: the rhs mean is
-    subtracted (and reported) and the solution returned mean-zero; with
-    ``anchor='site-zero'`` the constant is fixed by u(site 0) = 0 instead.
+    subtracted (and reported) and the solution returned mean-zero.
     """
     box = rhs.box
     b = rhs.grid().astype(np.float64, copy=True)
@@ -219,15 +215,8 @@ def cg_solve(operator, rhs: ScalarField, cfg: SolverConfig = SolverConfig(),
     rel = _norm(b - operator(x)) / bnorm
     converged = rel <= cfg.tol
     if singular:
-        _fix_gauge(x, cfg)
+        x -= x.mean()
     return ScalarField.from_grid(box, x), _report(SolveReport(it, rel, converged, removed))
-
-
-def _fix_gauge(x: np.ndarray, cfg: SolverConfig) -> None:
-    """Pick the representative of a solution defined up to a constant, in place."""
-    x -= x.mean()
-    if cfg.anchor == "site-zero":
-        x -= x.ravel(order="F")[0]
 
 
 def _checked(rep: SolveReport, what: str) -> SolveReport:

@@ -543,19 +543,23 @@ class TestDeterminismAndReplay:
         ok, report = replay(out + ".manifest.json", threads=4)
         assert ok and report["max_abs_deviation"] == 0.0
 
-    @pytest.mark.parametrize("argv", [
-        ["corrector", "--d", "2", "--L", "128", "--out", "corrector.csv"],
-        ["green", "--d", "3", "--L", "16", "--radii", "2", "3", "4", "--samples", "2",
-         "--out", "green.json"],
-        # README: sg is exact across BLAS thread counts at L=8 in d=2
-        ["sg", "--d", "2", "--L", "8", "--samples", "19", "--out", "sg.json"],
-    ], ids=["corrector", "green-spectral", "sg-d2-L8"])
-    def test_replay_is_exact_across_blas_thread_counts(self, argv, ensemble_file, tmp_path):
+    @pytest.mark.parametrize("argv,written_at,replayed_at", [
+        (["corrector", "--d", "2", "--L", "128", "--out", "corrector.csv"], "1", "2"),
+        (["green", "--d", "3", "--L", "16", "--radii", "2", "3", "4", "--samples", "2",
+          "--out", "green.json"], "1", "2"),
+        # README: a run holds numpy's OpenBLAS at one thread, so sg's dense inverse
+        # has the same bits at any OPENBLAS_NUM_THREADS, at every box size
+        (["sg", "--d", "2", "--L", "8", "--samples", "19", "--out", "sg.json"], "1", "2"),
+        (["sg", "--d", "2", "--L", "12", "--samples", "19", "--out", "sg.json"], "1", "2"),
+        (["sg", "--d", "2", "--L", "16", "--samples", "19", "--out", "sg.json"], "2", "1"),
+    ], ids=["corrector", "green-spectral", "sg-d2-L8", "sg-d2-L12", "sg-d2-L16-written-at-2"])
+    def test_replay_is_exact_across_blas_thread_counts(self, argv, written_at, replayed_at,
+                                                       ensemble_file, tmp_path):
         written = _python(["-m", "homoglab.cli", *argv, "--ensemble", ensemble_file],
-                          tmp_path, OPENBLAS_NUM_THREADS="1")
+                          tmp_path, OPENBLAS_NUM_THREADS=written_at)
         assert written.returncode == EXIT_OK, written.stderr
         replayed = _python(["-m", "homoglab.cli", "replay", argv[-1] + ".manifest.json"],
-                           tmp_path, OPENBLAS_NUM_THREADS="2")
+                           tmp_path, OPENBLAS_NUM_THREADS=replayed_at)
         assert replayed.returncode == EXIT_OK, replayed.stdout + replayed.stderr
 
     def test_cli_import_loads_no_scipy_integrate_or_optimize(self, tmp_path):
@@ -623,6 +627,21 @@ class TestDeterminismAndReplay:
         assert "replay error: out must be a path string" in err and "Traceback" not in err
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    def test_manifest_with_site_zero_anchor_exits_3(self, ensemble_file, tmp_path, capsys):
+        out = str(tmp_path / "ahom.json")
+        assert main(["ahom", "--ensemble", ensemble_file, "--L", "4", "--samples", "2",
+                     "--out", out]) == EXIT_OK
+        mpath = out + ".manifest.json"
+        manifest = json.loads(open(mpath).read())
+        assert manifest["config"]["solver"]["anchor"] == "mean-zero"
+        manifest["config"]["solver"]["anchor"] = "site-zero"
+        open(mpath, "w").write(json.dumps(manifest))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert main(["replay", mpath]) == EXIT_CONFIG_ERROR
+        assert "replay error: the solver's anchor" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_replay_detects_tampered_seed(self, ensemble_file, tmp_path):
         out = str(tmp_path / "ahom.json")
         main(["ahom", "--ensemble", ensemble_file, "--L", "8", "--samples", "3",
@@ -664,6 +683,20 @@ class TestDeterminismAndReplay:
         ok, report = replay(mpath)
         assert not ok
         assert report["max_abs_deviation"] > 0.0
+
+    def test_deviation_is_measured_only_against_the_recorded_file(self, ensemble_file,
+                                                                  tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["ahom", "--ensemble", ensemble_file, "--L", "8", "--out", "a.json"]
+        assert main([*argv, "--samples", "4"]) == EXIT_OK
+        manifest = json.loads((tmp_path / "a.json.manifest.json").read_text())
+        assert main([*argv, "--samples", "6", "--seed", "9"]) == EXIT_OK  # over the same path
+        manifest["outputs"]["a.json"] = "0" * 64  # as an older version would have recorded it
+        (tmp_path / "old.manifest.json").write_text(json.dumps(manifest))
+        ok, report = replay("old.manifest.json")
+        assert not ok and report["files"]["a.json"]["status"] == "differs"
+        assert "max_abs_deviation" not in report["files"]["a.json"]
+        assert report["max_abs_deviation"] == 0.0
 
 
 def _strict_json(text: str):
@@ -805,6 +838,68 @@ class TestReportScope:
         assert len(inner.reports) == len(outer.reports) == 12
 
 
+class TestBlasPin:
+    """A CLI run holds numpy's OpenBLAS at one thread and gives the count back."""
+
+    @pytest.fixture
+    def blas(self):
+        calls = homoglab.cli._openblas_threads()
+        if calls is None:
+            pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+        get, set_count = calls
+        found = get()
+        set_count(2)
+        try:
+            yield get, get()  # the count is 1 on a single-core host, which caps it
+        finally:
+            set_count(found)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_run_holds_blas_at_one_thread_and_restores_the_count(
+            self, threads, blas, ensemble_file, monkeypatch):
+        get, count = blas
+        cell, seen = homoglab.correctors.ahom_cell, []
+
+        def ahom_cell(a, cfg):
+            seen.append(get())
+            return cell(a, cfg)
+
+        monkeypatch.setattr(homoglab.correctors, "ahom_cell", ahom_cell)
+        cfg = config_from_args(build_parser().parse_args(
+            ["ahom", "--ensemble", ensemble_file, "--L", "8", "--samples", "4"]))
+        with homoglab.cli._one_blas_thread() as pinned:
+            assert pinned and get() == 1
+            # a run that enters and leaves inside this one keeps the hold
+            assert _execute(cfg, threads)[1]["blas_pinned"]
+            assert get() == 1
+        assert get() == count
+        _execute(cfg, threads)
+        assert get() == count and seen == [1] * 8
+
+    def test_overlapping_holds_give_the_count_back_once(self, blas):
+        get, count = blas
+        inside = []
+
+        def enter_and_leave():
+            for _ in range(1000):
+                with homoglab.cli._one_blas_thread():
+                    inside.append(get())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=enter_and_leave) for _ in range(8)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert inside == [1] * 8000
+        assert get() == count and homoglab.cli._blas_pin["runs"] == 0
+
+
 class TestConfigRoundTrip:
     def test_experiment_config_json_round_trip(self, ensemble_file):
         from homoglab.ensembles import EnsembleSpec
@@ -916,16 +1011,16 @@ class TestExperimentTable:
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("flags,solver", [
-        ([], SolverConfig(1e-8, 500, "site-zero", "none")),
-        (["--precond", "spectral"], SolverConfig(1e-8, 500, "site-zero", "spectral")),
-        (["--tol", "1e-6", "--max-iter", "9"], SolverConfig(1e-6, 9, "site-zero", "none")),
+        ([], SolverConfig(1e-8, 500, "none")),
+        (["--precond", "spectral"], SolverConfig(1e-8, 500, "spectral")),
+        (["--tol", "1e-6", "--max-iter", "9"], SolverConfig(1e-6, 9, "none")),
     ])
     def test_solver_flags_override_only_what_they_name(self, flags, solver, ensemble_file,
                                                        tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "experiment": "ahom", "params": {},
-            "solver": {"tol": "1e-8", "max_iter": 500, "anchor": "site-zero",
+            "solver": {"tol": "1e-8", "max_iter": 500, "anchor": "mean-zero",
                        "preconditioner": "none"}}))
         args = build_parser().parse_args(["ahom", "--config", str(path),
                                           "--ensemble", ensemble_file, "--L", "4", *flags])
@@ -939,6 +1034,18 @@ class TestExperimentTable:
         solver = config_from_args(args).solver
         assert solver == SolverConfig() and solver.preconditioner == "spectral"
 
+    def test_site_zero_anchor_is_config_error(self, ensemble_file, tmp_path, capsys):
+        # the gauge is mean zero; a config names it only as the recorded constant
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "ahom", "params": {},
+                                    "solver": {"anchor": "site-zero"}}))
+        out = str(tmp_path / "ahom.json")
+        code = main(["ahom", "--config", str(path), "--ensemble", ensemble_file,
+                     "--L", "4", "--out", out])
+        assert code == EXIT_CONFIG_ERROR
+        assert "anchor" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "ens.json"]
+
     def test_unknown_solver_key_is_config_error(self, ensemble_file, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"experiment": "ahom", "params": {},
@@ -951,32 +1058,29 @@ class TestExperimentTable:
 
 
 class TestThreadSettings:
-    @pytest.mark.parametrize("env,flags", [
-        ("two", []), ("", []), ("0", []), ("1", ["--threads", "0"]), ("2", ["--threads", "-1"]),
-    ])
-    def test_bad_thread_count_exits_3_and_writes_nothing(self, env, flags, ensemble_file,
-                                                         tmp_path, monkeypatch):
-        monkeypatch.setenv("HOMOGLAB_THREADS", env)
+    @pytest.mark.parametrize("flags", [["--threads", "0"], ["--threads", "-1"]],
+                             ids=["zero", "negative"])
+    def test_bad_thread_count_exits_3_and_writes_nothing(self, flags, ensemble_file, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["sg", "--ensemble", ensemble_file, "--L", "3", "--samples", "2",
                   *flags, "--out", str(tmp_path / "sg.json")])
         assert exc.value.code == EXIT_CONFIG_ERROR
         assert os.listdir(tmp_path) == ["ens.json"]
 
-    def test_replay_rejects_bad_thread_count(self, ensemble_file, tmp_path, monkeypatch):
+    def test_replay_rejects_bad_thread_count(self, ensemble_file, tmp_path):
         out = str(tmp_path / "sg.json")
         assert main(["sg", "--ensemble", ensemble_file, "--L", "3", "--samples", "2",
                      "--out", out]) == EXIT_OK
-        monkeypatch.setenv("HOMOGLAB_THREADS", "two")
         with pytest.raises(SystemExit) as exc:
-            main(["replay", out + ".manifest.json"])
+            main(["replay", out + ".manifest.json", "--threads", "0"])
         assert exc.value.code == EXIT_CONFIG_ERROR
 
-    def test_environment_sets_the_default(self, monkeypatch):
+    def test_the_environment_does_not_set_the_default(self, monkeypatch):
+        # only --threads sets the worker count, so argv alone fixes a run
         monkeypatch.setenv("HOMOGLAB_THREADS", "3")
         parser = build_parser()
-        assert parser.parse_args(["sg"]).threads == 3
-        assert parser.parse_args(["replay", "m.json"]).threads == 3
+        assert parser.parse_args(["sg"]).threads == 1
+        assert parser.parse_args(["replay", "m.json"]).threads == 1
         assert parser.parse_args(["sg", "--threads", "2"]).threads == 2
 
 
@@ -1063,7 +1167,7 @@ class TestArtifactSchemas:
         manifest.pop("config")
         assert schema(manifest) == {
             "artifact_version": str, "experiment": str, "config_sha256": str, "seed": int,
-            "outputs": {out: str}, "wall_time_s": float, "dense_solves": int,
+            "outputs": {out: str}, "wall_time_s": float, "dense_solves": int, "blas_pinned": bool,
             "solver_summary": {"n_solves": int, "total_iterations": int, "max_iterations": int,
                                "max_final_relative_residual": float, "all_converged": bool}}
 

@@ -128,13 +128,6 @@ class TestCG:
         assert rep32.iterations == rep64.iterations
         assert np.max(np.abs(u32.values - u64.values)) < 1e3 * tol * np.max(np.abs(u64.values))
 
-    def test_site_zero_anchor(self, rng):
-        box = BoxSpec(2, 8)
-        a = random_coefficients(box, rng)
-        rhs = ScalarField(box, rng.normal(size=box.n_sites))
-        u, _ = solve_elliptic(a, rhs, SolverConfig(anchor="site-zero"))
-        assert u.values[0] == 0.0
-
     def test_dense_assembly_matches_operator_action(self, rng):
         box = BoxSpec(2, 4)
         a = random_coefficients(box, rng)

@@ -1,8 +1,9 @@
 """Every name a module exports resolves, so no deleted name stays exported,
 every public solver entry point shares one solver default, a result type
-is exactly its fields, no module relies on ``assert``, rejected input
-has one exception type, which ``main`` catches without catching every
-``ValueError``, and an ensemble's params are read in one place."""
+is exactly its fields, no module relies on ``assert`` or reads the
+environment, rejected input has one exception type, which ``main`` catches
+without catching every ``ValueError``, and an ensemble's params are read in
+one place."""
 
 import ast
 import dataclasses
@@ -50,6 +51,16 @@ def test_no_assert_statements(path):
     # python -O strips asserts, so an invariant must raise an explicit exception
     tree = ast.parse(path.read_text(), filename=str(path))
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_environment_reads(path):
+    # a run's bytes depend only on its argv and the files it names
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+             or isinstance(node, ast.Name) and node.id in ("environ", "getenv")]
+    assert reads == []
 
 
 @pytest.mark.parametrize("name", ["quant", "correctors", "oned", "twoscale", "elliptic"])
