@@ -64,7 +64,7 @@ class ExperimentConfig:
             "params": self.params,
             "ensemble": self.ensemble.to_json() if self.ensemble else None,
             "box": self.box.to_json() if self.box else None,
-            "solver": {**_record(self.solver), "anchor": "mean-zero"},
+            "solver": {**_record(self.solver), "anchor": "mean-zero", "max_iter": None},
             "out": self.out,
         }
 
@@ -77,12 +77,11 @@ class ExperimentConfig:
             ens = obj.get("ensemble")
             box = obj.get("box")
             solver = dict(obj.get("solver") or {})
-            if solver.pop("anchor", "mean-zero") != "mean-zero":  # recorded, not settable
-                raise ParameterError("the solver's anchor must be 'mean-zero'")
+            for key, value in (("anchor", "mean-zero"), ("max_iter", None)):  # recorded constants
+                if solver.pop(key, value) != value:
+                    raise ParameterError(f"the solver's {key} must be {json.dumps(value)}")
             if "tol" in solver:
                 solver["tol"] = float(solver["tol"])
-            if solver.get("max_iter") is not None:
-                solver["max_iter"] = _exact_int(solver["max_iter"])
             out = obj.get("out", "out")
             if not isinstance(out, str):
                 raise ParameterError(f"out must be a path string, got {out!r}")
@@ -450,7 +449,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="override the ensemble master seed")
     p.add_argument("--threads", type=int, default=1, help="worker threads, at least 1")
     p.add_argument("--tol", type=float, help="CG relative residual target")
-    p.add_argument("--max-iter", type=int, dest="max_iter")
     p.add_argument("--precond", choices=["none", "spectral"],
                    help="CG preconditioner: spectral (default) or none (plain CG)")
     p.add_argument("--out", help="output file path")
@@ -493,7 +491,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     L = args.L if args.L is not None else (cfg.box.L if cfg.box else None)
     if L is not None:
         cfg.box = BoxSpec(d=d, L=L)
-    flags = {"tol": args.tol, "max_iter": args.max_iter, "preconditioner": args.precond}
+    flags = {"tol": args.tol, "preconditioner": args.precond}
     cfg.solver = replace(cfg.solver, **{k: v for k, v in flags.items() if v is not None})
     for key in EXPERIMENTS[args.command].params:
         if getattr(args, key) is not None:

@@ -3,7 +3,8 @@
 Conjugate gradient for the SPD lattice operators, massive-term solves,
 periodic Green's functions and the exact spectral heat kernel.  All solves
 are deterministic: CG with a fixed iteration schedule, the true
-residual refreshed every 50 steps to keep rounding drift in check.
+residual refreshed every 50 steps to keep rounding drift in check, and
+a fixed cap of 50 iterations per site.
 
 The CG kernel applies div*(a grad .) as ``diag(D) - W - W^T`` from
 ``lattice.stencil``, a CSR matrix that shares the coefficient table,
@@ -72,14 +73,11 @@ class SolverError(RuntimeError):
 @dataclass(frozen=True)
 class SolverConfig:
     tol: float = 1e-10          # relative residual target
-    max_iter: int | None = None  # default 50 * n_sites
     preconditioner: str = "spectral"  # or "none": plain CG
 
     def __post_init__(self):
         if not 0 < self.tol < np.inf:
             raise ParameterError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise ParameterError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.preconditioner not in ("none", "spectral"):
             raise ParameterError(f"unknown preconditioner {self.preconditioner!r}")
 
@@ -183,7 +181,7 @@ def cg_solve(operator, rhs: ScalarField, cfg: SolverConfig = SolverConfig(),
     p = z.copy(order="K")
     step = np.empty_like(b)
     rz = _dot(r, z)
-    max_iter = cfg.max_iter if cfg.max_iter is not None else 50 * box.n_sites
+    max_iter = 50 * box.n_sites
     it = 0
     rel = 1.0
     while it < max_iter:

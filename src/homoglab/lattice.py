@@ -51,6 +51,11 @@ class ParameterError(ValueError):
     """Rejected input: a parameter, config or file the library cannot use."""
 
 
+# the most sites of one box: L <= 4194304, 2048, 161 at d = 1, 2, 3; one float64
+# field on it takes 32 MB, and a CG solve holds about ten
+MAX_SITES = 2**22
+
+
 @dataclass(frozen=True)
 class BoxSpec:
     """Periodic box (Z/LZ)^d with row-major site indexing."""
@@ -63,6 +68,9 @@ class BoxSpec:
             raise ParameterError(f"dimension d={self.d} not supported (d in {{1,2,3}})")
         if self.L < 2:
             raise ParameterError(f"side length L={self.L} must be >= 2")
+        if self.L**self.d > MAX_SITES:
+            raise ParameterError(f"a box of L={self.L} at d={self.d} has more than "
+                                 f"{MAX_SITES} sites L^d")
 
     @property
     def n_sites(self) -> int:
@@ -152,9 +160,10 @@ class ScalarField:
         return ScalarField(box, np.zeros(box.n_sites))
 
     @staticmethod
-    def delta(box: BoxSpec, site: int = 0) -> "ScalarField":
+    def delta(box: BoxSpec) -> "ScalarField":
+        """The Dirac at site 0."""
         v = np.zeros(box.n_sites)
-        v[site] = 1.0
+        v[0] = 1.0
         return ScalarField(box, v)
 
 

@@ -61,7 +61,6 @@ __all__ = [
     "vertical_derivative",
     "lipschitz_derivative",
     "sg_check",
-    "default_functional_family",
     "SingleSiteEntry",
     "BoxAverageEntry",
     "CellAhomEntry",
@@ -279,10 +278,9 @@ def _small_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def default_functional_family(box: BoxSpec) -> list:
-    R = max(2, box.L // 2)
-    return [SingleSiteEntry(), BoxAverageEntry(R), CellAhomEntry()]
-
+# the most sites of an sg_check box: a run of samples holds a few (_SG_BLOCK, N, N)
+# float64 stacks of dense cell matrices, 64 MB each at N = 1024
+MAX_DENSE_SITES = 2**10
 
 # consecutive samples per sg_check task, whatever the thread count: 16 and 32
 # measured no faster than 8, which keeps two workers evenly loaded on small
@@ -297,7 +295,7 @@ class SGReport:
     derivative_sum: MomentEstimate
     ratio: float
     ratio_stderr: float
-    rho_assumed: float = 1.0
+    rho_assumed: float = field(default=1.0, init=False)
     within_gap: bool = field(init=False)
 
     def __post_init__(self):
@@ -305,9 +303,9 @@ class SGReport:
 
 
 def sg_check(spec: EnsembleSpec, box: BoxSpec, n: int,
-             functionals: Sequence | None = None,
              map_fn: Callable = map) -> list[SGReport]:
-    """Monte Carlo spectral-gap ratios Var(f) / sum_x E[(d_x f)^2].
+    """Monte Carlo spectral-gap ratios Var(f) / sum_x E[(d_x f)^2], one report each for
+    SingleSiteEntry(), BoxAverageEntry(max(2, L // 2)) and CellAhomEntry(), in order.
 
     Requires an i.i.d. two-point spec: the vertical derivative
     d_x f = f - E[f | a off x] (Gloria & Otto, Ann. Probab. 39, 2011) is
@@ -318,16 +316,18 @@ def sg_check(spec: EnsembleSpec, box: BoxSpec, n: int,
     update of the cell matrix, so one dense inverse per sample serves f(a)
     and all of the variants.  The samples go in runs of ``_SG_BLOCK``, each
     one ``map_fn`` task with one stacked inverse.  Violations are report
-    entries, never exceptions; alpha == beta, where every ratio is 0/0, is a
-    ``ParameterError``.
+    entries, never exceptions; alpha == beta, where every ratio is 0/0, and a box
+    of more than ``MAX_DENSE_SITES`` sites are a ``ParameterError``.
     """
     if not spec.is_two_point:
         raise ParameterError("sg_check requires an iid two-point ensemble")
     if spec.is_deterministic:
         raise ParameterError("sg_check needs alpha < beta: with alpha == beta every "
                              "functional is constant and its ratio is 0/0")
-    if functionals is None:
-        functionals = default_functional_family(box)
+    if box.n_sites > MAX_DENSE_SITES:
+        raise ParameterError(f"sg_check inverts a dense cell matrix per sample: {box.n_sites} "
+                             f"sites is more than {MAX_DENSE_SITES}; lower --L")
+    functionals = (SingleSiteEntry(), BoxAverageEntry(max(2, box.L // 2)), CellAhomEntry())
     values = site_assignments(spec, box.d)
 
     def block(fields: list[CoefficientField], ids: range) -> np.ndarray:
@@ -353,7 +353,7 @@ def sg_check(spec: EnsembleSpec, box: BoxSpec, n: int,
         ratio_se = ratio * float(np.hypot(var_se / var if var > 0 else 0.0,
                                           den_se / den if den > 0 else 0.0))
         reports.append(SGReport(
-            functional=getattr(func, "name", type(func).__name__),
+            functional=func.name,
             variance=MomentEstimate(var, var_se, 1, n),
             derivative_sum=MomentEstimate(den, den_se, 1, n),
             ratio=ratio,

@@ -111,7 +111,20 @@ def growth_weight(x, d: int) -> float:
 def two_scale_report(a: CoefficientField, alpha: float, f: ScalarField,
                      sample_index: int = 0,
                      cfg: SolverConfig = SolverConfig()) -> TwoScaleReport:
-    """Assemble the two-scale error report for one coefficient sample."""
+    """Assemble the two-scale error report for one coefficient sample.
+
+    With phi_i and sigma_i the corrector and flux corrector in direction i,
+    the remainder Z = u - u_0 - sum_i phi_i grad_i u_0 solves, exactly,
+
+        alpha Z + div*(a grad Z) = -alpha sum_i phi_i grad_i u_0 - sum_i div*(H_i + T_i),
+        (H_i)_j(x) = sum_k sigma_i,jk(x - e_k) grad_k grad_i u_0(x - e_k),
+        (T_i)_j(x) = a_j(x) phi_i(x + e_j) grad_j grad_i u_0(x).
+
+    The shifts come from the discrete product rule; div* sigma_i = q_i and the
+    skew symmetry of sigma_i put the flux error in divergence form.  ``rhs_phi``
+    and ``rhs_sigma`` weigh the two parts with unshifted phi and sigma; the
+    constant that turns ``ratio`` into a bound is not derived here.
+    """
     box = a.box
     d = box.d
     sets = [corrector_set(a, i, cfg) for i in range(d)]

@@ -330,11 +330,45 @@ class TestDispatchAndErrors:
         assert rep["properties"]["ellipticity_pass"]
 
     def test_ahom_solver_failure_exits_2(self, ensemble_file, tmp_path):
+        # a tolerance below rounding: CG stops at its cap of 50 iterations per site
         out = str(tmp_path / "ahom.json")
         code = main(["ahom", "--ensemble", ensemble_file, "--L", "8", "--samples", "2",
-                     "--max-iter", "2", "--out", out])
+                     "--tol", "1e-300", "--out", out])
         assert code == EXIT_SOLVER_FAILURE
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("d,L", [(2, 100000), (3, 162)])
+    def test_box_beyond_max_sites_exits_3_and_writes_nothing(self, d, L, ensemble_file,
+                                                             tmp_path, capsys, monkeypatch):
+        # at L=100000, d=2 a draw alone would ask for 149 GiB
+        def no_sample(*args):
+            raise AssertionError("drew a box of more than MAX_SITES sites")
+
+        monkeypatch.setattr(homoglab.cli, "sample", no_sample)
+        monkeypatch.setattr(homoglab.ensembles, "sample", no_sample)
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(["corrector", "--ensemble", ensemble_file, "--d", str(d), "--L", str(L),
+                     "--out", str(out / "set.csv")])
+        assert code == EXIT_CONFIG_ERROR
+        assert f"more than {2**22} sites" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("d,L", [(2, 33), (3, 11)])
+    def test_sg_box_beyond_max_dense_sites_exits_3_and_writes_nothing(
+            self, d, L, ensemble_file, tmp_path, capsys, monkeypatch):
+        # each sample inverts a dense N x N cell matrix: 1089 and 1331 sites are too many
+        def no_inverse(*args):
+            raise AssertionError("inverted a cell matrix of more than MAX_DENSE_SITES sites")
+
+        monkeypatch.setattr(np.linalg, "inv", no_inverse)
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(["sg", "--ensemble", ensemble_file, "--d", str(d), "--L", str(L),
+                     "--samples", "2", "--out", str(out / "sg.json")])
+        assert code == EXIT_CONFIG_ERROR
+        assert f"{L**d} sites is more than 1024" in capsys.readouterr().err
+        assert os.listdir(out) == []
 
     def test_green_box_too_small_for_default_radii_exits_3(self, ensemble_file, tmp_path,
                                                               capsys):
@@ -576,7 +610,7 @@ class TestDeterminismAndReplay:
                      "--out", out]) == EXIT_OK
         mpath = out + ".manifest.json"
         manifest = json.loads(open(mpath).read())
-        manifest["config"]["solver"]["max_iter"] = 2
+        manifest["config"]["solver"]["tol"] = 1e-300
         open(mpath, "w").write(json.dumps(manifest))
         capsys.readouterr()
         assert main(["replay", mpath]) == EXIT_SOLVER_FAILURE
@@ -640,6 +674,21 @@ class TestDeterminismAndReplay:
         capsys.readouterr()
         assert main(["replay", mpath]) == EXIT_CONFIG_ERROR
         assert "replay error: the solver's anchor" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_manifest_with_max_iter_exits_3(self, ensemble_file, tmp_path, capsys):
+        out = str(tmp_path / "ahom.json")
+        assert main(["ahom", "--ensemble", ensemble_file, "--L", "4", "--samples", "2",
+                     "--out", out]) == EXIT_OK
+        mpath = out + ".manifest.json"
+        manifest = json.loads(open(mpath).read())
+        assert manifest["config"]["solver"]["max_iter"] is None
+        manifest["config"]["solver"]["max_iter"] = 2
+        open(mpath, "w").write(json.dumps(manifest))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert main(["replay", mpath]) == EXIT_CONFIG_ERROR
+        assert "replay error: the solver's max_iter must be null" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_replay_detects_tampered_seed(self, ensemble_file, tmp_path):
@@ -924,7 +973,7 @@ COMMON_OPTIONS = {
     "-h": (None, 0), "--help": (None, 0), "--config": (None, None),
     "--ensemble": (None, None), "--L": (int, None), "--d": (int, None),
     "--seed": (int, None), "--threads": (int, None),
-    "--tol": (float, None), "--max-iter": (int, None), "--precond": (None, None),
+    "--tol": (float, None), "--precond": (None, None),
     "--out": (None, None),
 }
 SAMPLES = {"--samples": (int, None)}
@@ -955,6 +1004,24 @@ class TestExperimentTable:
                        for action in sub.choices[name]._actions
                        for opt in action.option_strings}
             assert options == {**COMMON_OPTIONS, **extra}, name
+
+    def test_readme_names_the_global_flags(self):
+        # the options every experiment shares are the README's "Global flags:" list,
+        # so adding or removing one leaves no stale docs
+        import argparse
+        import re
+        from pathlib import Path
+
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        shared = set.intersection(*({opt for action in sub.choices[name]._actions
+                                     for opt in action.option_strings}
+                                    for name in homoglab.cli.EXPERIMENTS))
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        listed = re.search(r"Global flags:(.*?)\.\s", readme, re.S).group(1)
+        flags = re.findall(r"`(--[\w-]+)`", listed)
+        assert len(flags) == len(set(flags))
+        assert set(flags) == shared - {"-h", "--help"}
 
     @pytest.mark.parametrize("experiment,params", [
         ("growth", {"p": 2}),
@@ -1011,16 +1078,16 @@ class TestExperimentTable:
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("flags,solver", [
-        ([], SolverConfig(1e-8, 500, "none")),
-        (["--precond", "spectral"], SolverConfig(1e-8, 500, "spectral")),
-        (["--tol", "1e-6", "--max-iter", "9"], SolverConfig(1e-6, 9, "none")),
+        ([], SolverConfig(tol=1e-8, preconditioner="none")),
+        (["--precond", "spectral"], SolverConfig(tol=1e-8, preconditioner="spectral")),
+        (["--tol", "1e-6"], SolverConfig(tol=1e-6, preconditioner="none")),
     ])
     def test_solver_flags_override_only_what_they_name(self, flags, solver, ensemble_file,
                                                        tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "experiment": "ahom", "params": {},
-            "solver": {"tol": "1e-8", "max_iter": 500, "anchor": "mean-zero",
+            "solver": {"tol": "1e-8", "max_iter": None, "anchor": "mean-zero",
                        "preconditioner": "none"}}))
         args = build_parser().parse_args(["ahom", "--config", str(path),
                                           "--ensemble", ensemble_file, "--L", "4", *flags])
@@ -1044,6 +1111,18 @@ class TestExperimentTable:
                      "--L", "4", "--out", out])
         assert code == EXIT_CONFIG_ERROR
         assert "anchor" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "ens.json"]
+
+    @pytest.mark.parametrize("max_iter", [2, 0, False], ids=["2", "0", "false"])
+    def test_max_iter_is_config_error(self, max_iter, ensemble_file, tmp_path, capsys):
+        # CG stops at 50 iterations per site; a config names max_iter only as null
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "ahom", "params": {},
+                                    "solver": {"max_iter": max_iter}}))
+        code = main(["ahom", "--config", str(path), "--ensemble", ensemble_file,
+                     "--L", "4", "--out", str(tmp_path / "ahom.json")])
+        assert code == EXIT_CONFIG_ERROR
+        assert "the solver's max_iter must be null" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["cfg.json", "ens.json"]
 
     def test_unknown_solver_key_is_config_error(self, ensemble_file, tmp_path):

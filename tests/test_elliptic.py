@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.special
@@ -85,11 +87,17 @@ class TestCG:
         box = BoxSpec(2, 16)
         a = random_coefficients(box, rng)
         rhs = ScalarField(box, rng.normal(size=box.n_sites))
-        cfg = SolverConfig(max_iter=2)
+        cfg = SolverConfig(tol=1e-300)  # below rounding: CG runs to its cap of 50 per site
         u, rep = cg_solve(_elliptic_op(a), rhs, cfg)
-        assert not rep.converged
+        assert not rep.converged and rep.iterations == 50 * box.n_sites
         with pytest.raises(SolverError):
             solve_elliptic(a, rhs, cfg)
+
+    def test_the_solver_settings_are_tol_and_preconditioner(self):
+        # the iteration cap is a constant, not a setting
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == ["tol", "preconditioner"]
+        with pytest.raises(TypeError):
+            SolverConfig(max_iter=2)
 
     @pytest.mark.parametrize("shift", [1e40, 1e100])
     def test_breakdown_is_a_solver_error(self, shift, rng):

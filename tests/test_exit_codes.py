@@ -87,8 +87,7 @@ def cases(draw) -> tuple[list[str], dict]:
     command = draw(st.sampled_from(sorted(EXPERIMENTS)))
     argv = [command, "--d", str(draw(st.sampled_from([1, 2, 3]))),
             "--L", str(draw(st.integers(1, 8)))]
-    flags = {"tol": ("tol", float, None), "max-iter": ("max_iter", int, None),
-             "seed": ("seed", int, None)}
+    flags = {"tol": ("tol", float, None), "seed": ("seed", int, None)}
     flags.update({name.replace("_", "-"): (name, param.type, param.nargs)
                   for name, param in EXPERIMENTS[command].params.items()})
     for flag, spec in flags.items():
@@ -117,6 +116,9 @@ def cases(draw) -> tuple[list[str], dict]:
 @example(case=(["corrector", "--L", "8", "--tol", "nan"], {}), expected=3)
 @example(case=(["corrector", "--L", "8", "--max-iter", "-1"], {}), expected=3)
 @example(case=(["corrector", "--L", "8", "--max-iter", "0"], {}), expected=3)
+# CG's cap of 50 iterations per site is not a flag; a tolerance below rounding meets it
+@example(case=(["corrector", "--L", "8", "--max-iter", "2"], {}), expected=3)
+@example(case=(["corrector", "--L", "8", "--tol", "1e-300"], {}), expected=2)
 @example(case=(["twoscale", "--L", "8", "--samples", "2", "--alpha", "nan"], {}), expected=3)
 @example(case=(["twoscale", "--L", "8", "--samples", "2", "--alpha", "inf"], {}), expected=3)
 @example(case=(["meyers", "--L", "8", "--samples", "2", "--alpha-w", "nan"], {}), expected=3)

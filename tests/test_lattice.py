@@ -56,6 +56,13 @@ class TestBoxSpec:
         with pytest.raises(ValueError):
             BoxSpec(d, L)
 
+    @pytest.mark.parametrize("d,L", [(1, 2**22), (2, 2**11), (3, 161)])
+    def test_the_largest_box_has_max_sites(self, d, L):
+        # building a box allocates nothing; one more side step passes the bound
+        assert BoxSpec(d, L).n_sites <= lattice.MAX_SITES == 2**22 < (L + 1) ** d
+        with pytest.raises(lattice.ParameterError, match=f"more than {2**22} sites"):
+            BoxSpec(d, L + 1)
+
 
 class TestGrad:
     def test_constant_field_has_zero_gradient(self):

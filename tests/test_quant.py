@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from homoglab.elliptic import SolverConfig
 from homoglab.ensembles import (EnsembleSpec, SampleId, _kernel_weights, constant, sample,
                                 two_point, uniform)
 from homoglab.quant import (
-    BoxAverageEntry,
     CellAhomEntry,
     SingleSiteEntry,
     birkhoff_rate,
@@ -88,18 +89,34 @@ class TestDerivatives:
 
 
 class TestSpectralGap:
+    # sg_check's reports, in order: SingleSiteEntry(), BoxAverageEntry(max(2, L // 2)),
+    # CellAhomEntry(); each functional's values do not depend on the others
     def test_single_site_is_the_equality_case(self):
-        reports = sg_check(SPEC, BoxSpec(2, 6), 600, functionals=[SingleSiteEntry()])
-        r = reports[0]
+        r = sg_check(SPEC, BoxSpec(2, 6), 600)[0]
         assert abs(r.ratio - 1.0) <= 2.0 * r.ratio_stderr
 
     def test_box_average_within_gap(self):
-        reports = sg_check(SPEC, BoxSpec(2, 6), 400, functionals=[BoxAverageEntry(3)])
-        assert reports[0].within_gap
+        assert sg_check(SPEC, BoxSpec(2, 6), 400)[1].within_gap
 
     def test_ahom_entry_within_gap(self):
-        reports = sg_check(SPEC, BoxSpec(2, 6), 200, functionals=[CellAhomEntry()])
-        assert reports[0].within_gap
+        assert sg_check(SPEC, BoxSpec(2, 6), 200)[2].within_gap
+
+    def test_the_functionals_are_fixed(self):
+        # no family to pass: the three stock functionals, in the order the CLI writes
+        assert list(inspect.signature(sg_check).parameters) == ["spec", "box", "n", "map_fn"]
+        assert not hasattr(quant, "default_functional_family")
+        reports = sg_check(SPEC, BoxSpec(2, 4), 4)
+        assert [r.functional for r in reports] == ["single-site", "box-average", "ahom-entry"]
+        assert all(r.rho_assumed == 1.0 for r in reports)
+
+    def test_rho_assumed_is_not_an_argument(self):
+        r = sg_check(SPEC, BoxSpec(2, 4), 4)[0]
+        with pytest.raises(TypeError):
+            quant.SGReport(r.functional, r.variance, r.derivative_sum, r.ratio,
+                           r.ratio_stderr, 2.0)
+        with pytest.raises(TypeError):
+            quant.SGReport(r.functional, r.variance, r.derivative_sum, r.ratio,
+                           r.ratio_stderr, rho_assumed=2.0)
 
     def test_non_iid_spec_rejected(self):
         with pytest.raises(ValueError):

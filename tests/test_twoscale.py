@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from homoglab.lattice import BoxSpec, CoefficientField, ScalarField, grad, inner
+from homoglab.correctors import corrector_set
+from homoglab.lattice import (BoxSpec, CoefficientField, ScalarField, VectorField, _grad_arr,
+                              _norm, apply_elliptic, div_star, grad, inner)
 from homoglab.elliptic import SolverConfig, solve_shifted
 from homoglab.ensembles import SampleId, constant, sample, two_point
 from homoglab.twoscale import (
@@ -159,3 +161,57 @@ class TestExperiment:
         tiny = two_scale_report(a, 1e-6, default_forcing(box), cfg=CFG)
         assert tiny.rhs_phi / tiny.rhs_sigma < 1e-4
         assert big.rhs_phi / big.rhs_sigma > tiny.rhs_phi / tiny.rhs_sigma
+
+
+def representation_residual(a, alpha, f, sigma=True, phi_shift=True) -> float:
+    """|lhs - rhs| / |lhs| for the two-scale error identity of ``two_scale_report``,
+
+        alpha Z + div*(a grad Z) = -alpha sum_i phi_i grad_i u_0 - sum_i div*(H_i + T_i),
+        (H_i)_j(x) = sum_k sigma_i,jk(x - e_k) grad_k grad_i u_0(x - e_k),
+        (T_i)_j(x) = a_j(x) phi_i(x + e_j) grad_j grad_i u_0(x),
+
+    from solves at tol 1e-12; ``sigma`` and ``phi_shift`` false drop the flux
+    corrector from H_i and read phi_i(x) in T_i."""
+    cfg = SolverConfig(tol=1e-12)
+    box, d = a.box, a.box.d
+    sets = [corrector_set(a, i, cfg) for i in range(d)]
+    u, _ = solve_shifted(a, alpha, f, cfg)
+    u0 = solve_homogenized(np.stack([s.ahom_row for s in sets], axis=1), alpha, f)
+    Z = remainder(u, u0, [s.phi for s in sets])
+    lhs = alpha * Z.values + apply_elliptic(a, Z).values
+
+    rhs = np.zeros(box.n_sites)
+    flux = np.zeros((box.n_sites, d))  # sum_i H_i + T_i, component j on the edge x -> x + e_j
+    for i, s in enumerate(sets):
+        g = _grad_arr(u0.grid(), i)  # grad_i u_0
+        phi = s.phi.grid()
+        rhs -= alpha * (phi * g).ravel(order="F")
+        for j in range(d):
+            # np.roll(v, -1, axis=j) reads v(x + e_j), np.roll(v, 1, axis=k) reads v(x - e_k)
+            T = a.grid(j) * (np.roll(phi, -1, axis=j) if phi_shift else phi) * _grad_arr(g, j)
+            H = sum(np.roll(s.sigma.values[:, j, k].reshape(box.shape, order="F")
+                            * _grad_arr(g, k), 1, axis=k) for k in range(d)) if sigma else 0.0
+            flux[:, j] += (H + T).ravel(order="F")
+    rhs -= div_star(VectorField(box, flux)).values
+    return _norm(lhs - rhs) / _norm(lhs)
+
+
+BOXES = [BoxSpec(2, 8), BoxSpec(2, 16), BoxSpec(3, 8)]
+
+
+class TestErrorRepresentation:
+    """The remainder Z solves a lattice equation whose right-hand side holds the
+    correctors phi_i and the flux correctors sigma_i, exactly (Part II)."""
+
+    @pytest.mark.parametrize("box", BOXES, ids=lambda b: f"d{b.d}-L{b.L}")
+    def test_the_identity_holds(self, box):
+        a = sample(two_point(master_seed=3), box, SampleId(0))
+        assert representation_residual(a, 0.2, default_forcing(box)) <= 1e-9
+
+    @pytest.mark.parametrize("box", BOXES, ids=lambda b: f"d{b.d}-L{b.L}")
+    @pytest.mark.parametrize("drop", ["sigma", "phi_shift"])
+    def test_each_term_is_needed(self, box, drop):
+        # the check has teeth: without the flux corrector, or with phi_i read at x
+        # in T_i, the identity misses by far more than the solver tolerance
+        a = sample(two_point(master_seed=3), box, SampleId(0))
+        assert representation_residual(a, 0.2, default_forcing(box), **{drop: False}) > 0.1
