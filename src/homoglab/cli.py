@@ -80,7 +80,7 @@ class ExperimentConfig:
             for key, value in (("anchor", "mean-zero"), ("max_iter", None)):  # recorded constants
                 if solver.pop(key, value) != value:
                     raise ParameterError(f"the solver's {key} must be {json.dumps(value)}")
-            if "tol" in solver:
+            if "tol" in solver and not isinstance(solver["tol"], bool):  # float(True) is 1.0
                 solver["tol"] = float(solver["tol"])
             out = obj.get("out", "out")
             if not isinstance(out, str):
@@ -336,9 +336,17 @@ def _one_blas_thread():
                 put(_blas_pin["found"])
 
 
+# the most worker threads of a run: a pool gets every task at once, so it may start
+# min(threads, tasks) OS threads
+MAX_THREADS = 64
+
+
 def _execute(cfg: ExperimentConfig, threads: int) -> tuple[dict[str, str], dict]:
     """Run an experiment config in memory: its outputs {filename: text} and
-    its manifest, which records their hashes."""
+    its manifest, which records their hashes.  More than ``MAX_THREADS`` threads
+    is a ``ParameterError``, raised before anything runs."""
+    if threads > MAX_THREADS:
+        raise ParameterError(f"--threads {threads} is more than {MAX_THREADS}")
     config_json = cfg.to_json()
     config_blob = json.dumps(config_json, sort_keys=True).encode()
     params = _typed_params(cfg)

@@ -70,14 +70,19 @@ class SolverError(RuntimeError):
         self.report = report
 
 
+# the smallest tol: solves at 1e-13 converge at d = 2 and 3 with either preconditioner,
+# while a tol near rounding (a capped solve ends at 1e-15 to 6e-14) runs to the cap
+MIN_TOL = 1e-13
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     tol: float = 1e-10          # relative residual target
     preconditioner: str = "spectral"  # or "none": plain CG
 
     def __post_init__(self):
-        if not 0 < self.tol < np.inf:
-            raise ParameterError(f"tol must be positive and finite, got {self.tol}")
+        if isinstance(self.tol, bool) or not MIN_TOL <= self.tol < np.inf:
+            raise ParameterError(f"tol must be a number in [{MIN_TOL}, inf), got {self.tol!r}")
         if self.preconditioner not in ("none", "spectral"):
             raise ParameterError(f"unknown preconditioner {self.preconditioner!r}")
 

@@ -14,8 +14,9 @@ operator, and spatial ergodic averaging rates.
 
 All estimators draw their samples through the ensemble stream contract
 (master seed + sample index), aggregate in fixed sample order, and report
-standard errors next to every point estimate; slope windows in the tests
-are calibrated to the default sample counts.
+standard errors next to every point estimate.  Each takes its sample count
+and experiment parameters as arguments: their defaults live only in
+``cli.EXPERIMENTS``.
 """
 
 from __future__ import annotations
@@ -319,8 +320,7 @@ def sg_check(spec: EnsembleSpec, box: BoxSpec, n: int,
     entries, never exceptions; alpha == beta, where every ratio is 0/0, and a box
     of more than ``MAX_DENSE_SITES`` sites are a ``ParameterError``.
     """
-    if not spec.is_two_point:
-        raise ParameterError("sg_check requires an iid two-point ensemble")
+    values = site_assignments(spec, box.d)  # a ParameterError for any other kind
     if spec.is_deterministic:
         raise ParameterError("sg_check needs alpha < beta: with alpha == beta every "
                              "functional is constant and its ratio is 0/0")
@@ -328,7 +328,6 @@ def sg_check(spec: EnsembleSpec, box: BoxSpec, n: int,
         raise ParameterError(f"sg_check inverts a dense cell matrix per sample: {box.n_sites} "
                              f"sites is more than {MAX_DENSE_SITES}; lower --L")
     functionals = (SingleSiteEntry(), BoxAverageEntry(max(2, box.L // 2)), CellAhomEntry())
-    values = site_assignments(spec, box.d)
 
     def block(fields: list[CoefficientField], ids: range) -> np.ndarray:
         """(B, functionals, 2): f and the sum of its squared derivatives per sample."""
@@ -377,8 +376,7 @@ class GrowthFit:
     residual: float                 # 1 - R^2 for log-fit; rms/mean for constant-fit
 
 
-def corrector_growth(spec: EnsembleSpec, box: BoxSpec, radii: Sequence[int],
-                     p: int = 1, n: int = 100,
+def corrector_growth(spec: EnsembleSpec, box: BoxSpec, radii: Sequence[int], p: int, n: int,
                      cfg: SolverConfig = SolverConfig(),
                      map_fn: Callable = map) -> GrowthFit:
     """Corrector increment moments E[|phi(x) - phi(0)|^{2p}]^{1/(2p)} vs |x|.
@@ -448,7 +446,7 @@ class SemigroupDecayReport:
 
 
 def semigroup_decay(spec: EnsembleSpec, box: BoxSpec, t_grid: Sequence[float],
-                    n: int = 1000, map_fn: Callable = map) -> SemigroupDecayReport:
+                    n: int, map_fn: Callable = map) -> SemigroupDecayReport:
     """Decay of E|P(t) zeta - E zeta|^2 for the single-site observable.
 
     P(t) zeta(a) = sum_x p(t, x) zeta(shift_x a) with the exact torus heat
@@ -572,8 +570,7 @@ def green_decay(spec: EnsembleSpec, box: BoxSpec, n: int,
 # ---------------------------------------------------------------------------
 
 
-def meyers_ratio(a: CoefficientField, h: ScalarField, q: float = 1.1,
-                 alpha_w: float = 0.1,
+def meyers_ratio(a: CoefficientField, h: ScalarField, q: float, alpha_w: float,
                  cfg: SolverConfig = SolverConfig()) -> float:
     """Weighted-norm ratio of grad v against grad h for div*(a grad v) = div* grad h.
 
@@ -627,8 +624,7 @@ def smooth_random_field(box: BoxSpec, rng: np.random.Generator) -> ScalarField:
     return ScalarField.from_grid(box, out)
 
 
-def meyers_probe(spec: EnsembleSpec, box: BoxSpec, n: int = 50, q: float = 1.1,
-                 alpha_w: float = 0.1,
+def meyers_probe(spec: EnsembleSpec, box: BoxSpec, n: int, q: float, alpha_w: float,
                  cfg: SolverConfig = SolverConfig(),
                  map_fn: Callable = map) -> MeyersProbeReport:
     """Ratio stability across random (a, h) pairs; flags a blow-up of the constant."""
@@ -655,8 +651,8 @@ class BirkhoffReport:
     fit: DecayFit
 
 
-def birkhoff_rate(spec: EnsembleSpec, box: BoxSpec, R_list: Sequence[int],
-                  n: int = 200, map_fn: Callable = map) -> BirkhoffReport:
+def birkhoff_rate(spec: EnsembleSpec, box: BoxSpec, R_list: Sequence[int], n: int,
+                  map_fn: Callable = map) -> BirkhoffReport:
     """RMS deviation of R-box spatial averages from the ensemble mean vs R.
 
     For i.i.d. entries the exact rate is sd * R^{-d/2}; the log-log slope of

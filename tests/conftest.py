@@ -57,6 +57,13 @@ def random_coefficients(box: BoxSpec, rng: np.random.Generator,
     return CoefficientField(box, diag, lam=lam)
 
 
+def ill_conditioned_op(box: BoxSpec):
+    """A grid operator CG cannot converge on at any accepted tol: diagonal, with
+    entries spread over twelve decades, so no iteration is a breakdown."""
+    w = np.logspace(-12, 0, box.n_sites).reshape(box.shape, order="F")
+    return lambda u: w * u
+
+
 def constant_green(a: CoefficientField, y: int = 0, cfg=None):
     """Stand-in for ``elliptic.green`` whose field, and so its quenched profile, is 0."""
     return ScalarField(a.box, np.zeros(a.box.n_sites)), SolveReport(0, 0.0, True)

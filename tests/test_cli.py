@@ -11,16 +11,18 @@ import pytest
 import homoglab
 import homoglab.cli
 import homoglab.correctors
+import homoglab.elliptic
 import homoglab.ensembles
 import homoglab.oned
 import homoglab.quant
 import homoglab.twoscale
-from conftest import constant_green, reference_csv_text
+from conftest import constant_green, ill_conditioned_op, reference_csv_text
 from homoglab.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
     EXIT_REPLAY_MISMATCH,
     EXIT_SOLVER_FAILURE,
+    MAX_THREADS,
     ExperimentConfig,
     _execute,
     _json_text,
@@ -314,6 +316,40 @@ class TestDispatchAndErrors:
                      "--out", str(tmp_path / "x.json")])
         assert code == EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize("argv,message", [
+        (["ahom", "--L", "4"], "ahom: --ensemble is required"),
+        (["ahom", "--L", "4", "--seed", "3"], "--seed needs an ensemble"),
+    ], ids=["no-ensemble", "seed-without-ensemble"])
+    def test_missing_ensemble_exits_3_and_writes_nothing(self, argv, message, tmp_path,
+                                                        capsys):
+        assert main([*argv, "--out", str(tmp_path / "ahom.json")]) == EXIT_CONFIG_ERROR
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_config_for_another_experiment_exits_3_and_writes_nothing(
+            self, ensemble_file, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "ahom", "params": {"samples": 2}}))
+        code = main(["birkhoff", "--config", str(path), "--ensemble", ensemble_file,
+                     "--L", "4", "--out", str(tmp_path / "out.json")])
+        assert code == EXIT_CONFIG_ERROR
+        assert "config is for 'ahom', invoked as 'birkhoff'" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "ens.json"]
+
+    @pytest.mark.parametrize("tol", ["1e-300", "9e-14"])
+    def test_unreachable_tol_exits_3_before_any_solve(self, tol, ensemble_file, tmp_path,
+                                                     capsys, monkeypatch):
+        # below CG's reach, a solve would run to its cap of 50 iterations per site
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved with a tol below the floor")
+
+        monkeypatch.setattr(homoglab.elliptic, "cg_solve", no_solve)
+        code = main(["corrector", "--L", "8", "--tol", tol, "--ensemble", ensemble_file,
+                     "--out", str(tmp_path / "never.csv")])
+        assert code == EXIT_CONFIG_ERROR
+        assert "tol must be a number in [1e-13, inf)" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["ens.json"]
+
     def test_cell_runs_with_tile_ensemble(self, tmp_path):
         ens = tmp_path / "tile.json"
         cell = [[0.3, 0.3], [0.7, 0.7], [0.5, 0.5], [0.4, 0.4]]
@@ -329,11 +365,13 @@ class TestDispatchAndErrors:
         rep = json.loads(open(out).read())
         assert rep["properties"]["ellipticity_pass"]
 
-    def test_ahom_solver_failure_exits_2(self, ensemble_file, tmp_path):
-        # a tolerance below rounding: CG stops at its cap of 50 iterations per site
+    def test_ahom_solver_failure_exits_2(self, ensemble_file, tmp_path, monkeypatch):
+        # an operator CG cannot converge on: it stops at its cap of 50 iterations per site
+        monkeypatch.setattr(homoglab.elliptic, "_elliptic_op",
+                            lambda a, shift: ill_conditioned_op(a.box))
         out = str(tmp_path / "ahom.json")
         code = main(["ahom", "--ensemble", ensemble_file, "--L", "8", "--samples", "2",
-                     "--tol", "1e-300", "--out", out])
+                     "--out", out])
         assert code == EXIT_SOLVER_FAILURE
         assert not os.path.exists(out)
 
@@ -399,8 +437,10 @@ class TestDispatchAndErrors:
         (["semigroup", "--L", "32", "--t-grid", "0", "4"], "must be positive"),
         (["birkhoff", "--L", "16", "--R-list", "0", "4"], "must be positive"),
         (["green", "--d", "3", "--L", "16", "--radii", "2", "2", "4"], "must be distinct"),
+        (["growth", "--L", "16", "--radii", "2", "8"],
+         "radii value 8 outside the periodization window L/4 = 4"),
     ], ids=["green", "semigroup", "birkhoff", "growth", "green-zero", "semigroup-zero",
-            "birkhoff-zero", "green-repeated"])
+            "birkhoff-zero", "green-repeated", "growth-beyond-window"])
     def test_single_point_fit_exits_3_before_sampling(self, argv, message, ensemble_file,
                                                       tmp_path, capfd, monkeypatch):
         def no_sample(*args):
@@ -605,12 +645,12 @@ class TestDeterminismAndReplay:
         assert done.stdout.strip() == "[]"
 
     def test_replay_solver_failure_exits_2(self, ensemble_file, tmp_path, capsys):
-        out = str(tmp_path / "ahom.json")
-        assert main(["ahom", "--ensemble", ensemble_file, "--L", "8", "--samples", "2",
+        out = str(tmp_path / "twoscale.csv")
+        assert main(["twoscale", "--ensemble", ensemble_file, "--L", "8", "--samples", "2",
                      "--out", out]) == EXIT_OK
         mpath = out + ".manifest.json"
         manifest = json.loads(open(mpath).read())
-        manifest["config"]["solver"]["tol"] = 1e-300
+        manifest["config"]["params"]["alpha"] = 1e100  # CG breaks down (see the test below)
         open(mpath, "w").write(json.dumps(manifest))
         capsys.readouterr()
         assert main(["replay", mpath]) == EXIT_SOLVER_FAILURE
@@ -732,6 +772,20 @@ class TestDeterminismAndReplay:
         ok, report = replay(mpath)
         assert not ok
         assert report["max_abs_deviation"] > 0.0
+
+    def test_a_file_with_another_count_of_numbers_deviates_by_infinity(self, ensemble_file,
+                                                                       tmp_path, capsys):
+        out = str(tmp_path / "birkhoff.json")
+        assert main(["birkhoff", "--ensemble", ensemble_file, "--L", "8", "--samples", "2",
+                     "--R-list", "2", "4", "--out", out]) == EXIT_OK
+        mpath = out + ".manifest.json"
+        manifest = json.loads(open(mpath).read())
+        manifest["config"]["params"]["R_list"] = [2, 4, 8]  # one more rms, fit value, R
+        open(mpath, "w").write(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["replay", mpath]) == EXIT_REPLAY_MISMATCH
+        report = json.loads(capsys.readouterr().out)
+        assert report["files"][out]["max_abs_deviation"] == report["max_abs_deviation"] == np.inf
 
     def test_deviation_is_measured_only_against_the_recorded_file(self, ensemble_file,
                                                                   tmp_path, monkeypatch):
@@ -1125,6 +1179,21 @@ class TestExperimentTable:
         assert "the solver's max_iter must be null" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["cfg.json", "ens.json"]
 
+    @pytest.mark.parametrize("solver,message", [
+        ({"tol": True}, "tol must be a number in [1e-13, inf), got True"),
+        ({"tol": 1e-300}, "tol must be a number in [1e-13, inf), got 1e-300"),
+        ({"preconditioner": "jacobi"}, "unknown preconditioner 'jacobi'"),
+    ], ids=["tol-bool", "tol-below-floor", "unknown-preconditioner"])
+    def test_bad_solver_value_is_config_error(self, solver, message, ensemble_file, tmp_path,
+                                              capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "ahom", "params": {}, "solver": solver}))
+        code = main(["ahom", "--config", str(path), "--ensemble", ensemble_file,
+                     "--L", "4", "--out", str(tmp_path / "ahom.json")])
+        assert code == EXIT_CONFIG_ERROR
+        assert message in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "ens.json"]
+
     def test_unknown_solver_key_is_config_error(self, ensemble_file, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"experiment": "ahom", "params": {},
@@ -1153,6 +1222,28 @@ class TestThreadSettings:
         with pytest.raises(SystemExit) as exc:
             main(["replay", out + ".manifest.json", "--threads", "0"])
         assert exc.value.code == EXIT_CONFIG_ERROR
+
+    @pytest.mark.parametrize("command", ["run", "replay"])
+    def test_more_than_max_threads_exits_3_before_a_pool_starts(self, command, ensemble_file,
+                                                                tmp_path, capsys):
+        out = str(tmp_path / "sg.json")
+        argv = ["sg", "--ensemble", ensemble_file, "--L", "3", "--samples", "2", "--out", out]
+        if command == "replay":
+            assert main(argv) == EXIT_OK
+            argv = ["replay", out + ".manifest.json"]
+        written = sorted(os.listdir(tmp_path))
+        capsys.readouterr()
+        threads = threading.active_count()
+        assert main([*argv, "--threads", str(MAX_THREADS + 1)]) == EXIT_CONFIG_ERROR
+        assert threading.active_count() == threads
+        assert f"--threads {MAX_THREADS + 1} is more than {MAX_THREADS}" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == written
+
+    def test_max_threads_runs(self, ensemble_file, tmp_path):
+        # two samples are one task, so the pool starts one worker
+        assert MAX_THREADS == 64
+        assert main(["sg", "--ensemble", ensemble_file, "--L", "3", "--samples", "2",
+                     "--threads", "64", "--out", str(tmp_path / "sg.json")]) == EXIT_OK
 
     def test_the_environment_does_not_set_the_default(self, monkeypatch):
         # only --threads sets the worker count, so argv alone fixes a run

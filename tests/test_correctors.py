@@ -180,6 +180,11 @@ class TestModifiedCorrector:
         phi_T, _ = solve_modified_corrector(a, [1.0, 0.0], 100.0, CFG)
         assert np.all(phi_T.values == 0.0)
 
+    def test_non_positive_T_rejected(self):
+        a = CoefficientField.constant(BoxSpec(2, 4), 0.5, lam=0.25)
+        with pytest.raises(ParameterError, match="T must be positive"):
+            solve_modified_corrector(a, [1.0, 0.0], 0.0)
+
     def test_gradient_converges_to_unmassive_corrector(self, rng):
         box = BoxSpec(2, 8)
         a = random_coefficients(box, rng)

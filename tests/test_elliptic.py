@@ -7,6 +7,7 @@ import scipy.special
 from homoglab.lattice import (
     BoxSpec,
     CoefficientField,
+    ParameterError,
     ScalarField,
     VectorField,
     apply_elliptic,
@@ -14,7 +15,9 @@ from homoglab.lattice import (
     grad,
     torus_coordinates,
 )
+from homoglab import elliptic
 from homoglab.elliptic import (
+    MIN_TOL,
     ReportCollector,
     SolveReport,
     SolverConfig,
@@ -29,7 +32,8 @@ from homoglab.elliptic import (
 )
 from homoglab.spectral import inverse, symbol
 
-from conftest import apply_constant, heat_kernel_diagonal, operator_matrix, random_coefficients
+from conftest import (apply_constant, heat_kernel_diagonal, ill_conditioned_op, operator_matrix,
+                      random_coefficients)
 
 
 def green_fft_oracle(box: BoxSpec, scale: float = 1.0) -> np.ndarray:
@@ -83,15 +87,22 @@ class TestCG:
         u, rep = cg_solve(laplacian_grid_op(box), ScalarField(box, rhs))
         assert rep.converged and rep.final_relative_residual <= 1e-10
 
-    def test_nonconvergence_flagged_not_raised(self, rng):
+    def test_nonconvergence_flagged_not_raised(self, rng, monkeypatch):
         box = BoxSpec(2, 16)
         a = random_coefficients(box, rng)
         rhs = ScalarField(box, rng.normal(size=box.n_sites))
-        cfg = SolverConfig(tol=1e-300)  # below rounding: CG runs to its cap of 50 per site
-        u, rep = cg_solve(_elliptic_op(a), rhs, cfg)
+        # CG runs to its cap of 50 iterations per site
+        u, rep = cg_solve(ill_conditioned_op(box), rhs)
         assert not rep.converged and rep.iterations == 50 * box.n_sites
-        with pytest.raises(SolverError):
-            solve_elliptic(a, rhs, cfg)
+        monkeypatch.setattr(elliptic, "_elliptic_op", lambda a, shift: ill_conditioned_op(a.box))
+        with pytest.raises(SolverError, match="solve_elliptic: not converged after 12800"):
+            solve_elliptic(a, rhs)
+
+    def test_tol_below_the_floor_or_a_bool_is_rejected(self):
+        assert SolverConfig(tol=MIN_TOL).tol == 1e-13
+        for tol in (1e-14, 1e-300, True, False):
+            with pytest.raises(ParameterError, match=r"tol must be a number in \[1e-13, inf\)"):
+                SolverConfig(tol=tol)
 
     def test_the_solver_settings_are_tol_and_preconditioner(self):
         # the iteration cap is a constant, not a setting
@@ -255,6 +266,10 @@ class TestHeatKernel:
         expected = np.zeros(box.n_sites)
         expected[0] = 1.0
         assert np.max(np.abs(p.values - expected)) < 1e-14
+
+    def test_negative_t_rejected(self):
+        with pytest.raises(ParameterError, match="t must be >= 0"):
+            heat_kernel(-0.5, BoxSpec(2, 8))
 
     def test_d1_value_matches_bessel_series_oracle(self):
         # continuous-time walk on Z: p(t, x) = exp(-2t) I_x(2t)

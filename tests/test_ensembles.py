@@ -55,6 +55,17 @@ class TestValidation:
         with pytest.raises(ParameterError, match="master_seed must be a non-negative integer"):
             make()
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda: two_point(lam=1.0), "lambda=1.0 must be in (0,1)"),
+        (lambda: EnsembleSpec("periodic-tile", {"unit_cell": [0.5, 0.5]}, 0.2, 0),
+         "unit_cell must be a (tile sites, d) table"),
+        (lambda: sample(EnsembleSpec("periodic-tile", {"unit_cell": [[0.5, 0.5]] * 4}, 0.2, 0),
+                        BoxSpec(2, 5), SampleId(0)), "box L=5 not divisible by tile L=2"),
+    ], ids=["lambda", "unit-cell-row", "tile-does-not-divide-L"])
+    def test_bad_law_or_box_rejected(self, make, message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            make()
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParameterError, match="unknown ensemble kind 'gaussian'"):
             EnsembleSpec("gaussian", {}, 0.2, 0)

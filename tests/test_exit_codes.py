@@ -116,9 +116,11 @@ def cases(draw) -> tuple[list[str], dict]:
 @example(case=(["corrector", "--L", "8", "--tol", "nan"], {}), expected=3)
 @example(case=(["corrector", "--L", "8", "--max-iter", "-1"], {}), expected=3)
 @example(case=(["corrector", "--L", "8", "--max-iter", "0"], {}), expected=3)
-# CG's cap of 50 iterations per site is not a flag; a tolerance below rounding meets it
+# CG's cap of 50 iterations per site is not a flag, and a tol below CG's reach, which
+# would run to that cap, is a config error
 @example(case=(["corrector", "--L", "8", "--max-iter", "2"], {}), expected=3)
-@example(case=(["corrector", "--L", "8", "--tol", "1e-300"], {}), expected=2)
+@example(case=(["corrector", "--L", "8", "--tol", "1e-300"], {}), expected=3)
+@example(case=(["corrector", "--L", "8", "--tol", "1e-13"], {}), expected=0)
 @example(case=(["twoscale", "--L", "8", "--samples", "2", "--alpha", "nan"], {}), expected=3)
 @example(case=(["twoscale", "--L", "8", "--samples", "2", "--alpha", "inf"], {}), expected=3)
 @example(case=(["meyers", "--L", "8", "--samples", "2", "--alpha-w", "nan"], {}), expected=3)

@@ -1,9 +1,9 @@
 """Every name a module exports resolves, so no deleted name stays exported,
-every public solver entry point shares one solver default, a result type
-is exactly its fields, no module relies on ``assert`` or reads the
-environment, rejected input has one exception type, which ``main`` catches
-without catching every ``ValueError``, and an ensemble's params are read in
-one place."""
+every public solver entry point shares one solver default, no statistic
+restates an experiment default, a result type is exactly its fields, no
+module relies on ``assert`` or reads the environment, rejected input has one
+exception type, which ``main`` catches without catching every
+``ValueError``, and an ensemble's params are read in one place."""
 
 import ast
 import dataclasses
@@ -17,6 +17,7 @@ import pytest
 import homoglab
 import homoglab.cli
 import homoglab.ensembles
+import homoglab.quant
 from homoglab.elliptic import SolverConfig
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(homoglab.__path__))
@@ -44,6 +45,17 @@ def test_every_cfg_parameter_defaults_to_solver_config(name):
                 and "cfg" in inspect.signature(fn).parameters}
     assert defaults, f"{name} has no public function with a cfg parameter"
     assert {f: d for f, d in defaults.items() if d != SolverConfig()} == {}
+
+
+def test_statistics_restate_no_experiment_default():
+    # an experiment's defaults live only in cli.EXPERIMENTS, where a library
+    # default could only restate one or disagree with it; green_decay's radii
+    # default is the library's own rule, which depends on L
+    functions = [getattr(homoglab.quant, name) for name in homoglab.quant.__all__]
+    defaults = {f"{fn.__name__}.{p.name}" for fn in functions if inspect.isfunction(fn)
+                for p in inspect.signature(fn).parameters.values()
+                if p.default is not p.empty and p.name not in ("cfg", "map_fn")}
+    assert defaults == {"green_decay.radii"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)

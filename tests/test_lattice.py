@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from homoglab import lattice
 from homoglab.lattice import (
     BoxSpec,
     CoefficientField,
+    ParameterError,
     ScalarField,
     SkewField,
     VectorField,
@@ -215,6 +217,19 @@ class TestSkewField:
             SkewField(box, vals)
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda box: ScalarField(box, np.zeros(3)), "ScalarField: expected shape (16,), got (3,)"),
+    (lambda box: ScalarField(box, np.full(16, np.nan)), "ScalarField: values must be finite"),
+    (lambda box: CoefficientField(box, np.full((16, 2), 0.5), lam=1.0),
+     "ellipticity constant lam=1.0 must be in (0,1)"),
+    (lambda box: CoefficientField(box, np.full((16, 2), 0.1)),
+     "coefficient entries must lie in (0.2, 1); got [0.1, 0.1]"),
+], ids=["shape", "finite", "lam", "range"])
+def test_bad_field_is_a_parameter_error(make, message):
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        make(BoxSpec(2, 4))
+
+
 def _hard_floats() -> np.ndarray:
     """Values next to the kernel's edges: decades, the %g switch points, 2**53..2**63."""
     values = [float(f"1e{p}") for p in range(-320, 309)]
@@ -276,6 +291,10 @@ class TestCsvText:
         ]
         header = ["i64", "u64", "u8", "f32", "f64"]
         assert _csv_text(header, columns) == reference_csv_text(header, columns)
+
+    def test_a_column_of_strings_is_rejected(self):
+        with pytest.raises(TypeError, match="CSV columns hold integers or floats, not <U1"):
+            _csv_text(["s"], [np.array(["x"])])
 
     def test_tuple_columns(self):
         # ``oned`` passes ``list(zip(*rows))``: tuples of Python floats

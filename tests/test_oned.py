@@ -166,6 +166,10 @@ class TestSolveExplicit:
         with pytest.warns(UserWarning):
             Profile1D(a_unit=SINE_A, f=ODD_F, eps=1 / 8, points_per_period=16)
 
+    def test_eps_outside_the_unit_interval_rejected(self):
+        with pytest.raises(ParameterError, match=re.escape("eps must lie in (0, 1]; got eps=2.0")):
+            Profile1D(a_unit=SINE_A, f=ODD_F, eps=2.0)
+
     def test_non_integer_period_count_rejected(self):
         with pytest.raises(ValueError):
             Profile1D(a_unit=SINE_A, f=ODD_F, eps=0.3)

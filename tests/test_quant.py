@@ -156,7 +156,7 @@ class TestCorrectorGrowth:
 
     def test_radius_beyond_window_rejected(self):
         with pytest.raises(ValueError):
-            corrector_growth(SPEC, BoxSpec(2, 16), [8], n=2)
+            corrector_growth(SPEC, BoxSpec(2, 16), [8], p=1, n=2)
 
     def test_d2_moments_grow_with_radius(self):
         fit = corrector_growth(SPEC, BoxSpec(2, 64), [4, 8, 16], p=1, n=25)
@@ -257,11 +257,11 @@ class TestMeyers:
     def test_weight_overflow_is_a_config_error_before_the_first_sample(self, monkeypatch):
         # at L=8 the largest weight (4 sqrt 2 + 1)^alpha_w leaves the float
         # range above alpha_w = log(max float) / log(4 sqrt 2 + 1) = 374.4
-        rep = meyers_probe(SPEC, BoxSpec(2, 8), n=2, alpha_w=370.0)
+        rep = meyers_probe(SPEC, BoxSpec(2, 8), n=2, q=1.1, alpha_w=370.0)
         assert np.all(np.isfinite(rep.ratios))
         monkeypatch.setattr(ensembles, "sample", _no_draw)
         with pytest.raises(ParameterError, match="--alpha-w"):
-            meyers_probe(SPEC, BoxSpec(2, 8), n=2, alpha_w=400.0)
+            meyers_probe(SPEC, BoxSpec(2, 8), n=2, q=1.1, alpha_w=400.0)
 
     def test_weighted_sum_overflow_is_a_config_error(self, rng):
         # a finite weight times a large right-hand side still overflows the sums
@@ -269,14 +269,19 @@ class TestMeyers:
         h = smooth_random_field(box, rng)
         big = ScalarField(box, h.values * 1e10)
         with pytest.raises(ParameterError, match="weighted sums overflow"):
-            meyers_ratio(random_coefficients(box, rng), big, alpha_w=370.0)
+            meyers_ratio(random_coefficients(box, rng), big, q=1.1, alpha_w=370.0)
+
+    def test_constant_h_rejected(self, rng):
+        box = BoxSpec(2, 8)
+        with pytest.raises(ParameterError, match="h must be non-constant"):
+            meyers_ratio(random_coefficients(box, rng), ScalarField.zeros(box), 1.1, 0.1)
 
     def test_q_out_of_range_rejected(self, rng):
         box = BoxSpec(2, 8)
         a = random_coefficients(box, rng)
         h = smooth_random_field(box, rng)
         with pytest.raises(ValueError):
-            meyers_ratio(a, h, q=1.5)
+            meyers_ratio(a, h, q=1.5, alpha_w=0.1)
 
 
 class TestBirkhoff:
@@ -319,10 +324,10 @@ def test_abscissae_needs_two_distinct_values(xs, message):
 
 
 def test_d3_growth_takes_a_single_radius_but_not_none():
-    rep = corrector_growth(constant(0.5), BoxSpec(3, 8), [2], n=2)
+    rep = corrector_growth(constant(0.5), BoxSpec(3, 8), [2], p=1, n=2)
     assert rep.model == "constant-fit" and len(rep.moments) == 1
     with pytest.raises(ValueError, match="non-empty"):
-        corrector_growth(constant(0.5), BoxSpec(3, 8), [], n=2)
+        corrector_growth(constant(0.5), BoxSpec(3, 8), [], p=1, n=2)
 
 
 def test_loglog_fit_of_one_point_has_no_rate():
@@ -336,10 +341,10 @@ def _no_draw(*args):
 
 @pytest.mark.parametrize("run", [
     lambda box: ahom_rve(SPEC, box, 1),
-    lambda box: corrector_growth(SPEC, box, [2, 4], n=1),
+    lambda box: corrector_growth(SPEC, box, [2, 4], p=1, n=1),
     lambda box: semigroup_decay(SPEC, box, [1, 4], n=1),
     lambda box: green_decay(SPEC, box, 0, radii=[2, 4]),
-    lambda box: meyers_probe(SPEC, box, n=0),
+    lambda box: meyers_probe(SPEC, box, n=0, q=1.1, alpha_w=0.1),
     lambda box: birkhoff_rate(SPEC, box, [2, 4], n=0),
 ], ids=["ahom_rve", "corrector_growth", "semigroup_decay", "green_decay", "meyers_probe",
         "birkhoff_rate"])

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from homoglab.correctors import corrector_set
 from homoglab.elliptic import SolverConfig, collecting_reports, heat_kernel
 from homoglab.ensembles import SampleId, sample, two_point
-from homoglab.lattice import BoxSpec, ScalarField
+from homoglab.lattice import BoxSpec, ParameterError, ScalarField
 from homoglab.spectral import inverse, smooth, symbol
 
 from conftest import apply_constant
@@ -24,6 +26,12 @@ def symbol_by_definition(box: BoxSpec, A: np.ndarray) -> np.ndarray:
         m = np.exp(2j * np.pi * np.array(k) / box.L) - 1.0
         out[k] = (np.conj(m) @ A @ m).real
     return out
+
+
+def test_symbol_rejects_a_matrix_of_another_dimension():
+    with pytest.raises(ParameterError, match=re.escape("matrix shape (3, 3) does not match "
+                                                       "dimension 2")):
+        symbol(BoxSpec(2, 4), np.eye(3))
 
 
 @pytest.mark.parametrize("box", BOXES, ids=lambda b: f"d{b.d}")

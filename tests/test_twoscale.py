@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from homoglab.correctors import corrector_set
-from homoglab.lattice import (BoxSpec, CoefficientField, ScalarField, VectorField, _grad_arr,
-                              _norm, apply_elliptic, div_star, grad, inner)
+from homoglab.lattice import (BoxSpec, CoefficientField, ParameterError, ScalarField, VectorField,
+                              _grad_arr, _norm, apply_elliptic, div_star, grad, inner)
 from homoglab.elliptic import SolverConfig, solve_shifted
 from homoglab.ensembles import SampleId, constant, sample, two_point
 from homoglab.twoscale import (
@@ -80,6 +80,14 @@ class TestSolveHomogenized:
         u = solve_homogenized(A, alpha, f)
         resid = alpha * u.values + apply_constant(A, u).values - f.values
         assert np.max(np.abs(resid)) < 1e-10
+
+    def test_alpha_must_be_positive(self):
+        with pytest.raises(ParameterError, match="alpha must be positive and finite, got 0.0"):
+            solve_homogenized(np.eye(2), 0.0, ScalarField.zeros(BoxSpec(2, 4)))
+
+    def test_forcing_wavelength_must_divide_L(self):
+        with pytest.raises(ParameterError, match="wavelength 3 does not divide the box side 8"):
+            default_forcing(BoxSpec(2, 8), 3)
 
     def test_indefinite_matrix_rejected(self):
         box = BoxSpec(2, 4)
