@@ -172,6 +172,7 @@ class Experiment:
     run: Callable
     params: dict[str, Param]
     needs_ensemble: bool = True
+    solves: bool = True  # calls CG or an FFT, so the config step loads scipy
 
 
 def _json_out(cfg: ExperimentConfig, result, **extra) -> dict[str, str]:
@@ -246,7 +247,7 @@ def _run_twoscale(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, str]:
 # Rows call the library through this module's globals at call time, so code
 # that rebinds a name such as ``cli.corrector_set`` reaches the runner.
 EXPERIMENTS: dict[str, Experiment] = {
-    "oned": Experiment(_run_oned, {}, needs_ensemble=False),
+    "oned": Experiment(_run_oned, {}, needs_ensemble=False, solves=False),
     "cell": Experiment(_run_cell, {"sample": Param(int, 0)}),
     "ahom": Experiment(_run_ahom, {"samples": Param(int, 16)}),
     "corrector": Experiment(_run_corrector, {"dir": Param(int, 0), "sample": Param(int, 0)}),
@@ -261,7 +262,7 @@ EXPERIMENTS: dict[str, Experiment] = {
     "sg": Experiment(
         _statistic(lambda cfg, p, map_fn: {"reports": sg_check(
             cfg.ensemble, cfg.box, p["samples"], map_fn=map_fn)}),
-        {"samples": Param(int, 500)}),
+        {"samples": Param(int, 500)}, solves=False),
     "semigroup": Experiment(
         _statistic(lambda cfg, p, map_fn: semigroup_decay(
             cfg.ensemble, cfg.box, p["t_grid"], n=p["samples"], map_fn=map_fn)),
@@ -279,7 +280,7 @@ EXPERIMENTS: dict[str, Experiment] = {
     "birkhoff": Experiment(
         _statistic(lambda cfg, p, map_fn: birkhoff_rate(
             cfg.ensemble, cfg.box, p["R_list"], n=p["samples"], map_fn=map_fn)),
-        {"samples": Param(int, 200), "R_list": Param(int, [4, 8, 16, 32], "+")}),
+        {"samples": Param(int, 200), "R_list": Param(int, [4, 8, 16, 32], "+")}, solves=False),
 }
 
 
@@ -298,6 +299,14 @@ def _typed_params(cfg: ExperimentConfig) -> dict:
                 for name, param in exp.params.items()}
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"{cfg.experiment}: bad parameter: {exc}") from exc
+
+
+def _load_modules(experiment: str) -> None:
+    """Import what the experiment's run needs, before it starts: a run imports
+    nothing, so no worker imports and ``wall_time_s`` times the experiment alone."""
+    if EXPERIMENTS[experiment].solves:
+        import scipy.fft  # noqa: F401
+        import scipy.sparse  # noqa: F401
 
 
 def _openblas_threads():
@@ -350,6 +359,10 @@ def _execute(cfg: ExperimentConfig, threads: int) -> tuple[dict[str, str], dict]
     config_json = cfg.to_json()
     config_blob = json.dumps(config_json, sort_keys=True).encode()
     params = _typed_params(cfg)
+    # glibc maps each block above its mmap threshold afresh and trims the heap above twice
+    # that threshold, which starts at 128 KiB and rises when a mapped block is freed
+    # (mallopt(3)): freeing a 1 MiB block keeps a run's temporaries on the heap
+    np.empty(1 << 17)
     t0 = time.monotonic()
     # no worker starts before the first task, and one thread maps serially
     with (ThreadPoolExecutor(max_workers=max(threads, 1)) as pool,
@@ -398,7 +411,9 @@ def replay(manifest_path: str, threads: int = 1) -> tuple[bool, dict]:
             and isinstance(manifest.get("outputs"), dict)):
         raise ParameterError(f"malformed manifest {manifest_path}: needs 'config' and "
                              f"'outputs' objects")
-    outputs, _ = _execute(ExperimentConfig.from_json(manifest["config"]), threads)
+    cfg = ExperimentConfig.from_json(manifest["config"])
+    _load_modules(cfg.experiment)
+    outputs, _ = _execute(cfg, threads)
     report = {"files": {}, "max_abs_deviation": 0.0}
     for name, sha in manifest["outputs"].items():
         new_text = outputs.get(name)
@@ -506,6 +521,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             cfg.params[key] = getattr(args, key)
     if args.out:
         cfg.out = args.out
+    _load_modules(cfg.experiment)
     return cfg
 
 

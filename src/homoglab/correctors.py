@@ -93,14 +93,15 @@ def _energy_checks(a: CoefficientField, phi: ScalarField, xi: np.ndarray) -> Non
     m_shifted = float(np.mean(np.sum((g + xi) ** 2, axis=1)))
     m_grad = float(np.mean(np.sum(g**2, axis=1)))
     slack = 1e-9 * max(xi_norm2, 1.0)
-    if not m_shifted <= xi_norm2 / lam**2 + slack:
+    # / lam / lam: lam**2 underflows to 0 below lam ~ 1e-162, and the bound is then inf
+    if not m_shifted <= xi_norm2 / lam / lam + slack:
         raise SolverError(
             f"corrector energy bound violated: mean|grad phi + xi|^2 = {m_shifted} "
-            f"> |xi|^2/lam^2 = {xi_norm2 / lam**2}")
-    if not m_grad <= (1.0 - lam**2) / lam**2 * xi_norm2 + slack:
+            f"> |xi|^2/lam^2 = {xi_norm2 / lam / lam}")
+    if not m_grad <= (1.0 - lam * lam) / lam / lam * xi_norm2 + slack:
         raise SolverError(
             f"corrector energy bound violated: mean|grad phi|^2 = {m_grad} "
-            f"> (1-lam^2)/lam^2 |xi|^2 = {(1.0 - lam**2) / lam**2 * xi_norm2}")
+            f"> (1-lam^2)/lam^2 |xi|^2 = {(1.0 - lam * lam) / lam / lam * xi_norm2}")
 
 
 def _direction(a: CoefficientField, xi) -> tuple[np.ndarray, ScalarField]:
@@ -196,7 +197,7 @@ def solve_modified_corrector(a: CoefficientField, xi, T: float,
     xi_norm2 = float(xi @ xi)
     g = grad(phi_T).values
     energy = float(np.mean(phi_T.values**2 / T + np.sum(g**2, axis=1)))
-    bound = (2.0 / lam + 4.0 / lam**2) * xi_norm2
+    bound = (2.0 / lam + 4.0 / lam / lam) * xi_norm2  # inf, not 1/0, for a tiny lam
     if not energy <= bound + 1e-9 * max(1.0, xi_norm2):
         raise SolverError(f"massive corrector energy {energy} exceeds a priori bound {bound}")
     return phi_T, rep

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import numpy.random  # numpy loads it lazily, and a run imports nothing
 
 from .lattice import BoxSpec, CoefficientField, ParameterError, _exact_int
 

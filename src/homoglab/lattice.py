@@ -26,7 +26,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 __all__ = [
     "ParameterError",
@@ -279,6 +278,7 @@ def _grad_energy(grids) -> np.ndarray:
     for g in grids:
         for i in range(g.ndim):
             total += _grad_arr(g, i).ravel(order="F") ** 2
+        del g  # so the next grid is made without this one alive
     return total
 
 
@@ -324,6 +324,7 @@ def stencil(a: CoefficientField) -> tuple[np.ndarray, scipy.sparse.csr_array]:
     ``D(x) = sum_i a_i(x) + a_i(x - e_i)`` is the conductance at x, summed
     in the order of the dense assembly of ``elliptic_matrix``.
     """
+    import scipy.sparse
     box = a.box
     n, d = box.n_sites, box.d
     fwd, bwd = neighbours(box)

@@ -528,7 +528,8 @@ def green_decay(spec: EnsembleSpec, box: BoxSpec, n: int,
                        "the periodization window L/4")
     r = torus_radii(box)
     shells = [np.flatnonzero(np.abs(r - rad) <= 0.5) for rad in radii]  # within 1/2 of rad
-    far = np.flatnonzero(r >= 3.0 * box.L / 8.0)  # the antipodal region
+    far = r >= 3.0 * box.L / 8.0  # the antipodal region, as a mask
+    del r  # a float per site that the solves need not hold
     unit_sites = [box.index_of(tuple(int(k == j) for k in range(d))) for j in range(d)]
 
     def one(a: CoefficientField, i: int) -> np.ndarray:

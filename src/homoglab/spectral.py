@@ -18,7 +18,6 @@ residual).
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft
 
 from .lattice import BoxSpec, ParameterError
 
@@ -58,6 +57,7 @@ def _transform(grid: np.ndarray, half_sym: np.ndarray) -> np.ndarray:
     the symbol's dtype, so a float64 lattice field needs no copy for a
     float64 symbol.  The result is float64, F-ordered like the lattice grids.
     """
+    import scipy.fft
     gt = grid.T.astype(half_sym.dtype, copy=False)
     h = scipy.fft.rfftn(gt, workers=1)
     h *= half_sym

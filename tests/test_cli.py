@@ -22,6 +22,7 @@ from homoglab.cli import (
     EXIT_OK,
     EXIT_REPLAY_MISMATCH,
     EXIT_SOLVER_FAILURE,
+    EXPERIMENTS,
     MAX_THREADS,
     ExperimentConfig,
     _execute,
@@ -43,6 +44,36 @@ def _python(args, cwd, **env):
     return subprocess.run([sys.executable, *args],
                           env={**os.environ, "PYTHONPATH": src, **env}, cwd=cwd,
                           capture_output=True, text=True, timeout=600)
+
+
+# Each experiment at its smallest config, for the startup probes; ``oned`` reads
+# the ``oned_config`` fixture, the others the ``ensemble_file`` one.
+SMALLEST = {
+    "oned": ["oned"],
+    "cell": ["cell", "--L", "4"],
+    "ahom": ["ahom", "--L", "4", "--samples", "2"],
+    "corrector": ["corrector", "--L", "4"],
+    "twoscale": ["twoscale", "--L", "4", "--samples", "2"],
+    "growth": ["growth", "--L", "8", "--radii", "1", "2", "--samples", "2"],
+    "sg": ["sg", "--L", "4", "--samples", "2"],
+    "semigroup": ["semigroup", "--L", "16", "--t-grid", "1", "4", "--samples", "2"],
+    "green": ["green", "--L", "8", "--radii", "1", "2", "--samples", "2"],
+    "meyers": ["meyers", "--L", "4", "--samples", "2"],
+    "birkhoff": ["birkhoff", "--L", "8", "--R-list", "2", "4", "--samples", "2"],
+}
+
+# Builds the config from argv, runs it, and prints the modules the run added and
+# the scipy modules loaded at the end.
+RUN_PROBE = """
+import json, sys
+from homoglab import cli
+args = cli.build_parser().parse_args(sys.argv[1:])
+cfg = cli.config_from_args(args)
+loaded = set(sys.modules)
+cli.run(cfg, threads=args.threads)
+print(json.dumps({"added": sorted(set(sys.modules) - loaded),
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
 
 
 # The config and output hash of ``ahom --L 8 --samples 2`` as homoglab 0.7.0
@@ -643,6 +674,44 @@ class TestDeterminismAndReplay:
         done = _python(["-c", probe], tmp_path)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        probe = ("import sys, homoglab, homoglab.cli; "
+                 "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        done = _python(["-c", probe], tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("experiment, threads", [*((name, 1) for name in EXPERIMENTS),
+                                                     ("ahom", 2)])
+    def test_a_run_imports_nothing(self, experiment, threads, ensemble_file, oned_config,
+                                   tmp_path):
+        # the config step loads every module the run needs, so no worker imports and
+        # wall_time_s times the experiment alone; sg, oned and birkhoff need no scipy
+        inputs = ["--config", oned_config] if experiment == "oned" else [
+            "--ensemble", ensemble_file]
+        done = _python(["-c", RUN_PROBE, *SMALLEST[experiment], *inputs,
+                        "--threads", str(threads)], tmp_path)
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result["added"] == []
+        if experiment in ("sg", "oned", "birkhoff"):
+            assert result["scipy"] == []
+
+    def test_replay_loads_scipy_before_the_run(self, ensemble_file, tmp_path):
+        out = str(tmp_path / "green.json")
+        assert main([*SMALLEST["green"], "--ensemble", ensemble_file, "--out", out]) == EXIT_OK
+        probe = ("import sys\n"
+                 "from homoglab import cli\n"
+                 "execute = cli._execute\n"
+                 "def recording(cfg, threads):\n"
+                 "    print('scipy.fft' in sys.modules)\n"
+                 "    return execute(cfg, threads)\n"
+                 "cli._execute = recording\n"
+                 "sys.exit(cli.main(['replay', sys.argv[1]]))\n")
+        done = _python(["-c", probe, out + ".manifest.json"], tmp_path)
+        assert done.returncode == EXIT_OK, done.stdout + done.stderr
+        assert done.stdout.splitlines()[0] == "True"
 
     def test_replay_solver_failure_exits_2(self, ensemble_file, tmp_path, capsys):
         out = str(tmp_path / "twoscale.csv")

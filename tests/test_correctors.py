@@ -79,6 +79,13 @@ class TestCorrector:
         with pytest.raises(SolverError, match="energy bound violated"):
             _energy_checks(a, phi, np.array([1.0, 0.0]))
 
+    def test_energy_checks_pass_at_a_tiny_lambda(self, rng):
+        # lam**2 underflows to 0 below lam ~ 1e-162: the bounds are inf, not a 1/0
+        box = BoxSpec(2, 8)
+        a = CoefficientField(box, rng.uniform(0.25, 0.75, size=(box.n_sites, 2)), lam=1e-301)
+        phi, _ = solve_corrector(a, [1.0, 0.0], CFG)
+        _energy_checks(a, phi, np.array([1.0, 0.0]))
+
     def test_linear_in_direction(self, rng):
         box = BoxSpec(2, 8)
         a = random_coefficients(box, rng)
@@ -184,6 +191,12 @@ class TestModifiedCorrector:
         a = CoefficientField.constant(BoxSpec(2, 4), 0.5, lam=0.25)
         with pytest.raises(ParameterError, match="T must be positive"):
             solve_modified_corrector(a, [1.0, 0.0], 0.0)
+
+    def test_tiny_lambda_gives_an_infinite_bound_not_a_zero_division(self, rng):
+        box = BoxSpec(2, 8)
+        a = CoefficientField(box, rng.uniform(0.25, 0.75, size=(box.n_sites, 2)), lam=1e-301)
+        phi_T, rep = solve_modified_corrector(a, [1.0, 0.0], 10.0, CFG)
+        assert rep.converged and np.all(np.isfinite(phi_T.values))
 
     def test_gradient_converges_to_unmassive_corrector(self, rng):
         box = BoxSpec(2, 8)

@@ -37,8 +37,8 @@ def _oned(**params) -> dict:
     return {"config": json.dumps({"experiment": "oned", "params": params}).encode()}
 
 
-def _ensemble(kind: str, master_seed: int = 7, **params) -> dict:
-    return {"ensemble": json.dumps({"kind": kind, "params": params, "lambda": 0.2,
+def _ensemble(kind: str, master_seed: int = 7, lam: float = 0.2, **params) -> dict:
+    return {"ensemble": json.dumps({"kind": kind, "params": params, "lambda": lam,
                                     "master_seed": master_seed}).encode()}
 
 
@@ -168,6 +168,13 @@ def cases(draw) -> tuple[list[str], dict]:
 # a 1d grid of more than 2**20 intervals
 @example(case=(["oned", "--config", "@config"], _oned(eps_list=[1e-7])), expected=3)
 @example(case=(["oned", "--config", "@config"], _oned(points_per_period=10**12)), expected=3)
+# a lambda whose square underflows to 0: the energy bounds are inf, not a 1/0
+@example(case=(["ahom", "--L", "8", "--samples", "2"],
+               _ensemble("iid-two-point", lam=1e-301, alpha=1e-12, beta=0.75)), expected=0)
+@example(case=(["ahom", "--L", "8", "--samples", "2"],
+               _ensemble("iid-two-point", lam=1e-301, alpha=1e-100, beta=0.75)), expected=0)
+@example(case=(["ahom", "--L", "8", "--samples", "2"],
+               _ensemble("iid-two-point", lam=1e-301, alpha=1e-300, beta=0.75)), expected=0)
 # a kernel of more than 2**12 offsets, which would never finish a draw
 @example(case=(["cell", "--L", "4"], _ensemble("correlated-two-point", alpha=0.25, beta=0.75,
                                                radius=10**4)), expected=3)
