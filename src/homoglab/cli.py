@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .lattice import BoxSpec, ParameterError, _csv_text, _exact_int
+from .lattice import BoxSpec, ParameterError, _as_float, _csv_text, _exact_int
 from .ensembles import EnsembleSpec, SampleId, sample
 from .elliptic import SolverConfig, SolverError, collecting_reports
 from .correctors import ahom_cell, ahom_rve, corrector_set, verify_ahom_properties
@@ -83,7 +83,7 @@ class ExperimentConfig:
             if "tol" in solver and not isinstance(solver["tol"], bool):  # float(True) is 1.0
                 solver["tol"] = float(solver["tol"])
             out = obj.get("out", "out")
-            if not isinstance(out, str):
+            if not isinstance(out, str) or "\0" in out:  # a path cannot hold a NUL byte
                 raise ParameterError(f"out must be a path string, got {out!r}")
             return ExperimentConfig(
                 experiment=experiment,
@@ -93,7 +93,7 @@ class ExperimentConfig:
                 solver=SolverConfig(**solver),
                 out=out,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(str(exc)) from exc
 
 
@@ -154,14 +154,19 @@ class Param:
     line, ``name`` in the config's params, typed and defaulted only here."""
 
     type: type
-    default: object = None
+    default: object
     nargs: str | None = None
 
     def typed(self, value):
-        if value is None:
-            return None
-        read = _exact_int if self.type is int else self.type  # 5.7 is an error, not 5
+        read = _int64 if self.type is int else _as_float  # 5.7 and true are errors
         return [read(v) for v in value] if self.nargs else read(value)
+
+
+def _int64(value) -> int:
+    """An experiment integer, which numpy holds as int64."""
+    if not -2**63 <= (number := _exact_int(value)) < 2**63:
+        raise ValueError(f"{number} does not fit in int64")
+    return number
 
 
 @dataclass(frozen=True)
@@ -266,12 +271,12 @@ EXPERIMENTS: dict[str, Experiment] = {
     "semigroup": Experiment(
         _statistic(lambda cfg, p, map_fn: semigroup_decay(
             cfg.ensemble, cfg.box, p["t_grid"], n=p["samples"], map_fn=map_fn)),
-        {"samples": Param(int, 500), "t_grid": Param(float, [1, 4, 16, 64], "+")}),
+        {"samples": Param(int, 500), "t_grid": Param(float, [1.0, 4.0, 16.0, 64.0], "+")}),
     "green": Experiment(
         _statistic(lambda cfg, p, map_fn: green_decay(
-            cfg.ensemble, cfg.box, p["samples"], radii=p["radii"] or None,
+            cfg.ensemble, cfg.box, p["samples"], radii=p["radii"],
             cfg=cfg.solver, map_fn=map_fn)),
-        {"samples": Param(int, 20), "radii": Param(int, None, "+")}),
+        {"samples": Param(int, 20), "radii": Param(int, None, "+")}),  # None: the L/8 rule
     "meyers": Experiment(
         _statistic(lambda cfg, p, map_fn: meyers_probe(
             cfg.ensemble, cfg.box, n=p["samples"], q=p["q"], alpha_w=p["alpha_w"],
@@ -285,7 +290,7 @@ EXPERIMENTS: dict[str, Experiment] = {
 
 
 def _typed_params(cfg: ExperimentConfig) -> dict:
-    """The experiment's parameters, typed, with defaults for the unset ones.
+    """The parameters the config gives, typed, and the table's default for the rest.
 
     Runs before any computation, so a bad parameter is a config error.
     """
@@ -295,9 +300,9 @@ def _typed_params(cfg: ExperimentConfig) -> dict:
     if exp.needs_ensemble and cfg.box is None:
         raise ParameterError(f"{cfg.experiment}: --L (and --d) are required")
     try:
-        return {name: param.typed(cfg.params.get(name, param.default))
+        return {name: param.typed(cfg.params[name]) if name in cfg.params else param.default
                 for name, param in exp.params.items()}
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"{cfg.experiment}: bad parameter: {exc}") from exc
 
 
@@ -431,6 +436,9 @@ def replay(manifest_path: str, threads: int = 1) -> tuple[bool, dict]:
                 dev = _numeric_deviation(old.decode(), new_text)
                 entry["max_abs_deviation"] = dev
                 report["max_abs_deviation"] = max(report["max_abs_deviation"], dev)
+    for name in sorted(outputs.keys() - manifest["outputs"].keys()):
+        report["files"][name] = {"recomputed_sha256": _sha256_hex(outputs[name].encode()),
+                                 "status": "unrecorded"}
     report["match"] = all(e["status"] == "identical" for e in report["files"].values())
     return report["match"], report
 

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 import numpy.random  # numpy loads it lazily, and a run imports nothing
 
-from .lattice import BoxSpec, CoefficientField, ParameterError, _exact_int
+from .lattice import BoxSpec, CoefficientField, ParameterError, _as_float, _exact_int
 
 __all__ = [
     "EnsembleSpec",
@@ -75,7 +75,7 @@ class EnsembleSpec:
             marginal, structure = self._read()
         except ParameterError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"{self.kind!r} ensemble: bad parameter {exc!r}") from exc
         object.__setattr__(self, "marginal", marginal)
         object.__setattr__(self, "structure", structure)
@@ -91,12 +91,12 @@ class EnsembleSpec:
                                  f"got {self.master_seed}")
         p = self.params
         if self.kind == "constant":
-            v = float(p["value"])
+            v = _as_float(p["value"])
             if not (self.lam < v < 1.0):
                 raise ParameterError(f"constant value {v} outside ({self.lam}, 1)")
             return (v, v), None
         if self.kind == "iid-uniform":
-            lo, hi = float(p["low"]), float(p["high"])
+            lo, hi = _as_float(p["low"]), _as_float(p["high"])
             if not (self.lam < lo < hi < 1.0):
                 raise ParameterError(
                     f"uniform bounds must satisfy {self.lam} < low < high < 1; "
@@ -111,14 +111,14 @@ class EnsembleSpec:
                 raise ParameterError(f"unit_cell entries must lie in ({self.lam}, 1)")
             cell.flags.writeable = False
             return None, cell
-        a, b = float(p["alpha"]), float(p["beta"])  # the two-point kinds
+        a, b = _as_float(p["alpha"]), _as_float(p["beta"])  # the two-point kinds
         if not (self.lam < a <= b < 1.0):
             raise ParameterError(
                 f"two-point values must satisfy {self.lam} < alpha <= beta < 1; "
                 f"got alpha={a}, beta={b}"
             )
         if self.kind == "correlated-two-point":
-            r, decay = _exact_int(p.get("radius", 1)), float(p.get("decay", 1.0))
+            r, decay = _exact_int(p.get("radius", 1)), _as_float(p.get("decay", 1.0))
             if r < 0 or not (0.0 <= decay < np.inf):
                 raise ParameterError(f"kernel radius must be >= 0 and decay finite and "
                                      f">= 0; got radius={r}, decay={decay}")
@@ -156,8 +156,8 @@ class EnsembleSpec:
     def from_json(obj: dict) -> "EnsembleSpec":
         try:
             kind, params = obj["kind"], dict(obj["params"])
-            lam, seed = float(obj.get("lambda", 0.2)), _exact_int(obj["master_seed"])
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            lam, seed = _as_float(obj.get("lambda", 0.2)), _exact_int(obj["master_seed"])
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"ensemble needs kind, params and master_seed: {exc!r}") from exc
         return EnsembleSpec(kind, params, lam, seed)
 

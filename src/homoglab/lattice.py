@@ -107,6 +107,14 @@ def _exact_int(value) -> int:
     return operator.index(value)
 
 
+def _as_float(value) -> float:
+    """``float(value)``, except that a boolean, which ``float`` reads as 0 or 1,
+    raises ``TypeError``."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _abscissae(values: np.ndarray, name: str, limit: float, window: str,
                fit: bool = True) -> np.ndarray:
     """``values`` sorted; ``ParameterError`` unless each is positive (the fit is in
@@ -373,7 +381,7 @@ def torus_radii(box: BoxSpec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# serialization (binary-free: CSV body, JSON header line)
+# serialization (binary-free: CSV text)
 # ---------------------------------------------------------------------------
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import ParameterError, _abscissae, _exact_int
+from .lattice import ParameterError, _abscissae, _as_float, _exact_int
 from .quant import _loglog_fit
 
 __all__ = [
@@ -344,7 +344,7 @@ FORCING_KINDS = {
 }
 
 
-def _number(value, name: str, read: callable = float):
+def _number(value, name: str, read: callable = _as_float):
     """``read(value)``; ``ParameterError`` unless it converts and is finite."""
     try:
         if math.isfinite(number := read(value)):
@@ -360,7 +360,7 @@ def _read_kind(params: dict, key: str, kinds: dict[str, Kind], default: str) -> 
     if not (isinstance(cfg, dict) and isinstance(cfg.get("kind"), str) and cfg["kind"] in kinds):
         raise ParameterError(f"oned: {key} must be an object with a kind in {sorted(kinds)}")
     kind = kinds[cfg["kind"]]
-    values = {k: _number(cfg.get(k, d), f"{key} {k}", _exact_int if isinstance(d, int) else float)
+    values = {k: _number(cfg.get(k, d), f"{key} {k}", _exact_int if isinstance(d, int) else _as_float)
               for k, d in kind.defaults.items()}
     if not kind.rule(**values):
         raise ParameterError(f"oned: the {cfg['kind']} {key} cannot take {values}")

@@ -288,16 +288,18 @@ class TestDispatchAndErrors:
         {"box": {"d": True, "L": 8}},
         {"params": {"samples": True, "R_list": [2, 4]}},
         {"solver": {"max_iter": False}},
+        {"params": {"samples": None, "R_list": [2, 4]}},
+        {"params": {"samples": 4, "R_list": None}},
     ], ids=["L-float", "L-string", "d-float", "samples-float", "R-list-float",
             "samples-string", "max-iter-float", "max-iter-string", "d-bool", "samples-bool",
-            "max-iter-bool"])
+            "max-iter-bool", "samples-null", "R-list-null"])
     def test_non_integral_config_field_exits_3_and_writes_nothing(self, edit, tmp_path,
                                                                   monkeypatch, capsys):
         assert self._birkhoff(tmp_path, monkeypatch, **edit) == EXIT_CONFIG_ERROR
         assert "config error" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["cfg.json"]
 
-    @pytest.mark.parametrize("out", [5, None], ids=["int", "null"])
+    @pytest.mark.parametrize("out", [5, None, "a\0b.json"], ids=["int", "null", "nul-byte"])
     def test_non_string_out_exits_3_and_writes_nothing(self, out, tmp_path, monkeypatch,
                                                        capsys):
         assert self._birkhoff(tmp_path, monkeypatch, out=out) == EXIT_CONFIG_ERROR
@@ -755,13 +757,15 @@ class TestDeterminismAndReplay:
         assert main(["replay", mpath]) == EXIT_CONFIG_ERROR
         assert "malformed manifest" in capsys.readouterr().err
 
-    def test_manifest_with_non_string_out_exits_3(self, ensemble_file, tmp_path, capsys):
+    @pytest.mark.parametrize("bad_out", [5, "a\0b.json"], ids=["int", "nul-byte"])
+    def test_manifest_with_non_string_out_exits_3(self, bad_out, ensemble_file, tmp_path,
+                                                  capsys):
         out = str(tmp_path / "ahom.json")
         assert main(["ahom", "--ensemble", ensemble_file, "--L", "4", "--samples", "2",
                      "--out", out]) == EXIT_OK
         mpath = out + ".manifest.json"
         manifest = json.loads(open(mpath).read())
-        manifest["config"]["out"] = 5
+        manifest["config"]["out"] = bad_out
         open(mpath, "w").write(json.dumps(manifest))
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         capsys.readouterr()
@@ -822,7 +826,8 @@ class TestDeterminismAndReplay:
         for outputs, statuses in (
                 ({out: sha, "extra.json": sha}, {out: "identical", "extra.json": "missing"}),
                 ({out: "0" * 64}, {out: "differs"}),
-                ({out: sha}, {out: "identical"})):
+                ({out: sha}, {out: "identical"}),
+                ({}, {out: "unrecorded"})):
             manifest["outputs"] = outputs
             open(mpath, "w").write(json.dumps(manifest))
             ok, report = replay(mpath)
@@ -1191,6 +1196,39 @@ class TestExperimentTable:
         assert (rep["q"], rep["alpha_w"]) == (1.2, 0.05)
         assert rep["config"]["params"] == {"q": 1.2, "alpha_w": 0.05, "samples": 2}
 
+    def test_each_default_is_written_as_typed(self):
+        # defaults reach the run as written, so each must be what the reader would make
+        for name, exp in EXPERIMENTS.items():
+            for key, param in exp.params.items():
+                if param.default is not None:
+                    values = param.default if param.nargs else [param.default]
+                    assert all(type(v) is param.type for v in values), (name, key)
+                    assert param.typed(param.default) == param.default, (name, key)
+
+    @pytest.mark.parametrize("experiment,params", [
+        ("ahom", {"samples": None}),
+        ("cell", {"sample": None}),
+        ("twoscale", {"alpha": None}),
+        ("meyers", {"q": None}),
+        ("green", {"radii": None}),
+        ("green", {"radii": []}),
+        ("twoscale", {"alpha": True, "samples": 2}),
+        ("twoscale", {"alpha": 10**400, "samples": 2}),
+    ], ids=["ahom-samples-null", "cell-sample-null", "twoscale-alpha-null", "meyers-q-null",
+            "green-radii-null", "green-radii-empty", "twoscale-alpha-bool",
+            "twoscale-alpha-beyond-float"])
+    def test_null_bool_or_empty_param_exits_3_and_writes_nothing(
+            self, experiment, params, ensemble_file, tmp_path, capsys):
+        # a null is not a default: a parameter left out gets the table's
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": experiment, "params": params}))
+        code = main([experiment, "--config", str(path), "--ensemble", ensemble_file,
+                     "--L", "32", "--out", str(tmp_path / "out.json")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG_ERROR
+        assert "config error" in err and "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "ens.json"]
+
     def test_bad_config_param_is_config_error(self, ensemble_file, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"experiment": "growth", "params": {"p": "two"}}))
@@ -1252,7 +1290,8 @@ class TestExperimentTable:
         ({"tol": True}, "tol must be a number in [1e-13, inf), got True"),
         ({"tol": 1e-300}, "tol must be a number in [1e-13, inf), got 1e-300"),
         ({"preconditioner": "jacobi"}, "unknown preconditioner 'jacobi'"),
-    ], ids=["tol-bool", "tol-below-floor", "unknown-preconditioner"])
+        ({"tol": 10**400}, "int too large to convert to float"),
+    ], ids=["tol-bool", "tol-below-floor", "unknown-preconditioner", "tol-beyond-float"])
     def test_bad_solver_value_is_config_error(self, solver, message, ensemble_file, tmp_path,
                                               capsys):
         path = tmp_path / "cfg.json"

@@ -77,9 +77,9 @@ class TestValidation:
 
     @pytest.mark.parametrize("kernel", [
         {"radius": 1.7}, {"radius": "1"}, {"radius": True},
-        {"decay": -50}, {"decay": "inf"}, {"decay": float("nan")},
+        {"decay": -50}, {"decay": "inf"}, {"decay": float("nan")}, {"decay": True},
     ], ids=["radius-float", "radius-string", "radius-bool", "decay-negative", "decay-inf",
-            "decay-nan"])
+            "decay-nan", "decay-bool"])
     def test_bad_kernel_rejected(self, kernel):
         # a fractional radius used to truncate, and a negative decay grew with distance
         with pytest.raises(ParameterError):

@@ -178,6 +178,19 @@ def cases(draw) -> tuple[list[str], dict]:
 # a kernel of more than 2**12 offsets, which would never finish a draw
 @example(case=(["cell", "--L", "4"], _ensemble("correlated-two-point", alpha=0.25, beta=0.75,
                                                radius=10**4)), expected=3)
+# an experiment integer outside int64, where numpy holds it
+@example(case=(["growth", "--L", "16", "--radii", "2", "100000000000000000000"], {}),
+         expected=3)
+@example(case=(["green", "--L", "16", "--radii", "2", "100000000000000000000"], {}),
+         expected=3)
+@example(case=(["birkhoff", "--L", "8", "--R-list", "2", "100000000000000000000"], {}),
+         expected=3)
+@example(case=(["sg", "--L", "8", "--samples", "9223372036854775808"], {}), expected=3)
+# an ensemble number too large for a float
+@example(case=(["cell", "--L", "4"], _ensemble("iid-two-point", alpha=10**400, beta=0.75)),
+         expected=3)
+@example(case=(["cell", "--L", "4"], _ensemble("iid-two-point", lam=10**400, alpha=0.25,
+                                               beta=0.75)), expected=3)
 def test_exit_code_is_0_2_or_3_and_a_failure_writes_nothing(case, expected):
     argv, files = case
     with tempfile.TemporaryDirectory() as tmp:
