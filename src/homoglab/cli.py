@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .lattice import BoxSpec, ParameterError, _as_float, _csv_text, _exact_int
+from .lattice import BoxSpec, ParameterError, _as_float, _csv_text, _exact_int, _only
 from .ensembles import EnsembleSpec, SampleId, sample
 from .elliptic import SolverConfig, SolverError, collecting_reports
 from .correctors import ahom_cell, ahom_rve, corrector_set, verify_ahom_properties
@@ -71,6 +71,7 @@ class ExperimentConfig:
     @staticmethod
     def from_json(obj: dict) -> "ExperimentConfig":
         try:
+            _only(obj, ("experiment", "params", "ensemble", "box", "solver", "out"), "config")
             experiment = obj["experiment"]
             if experiment not in EXPERIMENTS:
                 raise ParameterError(f"unknown experiment {experiment!r}")
@@ -299,6 +300,10 @@ def _typed_params(cfg: ExperimentConfig) -> dict:
         raise ParameterError(f"{cfg.experiment}: --ensemble is required")
     if exp.needs_ensemble and cfg.box is None:
         raise ParameterError(f"{cfg.experiment}: --L (and --d) are required")
+    # oned's reader, read_profiles, checks its own keys; cell and corrector once
+    # recorded a "samples" they did not read, and those configs still run
+    if cfg.experiment != "oned":
+        _only(cfg.params, {**exp.params, "samples": None}, f"{cfg.experiment} params")
     try:
         return {name: param.typed(cfg.params[name]) if name in cfg.params else param.default
                 for name, param in exp.params.items()}
@@ -350,8 +355,8 @@ def _one_blas_thread():
                 put(_blas_pin["found"])
 
 
-# the most worker threads of a run: a pool gets every task at once, so it may start
-# min(threads, tasks) OS threads
+# the most worker threads of a run: a pool gets up to ensembles.RUNS_PER_MAP tasks at
+# once, so it may start min(threads, those tasks) OS threads
 MAX_THREADS = 64
 
 

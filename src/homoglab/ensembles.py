@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 import numpy.random  # numpy loads it lazily, and a run imports nothing
 
-from .lattice import BoxSpec, CoefficientField, ParameterError, _as_float, _exact_int
+from .lattice import BoxSpec, CoefficientField, ParameterError, _as_float, _exact_int, _only
 
 __all__ = [
     "EnsembleSpec",
@@ -47,7 +47,12 @@ __all__ = [
     "constant",
 ]
 
-KINDS = ("constant", "iid-two-point", "iid-uniform", "correlated-two-point", "periodic-tile")
+# each kind and the params that EnsembleSpec._read takes for it
+KIND_PARAMS = {"constant": ("value",), "iid-two-point": ("alpha", "beta"),
+               "iid-uniform": ("low", "high"),
+               "correlated-two-point": ("alpha", "beta", "radius", "decay"),
+               "periodic-tile": ("unit_cell",)}
+KINDS = tuple(KIND_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -89,7 +94,7 @@ class EnsembleSpec:
         if _exact_int(self.master_seed) < 0:
             raise ParameterError(f"master_seed must be a non-negative integer, "
                                  f"got {self.master_seed}")
-        p = self.params
+        p = _only(self.params, KIND_PARAMS[self.kind], f"{self.kind} ensemble params")
         if self.kind == "constant":
             v = _as_float(p["value"])
             if not (self.lam < v < 1.0):
@@ -154,6 +159,7 @@ class EnsembleSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "EnsembleSpec":
+        _only(obj, ("kind", "params", "lambda", "master_seed"), "ensemble")
         try:
             kind, params = obj["kind"], dict(obj["params"])
             lam, seed = _as_float(obj.get("lambda", 0.2)), _exact_int(obj["master_seed"])
@@ -254,6 +260,11 @@ def _mean_stderr(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows.mean(axis=0), se / np.sqrt(len(rows))
 
 
+# the most runs one map_fn call of per_block gets: a pool's map submits every task
+# before it yields a result, so one call over all runs would hold a future for each
+RUNS_PER_MAP = 4096  # 64 runs for each of cli.MAX_THREADS workers
+
+
 def per_block(spec: EnsembleSpec, box: BoxSpec, n: int, fn: Callable,
               map_fn: Callable, size: int, least: int = 1) -> list:
     """The Monte Carlo loop on runs of ``size`` consecutive sample ids, once
@@ -263,9 +274,9 @@ def per_block(spec: EnsembleSpec, box: BoxSpec, n: int, fn: Callable,
     ``fn(fields, ids)`` gets the fields of ``ids``, drawn by :func:`sample` in
     id order, and returns one result per id; the results come back flattened
     in sample order.  ``map_fn`` may be a thread pool's ``map``, whose tasks
-    are then the runs.  A pool does not pass contexts on, so each run goes in
-    a copy of the caller's: the report scope of
-    ``elliptic.collecting_reports`` reaches the workers.
+    are then the runs, at most ``RUNS_PER_MAP`` to a call.  A pool does not
+    pass contexts on, so each run goes in a copy of the caller's: the report
+    scope of ``elliptic.collecting_reports`` reaches the workers.
     """
     if n < least:
         raise ParameterError(f"the number of samples must be at least {least}, got {n}")
@@ -276,7 +287,9 @@ def per_block(spec: EnsembleSpec, box: BoxSpec, n: int, fn: Callable,
         fields = [sample(spec, box, SampleId(i)) for i in ids]
         return ctx.copy().run(fn, fields, ids)
 
-    return [r for results in map_fn(run, range(0, n, size)) for r in results]
+    starts = range(0, n, size)
+    return [r for i in range(0, len(starts), RUNS_PER_MAP)
+            for results in map_fn(run, starts[i:i + RUNS_PER_MAP]) for r in results]
 
 
 def per_sample(spec: EnsembleSpec, box: BoxSpec, n: int, fn: Callable,

@@ -96,6 +96,7 @@ class BoxSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "BoxSpec":
+        _only(obj, ("d", "L"), "box")
         return BoxSpec(d=_exact_int(obj["d"]), L=_exact_int(obj["L"]))
 
 
@@ -113,6 +114,17 @@ def _as_float(value) -> float:
     if isinstance(value, bool):
         raise TypeError(f"{value!r} is not a number")
     return float(value)
+
+
+def _only(obj, keys, what: str):
+    """``obj``; ``ParameterError`` unless it is a dict whose every key is in ``keys``,
+    so that a key no reader takes, such as a misspelt one, is not silently ignored."""
+    if not isinstance(obj, dict):
+        raise ParameterError(f"{what} must be an object, got {obj!r}")
+    if extra := [key for key in obj if key not in keys]:
+        raise ParameterError(f"{what}: unknown key {', '.join(map(repr, extra))} "
+                             f"(known: {', '.join(keys)})")
+    return obj
 
 
 def _abscissae(values: np.ndarray, name: str, limit: float, window: str,

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import ParameterError, _abscissae, _as_float, _exact_int
+from .lattice import ParameterError, _abscissae, _as_float, _exact_int, _only
 from .quant import _loglog_fit
 
 __all__ = [
@@ -360,6 +360,7 @@ def _read_kind(params: dict, key: str, kinds: dict[str, Kind], default: str) -> 
     if not (isinstance(cfg, dict) and isinstance(cfg.get("kind"), str) and cfg["kind"] in kinds):
         raise ParameterError(f"oned: {key} must be an object with a kind in {sorted(kinds)}")
     kind = kinds[cfg["kind"]]
+    _only(cfg, ("kind", *kind.defaults), f"oned: {cfg['kind']} {key}")
     values = {k: _number(cfg.get(k, d), f"{key} {k}", _exact_int if isinstance(d, int) else _as_float)
               for k, d in kind.defaults.items()}
     if not kind.rule(**values):
@@ -368,7 +369,9 @@ def _read_kind(params: dict, key: str, kinds: dict[str, Kind], default: str) -> 
 
 
 def read_profiles(params: dict) -> list[Profile1D]:
-    """The ``oned`` config's profiles, coarsest eps first; ``ParameterError`` on a bad value."""
+    """The ``oned`` config's profiles, coarsest eps first; ``ParameterError`` on a bad value
+    or on a key it does not read ("samples", which oned once recorded unread, aside)."""
+    _only(params, ("a", "f", "points_per_period", "eps_list", "samples"), "oned params")
     a_unit = _read_kind(params, "a", CONDUCTIVITY_KINDS, "shifted-sine")
     f = _read_kind(params, "f", FORCING_KINDS, "linear-odd")
     ppp = _number(params.get("points_per_period", Profile1D.points_per_period),

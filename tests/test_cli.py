@@ -76,8 +76,9 @@ print(json.dumps({"added": sorted(set(sys.modules) - loaded),
 """
 
 
-# The config and output hash of ``ahom --L 8 --samples 2`` as homoglab 0.7.0
-# wrote them, when the default solver was plain CG ("preconditioner": "none").
+# The config of ``ahom --L 8 --samples 2`` as homoglab 0.7.0 wrote it, when the
+# default solver was plain CG ("preconditioner": "none"), and the hash of its output
+# as 0.10.0 writes it: only ``min_quadratic_form``, now the eigenvalue, has moved.
 MANIFEST_0_7_0 = {
     "artifact_version": "0.7.0",
     "config": {
@@ -88,7 +89,7 @@ MANIFEST_0_7_0 = {
         "solver": {"anchor": "mean-zero", "max_iter": None, "preconditioner": "none",
                    "tol": 1e-10},
     },
-    "outputs": {"ahom.json": "1b4ec07a462aefade7e6f2bb5eae39060d8fa158da2f2d89904e5030b451e27f"},
+    "outputs": {"ahom.json": "012a9936750cf7d519f7a1442909e17e6dede718a0d18ab8636a8a59e4252d89"},
 }
 
 
@@ -306,6 +307,45 @@ class TestDispatchAndErrors:
         err = capsys.readouterr().err
         assert "config error: out must be a path string" in err and "Traceback" not in err
         assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("edit,key", [
+        ({"params": {"sampels": 3, "R_list": [2, 4]}}, "sampels"),
+        ({"Box": {"d": 2, "L": 8}}, "Box"),
+        ({"box": {"d": 2, "L": 8, "dim": 3}}, "dim"),
+        ({"ensemble": {"kind": "iid-two-point", "params": {"alpha": 0.25, "beta": 0.75},
+                       "lamda": 0.3, "master_seed": 5}}, "lamda"),
+    ], ids=["param", "top-level", "box", "ensemble"])
+    def test_a_key_no_reader_takes_exits_3_and_writes_nothing(self, edit, key, tmp_path,
+                                                              monkeypatch, capsys):
+        # a misspelt key once ran the default in its place
+        assert self._birkhoff(tmp_path, monkeypatch, **edit) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert f"unknown key {key!r}" in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("experiment", ["cell", "corrector"])
+    def test_a_misspelt_sample_exits_3_and_writes_nothing(self, experiment, ensemble_file,
+                                                          tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": experiment, "params": {"smaple": 3}}))
+        code = main([experiment, "--config", str(path), "--ensemble", ensemble_file,
+                     "--L", "4", "--out", str(tmp_path / "out.json")])
+        assert code == EXIT_CONFIG_ERROR
+        assert "unknown key 'smaple'" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "ens.json"]
+
+    def test_a_misspelt_ensemble_file_key_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "ens.json"
+        path.write_text(json.dumps({"kind": "iid-two-point",
+                                    "params": {"alpha": 0.25, "beta": 0.75},
+                                    "lamda": 0.3, "master_seed": 1}))
+        code = main(["ahom", "--ensemble", str(path), "--L", "4", "--samples", "2",
+                     "--out", str(tmp_path / "ahom.json")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG_ERROR
+        # the message is the reader's own, not wrapped in a second ParameterError
+        assert "config error: ensemble: unknown key 'lamda'" in err and "ParameterError" not in err
+        assert os.listdir(tmp_path) == ["ens.json"]
 
     @pytest.mark.parametrize("kernel,message", [
         ({"radius": 1.7}, "cannot be interpreted as an integer"),
@@ -1426,6 +1466,19 @@ class TestArtifactSchemas:
         config = rep.pop("config")
         assert schema(rep) == expected
         assert set(config) == CONFIG_KEYS and set(config["solver"]) == SOLVER_KEYS
+
+    @pytest.mark.parametrize("argv", [
+        ["cell", "--d", "1", "--L", "4"], ["cell", "--d", "3", "--L", "4"],
+        ["ahom", "--L", "4", "--samples", "2"],
+    ], ids=["cell-d1", "cell-d3", "ahom"])
+    def test_min_quadratic_form_is_the_eigenvalue_the_flag_tests(self, argv, ensemble_file,
+                                                                 tmp_path):
+        out = str(tmp_path / "out.json")
+        assert main([*argv, "--ensemble", ensemble_file, "--out", out]) == EXIT_OK
+        rep = json.loads(open(out).read())
+        M, props = np.array(rep["matrix"]), rep["properties"]
+        assert props["min_quadratic_form"] == np.linalg.eigvalsh(0.5 * (M + M.T))[0]
+        assert props["ellipticity_pass"] == (props["min_quadratic_form"] >= 0.2 - 1e-12)
 
     def test_corrector_meta_json(self, ensemble_file, tmp_path):
         out = str(tmp_path / "set.csv")

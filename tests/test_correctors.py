@@ -323,7 +323,7 @@ class TestAhomProperties:
         assert rep.ellipticity_pass and rep.symmetry_pass
 
     def test_ellipticity_margin_from_random_ensembles(self):
-        # lam = 0.2 floor over a direction grid; modest Monte Carlo here,
+        # lam = 0.2 floor on the smallest eigenvalue; modest Monte Carlo here,
         # the acceptance suite runs the full 20-ensemble sweep
         for seed in (1, 2, 3, 4, 5):
             spec = two_point(master_seed=seed)
@@ -332,13 +332,13 @@ class TestAhomProperties:
             assert rep.ellipticity_pass and rep.min_quadratic_form >= 0.2
 
     def test_ellipticity_is_the_smallest_eigenvalue_not_the_direction_grid(self):
-        # the weak axis of this rotated diag(0.15, 0.9, 0.9) falls between the grid's
-        # 64 directions, whose minimum (0.2035) passes lam = 0.2; the eigenvalue does not
+        # over 64 fixed unit directions, xi.M xi of this rotated diag(0.15, 0.9, 0.9) is at
+        # least 0.2035 and passes lam = 0.2; its smallest eigenvalue, 0.15, does not
         rng = np.random.default_rng(257)
         Q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
         M = Q @ np.diag([0.15, 0.9, 0.9]) @ Q.T
         rep = verify_ahom_properties(HomogenizedTensor(M, np.zeros((3, 3)), 1), lam=0.2)
-        assert rep.min_quadratic_form > 0.2
+        assert rep.min_quadratic_form == np.linalg.eigvalsh(0.5 * (M + M.T))[0]
         assert not rep.ellipticity_pass and rep.symmetry_pass
 
     def test_diagonal_ensemble_symmetry_is_the_transposition_check(self):

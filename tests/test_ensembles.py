@@ -61,7 +61,17 @@ class TestValidation:
          "unit_cell must be a (tile sites, d) table"),
         (lambda: sample(EnsembleSpec("periodic-tile", {"unit_cell": [[0.5, 0.5]] * 4}, 0.2, 0),
                         BoxSpec(2, 5), SampleId(0)), "box L=5 not divisible by tile L=2"),
-    ], ids=["lambda", "unit-cell-row", "tile-does-not-divide-L"])
+        # a param the kind does not read, such as a kernel radius on the iid kind, was ignored
+        (lambda: EnsembleSpec("iid-two-point", {"alpha": 0.25, "beta": 0.75, "radius": 3},
+                              0.2, 0), "unknown key 'radius'"),
+        (lambda: EnsembleSpec("constant", {"value": 0.5, "low": 0.3}, 0.2, 0),
+         "unknown key 'low'"),
+        (lambda: EnsembleSpec("iid-uniform", {"low": 0.3, "high": 0.9, "hgih": 0.8}, 0.2, 0),
+         "unknown key 'hgih'"),
+        (lambda: EnsembleSpec("periodic-tile", {"unit_cell": [[0.5]], "alpha": 0.3}, 0.2, 0),
+         "unknown key 'alpha'"),
+    ], ids=["lambda", "unit-cell-row", "tile-does-not-divide-L", "two-point-radius",
+            "constant-low", "uniform-typo", "tile-alpha"])
     def test_bad_law_or_box_rejected(self, make, message):
         with pytest.raises(ParameterError, match=re.escape(message)):
             make()
@@ -399,6 +409,21 @@ class TestPerSample:
             got = per_block(spec, box, 10, fn, pool.map, 4)
         assert got == [(0, 0), (0, 1), (0, 2), (0, 3), (4, 4), (4, 5), (4, 6), (4, 7),
                        (8, 8), (8, 9)]
+
+    def test_a_map_call_gets_at_most_runs_per_map_runs(self):
+        # a pool's map submits every task before it yields; one call over 10**12 runs
+        # would build 10**12 futures before the first sample
+        spec, box, n = two_point(master_seed=4), BoxSpec(1, 2), ensembles.RUNS_PER_MAP + 3
+        calls = []
+
+        def spy(fn, starts):
+            calls.append(len(starts))
+            return map(fn, starts)
+
+        got = per_block(spec, box, n, lambda fields, ids: [a.diag.tolist() for a in fields],
+                        spy, 1)
+        assert calls == [ensembles.RUNS_PER_MAP, 3]
+        assert got == [sample(spec, box, SampleId(i)).diag.tolist() for i in range(n)]
 
     def test_report_scope_counts_every_solve_under_contention(self):
         # more workers than cores and a short switch interval: a lost update

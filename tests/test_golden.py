@@ -6,6 +6,8 @@ replayed from a manifest at one and two threads and must match exactly.
 Those run on the iid two-point ensemble; the cases named after another
 ensemble kind hold the bytes that homoglab 0.9.2 wrote on that kind, and
 the ``oned-*`` cases the bytes it wrote for the other 1d profile kinds.
+The ``cell`` and ``ahom`` cases hold the bytes of 0.10.0, whose
+``min_quadratic_form`` is the smallest eigenvalue of the symmetric part.
 """
 
 import json
@@ -73,9 +75,9 @@ CASES = {
 
 OUTPUTS = {
     "ahom": {"ahom.json":
-        "dfef3a9c54b41e0c57108afaa60f865e3ab48ece7baba71d7d867a74961f6f26"},
+        "a5d1cd90743c4f97a5dd2cd323c9ac2b68538b1989236bee492908886355cd73"},
     "ahom-correlated": {"ahom.json":
-        "d4605fef0b2147ec20ef0527a6e28d12491c46de09096654d5002de9c11e798a"},
+        "66a0a7883a4d9735220e01646dd1876127c9515e6c4e69343052afce6a58d96f"},
     "birkhoff": {"birkhoff.json":
         "78347c19cd627a6aaa3d664afe90cde4259905e9ab01c63651bba55752a2879a"},
     "birkhoff-tile": {"birkhoff.json":
@@ -83,9 +85,9 @@ OUTPUTS = {
     "birkhoff-uniform": {"birkhoff.json":
         "676de704d87651db2c0bd727c6380b1f3f81ca0d402b8eceac165e29e32fdcf8"},
     "cell": {"cell.json":
-        "1b414a144cd5d88bdb3467d1d8e513c247d91b4f4286830b34328b8bfc618761"},
+        "85e18c1553ac57eac9023618fc291c80f63084cd57ce7c96165f6909cfa2e39f"},
     "cell-tile": {"cell.json":
-        "079a805384badacec21b35961ee84892fd1a9de1f9fb6d33e1dd8248592c9a01"},
+        "e616597d3f4a12a87e8cec39cf6eeec22ac7975906cae778a02c6f6df088bfd2"},
     "corrector": {
         "corrector.csv":
             "fe1cde436c3a1121b22b538245acd9089cc970776fba1a5be69405ba74a55601",

@@ -79,9 +79,12 @@ class TestReadProfiles:
         ({"eps_list": [0.125, None]}, "bad eps_list value None"),
         ({"points_per_period": 64.0}, "bad points_per_period 64.0"),
         ({"a": {"kind": "shifted-sine", "amplitude": True}}, "bad a amplitude True"),
+        ({"eps_lst": [0.5]}, "oned params: unknown key 'eps_lst'"),
+        ({"a": {"kind": "shifted-sine", "amplitud": 0.5}},
+         "oned: shifted-sine a: unknown key 'amplitud'"),
     ], ids=["nan-value", "inf-scale", "missing-value", "float-k", "sine-touches-0",
             "fraction-1", "alpha-0", "list-kind", "string-f", "scalar-eps-list",
-            "null-eps", "float-points", "bool-amplitude"])
+            "null-eps", "float-points", "bool-amplitude", "misspelt-key", "misspelt-kind-key"])
     def test_bad_value_is_a_parameter_error_that_names_it(self, params, message):
         with pytest.raises(ParameterError, match=re.escape(message)):
             read_profiles(params)
