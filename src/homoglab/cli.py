@@ -70,32 +70,33 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(obj: dict) -> "ExperimentConfig":
-        try:
-            _only(obj, ("experiment", "params", "ensemble", "box", "solver", "out"), "config")
-            experiment = obj["experiment"]
-            if experiment not in EXPERIMENTS:
-                raise ParameterError(f"unknown experiment {experiment!r}")
-            ens = obj.get("ensemble")
-            box = obj.get("box")
-            solver = dict(obj.get("solver") or {})
-            for key, value in (("anchor", "mean-zero"), ("max_iter", None)):  # recorded constants
-                if solver.pop(key, value) != value:
-                    raise ParameterError(f"the solver's {key} must be {json.dumps(value)}")
-            if "tol" in solver and not isinstance(solver["tol"], bool):  # float(True) is 1.0
-                solver["tol"] = float(solver["tol"])
-            out = obj.get("out", "out")
-            if not isinstance(out, str) or "\0" in out:  # a path cannot hold a NUL byte
-                raise ParameterError(f"out must be a path string, got {out!r}")
-            return ExperimentConfig(
-                experiment=experiment,
-                params=dict(obj.get("params") or {}),
-                ensemble=EnsembleSpec.from_json(ens) if ens else None,
-                box=BoxSpec.from_json(box) if box else None,
-                solver=SolverConfig(**solver),
-                out=out,
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ParameterError(str(exc)) from exc
+        _only(obj, ("experiment", "params", "ensemble", "box", "solver", "out"), "config")
+        experiment = obj.get("experiment")
+        if not (isinstance(experiment, str) and experiment in EXPERIMENTS):
+            raise ParameterError(f"unknown experiment {experiment!r}")
+        given = {key: obj[key] for key in ("params", "ensemble", "box", "solver")
+                 if obj.get(key) is not None}  # absent or null: not given
+        for key, value in given.items():
+            if not isinstance(value, dict):
+                raise ParameterError(f"{key} must be an object, got {value!r}")
+        solver = dict(_only(given.get("solver", {}),
+                            ("tol", "preconditioner", "anchor", "max_iter"), "solver"))
+        for key, value in (("anchor", "mean-zero"), ("max_iter", None)):  # recorded constants
+            if solver.pop(key, value) != value:
+                raise ParameterError(f"the solver's {key} must be {json.dumps(value)}")
+        if "tol" in solver and not isinstance(solver["tol"], bool):  # SolverConfig rejects bools
+            solver["tol"] = _as_float(solver["tol"], "tol")
+        out = obj.get("out", "out")
+        if not isinstance(out, str) or "\0" in out:  # a path cannot hold a NUL byte
+            raise ParameterError(f"out must be a path string, got {out!r}")
+        return ExperimentConfig(
+            experiment=experiment,
+            params=given.get("params", {}),
+            ensemble=EnsembleSpec.from_json(given["ensemble"]) if "ensemble" in given else None,
+            box=BoxSpec.from_json(given["box"]) if "box" in given else None,
+            solver=SolverConfig(**solver),
+            out=out,
+        )
 
 
 def _sha256_hex(data: bytes) -> str:
@@ -158,15 +159,17 @@ class Param:
     default: object
     nargs: str | None = None
 
-    def typed(self, value):
+    def typed(self, value, name: str):
         read = _int64 if self.type is int else _as_float  # 5.7 and true are errors
-        return [read(v) for v in value] if self.nargs else read(value)
+        if self.nargs and not isinstance(value, list):
+            raise ParameterError(f"{name} must be a list, got {value!r}")
+        return [read(v, f"{name} value") for v in value] if self.nargs else read(value, name)
 
 
-def _int64(value) -> int:
+def _int64(value, name: str) -> int:
     """An experiment integer, which numpy holds as int64."""
-    if not -2**63 <= (number := _exact_int(value)) < 2**63:
-        raise ValueError(f"{number} does not fit in int64")
+    if not -2**63 <= (number := _exact_int(value, name)) < 2**63:
+        raise ParameterError(f"bad {name} {value!r}: it does not fit in int64")
     return number
 
 
@@ -304,11 +307,8 @@ def _typed_params(cfg: ExperimentConfig) -> dict:
     # recorded a "samples" they did not read, and those configs still run
     if cfg.experiment != "oned":
         _only(cfg.params, {**exp.params, "samples": None}, f"{cfg.experiment} params")
-    try:
-        return {name: param.typed(cfg.params[name]) if name in cfg.params else param.default
-                for name, param in exp.params.items()}
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParameterError(f"{cfg.experiment}: bad parameter: {exc}") from exc
+    return {name: param.typed(cfg.params[name], name) if name in cfg.params else param.default
+            for name, param in exp.params.items()}
 
 
 def _load_modules(experiment: str) -> None:
@@ -412,15 +412,16 @@ def replay(manifest_path: str, threads: int = 1) -> tuple[bool, dict]:
 
     Returns (match, report).  Under fixed-order aggregation the diff must be
     empty at any thread count; numeric deviation is reported for diagnosis.
-    A manifest without its ``config`` and ``outputs`` objects is a
-    ``ParameterError``, raised before anything runs.
+    A manifest without its ``config`` object and its ``outputs`` object of hash
+    strings is a ``ParameterError``, raised before anything runs.
     """
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)
-            and isinstance(manifest.get("outputs"), dict)):
-        raise ParameterError(f"malformed manifest {manifest_path}: needs 'config' and "
-                             f"'outputs' objects")
+            and isinstance(manifest.get("outputs"), dict)
+            and all(isinstance(sha, str) for sha in manifest["outputs"].values())):
+        raise ParameterError(f"malformed manifest {manifest_path}: needs a 'config' object "
+                             f"and an 'outputs' object of hash strings")
     cfg = ExperimentConfig.from_json(manifest["config"])
     _load_modules(cfg.experiment)
     outputs, _ = _execute(cfg, threads)

@@ -31,7 +31,8 @@ from typing import Callable
 import numpy as np
 import numpy.random  # numpy loads it lazily, and a run imports nothing
 
-from .lattice import BoxSpec, CoefficientField, ParameterError, _as_float, _exact_int, _only
+from .lattice import (BoxSpec, CoefficientField, ParameterError, _as_float, _converted,
+                      _exact_int, _only)
 
 __all__ = [
     "EnsembleSpec",
@@ -76,12 +77,8 @@ class EnsembleSpec:
     structure: np.ndarray | tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        try:
-            marginal, structure = self._read()
-        except ParameterError:
-            raise
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ParameterError(f"{self.kind!r} ensemble: bad parameter {exc!r}") from exc
+        object.__setattr__(self, "lam", _as_float(self.lam, "lambda"))
+        marginal, structure = self._read()
         object.__setattr__(self, "marginal", marginal)
         object.__setattr__(self, "structure", structure)
 
@@ -91,39 +88,41 @@ class EnsembleSpec:
             raise ParameterError(f"unknown ensemble kind {self.kind!r}")
         if not (0.0 < self.lam < 1.0):
             raise ParameterError(f"lambda={self.lam} must be in (0,1)")
-        if _exact_int(self.master_seed) < 0:
+        if _exact_int(self.master_seed, "master_seed") < 0:
             raise ParameterError(f"master_seed must be a non-negative integer, "
                                  f"got {self.master_seed}")
         p = _only(self.params, KIND_PARAMS[self.kind], f"{self.kind} ensemble params")
         if self.kind == "constant":
-            v = _as_float(p["value"])
+            v = _as_float(p.get("value"), "value")
             if not (self.lam < v < 1.0):
                 raise ParameterError(f"constant value {v} outside ({self.lam}, 1)")
             return (v, v), None
         if self.kind == "iid-uniform":
-            lo, hi = _as_float(p["low"]), _as_float(p["high"])
+            lo, hi = _as_float(p.get("low"), "low"), _as_float(p.get("high"), "high")
             if not (self.lam < lo < hi < 1.0):
                 raise ParameterError(
                     f"uniform bounds must satisfy {self.lam} < low < high < 1; "
                     f"got low={lo}, high={hi}"
                 )
             return (lo, hi), None
-        if self.kind == "periodic-tile":
-            cell = np.array(p["unit_cell"], dtype=np.float64)  # a copy, never the caller's
+        if self.kind == "periodic-tile":  # cell is a copy, never the caller's table
+            cell = _converted(lambda v: np.array(v, dtype=np.float64), p.get("unit_cell"),
+                              "unit_cell")
             if cell.ndim != 2:
                 raise ParameterError("unit_cell must be a (tile sites, d) table")
             if cell.size == 0 or not np.all((cell > self.lam) & (cell < 1.0)):
                 raise ParameterError(f"unit_cell entries must lie in ({self.lam}, 1)")
             cell.flags.writeable = False
             return None, cell
-        a, b = _as_float(p["alpha"]), _as_float(p["beta"])  # the two-point kinds
+        a, b = _as_float(p.get("alpha"), "alpha"), _as_float(p.get("beta"), "beta")
         if not (self.lam < a <= b < 1.0):
             raise ParameterError(
                 f"two-point values must satisfy {self.lam} < alpha <= beta < 1; "
                 f"got alpha={a}, beta={b}"
             )
         if self.kind == "correlated-two-point":
-            r, decay = _exact_int(p.get("radius", 1)), _as_float(p.get("decay", 1.0))
+            r = _exact_int(p.get("radius", 1), "radius")
+            decay = _as_float(p.get("decay", 1.0), "decay")
             if r < 0 or not (0.0 <= decay < np.inf):
                 raise ParameterError(f"kernel radius must be >= 0 and decay finite and "
                                      f">= 0; got radius={r}, decay={decay}")
@@ -160,12 +159,8 @@ class EnsembleSpec:
     @staticmethod
     def from_json(obj: dict) -> "EnsembleSpec":
         _only(obj, ("kind", "params", "lambda", "master_seed"), "ensemble")
-        try:
-            kind, params = obj["kind"], dict(obj["params"])
-            lam, seed = _as_float(obj.get("lambda", 0.2)), _exact_int(obj["master_seed"])
-        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ParameterError(f"ensemble needs kind, params and master_seed: {exc!r}") from exc
-        return EnsembleSpec(kind, params, lam, seed)
+        return EnsembleSpec(obj.get("kind"), obj.get("params"), obj.get("lambda", 0.2),
+                            obj.get("master_seed"))
 
     @staticmethod
     def load(path) -> "EnsembleSpec":

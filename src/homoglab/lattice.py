@@ -97,23 +97,29 @@ class BoxSpec:
     @staticmethod
     def from_json(obj: dict) -> "BoxSpec":
         _only(obj, ("d", "L"), "box")
-        return BoxSpec(d=_exact_int(obj["d"]), L=_exact_int(obj["L"]))
+        return BoxSpec(d=_exact_int(obj.get("d"), "d"), L=_exact_int(obj.get("L"), "L"))
 
 
-def _exact_int(value) -> int:
+def _converted(read, value, name: str):
+    """``read(value)``, where a boolean (Python's 0 or 1) or the conversion's ``TypeError``,
+    ``ValueError`` or ``OverflowError`` is ``ParameterError("bad <name> <value>: <reason>")``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError("a boolean is not a number")
+        return read(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"bad {name} {value!r}: {exc}") from exc
+
+
+def _exact_int(value, name: str) -> int:
     """A JSON integer as int.  Where ``int()`` truncates 4.9 and parses "4",
-    this raises ``TypeError`` on every float, string and boolean."""
-    if isinstance(value, bool):  # operator.index(True) is 1
-        raise TypeError(f"{value!r} is not an integer")
-    return operator.index(value)
+    this rejects every float, string and boolean."""
+    return _converted(operator.index, value, name)
 
 
-def _as_float(value) -> float:
-    """``float(value)``, except that a boolean, which ``float`` reads as 0 or 1,
-    raises ``TypeError``."""
-    if isinstance(value, bool):
-        raise TypeError(f"{value!r} is not a number")
-    return float(value)
+def _as_float(value, name: str) -> float:
+    """``float(value)``, except that a boolean is rejected."""
+    return _converted(float, value, name)
 
 
 def _only(obj, keys, what: str):

@@ -345,12 +345,9 @@ FORCING_KINDS = {
 
 
 def _number(value, name: str, read: callable = _as_float):
-    """``read(value)``; ``ParameterError`` unless it converts and is finite."""
-    try:
-        if math.isfinite(number := read(value)):
-            return number
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParameterError(f"oned: bad {name} {value!r}: {exc}") from exc
+    """``read(value, name)``; ``ParameterError`` unless it is finite, as a float too."""
+    if math.isfinite(_as_float(number := read(value, name), name)):
+        return number
     raise ParameterError(f"oned: {name} must be finite, got {value!r}")
 
 

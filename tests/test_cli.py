@@ -323,6 +323,51 @@ class TestDispatchAndErrors:
         assert f"unknown key {key!r}" in err and "Traceback" not in err
         assert os.listdir(tmp_path) == ["cfg.json"]
 
+    @pytest.mark.parametrize("experiment,edit,flags,key", [
+        ("birkhoff", {"params": [["R_list", [2, 4]]]}, [], "params"),
+        ("birkhoff", {"params": 0}, ["--R-list", "2", "4"], "params"),
+        ("ahom", {"solver": [["tol", 1e-6]]}, [], "solver"),
+        ("ahom", {"solver": False}, [], "solver"),
+        ("ahom", {"box": 0}, ["--L", "8"], "box"),
+        ("ahom", {"ensemble": []}, ["--ensemble", "ens.json"], "ensemble"),
+        ("ahom", {"ensemble": None}, ["--ensemble", "pairs.json"],
+         "iid-two-point ensemble params"),
+    ], ids=["params-pairs", "params-0", "solver-pairs", "solver-false", "box-0",
+            "ensemble-empty", "ensemble-file-params-pairs"])
+    def test_a_value_that_is_not_an_object_exits_3_and_writes_nothing(
+            self, experiment, edit, flags, key, tmp_path, monkeypatch, capsys):
+        # each once ran: a falsy value read as not given, a list of pairs as an object
+        ensemble = {"kind": "iid-two-point", "params": {"alpha": 0.25, "beta": 0.75},
+                    "master_seed": 5}
+        config = {"experiment": experiment, "params": {"samples": 2}, "ensemble": ensemble,
+                  "box": {"d": 2, "L": 4}, **edit}
+        pairs = {**ensemble, "params": [["alpha", 0.25], ["beta", 0.75]]}
+        for name, obj in [("cfg.json", config), ("ens.json", ensemble), ("pairs.json", pairs)]:
+            (tmp_path / name).write_text(json.dumps(obj))
+        monkeypatch.chdir(tmp_path)
+        code = main([experiment, "--config", "cfg.json", *flags, "--out", "out/result"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG_ERROR
+        assert f"config error: {key} must be an object" in err and "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "ens.json", "pairs.json"]
+
+    @pytest.mark.parametrize("ensemble,message", [
+        ({"kind": "iid-two-point", "params": {"alpha": 0.25}, "master_seed": 1}, "bad beta None"),
+        ({"kind": "iid-two-point", "params": {"alpha": 0.25, "beta": 0.75}},
+         "bad master_seed None"),
+        ({"kind": "correlated-two-point",
+          "params": {"alpha": 0.25, "beta": 0.75, "radius": 1.5}, "master_seed": 1},
+         "bad radius 1.5: 'float' object cannot be interpreted as an integer"),
+    ], ids=["no-beta", "no-master-seed", "float-radius"])
+    def test_a_conversion_error_names_its_field(self, ensemble, message, tmp_path, capsys):
+        path = tmp_path / "ens.json"
+        path.write_text(json.dumps(ensemble))
+        code = main(["ahom", "--ensemble", str(path), "--L", "4", "--samples", "2",
+                     "--out", str(tmp_path / "never.json")])
+        assert code == EXIT_CONFIG_ERROR
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["ens.json"]
+
     @pytest.mark.parametrize("experiment", ["cell", "corrector"])
     def test_a_misspelt_sample_exits_3_and_writes_nothing(self, experiment, ensemble_file,
                                                           tmp_path, capsys):
@@ -784,7 +829,9 @@ class TestDeterminismAndReplay:
         lambda m: m.pop("config"),
         lambda m: m.update(outputs=["ahom.json"]),
         lambda m: m.update(config=None),
-    ], ids=["no-outputs", "no-config", "outputs-list", "config-null"])
+        lambda m: m["outputs"].update(dict.fromkeys(m["outputs"], 5)),
+        lambda m: m["outputs"].update(dict.fromkeys(m["outputs"], None)),
+    ], ids=["no-outputs", "no-config", "outputs-list", "config-null", "hash-int", "hash-null"])
     def test_malformed_manifest_exits_3(self, edit, ensemble_file, tmp_path, capsys):
         out = str(tmp_path / "ahom.json")
         assert main(["ahom", "--ensemble", ensemble_file, "--L", "4", "--samples", "2",
@@ -1243,7 +1290,7 @@ class TestExperimentTable:
                 if param.default is not None:
                     values = param.default if param.nargs else [param.default]
                     assert all(type(v) is param.type for v in values), (name, key)
-                    assert param.typed(param.default) == param.default, (name, key)
+                    assert param.typed(param.default, key) == param.default, (name, key)
 
     @pytest.mark.parametrize("experiment,params", [
         ("ahom", {"samples": None}),

@@ -37,6 +37,10 @@ def _oned(**params) -> dict:
     return {"config": json.dumps({"experiment": "oned", "params": params}).encode()}
 
 
+def _config(experiment, **keys) -> dict:
+    return {"config": json.dumps({"experiment": experiment, **keys}).encode()}
+
+
 def _ensemble(kind: str, master_seed: int = 7, lam: float = 0.2, **params) -> dict:
     return {"ensemble": json.dumps({"kind": kind, "params": params, "lambda": lam,
                                     "master_seed": master_seed}).encode()}
@@ -191,6 +195,19 @@ def cases(draw) -> tuple[list[str], dict]:
          expected=3)
 @example(case=(["cell", "--L", "4"], _ensemble("iid-two-point", lam=10**400, alpha=0.25,
                                                beta=0.75)), expected=3)
+# a config value of the wrong type: each of the last three once ran as if not given
+@example(case=(["birkhoff", "--config", "@config", "--L", "8"], _config(["birkhoff"])),
+         expected=3)
+@example(case=(["birkhoff", "--config", "@config", "--L", "8", "--R-list", "2", "4",
+                "--samples", "2"], _config("birkhoff", params=0)), expected=3)
+@example(case=(["cell", "--config", "@config", "--L", "4"], _config("cell", solver=[])),
+         expected=3)
+@example(case=(["cell", "--config", "@config", "--L", "4"], _config("cell", box=False)),
+         expected=3)
+# an ensemble value that does not convert
+@example(case=(["cell", "--L", "4"], _ensemble("periodic-tile", unit_cell=[[0.5], [0.5, 0.5]])),
+         expected=3)
+@example(case=(["cell", "--L", "4"], _ensemble("iid-two-point", alpha=0.25)), expected=3)
 def test_exit_code_is_0_2_or_3_and_a_failure_writes_nothing(case, expected):
     argv, files = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -3,7 +3,8 @@ every public solver entry point shares one solver default, no statistic
 restates an experiment default, a result type is exactly its fields, no
 module relies on ``assert`` or reads the environment, rejected input has one
 exception type, which ``main`` catches without catching every
-``ValueError``, and an ensemble's params are read in one place."""
+``ValueError``, one converter turns a failed conversion into it, and an
+ensemble's params are read in one place."""
 
 import ast
 import dataclasses
@@ -101,6 +102,19 @@ def test_one_exception_type_for_rejected_input():
                        for base in node.bases)}
     assert defined == {"ParameterError", "SolverError"}
     assert issubclass(homoglab.ParameterError, ValueError)
+
+
+def test_one_place_turns_a_conversion_error_into_a_parameter_error():
+    # which exceptions of a conversion are bad input is decided once, by the converter
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    handlers = [node for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.ExceptHandler)
+                and any(isinstance(raised, ast.Raise) and raised.exc is not None
+                        and "ParameterError" in ast.unparse(raised.exc)
+                        for raised in ast.walk(node))]
+    owners = {(name, fn.name) for name, tree in trees.items() for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and any(h in handlers for h in ast.walk(fn))}
+    assert len(handlers) == 1 and owners == {("lattice", "_converted")}
 
 
 def test_main_catches_no_broad_exception():
