@@ -1,10 +1,11 @@
 """Experiment driver.
 
 Parses a config (flags or JSON file), dispatches to the library, and writes
-reproducible CSV/JSON artifacts plus a run manifest.  Outputs are written
-atomically (temp file + rename), numeric CSV cells carry 17 significant
-digits, and aggregation runs in fixed sample order, so an identical config
-produces byte-identical files at any thread count.
+reproducible CSV/JSON artifacts plus a run manifest.  Outputs stream in byte
+chunks into temp files that are renamed together once all are complete,
+numeric CSV cells carry 17 significant digits, and aggregation runs in fixed
+sample order, so an identical config produces byte-identical files at any
+thread count.
 
 Exit codes: 0 success, 1 replay mismatch, 2 solver failure, 3 config error.
 """
@@ -24,7 +25,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -99,8 +100,11 @@ class ExperimentConfig:
         )
 
 
-def _sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _sha256_hex(chunks: Iterable[bytes]) -> str:
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _record(obj) -> dict:
@@ -131,17 +135,33 @@ def _json_text(obj) -> str:
     return json.dumps(_json_value(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+@contextmanager
+def _atomic_write():
+    """Yield ``write(path, chunks)``, which streams the byte chunks into a temp file
+    beside ``path`` and returns their SHA-256.  On a clean exit every temp file is
+    renamed into place, after the last one is complete; on a failure they are all
+    removed, and no path has changed."""
+    temps = {}
+
+    def write(path: str, chunks: Iterable[bytes]) -> str:
+        directory = os.path.dirname(os.path.abspath(path)) or "."
+        os.makedirs(directory, exist_ok=True)
+        fd, temps[path] = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        digest = hashlib.sha256()
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                digest.update(chunk)
+                fh.write(chunk)
+        return digest.hexdigest()
+
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        yield write
+        for path, tmp in temps.items():
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in temps.values():
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
@@ -175,8 +195,8 @@ def _int64(value, name: str) -> int:
 
 @dataclass(frozen=True)
 class Experiment:
-    """``run(cfg, params, map_fn)`` returns {filename: text}; ``params`` holds
-    every parameter of the row, typed, with defaults filled in."""
+    """``run(cfg, params, map_fn)`` returns {filename: iterable of byte chunks};
+    ``params`` holds every parameter of the row, typed, with defaults filled in."""
 
     run: Callable
     params: dict[str, Param]
@@ -184,23 +204,23 @@ class Experiment:
     solves: bool = True  # calls CG or an FFT, so the config step loads scipy
 
 
-def _json_out(cfg: ExperimentConfig, result, **extra) -> dict[str, str]:
-    """The JSON envelope: the result's fields, the seed, any extra fields, the config."""
-    return {cfg.out: _json_text({**_record(result), "seed": cfg.ensemble.master_seed,
-                                 **extra, "config": cfg.to_json()})}
+def _json_out(cfg: ExperimentConfig, result, **extra) -> dict[str, list[bytes]]:
+    """The JSON envelope, one chunk: the result's fields, seed, extra fields, config."""
+    return {cfg.out: [_json_text({**_record(result), "seed": cfg.ensemble.master_seed,
+                                  **extra, "config": cfg.to_json()}).encode()]}
 
 
 def _statistic(compute: Callable) -> Callable:
     """Runner for a statistics experiment: ``compute(cfg, params, map_fn)``
     returns the report, enveloped with seed, box, n and config."""
 
-    def run_statistic(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, str]:
+    def run_statistic(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, Iterable[bytes]]:
         return _json_out(cfg, compute(cfg, p, map_fn), box=cfg.box.to_json(), n=p["samples"])
 
     return run_statistic
 
 
-def _run_oned(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, str]:
+def _run_oned(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, Iterable[bytes]]:
     profiles = oned_mod.read_profiles(cfg.params)
     with np.errstate(all="ignore"):  # a profile that leaves the float range: checked below
         rows = [oned_mod.two_scale_check_1d(profile) for profile in profiles]
@@ -212,20 +232,20 @@ def _run_oned(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, str]:
         ["eps", "sup_error", "h1_twoscale_error", "bound_rhs", "ratio"], columns)}
 
 
-def _run_cell(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, str]:
+def _run_cell(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, Iterable[bytes]]:
     t = ahom_cell(sample(cfg.ensemble, cfg.box, SampleId(p["sample"])), cfg.solver)
     return _json_out(cfg, t, sample=p["sample"],
                      properties=verify_ahom_properties(t, lam=cfg.ensemble.lam))
 
 
-def _run_ahom(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, str]:
+def _run_ahom(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, Iterable[bytes]]:
     with collecting_reports() as collector:
         t = ahom_rve(cfg.ensemble, cfg.box, p["samples"], cfg.solver, map_fn=map_fn)
     return _json_out(cfg, t, solver_reports=collector.summary(),
                      properties=verify_ahom_properties(t, lam=cfg.ensemble.lam))
 
 
-def _run_corrector(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, str]:
+def _run_corrector(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, Iterable[bytes]]:
     a = sample(cfg.ensemble, cfg.box, SampleId(p["sample"]))
     cs = corrector_set(a, p["dir"], cfg.solver)
     box = cs.phi.box
@@ -243,10 +263,10 @@ def _run_corrector(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, str]:
         "solver_reports": cs.reports,
     }
     return {cfg.out: _csv_text(header, columns),
-            cfg.out + ".meta.json": _json_text(meta)}
+            cfg.out + ".meta.json": [_json_text(meta).encode()]}
 
 
-def _run_twoscale(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, str]:
+def _run_twoscale(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, Iterable[bytes]]:
     reports = two_scale_experiment(cfg.ensemble, cfg.box, p["alpha"], p["samples"],
                                    cfg=cfg.solver, map_fn=map_fn)
     header = ["sample", "lhs", "rhs_phi", "rhs_sigma", "ratio"]
@@ -360,10 +380,10 @@ def _one_blas_thread():
 MAX_THREADS = 64
 
 
-def _execute(cfg: ExperimentConfig, threads: int) -> tuple[dict[str, str], dict]:
-    """Run an experiment config in memory: its outputs {filename: text} and
-    its manifest, which records their hashes.  More than ``MAX_THREADS`` threads
-    is a ``ParameterError``, raised before anything runs."""
+def _execute(cfg: ExperimentConfig, threads: int) -> tuple[dict[str, Iterable[bytes]], dict]:
+    """Run an experiment config: its outputs {filename: byte chunks}, which may be
+    formatted as they are read, and its manifest, without the outputs' hashes.  More
+    than ``MAX_THREADS`` threads is a ``ParameterError``, raised before anything runs."""
     if threads > MAX_THREADS:
         raise ParameterError(f"--threads {threads} is more than {MAX_THREADS}")
     config_json = cfg.to_json()
@@ -383,9 +403,8 @@ def _execute(cfg: ExperimentConfig, threads: int) -> tuple[dict[str, str], dict]
         "artifact_version": __version__,
         "experiment": cfg.experiment,
         "config": config_json,
-        "config_sha256": _sha256_hex(config_blob),
+        "config_sha256": _sha256_hex([config_blob]),
         "seed": cfg.ensemble.master_seed if cfg.ensemble else None,
-        "outputs": {name: _sha256_hex(text.encode()) for name, text in sorted(outputs.items())},
         "wall_time_s": wall,
         "solver_summary": collector.summary(),
         "dense_solves": collector.dense_solves,
@@ -397,13 +416,15 @@ def _execute(cfg: ExperimentConfig, threads: int) -> tuple[dict[str, str], dict]
 def run(cfg: ExperimentConfig, threads: int = 1) -> dict:
     """Execute an experiment config and return its manifest.
 
-    The output files and ``<out>.manifest.json`` are written atomically next
-    to the configured paths.
+    Each output streams, chunk by chunk, into a temp file next to its path and
+    into the SHA-256 the manifest records; the outputs and ``<out>.manifest.json``
+    replace their paths together once all are complete.
     """
     outputs, manifest = _execute(cfg, threads)
-    for name, text in sorted(outputs.items()):
-        _atomic_write(name, text)
-    _atomic_write(cfg.out + ".manifest.json", _json_text(manifest))
+    with _atomic_write() as write:
+        manifest["outputs"] = {name: write(name, chunks)
+                               for name, chunks in sorted(outputs.items())}
+        write(cfg.out + ".manifest.json", [_json_text(manifest).encode()])
     return manifest
 
 
@@ -427,23 +448,23 @@ def replay(manifest_path: str, threads: int = 1) -> tuple[bool, dict]:
     outputs, _ = _execute(cfg, threads)
     report = {"files": {}, "max_abs_deviation": 0.0}
     for name, sha in manifest["outputs"].items():
-        new_text = outputs.get(name)
         entry = {"recorded_sha256": sha, "status": "missing"}
         report["files"][name] = entry
-        if new_text is None:
+        if name not in outputs:
             continue
-        new_sha = _sha256_hex(new_text.encode())
+        chunks = list(outputs.pop(name))
+        new_sha = _sha256_hex(chunks)
         entry["recomputed_sha256"] = new_sha
         entry["status"] = "identical" if new_sha == sha else "differs"
         if new_sha != sha and os.path.exists(name):
             with open(name, "rb") as fh:
                 old = fh.read()
-            if _sha256_hex(old) == sha:  # only the recorded file measures a deviation
-                dev = _numeric_deviation(old.decode(), new_text)
+            if _sha256_hex([old]) == sha:  # only the recorded file measures a deviation
+                dev = _numeric_deviation(old.decode(), b"".join(chunks).decode())
                 entry["max_abs_deviation"] = dev
                 report["max_abs_deviation"] = max(report["max_abs_deviation"], dev)
-    for name in sorted(outputs.keys() - manifest["outputs"].keys()):
-        report["files"][name] = {"recomputed_sha256": _sha256_hex(outputs[name].encode()),
+    for name in sorted(outputs):  # what is left, the manifest does not list
+        report["files"][name] = {"recomputed_sha256": _sha256_hex(outputs[name]),
                                  "status": "unrecorded"}
     report["match"] = all(e["status"] == "identical" for e in report["files"].values())
     return report["match"], report
@@ -556,8 +577,8 @@ def main(argv: list[str] | None = None) -> int:
                        f"(manifest {cfg.out}.manifest.json)")
             code = EXIT_OK
     # bad input: a rejected parameter, a file that cannot be read or parsed, or a
-    # path that cannot be written (<out> goes first, so then nothing is written);
-    # anything else is a bug
+    # path that cannot be written (the files are renamed only once all are written,
+    # so then nothing is); anything else is a bug
     except (ParameterError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         prefix = "replay error" if args.command == "replay" else "config error"
         print(f"{prefix}: {exc}", file=sys.stderr)

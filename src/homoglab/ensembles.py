@@ -22,6 +22,7 @@ Supported kinds, whose params ``EnsembleSpec._read`` reads once, into the law
 from __future__ import annotations
 
 import contextvars
+import copy
 import functools
 import itertools
 import json
@@ -83,7 +84,8 @@ class EnsembleSpec:
         object.__setattr__(self, "structure", structure)
 
     def _read(self) -> tuple:
-        """The params, checked, as (marginal, structure); the one place that reads them."""
+        """The params, checked, as (marginal, structure); the one place that reads them,
+        and that stores the copy the spec keeps."""
         if self.kind not in KINDS:
             raise ParameterError(f"unknown ensemble kind {self.kind!r}")
         if not (0.0 < self.lam < 1.0):
@@ -91,7 +93,11 @@ class EnsembleSpec:
         if _exact_int(self.master_seed, "master_seed") < 0:
             raise ParameterError(f"master_seed must be a non-negative integer, "
                                  f"got {self.master_seed}")
-        p = _only(self.params, KIND_PARAMS[self.kind], f"{self.kind} ensemble params")
+        # the spec keeps a copy: a later edit of the caller's dict or table reaches
+        # neither the law nor to_json, which the manifest records
+        p = copy.deepcopy(_only(self.params, KIND_PARAMS[self.kind],
+                                f"{self.kind} ensemble params"))
+        object.__setattr__(self, "params", p)
         if self.kind == "constant":
             v = _as_float(p.get("value"), "value")
             if not (self.lam < v < 1.0):

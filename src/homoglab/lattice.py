@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -408,11 +409,17 @@ def torus_radii(box: BoxSpec) -> np.ndarray:
 # out by the ``%g`` rules.  The digits come from a double-double product of |v|
 # with a power of ten, after Grisu (Loitsch, PLDI 2010): the product certifies
 # its rounding or hands the value to ``format`` itself.  Cells are NUL-padded
-# byte rows; the NULs are dropped when a block of rows is joined.
+# byte rows; the NULs are dropped when a block of rows is joined, and each
+# block is yielded as ASCII bytes, so a caller streams the table to a file and
+# no more than one block is held as text.
 
 _K_MIN, _K_MAX = -324, 308  # floor(log10 |v|) over the finite nonzero float64
 _TIE_GUARD = 2.0**-20  # far wider than the product's error, under 2**-45 of a unit
-_BLOCK_ROWS = 1 << 14  # rows per pass: bounds the scratch arrays, not the output
+# rows per block: bounds the scratch arrays and the text held at once.  Peak RSS
+# of `corrector --d 2 --L 256` (a 6.3 MB table; 2-core VM, a fresh process per
+# run, 3 runs each) was 70.5 MB at 1 << 11 and 1 << 12, 73.4 MB at 1 << 13 and
+# 80.8 MB at 1 << 14; its 7.7-9.1 samples/s did not tell the sizes apart.
+_BLOCK_ROWS = 1 << 12
 _NUL, _MINUS, _PLUS = 0, ord("-"), ord("+")
 
 
@@ -554,16 +561,22 @@ def _cells(column: np.ndarray) -> np.ndarray:
     raise TypeError(f"CSV columns hold integers or floats, not {column.dtype}")
 
 
-def _csv_text(header: list[str], columns: list) -> str:
-    """CSV of equal-length columns: floats as ``format(v, ".17g")``, integers in decimal."""
+def _csv_rows(columns: list[np.ndarray]) -> bytes:
+    """The CSV rows of equal-length columns, as ASCII."""
+    cells = [_cells(c) for c in columns]
+    ends = np.full((len(cells[0]), len(cells)), ord(","), np.uint8)
+    ends[:, -1] = ord("\n")
+    rows = np.concatenate([b for j, c in enumerate(cells) for b in (c, ends[:, j:j + 1])],
+                          axis=1)
+    return rows.tobytes().translate(None, b"\0")
+
+
+def _csv_text(header: list[str], columns: list) -> Iterator[bytes]:
+    """CSV of equal-length columns, floats as ``format(v, ".17g")`` and integers in
+    decimal, as ASCII byte blocks: the header line, then ``_BLOCK_ROWS`` rows at a time.
+    Each block is formatted as it is read, and only its own scratch arrays are live."""
     columns = [np.asarray(c) for c in columns]
     n = len(columns[0]) if columns else 0
-    text = [",".join(header) + "\n"]
+    yield (",".join(header) + "\n").encode()
     for start in range(0, n, _BLOCK_ROWS):
-        cells = [_cells(c[start:start + _BLOCK_ROWS]) for c in columns]
-        ends = np.full((len(cells[0]), len(cells)), ord(","), np.uint8)
-        ends[:, -1] = ord("\n")
-        rows = np.concatenate([b for j, c in enumerate(cells) for b in (c, ends[:, j:j + 1])],
-                              axis=1).ravel()
-        text.append(rows[rows != _NUL].tobytes().decode("ascii"))
-    return "".join(text)
+        yield _csv_rows([c[start:start + _BLOCK_ROWS] for c in columns])

@@ -1,8 +1,11 @@
+import errno
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -601,6 +604,26 @@ class TestDispatchAndErrors:
         assert "config error" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("failing_call", [2, 3], ids=["meta-json", "manifest"])
+    def test_outputs_commit_together(self, failing_call, ensemble_file, tmp_path, monkeypatch,
+                                     capsys):
+        # every output and the manifest are complete before the first rename, so a
+        # failure on the way leaves no output, no manifest and no temp file
+        mkstemp, calls = tempfile.mkstemp, []
+
+        def failing_mkstemp(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == failing_call:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return mkstemp(*args, **kwargs)
+
+        monkeypatch.setattr(tempfile, "mkstemp", failing_mkstemp)
+        out = tmp_path / "run" / "corrector.csv"
+        code = main(["corrector", "--ensemble", ensemble_file, "--L", "8", "--out", str(out)])
+        assert code == EXIT_CONFIG_ERROR
+        assert "No space left on device" in capsys.readouterr().err
+        assert len(calls) == failing_call and os.listdir(out.parent) == []
+
     def test_corrector_writes_csv_and_meta(self, ensemble_file, tmp_path):
         out = str(tmp_path / "set.csv")
         code = main(["corrector", "--ensemble", ensemble_file, "--L", "8",
@@ -611,6 +634,26 @@ class TestDispatchAndErrors:
         meta = json.loads(open(out + ".meta.json").read())
         assert len(meta["ahom_row"]) == 2
         assert all(r["converged"] for r in meta["solver_reports"])
+
+    def test_the_corrector_table_streams_to_disk(self, ensemble_file, tmp_path, monkeypatch):
+        # from the end of the solve, formatting and writing hold a block of rows
+        # at a time, never the whole table
+        execute = homoglab.cli._execute
+
+        def execute_then_trace(cfg, threads):
+            done = execute(cfg, threads)
+            tracemalloc.start()
+            return done
+
+        monkeypatch.setattr(homoglab.cli, "_execute", execute_then_trace)
+        out = tmp_path / "corrector.csv"
+        try:
+            assert main(["corrector", "--ensemble", ensemble_file, "--d", "2", "--L", "256",
+                         "--out", str(out)]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.stat().st_size / 2
 
 
 class TestDeterminismAndReplay:
@@ -671,14 +714,19 @@ class TestDeterminismAndReplay:
 
     @pytest.mark.parametrize("argv", [
         ["corrector", "--d", "2", "--L", "32"],
+        ["corrector", "--d", "2", "--L", "128"],  # 16384 rows: four blocks
+        ["corrector", "--d", "3", "--L", "6"],
         ["twoscale", "--L", "8", "--samples", "3"],
         ["oned"],
-    ], ids=lambda argv: argv[0])
+    ], ids=["corrector", "corrector-4-blocks", "corrector-d3", "twoscale", "oned"])
     def test_csv_bytes_equal_the_per_value_writer(self, argv, ensemble_file, oned_config,
                                                   tmp_path, monkeypatch):
+        def reference_writer(header, columns):
+            yield reference_csv_text(header, columns).encode()
+
         inputs = ["--config", oned_config] if argv[0] == "oned" else ["--ensemble", ensemble_file]
         written = []
-        for writer in (_csv_text, reference_csv_text):
+        for writer in (_csv_text, reference_writer):
             monkeypatch.setattr(homoglab.cli, "_csv_text", writer)
             out = tmp_path / f"{writer.__name__}.csv"
             assert main([*argv, *inputs, "--out", str(out)]) == EXIT_OK

@@ -71,7 +71,7 @@ def _outputs(case, precond):
     cfg = ExperimentConfig.from_json({
         "experiment": experiment, "params": params, "ensemble": ensemble,
         "box": {"d": d, "L": L}, "solver": {"preconditioner": precond}, "out": experiment})
-    return _execute(cfg, 1)[0]
+    return {name: b"".join(chunks).decode() for name, chunks in _execute(cfg, 1)[0].items()}
 
 
 def _values(text):

@@ -338,6 +338,16 @@ class TestLawIsReadAtConstruction:
         assert np.array_equal(sample(spec, box, SampleId(1)).diag, before)
         assert spec.marginal_mean() == mean
 
+    def test_the_spec_keeps_a_copy_of_the_callers_params(self):
+        # to_json, which the manifest records, keeps naming the law the spec draws from
+        params, cell = {"alpha": 0.25, "beta": 0.75}, [list(row) for row in TILE_2D]
+        specs = [EnsembleSpec("iid-two-point", params, 0.2, 0),
+                 EnsembleSpec("periodic-tile", {"unit_cell": cell}, 0.2, 0)]
+        before = [(json.dumps(spec.to_json()), spec.marginal_mean()) for spec in specs]
+        params["alpha"] = 0.5
+        cell[0][0] = 0.9
+        assert [(json.dumps(spec.to_json()), spec.marginal_mean()) for spec in specs] == before
+
     def test_a_numpy_unit_cell_stays_the_callers(self):
         cell = np.array(TILE_2D)
         spec = EnsembleSpec("periodic-tile", {"unit_cell": cell}, 0.2, 0)

@@ -3,8 +3,9 @@ every public solver entry point shares one solver default, no statistic
 restates an experiment default, a result type is exactly its fields, no
 module relies on ``assert`` or reads the environment, rejected input has one
 exception type, which ``main`` catches without catching every
-``ValueError``, one converter turns a failed conversion into it, and an
-ensemble's params are read in one place."""
+``ValueError``, one converter turns a failed conversion into it, an
+ensemble's params are read in one place, and one function opens files for
+writing, in binary mode."""
 
 import ast
 import dataclasses
@@ -125,3 +126,33 @@ def test_main_catches_no_broad_exception():
               if isinstance(node, ast.Try) for handler in node.handlers}
     assert caught == {"(ParameterError, OSError, json.JSONDecodeError, UnicodeDecodeError)",
                       "SolverError"}
+
+
+# calls that create or write a file whatever their arguments
+WRITERS = {"mkstemp", "mkdtemp", "NamedTemporaryFile", "TemporaryFile", "write_text",
+           "write_bytes", "tofile", "save", "savez", "savez_compressed", "savetxt"}
+
+
+def _mode(call: ast.Call) -> str | None:
+    """How a call opens a file: the mode of an ``open`` or ``fdopen`` as written
+    (``'r'`` when not given), "writes" for a call in ``WRITERS``, else None."""
+    name = getattr(call.func, "attr", getattr(call.func, "id", None))
+    if name in ("open", "fdopen"):
+        mode = [*call.args[1:2], *(k.value for k in call.keywords if k.arg == "mode")]
+        return ast.unparse(mode[0]) if mode else "'r'"
+    return "writes" if name in WRITERS else None
+
+
+def test_one_function_opens_files_for_writing_and_in_binary():
+    # run's outputs and manifest commit together, and their hashes are over the bytes
+    # written, only while every write goes through cli._atomic_write
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    atomic_write = next(fn for fn in ast.walk(trees["cli"])
+                        if isinstance(fn, ast.FunctionDef) and fn.name == "_atomic_write")
+    inside = {id(node) for node in ast.walk(atomic_write)}
+    writes = [(f"{name}:{call.lineno}", id(call), mode)
+              for name, tree in trees.items() for call in ast.walk(tree)
+              if isinstance(call, ast.Call) and (mode := _mode(call)) is not None
+              and mode not in ("'r'", "'rb'", "'rt'")]
+    assert [where for where, node, _ in writes if node not in inside] == []
+    assert [mode for _, _, mode in writes if mode != "writes"] == ["'wb'"]

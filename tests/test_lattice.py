@@ -247,6 +247,14 @@ def _decade_carries(v: float) -> bool:
     return digits == "1.0000000000000000" and Fraction(abs(v)) < Fraction(10) ** int(exponent)
 
 
+def _csv(header, columns) -> bytes:
+    return b"".join(_csv_text(header, columns))
+
+
+def _reference_csv(header, columns) -> bytes:
+    return reference_csv_text(header, columns).encode()
+
+
 class TestCsvText:
     """``_csv_text`` writes the bytes of the per-value reference writer."""
 
@@ -257,12 +265,12 @@ class TestCsvText:
     def test_float_bit_patterns(self, bits):
         # raw patterns reach subnormals, +-0, +-inf, NaN and both extremes
         x = np.array(bits, dtype=np.uint64).view(np.float64)
-        assert _csv_text(["v"], [x]) == reference_csv_text(["v"], [x])
+        assert _csv(["v"], [x]) == _reference_csv(["v"], [x])
 
     def test_hard_cases(self):
         x = _hard_floats()
         assert any(map(_decade_carries, x.tolist()))
-        assert _csv_text(["v"], [x]) == reference_csv_text(["v"], [x])
+        assert _csv(["v"], [x]) == _reference_csv(["v"], [x])
 
     def test_uncertified_value_falls_back_to_format(self, monkeypatch):
         calls = []
@@ -274,10 +282,10 @@ class TestCsvText:
         monkeypatch.setattr(lattice, "format", spy, raising=False)
         # 1000000000000000.25 is exact: a tie at 17 digits, rounded half to even
         x = np.array([0.1, 1000000000000000.25, -2.5e-300])
-        text = _csv_text(["v"], [x])
+        text = _csv(["v"], [x])
         assert calls == [1000000000000000.25]
-        assert text == reference_csv_text(["v"], [x])
-        assert text.split("\n")[2] == "1000000000000000.2"
+        assert text == _reference_csv(["v"], [x])
+        assert text.split(b"\n")[2] == b"1000000000000000.2"
 
     @pytest.mark.parametrize("n", [0, 1, lattice._BLOCK_ROWS + 3])
     def test_columns_of_every_dtype(self, n):
@@ -290,15 +298,15 @@ class TestCsvText:
             rng.normal(size=n) * 10.0 ** rng.integers(-30, 30, n),
         ]
         header = ["i64", "u64", "u8", "f32", "f64"]
-        assert _csv_text(header, columns) == reference_csv_text(header, columns)
+        assert _csv(header, columns) == _reference_csv(header, columns)
 
     def test_a_column_of_strings_is_rejected(self):
         with pytest.raises(TypeError, match="CSV columns hold integers or floats, not <U1"):
-            _csv_text(["s"], [np.array(["x"])])
+            _csv(["s"], [np.array(["x"])])
 
     def test_tuple_columns(self):
         # ``oned`` passes ``list(zip(*rows))``: tuples of Python floats
         rows = [[0.125, 3e-3, 1e-17, 2.0, 0.5], [0.0625, 7.5e-4, 2e-18, 1.0, 0.25]]
         columns = list(zip(*rows))
         header = ["eps", "sup_error", "h1_twoscale_error", "bound_rhs", "ratio"]
-        assert _csv_text(header, columns) == reference_csv_text(header, columns)
+        assert _csv(header, columns) == _reference_csv(header, columns)
