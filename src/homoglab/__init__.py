@@ -7,7 +7,7 @@ measures two-scale-expansion errors, and runs the quantitative statistics
 decay) as reproducible seeded experiments.
 """
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 from .lattice import (  # noqa: F401
     BoxSpec,

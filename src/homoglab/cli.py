@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import errno
 import hashlib
+import importlib
 import json
 import math
 import os
 import sys
-import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -30,7 +31,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import __version__
-from .lattice import BoxSpec, ParameterError, _as_float, _csv_text, _exact_int, _only
+from .lattice import BoxSpec, ParameterError, _CsvText, _as_float, _exact_int, _only
 from .ensembles import EnsembleSpec, SampleId, sample
 from .elliptic import SolverConfig, SolverError, collecting_reports
 from .correctors import ahom_cell, ahom_rve, corrector_set, verify_ahom_properties
@@ -139,16 +140,18 @@ def _json_text(obj) -> str:
 def _atomic_write():
     """Yield ``write(path, chunks)``, which streams the byte chunks into a temp file
     beside ``path`` and returns their SHA-256.  On a clean exit every temp file is
-    renamed into place, after the last one is complete; on a failure they are all
-    removed, and no path has changed."""
+    renamed into place, after the last one is complete and every path is checked;
+    on a failure they are all removed, and no path has changed.  A new file gets
+    the mode ``open(path, "w")`` gives it, 0o666 less the umask."""
     temps = {}
 
     def write(path: str, chunks: Iterable[bytes]) -> str:
         directory = os.path.dirname(os.path.abspath(path)) or "."
         os.makedirs(directory, exist_ok=True)
-        fd, temps[path] = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
         digest = hashlib.sha256()
-        with os.fdopen(fd, "wb") as fh:
+        with open(tmp, "xb") as fh:
+            temps[path] = tmp
             for chunk in chunks:
                 digest.update(chunk)
                 fh.write(chunk)
@@ -156,6 +159,9 @@ def _atomic_write():
 
     try:
         yield write
+        for path in temps:  # os.replace would fail on a directory after earlier renames
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, "cannot write over a directory", path)
         for path, tmp in temps.items():
             os.replace(tmp, path)
     except BaseException:
@@ -195,13 +201,17 @@ def _int64(value, name: str) -> int:
 
 @dataclass(frozen=True)
 class Experiment:
-    """``run(cfg, params, map_fn)`` returns {filename: iterable of byte chunks};
-    ``params`` holds every parameter of the row, typed, with defaults filled in."""
+    """``run(cfg, params, map_fn)`` returns {filename: iterable of byte chunks}, each
+    of which formats its chunks anew on every pass over it (``replay`` takes a second
+    pass only for an output whose hash differs); ``params`` holds every parameter of
+    the row, typed, with defaults filled in."""
 
     run: Callable
     params: dict[str, Param]
     needs_ensemble: bool = True
-    solves: bool = True  # calls CG or an FFT, so the config step loads scipy
+    # the lazily loaded numpy modules the run calls, which the config step imports:
+    # numpy.fft for CG's preconditioner and the heat kernel, numpy.ma for np.median
+    modules: tuple[str, ...] = ("numpy.fft",)
 
 
 def _json_out(cfg: ExperimentConfig, result, **extra) -> dict[str, list[bytes]]:
@@ -228,7 +238,7 @@ def _run_oned(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, Iterable[byte
                for k in ("eps", "sup_error", "error", "bound_statement", "ratio_statement")]
     if not np.isfinite(columns).all():
         raise ParameterError("oned: the table leaves the float range; scale a or f")
-    return {cfg.out: _csv_text(
+    return {cfg.out: _CsvText(
         ["eps", "sup_error", "h1_twoscale_error", "bound_rhs", "ratio"], columns)}
 
 
@@ -262,7 +272,7 @@ def _run_corrector(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, Iterable
         "ahom_row": cs.ahom_row,
         "solver_reports": cs.reports,
     }
-    return {cfg.out: _csv_text(header, columns),
+    return {cfg.out: _CsvText(header, columns),
             cfg.out + ".meta.json": [_json_text(meta).encode()]}
 
 
@@ -270,13 +280,13 @@ def _run_twoscale(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, Iterable[
     reports = two_scale_experiment(cfg.ensemble, cfg.box, p["alpha"], p["samples"],
                                    cfg=cfg.solver, map_fn=map_fn)
     header = ["sample", "lhs", "rhs_phi", "rhs_sigma", "ratio"]
-    return {cfg.out: _csv_text(header, [[getattr(r, k) for r in reports] for k in header])}
+    return {cfg.out: _CsvText(header, [[getattr(r, k) for r in reports] for k in header])}
 
 
 # Rows call the library through this module's globals at call time, so code
 # that rebinds a name such as ``cli.corrector_set`` reaches the runner.
 EXPERIMENTS: dict[str, Experiment] = {
-    "oned": Experiment(_run_oned, {}, needs_ensemble=False, solves=False),
+    "oned": Experiment(_run_oned, {}, needs_ensemble=False, modules=()),
     "cell": Experiment(_run_cell, {"sample": Param(int, 0)}),
     "ahom": Experiment(_run_ahom, {"samples": Param(int, 16)}),
     "corrector": Experiment(_run_corrector, {"dir": Param(int, 0), "sample": Param(int, 0)}),
@@ -291,7 +301,7 @@ EXPERIMENTS: dict[str, Experiment] = {
     "sg": Experiment(
         _statistic(lambda cfg, p, map_fn: {"reports": sg_check(
             cfg.ensemble, cfg.box, p["samples"], map_fn=map_fn)}),
-        {"samples": Param(int, 500)}, solves=False),
+        {"samples": Param(int, 500)}, modules=()),
     "semigroup": Experiment(
         _statistic(lambda cfg, p, map_fn: semigroup_decay(
             cfg.ensemble, cfg.box, p["t_grid"], n=p["samples"], map_fn=map_fn)),
@@ -300,16 +310,18 @@ EXPERIMENTS: dict[str, Experiment] = {
         _statistic(lambda cfg, p, map_fn: green_decay(
             cfg.ensemble, cfg.box, p["samples"], radii=p["radii"],
             cfg=cfg.solver, map_fn=map_fn)),
-        {"samples": Param(int, 20), "radii": Param(int, None, "+")}),  # None: the L/8 rule
+        {"samples": Param(int, 20), "radii": Param(int, None, "+")},  # None: the L/8 rule
+        modules=("numpy.fft", "numpy.ma")),
     "meyers": Experiment(
         _statistic(lambda cfg, p, map_fn: meyers_probe(
             cfg.ensemble, cfg.box, n=p["samples"], q=p["q"], alpha_w=p["alpha_w"],
             cfg=cfg.solver, map_fn=map_fn)),
-        {"samples": Param(int, 50), "q": Param(float, 1.1), "alpha_w": Param(float, 0.1)}),
+        {"samples": Param(int, 50), "q": Param(float, 1.1), "alpha_w": Param(float, 0.1)},
+        modules=("numpy.fft", "numpy.ma")),
     "birkhoff": Experiment(
         _statistic(lambda cfg, p, map_fn: birkhoff_rate(
             cfg.ensemble, cfg.box, p["R_list"], n=p["samples"], map_fn=map_fn)),
-        {"samples": Param(int, 200), "R_list": Param(int, [4, 8, 16, 32], "+")}, solves=False),
+        {"samples": Param(int, 200), "R_list": Param(int, [4, 8, 16, 32], "+")}, modules=()),
 }
 
 
@@ -334,9 +346,8 @@ def _typed_params(cfg: ExperimentConfig) -> dict:
 def _load_modules(experiment: str) -> None:
     """Import what the experiment's run needs, before it starts: a run imports
     nothing, so no worker imports and ``wall_time_s`` times the experiment alone."""
-    if EXPERIMENTS[experiment].solves:
-        import scipy.fft  # noqa: F401
-        import scipy.sparse  # noqa: F401
+    for name in EXPERIMENTS[experiment].modules:
+        importlib.import_module(name)
 
 
 def _openblas_threads():
@@ -452,8 +463,8 @@ def replay(manifest_path: str, threads: int = 1) -> tuple[bool, dict]:
         report["files"][name] = entry
         if name not in outputs:
             continue
-        chunks = list(outputs.pop(name))
-        new_sha = _sha256_hex(chunks)
+        chunks = outputs.pop(name)
+        new_sha = _sha256_hex(chunks)  # streamed: no whole copy of the output is kept
         entry["recomputed_sha256"] = new_sha
         entry["status"] = "identical" if new_sha == sha else "differs"
         if new_sha != sha and os.path.exists(name):

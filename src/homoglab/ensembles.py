@@ -230,10 +230,10 @@ def sample(spec: EnsembleSpec, box: BoxSpec, sid: SampleId) -> CoefficientField:
         diag = np.where(_rng_for(spec, sid).integers(0, 2, size=(n, d)) == 0, *spec.marginal)
         if spec.kind == "correlated-two-point":  # all d components at once, on the last axis
             g = diag.reshape((*box.shape, d), order="F")
-            acc = np.zeros_like(g)
+            acc = np.zeros(g.shape, order="F")
             for off, weight in sorted(_kernel_weights(spec, d).items()):
                 acc += weight * np.roll(g, shift=tuple(-o for o in off), axis=tuple(range(d)))
-            diag = acc.reshape((n, d), order="F")  # acc has g's strides: a C-ordered view
+            diag = acc.reshape((n, d), order="F")  # a view, in CoefficientField's column order
     else:  # periodic-tile
         tile_n, cell_d = spec.structure.shape
         tile_L = round(tile_n ** (1.0 / box.d))
@@ -322,7 +322,7 @@ def site_variants(spec: EnsembleSpec, a: CoefficientField, site: int) -> list[Co
     """
     out = []
     for combo in site_assignments(spec, a.box.d):
-        diag = a.diag.copy()
+        diag = a.diag.copy(order="F")
         diag[site] = combo
         out.append(CoefficientField(a.box, diag, lam=a.lam))
     return out

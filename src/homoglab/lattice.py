@@ -38,7 +38,6 @@ __all__ = [
     "grad",
     "div_star",
     "apply_elliptic",
-    "stencil",
     "inner",
     "neighbours",
     "shift",
@@ -232,15 +231,17 @@ class CoefficientField:
     """Per-site diagonal coefficient matrix a(x) = diag(a_1..a_d).
 
     Entries must lie strictly inside (lam, 1); ``lam`` is the global
-    ellipticity constant attached to the field.
+    ellipticity constant attached to the field.  ``diag`` is kept
+    column-major, so each component a_i is one contiguous vector, the
+    layout the solvers' stencil reads without a copy per solve.
     """
 
     box: BoxSpec
-    diag: np.ndarray  # (N, d)
+    diag: np.ndarray  # (N, d), column-major
     lam: float = 0.2
 
     def __post_init__(self):
-        object.__setattr__(self, "diag", np.asarray(self.diag, dtype=np.float64))
+        object.__setattr__(self, "diag", np.asarray(self.diag, dtype=np.float64, order="F"))
         _check_values(self.diag, (self.box.n_sites, self.box.d), "CoefficientField")
         if not (0.0 < self.lam < 1.0):
             raise ParameterError(f"ellipticity constant lam={self.lam} must be in (0,1)")
@@ -272,9 +273,8 @@ def _require_same_box(a, b):
 def neighbours(box: BoxSpec) -> tuple[np.ndarray, np.ndarray]:
     """Site-index tables ``(fwd, bwd)``, each (N, d) int32: x + e_i and x - e_i.
 
-    Cached per box and read-only, so every caller and thread shares them.
-    ``int32`` is scipy's sparse index type, so :func:`stencil` uses ``fwd``
-    as its column indices without a copy.
+    Cached per box and read-only, so every caller and thread shares them;
+    ``int32`` holds every index up to ``MAX_SITES`` in half the memory of int64.
     """
     g = np.arange(box.n_sites, dtype=np.int32).reshape(box.shape, order="F")
     tables = []
@@ -333,35 +333,13 @@ def apply_elliptic(a: CoefficientField, u: ScalarField) -> ScalarField:
 
     Linear in u, self-adjoint, positive semidefinite with the constants as
     kernel; the quadratic form is <grad u, a grad u>.  Built from ``grad``
-    and ``div_star`` on the grid, independently of :func:`stencil`, which
-    the solvers apply.
+    and ``div_star`` on the grid, independently of the flux stencil that
+    the solvers apply (``elliptic._elliptic_op``).
     """
     _require_same_box(a, u)
     g = u.grid()
     comps = [a.grid(i) * _grad_arr(g, i) for i in range(a.box.d)]
     return ScalarField.from_grid(a.box, _div_star_arr(comps))
-
-
-def stencil(a: CoefficientField) -> tuple[np.ndarray, scipy.sparse.csr_array]:
-    """Half-stencil form ``(D, W)`` of div*(a grad .) = diag(D) - W - W^T.
-
-    ``W[x, x + e_i] = a_i(x)`` is one conductance per edge, a CSR matrix
-    whose ``data`` is ``a.diag`` itself and whose ``indices`` are the cached
-    ``neighbours`` forward table, so it holds no copy of either;
-    ``D(x) = sum_i a_i(x) + a_i(x - e_i)`` is the conductance at x, summed
-    in the order of the dense assembly of ``elliptic_matrix``.
-    """
-    import scipy.sparse
-    box = a.box
-    n, d = box.n_sites, box.d
-    fwd, bwd = neighbours(box)
-    indptr = np.arange(0, n * d + 1, d, dtype=np.int32)
-    W = scipy.sparse.csr_array((a.diag.ravel(), fwd.ravel(), indptr), shape=(n, n))
-    D = np.zeros(n)
-    for i in range(d):
-        D += a.diag[:, i]
-        D += a.diag[bwd[:, i], i]
-    return D, W
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
@@ -571,12 +549,17 @@ def _csv_rows(columns: list[np.ndarray]) -> bytes:
     return rows.tobytes().translate(None, b"\0")
 
 
-def _csv_text(header: list[str], columns: list) -> Iterator[bytes]:
+class _CsvText:
     """CSV of equal-length columns, floats as ``format(v, ".17g")`` and integers in
     decimal, as ASCII byte blocks: the header line, then ``_BLOCK_ROWS`` rows at a time.
-    Each block is formatted as it is read, and only its own scratch arrays are live."""
-    columns = [np.asarray(c) for c in columns]
-    n = len(columns[0]) if columns else 0
-    yield (",".join(header) + "\n").encode()
-    for start in range(0, n, _BLOCK_ROWS):
-        yield _csv_rows([c[start:start + _BLOCK_ROWS] for c in columns])
+    Each pass formats the blocks as it reads them, so only one block's scratch arrays
+    are live, and a second pass formats them again."""
+
+    def __init__(self, header: list[str], columns: list):
+        self.header, self.columns = header, [np.asarray(c) for c in columns]
+
+    def __iter__(self) -> Iterator[bytes]:
+        yield (",".join(self.header) + "\n").encode()
+        n = len(self.columns[0]) if self.columns else 0
+        for start in range(0, n, _BLOCK_ROWS):
+            yield _csv_rows([c[start:start + _BLOCK_ROWS] for c in self.columns])

@@ -7,12 +7,13 @@ symbol conj(m)^T A m, and its inverse multiplies by 1 / symbol (the FFT
 reference medium of Moulinec & Suquet, CMAME 157, 1998).
 
 The symbol is real and even, so ``inverse`` and ``smooth`` transform with
-``scipy.fft.rfftn``/``irfftn`` on half of the spectrum, always with one
-worker, so the bits do not depend on the machine's core count.  The
-transform runs in the dtype of the stored half symbol: float64 for the
-exact solves, float32 for the CG preconditioner, which only has to
-approximate the inverse (``elliptic`` checks convergence on the float64
-residual).
+``numpy.fft.rfftn``/``irfftn`` on half of the spectrum, single-threaded, so
+the bits do not depend on the machine's core count.  Both directions scale
+by 1/sqrt(N) (``norm="ortho"``), numpy's fast path: a 64^3 float32 pair
+took about three times as long at unit scale.  The transform runs in the
+dtype of the stored half symbol: float64 for the exact solves, float32 for
+the CG preconditioner, which only has to approximate the inverse
+(``elliptic`` checks convergence on the float64 residual).
 """
 
 from __future__ import annotations
@@ -57,11 +58,11 @@ def _transform(grid: np.ndarray, half_sym: np.ndarray) -> np.ndarray:
     the symbol's dtype, so a float64 lattice field needs no copy for a
     float64 symbol.  The result is float64, F-ordered like the lattice grids.
     """
-    import scipy.fft
     gt = grid.T.astype(half_sym.dtype, copy=False)
-    h = scipy.fft.rfftn(gt, workers=1)
+    axes = range(gt.ndim)
+    h = np.fft.rfftn(gt, axes=axes, norm="ortho")
     h *= half_sym
-    out = scipy.fft.irfftn(h, s=gt.shape, workers=1, overwrite_x=True)
+    out = np.fft.irfftn(h, s=gt.shape, axes=axes, norm="ortho")
     return out.T.astype(np.float64, copy=False)
 
 

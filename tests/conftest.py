@@ -40,7 +40,7 @@ def heat_kernel_diagonal(t: float, box: BoxSpec) -> float:
 
 
 def reference_csv_text(header: list[str], columns: list) -> str:
-    """The per-value CSV writer that ``lattice._csv_text`` replaced, kept as its
+    """The per-value CSV writer that ``lattice._CsvText`` replaced, kept as its
     oracle: ``format(v, ".17g")`` for each float, ``str`` for anything else."""
     def column_text(column):
         values = np.asarray(column)

@@ -1,9 +1,9 @@
 import errno
 import json
 import os
+import stat
 import subprocess
 import sys
-import tempfile
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -38,7 +38,7 @@ from homoglab.cli import (
 from homoglab.correctors import ahom_rve
 from homoglab.elliptic import SolverConfig, collecting_reports
 from homoglab.ensembles import EnsembleSpec, SampleId, sample
-from homoglab.lattice import BoxSpec, _csv_text
+from homoglab.lattice import BoxSpec, _CsvText
 
 
 def _python(args, cwd, **env):
@@ -81,7 +81,8 @@ print(json.dumps({"added": sorted(set(sys.modules) - loaded),
 
 # The config of ``ahom --L 8 --samples 2`` as homoglab 0.7.0 wrote it, when the
 # default solver was plain CG ("preconditioner": "none"), and the hash of its output
-# as 0.10.0 writes it: only ``min_quadratic_form``, now the eigenvalue, has moved.
+# as 0.11.0 writes it: 0.10.0 moved ``min_quadratic_form``, now the eigenvalue, and
+# 0.11.0 the last digits, as its flux stencil rounds other than the CSR one did.
 MANIFEST_0_7_0 = {
     "artifact_version": "0.7.0",
     "config": {
@@ -92,7 +93,7 @@ MANIFEST_0_7_0 = {
         "solver": {"anchor": "mean-zero", "max_iter": None, "preconditioner": "none",
                    "tol": 1e-10},
     },
-    "outputs": {"ahom.json": "012a9936750cf7d519f7a1442909e17e6dede718a0d18ab8636a8a59e4252d89"},
+    "outputs": {"ahom.json": "97eb782590fd85490a1fd74ac3ca19b6decfafb2c9081defb67e6dfd3fa15607"},
 }
 
 
@@ -609,20 +610,46 @@ class TestDispatchAndErrors:
                                      capsys):
         # every output and the manifest are complete before the first rename, so a
         # failure on the way leaves no output, no manifest and no temp file
-        mkstemp, calls = tempfile.mkstemp, []
+        calls = []
 
-        def failing_mkstemp(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == failing_call:
-                raise OSError(errno.ENOSPC, "No space left on device")
-            return mkstemp(*args, **kwargs)
+        def failing_open(path, mode="r", *args, **kwargs):
+            if mode == "xb":  # a temp file of _atomic_write
+                calls.append(path)
+                if len(calls) == failing_call:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+            return open(path, mode, *args, **kwargs)
 
-        monkeypatch.setattr(tempfile, "mkstemp", failing_mkstemp)
+        monkeypatch.setattr(homoglab.cli, "open", failing_open, raising=False)
         out = tmp_path / "run" / "corrector.csv"
         code = main(["corrector", "--ensemble", ensemble_file, "--L", "8", "--out", str(out)])
         assert code == EXIT_CONFIG_ERROR
         assert "No space left on device" in capsys.readouterr().err
         assert len(calls) == failing_call and os.listdir(out.parent) == []
+
+    def test_a_directory_at_an_output_path_exits_3_and_changes_no_path(self, ensemble_file,
+                                                                       tmp_path, capsys):
+        # every path is checked before the first rename, so the CSV, renamed before
+        # its meta file, is not left behind without it or a manifest
+        out = tmp_path / "c.csv"
+        (tmp_path / "c.csv.meta.json").mkdir()
+        code = main(["corrector", "--ensemble", ensemble_file, "--L", "8", "--out", str(out)])
+        assert code == EXIT_CONFIG_ERROR
+        assert "directory" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["c.csv.meta.json", "ens.json"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)],
+                             ids=["umask-022", "umask-027"])
+    def test_outputs_get_the_mode_open_gives(self, umask, mode, ensemble_file, tmp_path):
+        # 0o666 less the umask, as open(path, "w") creates a file, not mkstemp's 0o600
+        probe = ("import os, sys\n"
+                 f"os.umask({umask})\n"
+                 "from homoglab import cli\n"
+                 "sys.exit(cli.main(sys.argv[1:]))\n")
+        done = _python(["-c", probe, *SMALLEST["corrector"], "--ensemble", ensemble_file,
+                        "--out", "c.csv"], tmp_path)
+        assert done.returncode == EXIT_OK, done.stderr
+        written = ["c.csv", "c.csv.meta.json", "c.csv.manifest.json"]
+        assert [stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in written] == [mode] * 3
 
     def test_corrector_writes_csv_and_meta(self, ensemble_file, tmp_path):
         out = str(tmp_path / "set.csv")
@@ -726,12 +753,29 @@ class TestDeterminismAndReplay:
 
         inputs = ["--config", oned_config] if argv[0] == "oned" else ["--ensemble", ensemble_file]
         written = []
-        for writer in (_csv_text, reference_writer):
-            monkeypatch.setattr(homoglab.cli, "_csv_text", writer)
+        for writer in (_CsvText, reference_writer):
+            monkeypatch.setattr(homoglab.cli, "_CsvText", writer)
             out = tmp_path / f"{writer.__name__}.csv"
             assert main([*argv, *inputs, "--out", str(out)]) == EXIT_OK
             written.append(out.read_bytes())
         assert written[0] == written[1]
+
+    def test_replay_holds_no_more_than_the_run(self, ensemble_file, tmp_path, monkeypatch):
+        # replay hashes each output as it is formatted, as run writes it, and keeps
+        # no whole copy of it
+        monkeypatch.chdir(tmp_path)
+        argv = ["corrector", "--ensemble", ensemble_file, "--d", "2", "--L", "256",
+                "--out", "c.csv"]
+        assert main(argv) == EXIT_OK  # loads every module, so neither traced call imports
+        peaks = []
+        for call in (argv, ["replay", "c.csv.manifest.json"]):
+            tracemalloc.start()
+            try:
+                assert main(call) == EXIT_OK
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 2**20
 
     def test_replay_immediately_after_run(self, ensemble_file, tmp_path):
         out = str(tmp_path / "ahom.json")
@@ -822,7 +866,7 @@ class TestDeterminismAndReplay:
     def test_a_run_imports_nothing(self, experiment, threads, ensemble_file, oned_config,
                                    tmp_path):
         # the config step loads every module the run needs, so no worker imports and
-        # wall_time_s times the experiment alone; sg, oned and birkhoff need no scipy
+        # wall_time_s times the experiment alone; no experiment needs scipy
         inputs = ["--config", oned_config] if experiment == "oned" else [
             "--ensemble", ensemble_file]
         done = _python(["-c", RUN_PROBE, *SMALLEST[experiment], *inputs,
@@ -830,17 +874,30 @@ class TestDeterminismAndReplay:
         assert done.returncode == 0, done.stderr
         result = json.loads(done.stdout.splitlines()[-1])
         assert result["added"] == []
-        if experiment in ("sg", "oned", "birkhoff"):
-            assert result["scipy"] == []
+        assert result["scipy"] == []
 
-    def test_replay_loads_scipy_before_the_run(self, ensemble_file, tmp_path):
+    @pytest.mark.parametrize("argv", [["green", "--d", "3", "--L", "16", "--radii", "2", "3",
+                                       "--samples", "1"],
+                                      ["corrector", "--d", "2", "--L", "32"]],
+                             ids=lambda argv: argv[0])
+    def test_runs_without_scipy(self, argv, ensemble_file, tmp_path):
+        # a None entry in sys.modules makes every import of scipy raise ImportError
+        probe = ("import sys\n"
+                 "sys.modules['scipy'] = None\n"
+                 "from homoglab import cli\n"
+                 "sys.exit(cli.main(sys.argv[1:]))\n")
+        done = _python(["-c", probe, *argv, "--ensemble", ensemble_file, "--out", "out"],
+                       tmp_path)
+        assert done.returncode == EXIT_OK, done.stderr
+
+    def test_replay_loads_numpy_fft_before_the_run(self, ensemble_file, tmp_path):
         out = str(tmp_path / "green.json")
         assert main([*SMALLEST["green"], "--ensemble", ensemble_file, "--out", out]) == EXIT_OK
         probe = ("import sys\n"
                  "from homoglab import cli\n"
                  "execute = cli._execute\n"
                  "def recording(cfg, threads):\n"
-                 "    print('scipy.fft' in sys.modules)\n"
+                 "    print('numpy.fft' in sys.modules)\n"
                  "    return execute(cfg, threads)\n"
                  "cli._execute = recording\n"
                  "sys.exit(cli.main(['replay', sys.argv[1]]))\n")

@@ -377,7 +377,7 @@ def test_draws_keep_their_bits():
     for spec, box in draws:
         for i in range(2):
             diag = sample(spec, box, SampleId(i)).diag
-            assert diag.flags.c_contiguous  # the layout the solvers' reductions see
+            assert diag.flags.f_contiguous  # the layout the solvers' stencil reads
             h.update(diag.tobytes())
         if spec.kind == "periodic-tile":
             h.update(np.float64(spec.marginal_mean()).tobytes())

@@ -4,8 +4,8 @@ restates an experiment default, a result type is exactly its fields, no
 module relies on ``assert`` or reads the environment, rejected input has one
 exception type, which ``main`` catches without catching every
 ``ValueError``, one converter turns a failed conversion into it, an
-ensemble's params are read in one place, and one function opens files for
-writing, in binary mode."""
+ensemble's params are read in one place, one function opens files for
+writing, in binary mode, and no module imports scipy."""
 
 import ast
 import dataclasses
@@ -155,4 +155,25 @@ def test_one_function_opens_files_for_writing_and_in_binary():
               if isinstance(call, ast.Call) and (mode := _mode(call)) is not None
               and mode not in ("'r'", "'rb'", "'rt'")]
     assert [where for where, node, _ in writes if node not in inside] == []
-    assert [mode for _, _, mode in writes if mode != "writes"] == ["'wb'"]
+    assert [mode for _, _, mode in writes if mode != "writes"] == ["'xb'"]
+
+
+def _names_scipy(node: ast.AST) -> bool:
+    """Whether ``node`` imports scipy or is a string naming a scipy module."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or ""]
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        names = [node.value]
+    else:
+        names = []
+    return any(name.split(".")[0] == "scipy" for name in names)
+
+
+def test_no_module_imports_scipy():
+    # numpy alone runs the library: no import statement, and no module name for
+    # importlib such as an EXPERIMENTS row's ``modules``, names scipy
+    found = [f"{path.stem}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text())) if _names_scipy(node)]
+    assert found == []

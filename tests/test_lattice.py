@@ -15,7 +15,7 @@ from homoglab.lattice import (
     ScalarField,
     SkewField,
     VectorField,
-    _csv_text,
+    _CsvText,
     _dot,
     _grad_energy,
     apply_elliptic,
@@ -248,7 +248,7 @@ def _decade_carries(v: float) -> bool:
 
 
 def _csv(header, columns) -> bytes:
-    return b"".join(_csv_text(header, columns))
+    return b"".join(_CsvText(header, columns))
 
 
 def _reference_csv(header, columns) -> bytes:
@@ -256,7 +256,7 @@ def _reference_csv(header, columns) -> bytes:
 
 
 class TestCsvText:
-    """``_csv_text`` writes the bytes of the per-value reference writer."""
+    """``_CsvText`` writes the bytes of the per-value reference writer."""
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))

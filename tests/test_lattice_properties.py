@@ -2,16 +2,17 @@
 
 Summation by parts and self-adjointness hold up to the rounding of one
 inner product; translation covariance is exact, because shifting only
-relabels sites.  The solvers' half stencil agrees with the grid form
-``apply_elliptic`` up to the rounding of one site's sum and with the dense
-assembly ``elliptic_matrix`` exactly; the real-FFT solves give the same
-bits for C- and F-ordered grids.
+relabels sites.  The solvers' flux stencil agrees with the grid form
+``apply_elliptic`` and with the dense assembly ``elliptic_matrix`` up to
+the rounding of one site's sum, on every slab layout; the real-FFT solves
+give the same bits for C- and F-ordered grids.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from homoglab.elliptic import _elliptic_op, elliptic_matrix
+from homoglab.elliptic import _SLAB_SITES, _elliptic_op, elliptic_matrix
 from homoglab.lattice import (
     BoxSpec,
     CoefficientField,
@@ -22,7 +23,6 @@ from homoglab.lattice import (
     grad,
     inner,
     shift,
-    stencil,
 )
 from homoglab.spectral import inverse, smooth, symbol
 
@@ -99,30 +99,62 @@ def with_smallest_boxes(test):
     return test
 
 
+def stencil_scale(a: CoefficientField, u: np.ndarray, shift: float) -> np.ndarray:
+    """Per site, the sum of the absolute terms of (shift + div*(a grad .)) u: shift |u|
+    plus t_i(x) + t_i(x - e_i) over i, t_i = a_i (|u| + |u(. + e_i)|)."""
+    au = np.abs(u)
+    scale = shift * au
+    for i in range(a.box.d):
+        t = a.grid(i) * (au + np.roll(au, -1, axis=i))
+        scale = scale + t + np.roll(t, 1, axis=i)
+    return scale
+
+
+# boxes around the stencil's slabs of _SLAB_SITES sites in whole planes: three slabs,
+# the last of 3 sites (d=1); one full slab (d=2, L=256); two, the last partial
+# (d=2, L=300: 218 planes, then 82; d=3, L=48: 28 planes, then 20); four full (d=3, L=64)
+SLAB_BOXES = [BoxSpec(1, 2 * _SLAB_SITES + 3), BoxSpec(2, 256), BoxSpec(2, 300),
+              BoxSpec(3, 48), BoxSpec(3, 64)]
+
+
 @SETTINGS
 @with_smallest_boxes
 @given(boxes_and_rngs())
-def test_stencil_operator_matches_apply_elliptic(case):
+def test_flux_stencil_matches_apply_elliptic(case):
     box, rng = case
+    check_flux_stencil(box, rng)
+
+
+@pytest.mark.parametrize("box", SLAB_BOXES, ids=lambda box: f"d{box.d}-L{box.L}")
+def test_flux_stencil_matches_apply_elliptic_across_slabs(box):
+    check_flux_stencil(box, np.random.default_rng(box.L))
+
+
+def check_flux_stencil(box: BoxSpec, rng: np.random.Generator):
     a = random_coefficients(box, rng)
     u = ScalarField(box, rng.normal(size=box.n_sites))
-    got = ScalarField.from_grid(box, _elliptic_op(a)(u.grid())).values
-    want = apply_elliptic(a, u).values
-    D, W = stencil(a)
-    au = np.abs(u.values)
-    scale = D * au + W @ au + W.T @ au  # |terms| summed per site
-    assert np.all(np.abs(got - want) <= 4 * (2 * box.d + 1) * EPS * scale)
+    for shift in (0.0, 0.5):
+        got = _elliptic_op(a, shift)(u.grid())
+        want = apply_elliptic(a, u).grid() + shift * u.grid()
+        bound = 4 * (2 * box.d + 1) * EPS * stencil_scale(a, u.grid(), shift)
+        assert np.all(np.abs(got - want) <= bound)
 
 
 @SETTINGS
 @with_smallest_boxes
 @given(boxes_and_rngs())
-def test_dense_stencil_is_elliptic_matrix(case):
+def test_flux_stencil_is_elliptic_matrix(case):
+    # the operator on each unit vector is a column of the dense assembly, up to the
+    # rounding of the diagonal's sum; off the diagonal each entry is one -a_i, exactly
     box, rng = case
     a = random_coefficients(box, rng)
-    D, W = stencil(a)
-    dense = np.diag(D) - W.toarray() - W.T.toarray()
-    assert dense.tobytes() == elliptic_matrix(a).tobytes()
+    n = box.n_sites
+    for shift in (0.0, 0.5):
+        op = _elliptic_op(a, shift)
+        columns = [op(e.reshape(box.shape, order="F")).ravel(order="F") for e in np.eye(n)]
+        want = elliptic_matrix(a) + shift * np.eye(n)
+        bound = 4 * (2 * box.d + 1) * EPS * np.diag(want)
+        assert np.all(np.abs(np.stack(columns, axis=1) - want) <= bound[:, None])
 
 
 def fft_reference(g: np.ndarray, sym: np.ndarray) -> np.ndarray:
