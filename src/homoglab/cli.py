@@ -16,7 +16,6 @@ import argparse
 import ctypes
 import errno
 import hashlib
-import importlib
 import json
 import math
 import os
@@ -88,16 +87,13 @@ class ExperimentConfig:
                 raise ParameterError(f"the solver's {key} must be {json.dumps(value)}")
         if "tol" in solver and not isinstance(solver["tol"], bool):  # SolverConfig rejects bools
             solver["tol"] = _as_float(solver["tol"], "tol")
-        out = obj.get("out", "out")
-        if not isinstance(out, str) or "\0" in out:  # a path cannot hold a NUL byte
-            raise ParameterError(f"out must be a path string, got {out!r}")
         return ExperimentConfig(
             experiment=experiment,
             params=given.get("params", {}),
             ensemble=EnsembleSpec.from_json(given["ensemble"]) if "ensemble" in given else None,
             box=BoxSpec.from_json(given["box"]) if "box" in given else None,
             solver=SolverConfig(**solver),
-            out=out,
+            out=obj.get("out", "out"),
         )
 
 
@@ -209,9 +205,6 @@ class Experiment:
     run: Callable
     params: dict[str, Param]
     needs_ensemble: bool = True
-    # the lazily loaded numpy modules the run calls, which the config step imports:
-    # numpy.fft for CG's preconditioner and the heat kernel, numpy.ma for np.median
-    modules: tuple[str, ...] = ("numpy.fft",)
 
 
 def _json_out(cfg: ExperimentConfig, result, **extra) -> dict[str, list[bytes]]:
@@ -286,7 +279,7 @@ def _run_twoscale(cfg: ExperimentConfig, p: dict, map_fn) -> dict[str, Iterable[
 # Rows call the library through this module's globals at call time, so code
 # that rebinds a name such as ``cli.corrector_set`` reaches the runner.
 EXPERIMENTS: dict[str, Experiment] = {
-    "oned": Experiment(_run_oned, {}, needs_ensemble=False, modules=()),
+    "oned": Experiment(_run_oned, {}, needs_ensemble=False),
     "cell": Experiment(_run_cell, {"sample": Param(int, 0)}),
     "ahom": Experiment(_run_ahom, {"samples": Param(int, 16)}),
     "corrector": Experiment(_run_corrector, {"dir": Param(int, 0), "sample": Param(int, 0)}),
@@ -301,7 +294,7 @@ EXPERIMENTS: dict[str, Experiment] = {
     "sg": Experiment(
         _statistic(lambda cfg, p, map_fn: {"reports": sg_check(
             cfg.ensemble, cfg.box, p["samples"], map_fn=map_fn)}),
-        {"samples": Param(int, 500)}, modules=()),
+        {"samples": Param(int, 500)}),
     "semigroup": Experiment(
         _statistic(lambda cfg, p, map_fn: semigroup_decay(
             cfg.ensemble, cfg.box, p["t_grid"], n=p["samples"], map_fn=map_fn)),
@@ -310,18 +303,16 @@ EXPERIMENTS: dict[str, Experiment] = {
         _statistic(lambda cfg, p, map_fn: green_decay(
             cfg.ensemble, cfg.box, p["samples"], radii=p["radii"],
             cfg=cfg.solver, map_fn=map_fn)),
-        {"samples": Param(int, 20), "radii": Param(int, None, "+")},  # None: the L/8 rule
-        modules=("numpy.fft", "numpy.ma")),
+        {"samples": Param(int, 20), "radii": Param(int, None, "+")}),  # None: the L/8 rule
     "meyers": Experiment(
         _statistic(lambda cfg, p, map_fn: meyers_probe(
             cfg.ensemble, cfg.box, n=p["samples"], q=p["q"], alpha_w=p["alpha_w"],
             cfg=cfg.solver, map_fn=map_fn)),
-        {"samples": Param(int, 50), "q": Param(float, 1.1), "alpha_w": Param(float, 0.1)},
-        modules=("numpy.fft", "numpy.ma")),
+        {"samples": Param(int, 50), "q": Param(float, 1.1), "alpha_w": Param(float, 0.1)}),
     "birkhoff": Experiment(
         _statistic(lambda cfg, p, map_fn: birkhoff_rate(
             cfg.ensemble, cfg.box, p["R_list"], n=p["samples"], map_fn=map_fn)),
-        {"samples": Param(int, 200), "R_list": Param(int, [4, 8, 16, 32], "+")}, modules=()),
+        {"samples": Param(int, 200), "R_list": Param(int, [4, 8, 16, 32], "+")}),
 }
 
 
@@ -341,13 +332,6 @@ def _typed_params(cfg: ExperimentConfig) -> dict:
         _only(cfg.params, {**exp.params, "samples": None}, f"{cfg.experiment} params")
     return {name: param.typed(cfg.params[name], name) if name in cfg.params else param.default
             for name, param in exp.params.items()}
-
-
-def _load_modules(experiment: str) -> None:
-    """Import what the experiment's run needs, before it starts: a run imports
-    nothing, so no worker imports and ``wall_time_s`` times the experiment alone."""
-    for name in EXPERIMENTS[experiment].modules:
-        importlib.import_module(name)
 
 
 def _openblas_threads():
@@ -392,11 +376,14 @@ MAX_THREADS = 64
 
 
 def _execute(cfg: ExperimentConfig, threads: int) -> tuple[dict[str, Iterable[bytes]], dict]:
-    """Run an experiment config: its outputs {filename: byte chunks}, which may be
-    formatted as they are read, and its manifest, without the outputs' hashes.  More
-    than ``MAX_THREADS`` threads is a ``ParameterError``, raised before anything runs."""
+    """Run an experiment config: its outputs {filename: byte chunks}, which may be formatted
+    as they are read, and its manifest, without the outputs' hashes.  More than ``MAX_THREADS``
+    threads, or an ``out`` naming no file, is a ``ParameterError`` raised before all else."""
     if threads > MAX_THREADS:
         raise ParameterError(f"--threads {threads} is more than {MAX_THREADS}")
+    out = cfg.out  # a path holds no NUL byte, and "", "d/", "." or ".." names a directory
+    if not isinstance(out, str) or "\0" in out or os.path.basename(out) in ("", ".", ".."):
+        raise ParameterError(f"out must be a path string that names a file, got {out!r}")
     config_json = cfg.to_json()
     config_blob = json.dumps(config_json, sort_keys=True).encode()
     params = _typed_params(cfg)
@@ -455,7 +442,6 @@ def replay(manifest_path: str, threads: int = 1) -> tuple[bool, dict]:
         raise ParameterError(f"malformed manifest {manifest_path}: needs a 'config' object "
                              f"and an 'outputs' object of hash strings")
     cfg = ExperimentConfig.from_json(manifest["config"])
-    _load_modules(cfg.experiment)
     outputs, _ = _execute(cfg, threads)
     report = {"files": {}, "max_abs_deviation": 0.0}
     for name, sha in manifest["outputs"].items():
@@ -565,9 +551,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     for key in EXPERIMENTS[args.command].params:
         if getattr(args, key) is not None:
             cfg.params[key] = getattr(args, key)
-    if args.out:
+    if args.out is not None:
         cfg.out = args.out
-    _load_modules(cfg.experiment)
     return cfg
 
 

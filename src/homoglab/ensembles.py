@@ -22,7 +22,6 @@ Supported kinds, whose params ``EnsembleSpec._read`` reads once, into the law
 from __future__ import annotations
 
 import contextvars
-import copy
 import functools
 import itertools
 import json
@@ -84,8 +83,7 @@ class EnsembleSpec:
         object.__setattr__(self, "structure", structure)
 
     def _read(self) -> tuple:
-        """The params, checked, as (marginal, structure); the one place that reads them,
-        and that stores the copy the spec keeps."""
+        """The params, checked, as (marginal, structure): the one place that reads them."""
         if self.kind not in KINDS:
             raise ParameterError(f"unknown ensemble kind {self.kind!r}")
         if not (0.0 < self.lam < 1.0):
@@ -93,11 +91,7 @@ class EnsembleSpec:
         if _exact_int(self.master_seed, "master_seed") < 0:
             raise ParameterError(f"master_seed must be a non-negative integer, "
                                  f"got {self.master_seed}")
-        # the spec keeps a copy: a later edit of the caller's dict or table reaches
-        # neither the law nor to_json, which the manifest records
-        p = copy.deepcopy(_only(self.params, KIND_PARAMS[self.kind],
-                                f"{self.kind} ensemble params"))
-        object.__setattr__(self, "params", p)
+        p = _only(self.params, KIND_PARAMS[self.kind], f"{self.kind} ensemble params")
         if self.kind == "constant":
             v = _as_float(p.get("value"), "value")
             if not (self.lam < v < 1.0):
@@ -112,10 +106,10 @@ class EnsembleSpec:
                 )
             return (lo, hi), None
         if self.kind == "periodic-tile":  # cell is a copy, never the caller's table
-            cell = _converted(lambda v: np.array(v, dtype=np.float64), p.get("unit_cell"),
-                              "unit_cell")
-            if cell.ndim != 2:
-                raise ParameterError("unit_cell must be a (tile sites, d) table")
+            cell = _converted(np.array, p.get("unit_cell"), "unit_cell")
+            if cell.ndim != 2 or cell.dtype.kind not in "iuf":  # a string or None: "U", "O"
+                raise ParameterError("unit_cell must be a (tile sites, d) table of numbers")
+            cell = cell.astype(np.float64)
             if cell.size == 0 or not np.all((cell > self.lam) & (cell < 1.0)):
                 raise ParameterError(f"unit_cell entries must lie in ({self.lam}, 1)")
             cell.flags.writeable = False
@@ -155,9 +149,12 @@ class EnsembleSpec:
         return 0.5 * (low + high)
 
     def to_json(self) -> dict:
+        """The spec, with its params read back from the law that it draws from."""
+        law = ((self.structure.tolist(),) if self.marginal is None  # a tile
+               else self.marginal[:len(KIND_PARAMS[self.kind])] + (self.structure or ()))
         return {
             "kind": self.kind,
-            "params": self.params,
+            "params": dict(zip(KIND_PARAMS[self.kind], law)),
             "lambda": self.lam,
             "master_seed": self.master_seed,
         }

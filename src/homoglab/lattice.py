@@ -22,6 +22,7 @@ product, which is the summation-by-parts identity the solvers rely on.
 from __future__ import annotations
 
 import functools
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Iterator
@@ -117,9 +118,16 @@ def _exact_int(value, name: str) -> int:
     return _converted(operator.index, value, name)
 
 
+def _real(value) -> float:
+    """``float(value)`` of a real number, where ``float()`` would also parse "0.25"."""
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"a {type(value).__name__} is not a real number")
+    return float(value)
+
+
 def _as_float(value, name: str) -> float:
-    """``float(value)``, except that a boolean is rejected."""
-    return _converted(float, value, name)
+    """A JSON number as float: a string or a boolean is a ``ParameterError``."""
+    return _converted(_real, value, name)
 
 
 def _only(obj, keys, what: str):

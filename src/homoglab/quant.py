@@ -112,6 +112,14 @@ def _loglog_fit(xs: np.ndarray, ys: np.ndarray, deterministic: bool = False) -> 
     return DecayFit(xs, ys, *_linear_fit(np.log(xs), np.log(ys)))
 
 
+def _median(values: np.ndarray):
+    """numpy's median along axis 0, summed from 0.0 as its mean is (so -0.0 gives 0.0), but
+    without the NaN check that imports the masked arrays: every value here is finite."""
+    s = np.sort(values, axis=0)
+    m = len(s) // 2
+    return 0.0 + s[m] if len(s) % 2 else (0.0 + s[m - 1] + s[m]) / 2
+
+
 # ---------------------------------------------------------------------------
 # vertical / Lipschitz derivatives
 # ---------------------------------------------------------------------------
@@ -536,7 +544,7 @@ def green_decay(spec: EnsembleSpec, box: BoxSpec, n: int,
         G0, _ = green(a, 0, cfg)
         g0 = G0.values
         far_level = float(g0[far].mean())
-        quenched = [np.median(g0[s]) - far_level for s in shells]
+        quenched = [_median(g0[s]) - far_level for s in shells]
         # mixed second derivative via the extra sources, one solve at a time
         hess_sq = _grad_energy((green(a, y, cfg)[0].values - g0).reshape(box.shape, order="F")
                                for y in unit_sites)
@@ -544,8 +552,8 @@ def green_decay(spec: EnsembleSpec, box: BoxSpec, n: int,
 
     rows = per_sample(spec, box, n, one, map_fn)  # quenched (k), center, annealed (k)
     k = len(radii)
-    quenched = np.median(rows[:, :k], axis=0)
-    center = float(np.median(rows[:, k]))
+    quenched = _median(rows[:, :k])
+    center = float(_median(rows[:, k]))
     annealed = np.sqrt(rows[:, k + 1:].mean(axis=0))
 
     # power-law exponents are fitted against r itself; the +1 shift in the
@@ -636,7 +644,7 @@ def meyers_probe(spec: EnsembleSpec, box: BoxSpec, n: int, q: float, alpha_w: fl
         return meyers_ratio(a, h, q, alpha_w, cfg)
 
     ratios = per_sample(spec, box, n, one, map_fn)
-    med = float(np.median(ratios))
+    med = float(_median(ratios))
     return MeyersProbeReport(q, alpha_w, ratios, med, bool(np.any(ratios > 10.0 * med)))
 
 

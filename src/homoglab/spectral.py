@@ -19,6 +19,7 @@ the CG preconditioner, which only has to approximate the inverse
 from __future__ import annotations
 
 import numpy as np
+import numpy.fft  # numpy loads it lazily, and a run imports nothing
 
 from .lattice import BoxSpec, ParameterError
 

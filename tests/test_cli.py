@@ -265,16 +265,16 @@ class TestDispatchAndErrors:
         assert json.loads(out.read_text())["n"] == 1
 
     @staticmethod
-    def _birkhoff(tmp_path, monkeypatch, **edit) -> int:
+    def _birkhoff(tmp_path, monkeypatch, *flags, **edit) -> int:
         """Exit code of a ``birkhoff --config`` run in tmp_path, with ``edit``
-        replacing top-level keys of a small valid config."""
+        replacing top-level keys of a small valid config and ``flags`` added."""
         config = {"experiment": "birkhoff", "params": {"samples": 4, "R_list": [2, 4]},
                   "ensemble": {"kind": "iid-two-point", "params": {"alpha": 0.25, "beta": 0.75},
                                "lambda": 0.2, "master_seed": 5},
                   "box": {"d": 2, "L": 8}, "out": "birkhoff.json", **edit}
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         monkeypatch.chdir(tmp_path)
-        return main(["birkhoff", "--config", "cfg.json"])
+        return main(["birkhoff", "--config", "cfg.json", *flags])
 
     def test_integral_birkhoff_config_runs(self, tmp_path, monkeypatch):
         assert self._birkhoff(tmp_path, monkeypatch) == EXIT_OK
@@ -311,6 +311,37 @@ class TestDispatchAndErrors:
         err = capsys.readouterr().err
         assert "config error: out must be a path string" in err and "Traceback" not in err
         assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("edit", [
+        {"ensemble": {"kind": "iid-two-point", "params": {"alpha": 0.25, "beta": 0.75},
+                      "lambda": "0.1", "master_seed": 5}},
+        {"ensemble": {"kind": "iid-two-point", "params": {"alpha": "0.25", "beta": 0.75},
+                      "lambda": 0.2, "master_seed": 5}},
+        {"ensemble": {"kind": "periodic-tile", "params": {"unit_cell": [["0.5", "0.5"]]},
+                      "lambda": 0.2, "master_seed": 5}},
+        {"solver": {"tol": "1e-8"}},
+    ], ids=["lambda", "alpha", "unit-cell", "tol"])
+    def test_a_float_given_as_a_string_exits_3_and_writes_nothing(self, edit, tmp_path,
+                                                                  monkeypatch, capsys):
+        # float() parses "0.1", as int() parses "5"; JSON spells a number without quotes
+        assert self._birkhoff(tmp_path, monkeypatch, **edit) == EXIT_CONFIG_ERROR
+        assert "config error" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("out,flags", [
+        ("", []), ("newdir/", []), (".", []), ("..", []),
+        ("out", ["--out", "newdir/"]), ("out", ["--out", ""]), ("out", ["--out", "sub/.."]),
+    ], ids=["config-empty", "config-dir", "config-dot", "config-dotdot", "flag-dir",
+            "flag-empty", "flag-dotdot"])
+    def test_an_out_that_names_no_file_exits_3_and_makes_nothing(self, out, flags, tmp_path,
+                                                                 monkeypatch, capsys):
+        # "" once made its temp file in the parent directory, "newdir/" left newdir
+        # behind, and --out "" wrote to "out"
+        work = tmp_path / "work"
+        work.mkdir()
+        assert self._birkhoff(work, monkeypatch, *flags, out=out) == EXIT_CONFIG_ERROR
+        assert "out must be a path string that names a file" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == [work, work / "cfg.json"]  # cwd and its parent
 
     @pytest.mark.parametrize("edit,key", [
         ({"params": {"sampels": 3, "R_list": [2, 4]}}, "sampels"),
@@ -399,7 +430,7 @@ class TestDispatchAndErrors:
     @pytest.mark.parametrize("kernel,message", [
         ({"radius": 1.7}, "cannot be interpreted as an integer"),
         ({"decay": -50}, "decay=-50.0"),
-        ({"decay": "inf"}, "decay=inf"),
+        ({"decay": float("inf")}, "decay=inf"),
     ], ids=["radius-float", "decay-negative", "decay-inf"])
     def test_bad_kernel_exits_3_before_sampling(self, kernel, message, tmp_path, capsys,
                                                 monkeypatch):
@@ -949,9 +980,9 @@ class TestDeterminismAndReplay:
         assert main(["replay", mpath]) == EXIT_CONFIG_ERROR
         assert "malformed manifest" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad_out", [5, "a\0b.json"], ids=["int", "nul-byte"])
-    def test_manifest_with_non_string_out_exits_3(self, bad_out, ensemble_file, tmp_path,
-                                                  capsys):
+    @pytest.mark.parametrize("bad_out", [5, "a\0b.json", "", "newdir/", ".."],
+                             ids=["int", "nul-byte", "empty", "directory", "dotdot"])
+    def test_manifest_with_a_bad_out_exits_3(self, bad_out, ensemble_file, tmp_path, capsys):
         out = str(tmp_path / "ahom.json")
         assert main(["ahom", "--ensemble", ensemble_file, "--L", "4", "--samples", "2",
                      "--out", out]) == EXIT_OK
@@ -1440,7 +1471,7 @@ class TestExperimentTable:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "experiment": "ahom", "params": {},
-            "solver": {"tol": "1e-8", "max_iter": None, "anchor": "mean-zero",
+            "solver": {"tol": 1e-8, "max_iter": None, "anchor": "mean-zero",
                        "preconditioner": "none"}}))
         args = build_parser().parse_args(["ahom", "--config", str(path),
                                           "--ensemble", ensemble_file, "--L", "4", *flags])

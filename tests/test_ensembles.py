@@ -87,7 +87,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("kernel", [
         {"radius": 1.7}, {"radius": "1"}, {"radius": True},
-        {"decay": -50}, {"decay": "inf"}, {"decay": float("nan")}, {"decay": True},
+        {"decay": -50}, {"decay": float("inf")}, {"decay": float("nan")}, {"decay": True},
     ], ids=["radius-float", "radius-string", "radius-bool", "decay-negative", "decay-inf",
             "decay-nan", "decay-bool"])
     def test_bad_kernel_rejected(self, kernel):
@@ -298,7 +298,7 @@ def test_is_deterministic(spec, deterministic):
 @pytest.mark.parametrize("spec,marginal", [
     (constant(0.5), (0.5, 0.5)),
     (two_point(alpha=0.3, beta=0.6), (0.3, 0.6)),
-    (EnsembleSpec("correlated-two-point", {"alpha": "0.25", "beta": 0.75, "radius": 2}, 0.2, 0),
+    (EnsembleSpec("correlated-two-point", {"alpha": np.float64(0.25), "beta": 0.75, "radius": 2}, 0.2, 0),
      (0.25, 0.75)),
     (uniform(low=0.3, high=0.9), (0.3, 0.9)),
     (EnsembleSpec("periodic-tile", {"unit_cell": [[0.3, 0.7]] * 4}, 0.2, 0), None),
@@ -347,6 +347,15 @@ class TestLawIsReadAtConstruction:
         params["alpha"] = 0.5
         cell[0][0] = 0.9
         assert [(json.dumps(spec.to_json()), spec.marginal_mean()) for spec in specs] == before
+
+    def test_to_json_records_the_law_it_draws_from(self):
+        # params stays the caller's dict; the manifest records what every sample draws
+        spec = two_point()
+        spec.params["alpha"] = 0.5
+        assert spec.to_json()["params"] == {"alpha": 0.25, "beta": 0.75}
+        kernel = EnsembleSpec("correlated-two-point", {"alpha": 0.25, "beta": 0.75}, 0.2, 0)
+        assert kernel.to_json()["params"] == {"alpha": 0.25, "beta": 0.75, "radius": 1,
+                                              "decay": 1.0}
 
     def test_a_numpy_unit_cell_stays_the_callers(self):
         cell = np.array(TILE_2D)

@@ -131,9 +131,9 @@ def cases(draw) -> tuple[list[str], dict]:
 @example(case=(["meyers", "--L", "8", "--samples", "2", "--alpha-w", "inf"], {}), expected=3)
 @example(case=(["growth", "--L", "8", "--radii", "1", "2", "--samples", "2", "--p", "0"], {}),
          expected=3)
-@example(case=(["oned", "--config", "@config"], _oned(a={"kind": "constant", "value": "nan"})),
+@example(case=(["oned", "--config", "@config"], _oned(a={"kind": "constant", "value": math.nan})),
          expected=3)
-@example(case=(["oned", "--config", "@config"], _oned(a={"kind": "constant", "value": "inf"})),
+@example(case=(["oned", "--config", "@config"], _oned(a={"kind": "constant", "value": math.inf})),
          expected=3)
 @example(case=(["oned", "--config", "@config"], _oned(a=5)), expected=3)
 # unreadable or unparsable input files
@@ -159,9 +159,9 @@ def cases(draw) -> tuple[list[str], dict]:
 @example(case=(["growth", "--L", "16", "--radii", "2", "3", "4", "--samples", "2",
                 "--p", "4000"], {}), expected=3)
 # a 1d profile whose table leaves the float range, or whose parameter is not finite
-@example(case=(["oned", "--config", "@config"], _oned(f={"kind": "constant", "value": "nan"})),
+@example(case=(["oned", "--config", "@config"], _oned(f={"kind": "constant", "value": math.nan})),
          expected=3)
-@example(case=(["oned", "--config", "@config"], _oned(f={"kind": "linear-odd", "scale": "inf"})),
+@example(case=(["oned", "--config", "@config"], _oned(f={"kind": "linear-odd", "scale": math.inf})),
          expected=3)
 @example(case=(["oned", "--config", "@config"], _oned(a={"kind": "constant", "value": 1e-300})),
          expected=3)

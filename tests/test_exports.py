@@ -87,12 +87,12 @@ def test_result_types_are_their_fields(name):
     assert views == []
 
 
-def test_only_read_and_to_json_touch_an_ensembles_params():
-    # sample, marginal_mean and the kernel read the law _read stored on the spec
+def test_only_read_touches_an_ensembles_params():
+    # sample, marginal_mean, the kernel and to_json read the law _read stored on the spec
     tree = ast.parse(inspect.getsource(homoglab.ensembles))
     readers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                for node in ast.walk(fn) if isinstance(node, ast.Attribute) and node.attr == "params"}
-    assert readers == {"_read", "to_json"}
+    assert readers == {"_read"}
 
 
 def test_one_exception_type_for_rejected_input():
@@ -172,8 +172,8 @@ def _names_scipy(node: ast.AST) -> bool:
 
 
 def test_no_module_imports_scipy():
-    # numpy alone runs the library: no import statement, and no module name for
-    # importlib such as an EXPERIMENTS row's ``modules``, names scipy
+    # numpy alone runs the library: no import statement, and no string such as a
+    # module name for importlib, names scipy
     found = [f"{path.stem}:{node.lineno}" for path in SOURCES
              for node in ast.walk(ast.parse(path.read_text())) if _names_scipy(node)]
     assert found == []

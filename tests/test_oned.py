@@ -66,8 +66,8 @@ class TestReadProfiles:
         assert [p.eps for p in read_profiles({})] == EPS_LIST
 
     @pytest.mark.parametrize("params,message", [
-        ({"f": {"kind": "constant", "value": "nan"}}, "f value must be finite"),
-        ({"f": {"kind": "linear-odd", "scale": "inf"}}, "f scale must be finite"),
+        ({"f": {"kind": "constant", "value": float("nan")}}, "f value must be finite"),
+        ({"f": {"kind": "linear-odd", "scale": float("inf")}}, "f scale must be finite"),
         ({"a": {"kind": "constant"}}, "bad a value None"),
         ({"f": {"kind": "sine", "k": 1.5}}, "bad f k 1.5"),
         ({"a": {"kind": "shifted-sine", "offset": 1.0, "amplitude": -1.0}}, "cannot take"),

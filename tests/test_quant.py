@@ -2,6 +2,8 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from homoglab import ensembles, quant
 from homoglab.correctors import ahom_rve
@@ -353,3 +355,17 @@ def test_too_few_samples_raise_before_the_first_draw(run, monkeypatch):
     monkeypatch.setattr(ensembles, "sample", _no_draw)
     with pytest.raises(ParameterError, match="number of samples must be at least"):
         run(BoxSpec(2, 16))
+
+
+# 1-D arrays and (n, k) stacks, odd and even n, mixed signs up to 1e308: where the
+# middle values are larger than about 9e307, (m + m) / 2 overflows
+@settings(max_examples=500, deadline=None, database=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=9),
+                  elements=st.floats(-1e308, 1e308)))
+@example(np.array([-1.0, 1e308, 1e308]))
+@example(np.array([[3.0, -1e308], [1.0, 1e308], [2.0, 1e308], [4.0, 0.5]]))
+def test_median_is_numpys_bit_for_bit(values):
+    # quant's medians skip the NaN check of np.median, which imports numpy.ma
+    with np.errstate(over="ignore"):  # two middle values of 1e308 sum to inf in both
+        ours, numpys = quant._median(values), np.median(values, axis=0)
+    assert np.asarray(ours).tobytes() == np.asarray(numpys).tobytes()
