@@ -85,8 +85,6 @@ class ExperimentConfig:
         for key, value in (("anchor", "mean-zero"), ("max_iter", None)):  # recorded constants
             if solver.pop(key, value) != value:
                 raise ParameterError(f"the solver's {key} must be {json.dumps(value)}")
-        if "tol" in solver and not isinstance(solver["tol"], bool):  # SolverConfig rejects bools
-            solver["tol"] = _as_float(solver["tol"], "tol")
         return ExperimentConfig(
             experiment=experiment,
             params=given.get("params", {}),

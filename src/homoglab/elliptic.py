@@ -43,6 +43,7 @@ from .lattice import (
     CoefficientField,
     ParameterError,
     ScalarField,
+    _as_float,
     _dot,
     _norm,
     neighbours,
@@ -81,7 +82,8 @@ class SolverConfig:
     preconditioner: str = "spectral"  # or "none": plain CG
 
     def __post_init__(self):
-        if isinstance(self.tol, bool) or not MIN_TOL <= self.tol < np.inf:
+        object.__setattr__(self, "tol", _as_float(self.tol, "tol"))
+        if not MIN_TOL <= self.tol < np.inf:
             raise ParameterError(f"tol must be a number in [{MIN_TOL}, inf), got {self.tol!r}")
         if self.preconditioner not in ("none", "spectral"):
             raise ParameterError(f"unknown preconditioner {self.preconditioner!r}")

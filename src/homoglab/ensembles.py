@@ -61,11 +61,12 @@ class SampleId:
     index: int
 
     def __post_init__(self):
+        object.__setattr__(self, "index", _exact_int(self.index, "sample index"))
         if self.index < 0:
             raise ParameterError("sample index must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleSpec:
     kind: str
     params: dict
@@ -73,11 +74,12 @@ class EnsembleSpec:
     master_seed: int = 0
     # the law, read from params by _read: (low, high) of one diagonal entry, None for a
     # tile; and the tile's read-only (tile sites, d) table or the kernel's (radius, decay)
-    marginal: tuple[float, float] | None = field(init=False, repr=False, compare=False)
-    structure: np.ndarray | tuple | None = field(init=False, repr=False, compare=False)
+    marginal: tuple[float, float] | None = field(init=False, repr=False)
+    structure: np.ndarray | tuple | None = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lam", _as_float(self.lam, "lambda"))
+        object.__setattr__(self, "master_seed", _exact_int(self.master_seed, "master_seed"))
         marginal, structure = self._read()
         object.__setattr__(self, "marginal", marginal)
         object.__setattr__(self, "structure", structure)
@@ -88,7 +90,7 @@ class EnsembleSpec:
             raise ParameterError(f"unknown ensemble kind {self.kind!r}")
         if not (0.0 < self.lam < 1.0):
             raise ParameterError(f"lambda={self.lam} must be in (0,1)")
-        if _exact_int(self.master_seed, "master_seed") < 0:
+        if self.master_seed < 0:
             raise ParameterError(f"master_seed must be a non-negative integer, "
                                  f"got {self.master_seed}")
         p = _only(self.params, KIND_PARAMS[self.kind], f"{self.kind} ensemble params")
@@ -128,6 +130,12 @@ class EnsembleSpec:
                                      f">= 0; got radius={r}, decay={decay}")
             return (a, b), (r, decay)
         return (a, b), None
+
+    def __eq__(self, other):  # the law and seed that to_json writes, not params as given
+        return isinstance(other, EnsembleSpec) and self.to_json() == other.to_json()
+
+    def __hash__(self):
+        return hash(json.dumps(self.to_json()))
 
     # -- helpers ----------------------------------------------------------
 

@@ -64,6 +64,8 @@ class BoxSpec:
     L: int
 
     def __post_init__(self):
+        object.__setattr__(self, "d", _exact_int(self.d, "d"))
+        object.__setattr__(self, "L", _exact_int(self.L, "L"))
         if self.d not in (1, 2, 3):
             raise ParameterError(f"dimension d={self.d} not supported (d in {{1,2,3}})")
         if self.L < 2:
@@ -98,7 +100,7 @@ class BoxSpec:
     @staticmethod
     def from_json(obj: dict) -> "BoxSpec":
         _only(obj, ("d", "L"), "box")
-        return BoxSpec(d=_exact_int(obj.get("d"), "d"), L=_exact_int(obj.get("L"), "L"))
+        return BoxSpec(d=obj.get("d"), L=obj.get("L"))
 
 
 def _converted(read, value, name: str):
@@ -391,20 +393,22 @@ def torus_radii(box: BoxSpec) -> np.ndarray:
 
 
 # Whole columns become text at once, in numpy.  A float cell is exactly what
-# ``format(v, ".17g")`` writes: 17 correctly rounded significant digits, laid
-# out by the ``%g`` rules.  The digits come from a double-double product of |v|
-# with a power of ten, after Grisu (Loitsch, PLDI 2010): the product certifies
-# its rounding or hands the value to ``format`` itself.  Cells are NUL-padded
-# byte rows; the NULs are dropped when a block of rows is joined, and each
-# block is yielded as ASCII bytes, so a caller streams the table to a file and
-# no more than one block is held as text.
+# ``format(v, ".16e")`` writes: the sign, 17 correctly rounded significant
+# digits as ``d.dddddddddddddddd``, ``e``, the exponent's sign and at least two
+# exponent digits, so every cell has one layout and reads back to the same bits.
+# The digits come from a double-double product of |v| with a power of ten,
+# after Grisu (Loitsch, PLDI 2010): the product certifies its rounding or hands
+# the value to ``format`` itself.  Cells are NUL-padded byte rows; the NULs are
+# dropped when a block of rows is joined, and each block is yielded as ASCII
+# bytes, so a caller streams the table to a file and no more than one block is
+# held as text.
 
 _K_MIN, _K_MAX = -324, 308  # floor(log10 |v|) over the finite nonzero float64
 _TIE_GUARD = 2.0**-20  # far wider than the product's error, under 2**-45 of a unit
 # rows per block: bounds the scratch arrays and the text held at once.  Peak RSS
-# of `corrector --d 2 --L 256` (a 6.3 MB table; 2-core VM, a fresh process per
-# run, 3 runs each) was 70.5 MB at 1 << 11 and 1 << 12, 73.4 MB at 1 << 13 and
-# 80.8 MB at 1 << 14; its 7.7-9.1 samples/s did not tell the sizes apart.
+# of `corrector --d 2 --L 256` (a 7.0 MB table; 2-core VM, a fresh process per
+# run, 3 runs each) was 49.2 MB at 1 << 11 and 1 << 12, 51.6 MB at 1 << 13 and
+# 58.0 MB at 1 << 14; its 0.17-0.30 s in `cli.main` did not tell the sizes apart.
 _BLOCK_ROWS = 1 << 12
 _NUL, _MINUS, _PLUS = 0, ord("-"), ord("+")
 
@@ -432,51 +436,15 @@ def _power_table() -> tuple[np.ndarray, ...]:
     return (hi, *_split(hi), np.array(lo), np.array(b, dtype=np.int32))
 
 
-def _group_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Per 4-digit group 0..9999: its ASCII digits as one 32-bit word, and its
-    trailing zeros (4 for 0000)."""
-    g = np.arange(10000, dtype=np.int16)
-    digits = (g[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10 + ord("0")).astype(np.uint8)
-    zeros = sum((g % 10**j == 0).astype(np.uint8) for j in range(1, 5))
-    return digits.view(np.uint32).ravel(), zeros
-
-
 _POW_HI, _POW_HI_HI, _POW_HI_LO, _POW_LO, _POW_EXP = _power_table()
-_DIGITS4, _TRAILING_ZEROS4 = _group_tables()
+# per 4-digit group 0..9999, its ASCII digits as one 32-bit word
+_DIGITS4 = (np.arange(10000, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], np.int16)
+            % 10 + ord("0")).astype(np.uint8).view(np.uint32).ravel()
 _POW10_U64 = np.array([10**j for j in range(1, 20)], dtype=np.uint64)
-
-# Byte columns of the per-value source row: 17 digits, the 3 exponent digits,
-# the signs and the constant bytes a layout may copy.
-_SRC_DIGITS, _SRC_EXP, _SRC_SIGN, _SRC_EXP_SIGN, _SRC_DOT, _SRC_ZERO, _SRC_E, _SRC_NUL = (
-    3, 21, 24, 25, 26, 27, 28, 29)
-_SRC_CONSTANTS = np.frombuffer(b".0e\0\0\0", np.uint8)  # bytes 26..31
-
-
-def _layout_table() -> np.ndarray:
-    """(23 * 18, 24) source byte of each output byte, for layout ``c * 18 + nz``:
-    nz significant digits, c = k + 4 for the fixed notation of -4 <= k <= 16,
-    and c = 21, 22 for a 2- and 3-digit exponent; NUL padded."""
-    table = np.full((23 * 18, 24), _SRC_NUL, np.intp)
-    d = list(range(_SRC_DIGITS, _SRC_DIGITS + 17))
-    for c in range(23):
-        k = c - 4
-        for nz in range(1, 18):
-            if c > 20:
-                src = d[:1] + ([_SRC_DOT, *d[1:nz]] if nz > 1 else []) + [_SRC_E, _SRC_EXP_SIGN]
-                src += [_SRC_EXP + j for j in range(22 - c, 3)]
-            elif k >= 0:
-                src = d[:k + 1] + ([_SRC_DOT, *d[k + 1:nz]] if nz > k + 1 else [])
-            else:
-                src = [_SRC_ZERO, _SRC_DOT] + [_SRC_ZERO] * (-k - 1) + d[:nz]
-            table[c * 18 + nz, :len(src) + 1] = [_SRC_SIGN, *src]
-    return table
-
-
-_LAYOUT = _layout_table()
 
 
 def _float_cells(x: np.ndarray) -> np.ndarray:
-    """(m, 24) NUL-padded ASCII rows, each ``format(v, ".17g")`` of a float64 v."""
+    """(m, 24) NUL-padded ASCII rows, each ``format(v, ".16e")`` of a float64 v."""
     m = len(x)
     a = np.abs(x)
     zero, finite = a == 0, np.isfinite(a)
@@ -499,23 +467,22 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     k[zero] = 0
     high, low = np.divmod(D, 10**8)
     groups = [high // 10**8, high // 10**4 % 10**4, high % 10**4, low // 10**4, low % 10**4]
-    src = np.empty((m, 8), np.uint32)
-    for j, g in enumerate(groups):  # the leading digit group reads "000d"
+    src = np.empty((m, 6), np.uint32)  # "000d", the 16 digits after it, then "0kkk"
+    for j, g in enumerate(groups):
         src[:, j] = _DIGITS4[g]
     src[:, 5] = _DIGITS4[np.abs(k)]
     src = src.view(np.uint8)
-    src[:, _SRC_SIGN] = np.where(np.signbit(x), _MINUS, _NUL)
-    src[:, _SRC_EXP_SIGN] = np.where(k < 0, _MINUS, _PLUS)
-    src[:, _SRC_DOT:] = _SRC_CONSTANTS
-    tz = _TRAILING_ZEROS4[groups[4]]
-    for j in (3, 2, 1):
-        tz = np.where(tz == 16 - 4 * j, 16 - 4 * j + _TRAILING_ZEROS4[groups[j]], tz)
-    c = np.where((k < -4) | (k > 16), np.where(np.abs(k) < 100, 21, 22), k + 4)
-    index = np.take(_LAYOUT, c * 18 + 17 - tz, axis=0)
-    index += np.arange(0, src.size, src.shape[1])[:, None]
-    cells = np.take(src.ravel(), index)
+    cells = np.empty((m, 24), np.uint8)
+    cells[:, 0] = np.where(np.signbit(x), _MINUS, _NUL)
+    cells[:, 1] = src[:, 3]
+    cells[:, 2] = ord(".")
+    cells[:, 3:19] = src[:, 4:20]
+    cells[:, 19] = ord("e")
+    cells[:, 20] = np.where(k < 0, _MINUS, _PLUS)
+    cells[:, 21] = np.where(np.abs(k) < 100, _NUL, src[:, 21])
+    cells[:, 22:] = src[:, 22:]
     if len(fallback):
-        text = [format(v, ".17g") for v in x[fallback].tolist()]
+        text = [format(v, ".16e") for v in x[fallback].tolist()]
         cells[fallback] = np.array(text, dtype="S24").view(np.uint8).reshape(-1, 24)
     return cells
 
@@ -558,7 +525,7 @@ def _csv_rows(columns: list[np.ndarray]) -> bytes:
 
 
 class _CsvText:
-    """CSV of equal-length columns, floats as ``format(v, ".17g")`` and integers in
+    """CSV of equal-length columns, floats as ``format(v, ".16e")`` and integers in
     decimal, as ASCII byte blocks: the header line, then ``_BLOCK_ROWS`` rows at a time.
     Each pass formats the blocks as it reads them, so only one block's scratch arrays
     are live, and a second pass formats them again."""

@@ -56,11 +56,6 @@ RECOMMENDED_POINTS_PER_PERIOD = 32
 MAX_GRID_INTERVALS = 2**20
 
 
-def trapezoid(y: np.ndarray, x: np.ndarray) -> np.float64 | np.ndarray:
-    """Trapezoid rule of y along its last axis over the 1-d grid x (scipy's formula)."""
-    return np.add.reduce(np.diff(x) * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
-
-
 def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Running trapezoid integral of y over the 1-d grid x, starting at 0.
 
@@ -133,7 +128,7 @@ class Solution1D:
 def harmonic_mean(a_unit, M: int = 4096) -> float:
     """(int_0^1 1/a)^{-1} by composite trapezoid on M intervals."""
     y = np.linspace(0.0, 1.0, M + 1)
-    return float(1.0 / trapezoid(1.0 / _conductivity(a_unit, y), y))
+    return float(1.0 / np.trapezoid(1.0 / _conductivity(a_unit, y), y))
 
 
 def _explicit_solution(x: np.ndarray, a_vals: np.ndarray, f_vals: np.ndarray) -> Solution1D:
@@ -214,10 +209,10 @@ def two_scale_check_1d(profile: Profile1D) -> TwoScaleError1D:
     v = hom.u + profile.eps * phi * hom.du
     dv = (1.0 + dphi) * hom.du + profile.eps * phi * d2u0
 
-    err = float(trapezoid((het.u - v) ** 2 + (het.du - dv) ** 2, x))
+    err = float(np.trapezoid((het.u - v) ** 2 + (het.du - dv) ** 2, x))
     lam = float(np.min(profile.a_unit(np.linspace(0.0, 1.0, 4096))))  # sampled ellipticity
     max_phi2 = float(np.max(np.abs(phi_tab)) ** 2)
-    i2 = float(trapezoid(d2u0**2, x))
+    i2 = float(np.trapezoid(d2u0**2, x))
     b_stmt = (4.0 / lam) * max_phi2 * profile.eps**2 * i2
     b_proof = b_stmt / lam  # not lam**2, which overflows where the bound does not
     return TwoScaleError1D(
@@ -238,14 +233,14 @@ def _period_average(F, yq: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Fbar(x) = int_0^1 F(y, x) dy at every node of x, by the trapezoid rule on yq.
 
     F is evaluated on blocks of nodes times the whole yq grid, and each
-    block is reduced along y at once by ``trapezoid``, so every value is
-    bitwise the one ``trapezoid(F(yq, xv), yq)`` gives.
+    block is reduced along y at once by ``np.trapezoid``, so every value is
+    bitwise the one ``np.trapezoid(F(yq, xv), yq)`` gives.
     """
     rows = max(16, 2**16 // yq.size)  # blocks of ~2**16 values stay in cache
     out = np.empty(x.size)
     for lo in range(0, x.size, rows):
         ys, xs = np.broadcast_arrays(yq, x[lo:lo + rows, None])
-        out[lo:lo + rows] = trapezoid(F(ys, xs), yq)
+        out[lo:lo + rows] = np.trapezoid(F(ys, xs), yq)
     return out
 
 
@@ -266,7 +261,8 @@ def oscillatory_average_check(F, eps_list, points_per_period: int = 256,
         raise ParameterError(f"a grid of {most} intervals is more than {MAX_GRID_INTERVALS}")
     yq = np.linspace(0.0, 1.0, y_points + 1)
     grids = [np.linspace(0.0, 1.0, n + 1) for n in sizes]
-    errors = np.array([abs(trapezoid(F(x / eps, x), x) - trapezoid(_period_average(F, yq, x), x))
+    errors = np.array([abs(np.trapezoid(F(x / eps, x), x)
+                           - np.trapezoid(_period_average(F, yq, x), x))
                        for eps, x in zip(eps_arr, grids)])
     C = float(np.max(errors / (2.0 * eps_arr)))
     return OscillatoryAverageReport(eps_arr, errors, C)
@@ -308,8 +304,8 @@ def sup_error_check(profile: Profile1D, eps_list) -> SupErrorReport:
         hom = solve_homogenized_1d(p)
         sups.append(float(np.max(np.abs(het.u - hom.u))))
         diff = het.du - hom.du
-        grads.append(float(trapezoid(diff**2, x)))
-        weaks.append([float(trapezoid(diff * tf(x), x)) for tf in _TEST_FUNCTIONS])
+        grads.append(float(np.trapezoid(diff**2, x)))
+        weaks.append([float(np.trapezoid(diff * tf(x), x)) for tf in _TEST_FUNCTIONS])
     sups = np.asarray(sups)
     return SupErrorReport(  # a homogeneous profile or one eps has no rate: nan
         eps_arr, sups, _loglog_fit(eps_arr, sups).slope, float(np.max(sups / eps_arr)),

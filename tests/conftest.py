@@ -41,10 +41,10 @@ def heat_kernel_diagonal(t: float, box: BoxSpec) -> float:
 
 def reference_csv_text(header: list[str], columns: list) -> str:
     """The per-value CSV writer that ``lattice._CsvText`` replaced, kept as its
-    oracle: ``format(v, ".17g")`` for each float, ``str`` for anything else."""
+    oracle: ``format(v, ".16e")`` for each float, ``str`` for anything else."""
     def column_text(column):
         values = np.asarray(column)
-        fmt = "{:.17g}".format if values.dtype.kind == "f" else str
+        fmt = "{:.16e}".format if values.dtype.kind == "f" else str
         return map(fmt, values.tolist())
 
     rows = zip(*map(column_text, columns))

@@ -693,6 +693,26 @@ class TestDispatchAndErrors:
         assert len(meta["ahom_row"]) == 2
         assert all(r["converged"] for r in meta["solver_reports"])
 
+    @pytest.mark.parametrize("d, L", [(2, 16), (3, 6)])
+    def test_the_corrector_table_reads_back_to_the_fields(self, d, L, ensemble_file, tmp_path,
+                                                          monkeypatch):
+        # np.loadtxt reads phi, q and the upper triangle of sigma back bit for bit
+        solved = []
+        solve = homoglab.cli.corrector_set
+        monkeypatch.setattr(homoglab.cli, "corrector_set",
+                            lambda *args: solved.append(solve(*args)) or solved[-1])
+        out = tmp_path / "set.csv"
+        assert main(["corrector", "--ensemble", ensemble_file, "--d", str(d), "--L", str(L),
+                     "--out", str(out)]) == EXIT_OK
+        (cs,) = solved
+        pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
+        fields = np.column_stack([cs.phi.values, cs.q.values,
+                                  *(cs.sigma.values[:, j, k] for j, k in pairs)])
+        table = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.array_equal(table[:, :1 + d], np.column_stack(
+            [np.arange(L**d), cs.phi.box.coordinate_arrays()]))
+        assert np.array_equal(table[:, 1 + d:].view(np.uint64), fields.view(np.uint64))
+
     def test_the_corrector_table_streams_to_disk(self, ensemble_file, tmp_path, monkeypatch):
         # from the end of the solve, formatting and writing hold a block of rows
         # at a time, never the whole table
@@ -1510,7 +1530,7 @@ class TestExperimentTable:
         assert sorted(os.listdir(tmp_path)) == ["cfg.json", "ens.json"]
 
     @pytest.mark.parametrize("solver,message", [
-        ({"tol": True}, "tol must be a number in [1e-13, inf), got True"),
+        ({"tol": True}, "bad tol True: a boolean is not a number"),
         ({"tol": 1e-300}, "tol must be a number in [1e-13, inf), got 1e-300"),
         ({"preconditioner": "jacobi"}, "unknown preconditioner 'jacobi'"),
         ({"tol": 10**400}, "int too large to convert to float"),

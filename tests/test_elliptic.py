@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -100,9 +101,25 @@ class TestCG:
 
     def test_tol_below_the_floor_or_a_bool_is_rejected(self):
         assert SolverConfig(tol=MIN_TOL).tol == 1e-13
-        for tol in (1e-14, 1e-300, True, False):
+        for tol in (1e-14, 1e-300):
             with pytest.raises(ParameterError, match=r"tol must be a number in \[1e-13, inf\)"):
                 SolverConfig(tol=tol)
+        for tol in (True, False):
+            with pytest.raises(ParameterError, match=f"bad tol {tol}: a boolean is not a number"):
+                SolverConfig(tol=tol)
+
+    @pytest.mark.parametrize("tol,message", [
+        ("1e-8", "bad tol '1e-8': a str is not a real number"),
+        (None, "bad tol None: a NoneType is not a real number"),
+        (10**400, "int too large to convert to float"),
+    ], ids=["string", "null", "beyond-float"])
+    def test_a_tol_that_is_no_float_is_rejected(self, tol, message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            SolverConfig(tol=tol)
+
+    def test_tol_is_stored_as_float(self):
+        assert type(SolverConfig(tol=1).tol) is float
+        assert type(SolverConfig(tol=np.float32(1e-6)).tol) is float
 
     def test_the_solver_settings_are_tol_and_preconditioner(self):
         # the iteration cap is a constant, not a setting

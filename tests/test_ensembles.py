@@ -55,6 +55,18 @@ class TestValidation:
         with pytest.raises(ParameterError, match="master_seed must be a non-negative integer"):
             make()
 
+    @pytest.mark.parametrize("index,message", [
+        (1.5, "bad sample index 1.5: 'float' object cannot be interpreted as an integer"),
+        (True, "bad sample index True: a boolean is not a number"),
+    ], ids=["float", "bool"])
+    def test_a_sample_index_that_is_no_integer_is_rejected(self, index, message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            SampleId(index)
+
+    def test_numpy_integers_are_stored_as_int(self):
+        assert type(SampleId(np.int64(3)).index) is int
+        assert type(two_point(master_seed=np.uint32(7)).master_seed) is int
+
     @pytest.mark.parametrize("make,message", [
         (lambda: two_point(lam=1.0), "lambda=1.0 must be in (0,1)"),
         (lambda: EnsembleSpec("periodic-tile", {"unit_cell": [0.5, 0.5]}, 0.2, 0),
@@ -372,6 +384,29 @@ class TestLawIsReadAtConstruction:
         assert (kernel.structure, iid.structure, constant(0.5).structure) == ((3, 0.25), None, None)
         assert "structure" not in repr(kernel) and "structure" not in kernel.to_json()
         assert kernel == EnsembleSpec(kernel.kind, kernel.params, kernel.lam, kernel.master_seed)
+
+
+class TestEquality:
+    """Two specs are equal, and hash equal, when they write the same ``to_json``:
+    the law and seed that every draw reads, not the params as given."""
+
+    def test_omitted_kernel_params_equal_their_defaults(self):
+        given = EnsembleSpec("correlated-two-point",
+                             {"alpha": 0.25, "beta": 0.75, "radius": 1, "decay": 1.0}, 0.2, 0)
+        omitted = EnsembleSpec("correlated-two-point", {"alpha": 0.25, "beta": 0.75}, 0.2, 0)
+        assert omitted == given and hash(omitted) == hash(given)
+        assert np.array_equal(sample(omitted, BoxSpec(2, 6), SampleId(1)).diag,
+                              sample(given, BoxSpec(2, 6), SampleId(1)).diag)
+
+    def test_a_later_params_edit_keeps_the_spec_equal(self):
+        spec = two_point()
+        spec.params["alpha"] = 0.5
+        assert spec == two_point() and hash(spec) == hash(two_point())
+        assert len({spec, two_point(), _correlated(2), _correlated(2)}) == 2
+
+    def test_specs_that_differ_only_in_master_seed_differ(self):
+        assert two_point(master_seed=1) != two_point(master_seed=2)
+        assert two_point(master_seed=1) != two_point(master_seed=1).to_json()
 
 
 def test_draws_keep_their_bits():

@@ -10,7 +10,10 @@ Every case that runs CG (``cell``, ``ahom``, ``corrector``, ``twoscale``,
 ``growth``, ``green`` and ``meyers``, with their variants) holds the bytes
 of 0.11.0, whose flux stencil and ``numpy.fft`` transforms round in other
 last digits than the CSR stencil and ``scipy.fft`` did; its CG iteration
-counts are those of 0.10.0.
+counts are those of 0.10.0.  Every CSV output (``oned``, ``corrector`` and
+``twoscale``) holds the bytes of 0.12.0, which writes each float as
+``format(v, ".16e")``; each parses to the float64 values that the earlier
+``%.17g`` layout wrote, bit for bit.
 """
 
 import json
@@ -93,13 +96,13 @@ OUTPUTS = {
         "b722e8ed1ecdaf10dc7bdb620d6662d1ef947db3ea4dac8d8acda678b3a36e18"},
     "corrector": {
         "corrector.csv":
-            "b35a673704cb9d999b40daf55d9c857b62497afd593d65d9ef4144caee289b54",
+            "444a62b0f8a993a4ab3f467eb338aab5eb7e47e4c87c39ad4e95171458d1d3a8",
         "corrector.csv.meta.json":
             "e523d1ef29ac64131521d06c7f589dbeb3567ece7bde462f1140b269128bcc5c",
     },
     "corrector-d3": {
         "corrector3.csv":
-            "9a96567f2501c4be3ee6414ba116253452a6c20a20743b7b33da09c4e671275d",
+            "0befa96e1cd54259467e0ae81e53ec3252dd113f8be2b72f401bd6709914d4aa",
         "corrector3.csv.meta.json":
             "39bcdfa2be1c7e2bd946028481b2dc2c21b9591269f91ea69b4a9123161f80fc",
     },
@@ -114,17 +117,17 @@ OUTPUTS = {
     "meyers": {"meyers.json":
         "a03afb1e80b2cd1104b973f8b4f5ba8ffa157bfb57510a4d7322b5b7a018fb7b"},
     "oned": {"oned.csv":
-        "34a49db9e2853fd38c6775c8a608c0619ba7f0ae3f7d8f4fdcb32f4dfcaeb8b0"},
+        "9062b31af98566b334339b497a5d64c9331d5db539e90a47f07c4888c65a4c5d"},
     "oned-constant-a": {"oned.csv":
-        "201f4c8a3e0e700e91b358b1c72a9ee0c036d7c00516d706c86e348c3e9d4625"},
+        "52686de0ae54a8b00344a37839e401deb2cf5e78aa65f2ffef7dae2f7e93606a"},
     "oned-constant-f": {"oned.csv":
-        "e5b1a40d4ea5a2d7c36bd9c75dd6082a45b4dd96761eb44356ace7bc8e89b94f"},
+        "c7d1a97477574cc29d2d71f778aedd753e11a2358a69e3ddb8f6865c8d5e5763"},
     "oned-layered": {"oned.csv":
-        "c39436e33da93af90e4066078cba0f0dde0bfb90e29043a908ead7d9d904281f"},
+        "7dafc8924bfaf6a6bfebfc9d0cf5d6c7768395407a778be92ad50ed8f22b7864"},
     "oned-layered-fraction": {"oned.csv":
-        "73c6131994207301f9867a13868e008ed7d08408b4e823b2ec5914da8435527e"},
+        "b604ec30b7e7fb5f87df6cd61c8d13344b8288af0c0a37b62382b24b09ae0d5e"},
     "oned-sine-f": {"oned.csv":
-        "ff34af0f199b8b6db2bc308bfb0b062f0dc63f3edb32c29f86df8bb3477458e0"},
+        "8138c91b2ae0e0e86d88d2361416073974d886a99636e96bfc810c7ffdb405c6"},
     "semigroup": {"semigroup.json":
         "d4c938acfe769a3a635de053c6c95f48857997c90cf7b9326e11e4f74fcf8641"},
     "semigroup-constant": {"semigroup.json":
@@ -134,7 +137,7 @@ OUTPUTS = {
     "sg-d3": {"sg3.json":
         "1a69a5ec809e22456e087ac9f4816cd490a4a46acb5c230bf533dc3da49adaff"},
     "twoscale": {"twoscale.csv":
-        "bd509b465cef2c6abfd5d37b2517fd2680effb693417d2801dccd75f2c444026"},
+        "3444521c13ea55073b8692c6e3e398a9e72329b9d1f54a7af1c27c8ecf057fe2"},
 }
 
 

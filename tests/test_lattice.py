@@ -65,6 +65,21 @@ class TestBoxSpec:
         with pytest.raises(lattice.ParameterError, match=f"more than {2**22} sites"):
             BoxSpec(d, L + 1)
 
+    @pytest.mark.parametrize("d,L,message", [
+        (2, 8.0, "bad L 8.0: 'float' object cannot be interpreted as an integer"),
+        (True, 8, "bad d True: a boolean is not a number"),
+        (2, "8", "bad L '8': 'str' object cannot be interpreted as an integer"),
+        (2, None, "bad L None: 'NoneType' object cannot be interpreted as an integer"),
+    ], ids=["float-L", "bool-d", "string-L", "null-L"])
+    def test_a_side_or_dimension_that_is_no_integer_is_rejected(self, d, L, message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            BoxSpec(d, L)
+
+    def test_numpy_integers_are_stored_as_int(self):
+        box = BoxSpec(np.int64(2), np.uint8(8))
+        assert (type(box.d), type(box.L), type(box.n_sites)) == (int, int, int)
+        assert box == BoxSpec(2, 8) and box.to_json() == {"d": 2, "L": 8}
+
 
 class TestGrad:
     def test_constant_field_has_zero_gradient(self):
@@ -285,7 +300,7 @@ class TestCsvText:
         text = _csv(["v"], [x])
         assert calls == [1000000000000000.25]
         assert text == _reference_csv(["v"], [x])
-        assert text.split(b"\n")[2] == b"1000000000000000.2"
+        assert text.split(b"\n")[2] == b"1.0000000000000002e+15"
 
     @pytest.mark.parametrize("n", [0, 1, lattice._BLOCK_ROWS + 3])
     def test_columns_of_every_dtype(self, n):

@@ -1,6 +1,7 @@
 import re
 
 import numpy as np
+from numpy import trapezoid
 import pytest
 import scipy.integrate
 import scipy.optimize
@@ -17,7 +18,6 @@ from homoglab.oned import (
     solve_explicit,
     solve_homogenized_1d,
     sup_error_check,
-    trapezoid,
     two_scale_check_1d,
 )
 
